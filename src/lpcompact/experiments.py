@@ -22,7 +22,6 @@ from .profiles import PowerLaw, sample
 from .spaces import WeightedSpace, indicator_norm, weighted_norm
 
 __all__ = [
-    "power_weight",
     "indicator_mass_ratio",
     "blowup_ratio",
     "BlowupReport",
@@ -30,12 +29,6 @@ __all__ = [
     "CompletenessReport",
     "completeness_run",
 ]
-
-
-def power_weight(exponent: float, grid: Grid) -> GridFunction:
-    """|center|**exponent per cell; centers never sit at the origin, so any
-    real exponent stays finite."""
-    return sample(PowerLaw(exponent=exponent), grid)
 
 
 def _resolvable_radius(grid: Grid, n_value: int) -> float:
@@ -73,7 +66,7 @@ def blowup_ratio(p: float, grid: Grid, n_value: int, weight_exponent: float | No
         raise ModelError("p must be positive")
     radius = _resolvable_radius(grid, n_value)
     a = grid.dim * (p - 1.0) + 1.0 if weight_exponent is None else weight_exponent
-    space = WeightedSpace(p, power_weight(a, grid))
+    space = WeightedSpace(p, sample(PowerLaw(exponent=a), grid))
     return indicator_mass_ratio(space, radius)
 
 

@@ -27,13 +27,11 @@ __all__ = [
     "Grid",
     "GridFunction",
     "DyadicPartition",
-    "make_grid",
     "translate",
     "restrict_outside",
     "restrict_inside",
     "inside_mask",
     "outside_mask",
-    "dyadic_partition",
     "cube_average",
     "all_cube_averages",
     "ball_average_field",
@@ -98,11 +96,6 @@ class Grid:
         return np.maximum.reduce([np.abs(c) for c in mesh])
 
 
-def make_grid(dim: int, box_level: int, cell_exp: int) -> Grid:
-    """Build a grid, validating the exponent ordering."""
-    return Grid(dim=dim, box_level=box_level, cell_exp=cell_exp)
-
-
 @dataclass(frozen=True)
 class GridFunction:
     """A finite value per cell of a fixed grid; zero outside the ambient box.
@@ -129,9 +122,6 @@ class GridFunction:
     @classmethod
     def zeros(cls, grid: Grid) -> "GridFunction":
         return cls(grid, np.zeros(grid.shape))
-
-    def with_values(self, values: np.ndarray) -> "GridFunction":
-        return GridFunction(self.grid, values)
 
     def _require_same_grid(self, other: "GridFunction") -> None:
         if self.grid != other.grid:
@@ -305,10 +295,6 @@ class DyadicPartition:
         return tuple(origin + i * side for i in multi)
 
 
-def dyadic_partition(grid: Grid, box_level: int, cube_exp: int) -> DyadicPartition:
-    return DyadicPartition(grid=grid, box_level=box_level, cube_exp=cube_exp)
-
-
 def _block_view(arr: np.ndarray, part: DyadicPartition) -> np.ndarray:
     """Reshape the partition's interior so cube averages reduce over cell axes."""
     inner = arr[part.inside_slices()]
@@ -318,16 +304,32 @@ def _block_view(arr: np.ndarray, part: DyadicPartition) -> np.ndarray:
     return inner.reshape(b, c, b, c)
 
 
+def _per_cube(arr: np.ndarray, part: DyadicPartition, reduce) -> np.ndarray:
+    """Apply a numpy reduction (``np.mean``, ``np.min``, ...) over the cells of
+    every cube; the result is flat, row-major by cube corner."""
+    axes = (1,) if part.grid.dim == 1 else (1, 3)
+    return reduce(_block_view(arr, part), axis=axes).reshape(-1)
+
+
+def _first_positive_cells(weight: np.ndarray, part: DyadicPartition) -> np.ndarray:
+    """Per cube, the smallest flat grid index of a cell of positive weight, or
+    ``grid.n_cells`` when the cube has none.
+
+    Within a cube the flat grid index rises in the cube's local row-major
+    order, so the minimum is the cube's first positive cell in that order.
+    """
+    n = part.grid.n_cells
+    index = np.where(weight > 0, np.arange(n).reshape(part.grid.shape), n)
+    return _per_cube(index, part, np.min)
+
+
 def all_cube_averages(f: GridFunction, part: DyadicPartition) -> np.ndarray:
     """Exact mean of f over every cube, flat row-major by cube corner.
 
     Cells within a cube have equal measure and their count is a power of two,
     so the mean is an exact finite sum with no quadrature error.
     """
-    blocks = _block_view(f.values, part)
-    if f.grid.dim == 1:
-        return blocks.mean(axis=1)
-    return blocks.mean(axis=(1, 3)).reshape(-1)
+    return _per_cube(f.values, part, np.mean)
 
 
 def cube_average(f: GridFunction, part: DyadicPartition, cube_index: int) -> float:

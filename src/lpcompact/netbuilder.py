@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +28,8 @@ from .grid import (
     DyadicPartition,
     Grid,
     GridFunction,
-    dyadic_partition,
+    _first_positive_cells,
+    all_cube_averages,
     inside_mask,
     restrict_inside,
 )
@@ -41,7 +42,6 @@ __all__ = [
     "NetCertificate",
     "PowerTransferRecord",
     "ValidationReport",
-    "GreedyNet",
     "select_tail_level",
     "select_mesh",
     "null_cube_mask",
@@ -51,7 +51,6 @@ __all__ = [
     "projection_error",
     "quantize_net",
     "QuantizedNet",
-    "greedy_net",
     "build_certificate",
     "validate_certificate",
     "certificate_to_dict",
@@ -126,15 +125,18 @@ class NetCertificate:
 
     @property
     def partition(self) -> DyadicPartition:
-        return dyadic_partition(self.grid, self.plan.box_level, self.plan.cube_exp)
+        return DyadicPartition(self.grid, self.plan.box_level, self.plan.cube_exp)
 
     @property
     def n_net(self) -> int:
         return int(self.net_elements.shape[0])
 
 
-def select_tail_level(family: Family, space: WeightedSpace, epsilon: float) -> int:
-    """Smallest dyadic box level whose box-tail modulus is below epsilon/3."""
+def select_tail_level(
+    family: Family, space: WeightedSpace, epsilon: float
+) -> tuple[int, float]:
+    """Smallest dyadic box level whose box-tail modulus is below epsilon/3,
+    returned with that tail modulus."""
     if epsilon <= 0:
         raise ModelError("epsilon must be positive")
     grid = family.grid
@@ -143,7 +145,7 @@ def select_tail_level(family: Family, space: WeightedSpace, epsilon: float) -> i
     for m in range(grid.cell_exp, grid.box_level + 1):
         last = tail_modulus(family, space, 2.0 ** m, region="box")
         if last < threshold:
-            return m
+            return m, last
     raise HypothesisError(
         "vanishing-at-infinity",
         f"select_tail_level: tail modulus is {last:.6g} at the full box (level "
@@ -187,10 +189,7 @@ def null_cube_mask(part: DyadicPartition, space: WeightedSpace) -> np.ndarray:
     """Cubes on which the weight vanishes identically (flat, row-major)."""
     if part.grid != space.grid:
         raise ModelError("partition and space live on different grids")
-    flags = np.empty(part.n_cubes, dtype=bool)
-    for k in range(part.n_cubes):
-        flags[k] = not np.any(space.weight.values[part.cube_slices(k)] > 0)
-    return flags
+    return _first_positive_cells(space.weight.values, part) == part.grid.n_cells
 
 
 def cube_witnesses(part: DyadicPartition, space: WeightedSpace) -> tuple[int, ...]:
@@ -200,18 +199,8 @@ def cube_witnesses(part: DyadicPartition, space: WeightedSpace) -> tuple[int, ..
     defined: every cube that the norm can see contains a cell of positive
     weight, and grid functions are finite there by construction.
     """
-    shape = part.grid.shape
-    out = []
-    for k in range(part.n_cubes):
-        block = space.weight.values[part.cube_slices(k)] > 0
-        if not np.any(block):
-            out.append(-1)
-            continue
-        local = np.unravel_index(int(np.flatnonzero(block.reshape(-1))[0]), block.shape)
-        sl = part.cube_slices(k)
-        cell = tuple(s.start + i for s, i in zip(sl, local))
-        out.append(int(np.ravel_multi_index(cell, shape)))
-    return tuple(out)
+    first = _first_positive_cells(space.weight.values, part)
+    return tuple(np.where(first == part.grid.n_cells, -1, first).tolist())
 
 
 def cube_projection(
@@ -226,8 +215,6 @@ def cube_projection(
     ``variant="vanishing"`` cubes of vanishing weight get coefficient zero;
     the space is needed to identify them.
     """
-    from .grid import all_cube_averages
-
     if f.grid != part.grid:
         raise ModelError("function and partition live on different grids")
     if variant not in VARIANTS:
@@ -353,41 +340,29 @@ def quantize_net(
     )
 
 
-@dataclass(frozen=True)
-class GreedyNet:
-    """Farthest-point baseline net over the family itself."""
-
-    indices: tuple[int, ...]
-    assignment: tuple[int, ...]
-    covering_radii: tuple[float, ...]
-
-
-def greedy_net(family: Family, space: WeightedSpace, epsilon: float) -> GreedyNet:
-    """Pick members farthest from the current net until all are within epsilon.
-
-    A baseline for net-size comparisons; the certificate pipeline does not use
-    it.  Deterministic: starts from member 0 and breaks ties by index.
-    """
-    if epsilon <= 0:
-        raise ModelError("epsilon must be positive")
-    n = len(family)
-    dist = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = weighted_norm(family.members[i] - family.members[j], space)
-            dist[i, j] = dist[j, i] = d
-    chosen = [0]
-    best = dist[0].copy()
-    radii = [float(best.max())]
-    while radii[-1] >= epsilon:
-        nxt = int(np.argmax(best))
-        chosen.append(nxt)
-        best = np.minimum(best, dist[nxt])
-        radii.append(float(best.max()))
-    assignment = tuple(int(np.argmin([dist[i, c] for c in chosen])) for i in range(n))
-    return GreedyNet(
-        indices=tuple(chosen), assignment=assignment, covering_radii=tuple(radii)
-    )
+def _net_distances(
+    family: Family,
+    elements: np.ndarray,
+    assignment: tuple[int, ...],
+    part: DyadicPartition,
+    space: WeightedSpace,
+    epsilon: float,
+) -> tuple[float, ...]:
+    """Builder side: norm distance from every member to its assigned net
+    element expanded over the partition; a distance not below epsilon means
+    the budget accounting is broken and raises."""
+    distances = []
+    for f, label, j in zip(family.members, family.labels, assignment):
+        # bound, not inlined, for the allocator reason given in _remeasure
+        net_fn = expand_coefficients(elements[j], part)
+        d = weighted_norm(f - net_fn, space)
+        if not d < epsilon:
+            raise ModelError(
+                f"member {label!r} is at distance {d!r} from its net element, not "
+                f"below epsilon {epsilon!r}; the budget accounting is broken"
+            )
+        distances.append(d)
+    return tuple(distances)
 
 
 def build_certificate(
@@ -408,11 +383,10 @@ def build_certificate(
         raise ModelError(f"unknown projector variant {variant!r}")
     grid = family.grid
 
-    m = select_tail_level(family, space, epsilon)
+    m, tail_value = select_tail_level(family, space, epsilon)
     i_eps = select_mesh(family, space, epsilon, max_exp=m)
-    part = dyadic_partition(grid, m, i_eps)
+    part = DyadicPartition(grid, m, i_eps)
 
-    tail_value = tail_modulus(family, space, 2.0 ** m, region="box")
     nulls = null_cube_mask(part, space)
     enforce = variant == "banach" and not bool(nulls.any())
 
@@ -432,23 +406,17 @@ def build_certificate(
     else:
         step = 1.0
     max_coeff = float(np.max(np.abs(coeffs))) if coeffs.size else 0.0
-    # a lattice multiple at least max_coeff: rounding then never leaves the bound
+    # a lattice multiple at least max_coeff: rounding then never leaves the
+    # bound; ceil alone can land one ulp short, so the loop finishes the job
     coeff_bound = step * math.ceil(max_coeff / step)
     while coeff_bound < max_coeff:
         coeff_bound += step
 
     quant = quantize_net(coeffs, step, coeff_bound, part, space)
 
-    distances = []
-    for k, f in enumerate(family.members):
-        net_fn = expand_coefficients(quant.net_elements[quant.assignment[k]], part)
-        distances.append(weighted_norm(f - net_fn, space))
-    bad = [k for k, d in enumerate(distances) if d >= epsilon]
-    if bad:
-        raise ModelError(
-            f"net distance {distances[bad[0]]!r} for member "
-            f"{family.labels[bad[0]]!r} reached epsilon; the budget accounting is broken"
-        )
+    distances = _net_distances(
+        family, quant.net_elements, quant.assignment, part, space, epsilon
+    )
 
     plan = NetPlan(
         epsilon=epsilon,
@@ -475,7 +443,7 @@ def build_certificate(
         variant=variant,
         net_elements=quant.net_elements,
         assignment=quant.assignment,
-        distances=tuple(distances),
+        distances=distances,
         labels=family.labels,
         null_cubes=null_idx,
         witness_cells=witnesses,
@@ -487,6 +455,52 @@ class ValidationReport:
     passed: bool
     failures: tuple[str, ...]
     distances: tuple[float, ...]
+
+
+def _remeasure(
+    family: Family,
+    elements: np.ndarray,
+    assignment: tuple[int, ...],
+    recorded: tuple[float, ...],
+    part: DyadicPartition,
+    space: WeightedSpace,
+    epsilon: float,
+    what: str,
+) -> tuple[tuple[float, ...], list[str]]:
+    """Validator side: re-measure every member against its assigned net element.
+
+    Returns the distances and the failures found: an assignment or recorded
+    list whose length is not the family's (then nothing is measured), an
+    index outside the net, a distance not below epsilon, or a distance that
+    disagrees with the recorded one.
+    """
+    n = len(family)
+    failures = []
+    if len(assignment) != n:
+        failures.append(f"assignment has {len(assignment)} entries for {n} members")
+    if len(recorded) != n:
+        failures.append(f"recorded {what} list has {len(recorded)} entries for {n} members")
+    if failures:
+        return (), failures
+    distances = []
+    for f, label, idx, rec in zip(family.members, family.labels, assignment, recorded):
+        if not 0 <= idx < len(elements):
+            failures.append(f"member {label!r} is assigned to a missing net element {idx}")
+            distances.append(math.inf)
+            continue
+        # keep the expansion bound until the next member replaces it: freeing
+        # it at once lets malloc hand its pages back to the OS and fault them
+        # in again for every member, about 20% of validation on 2**16 cells
+        net_fn = expand_coefficients(elements[idx], part)
+        d = weighted_norm(f - net_fn, space)
+        distances.append(d)
+        if not d < epsilon:
+            failures.append(f"member {label!r} has {what} {d!r}, not below epsilon {epsilon!r}")
+        if not math.isclose(d, rec, rel_tol=1e-9, abs_tol=1e-12):
+            failures.append(
+                f"member {label!r}: recomputed {what} {d!r} disagrees with the recorded {rec!r}"
+            )
+    return tuple(distances), failures
 
 
 def validate_certificate(
@@ -510,8 +524,6 @@ def validate_certificate(
             f"space exponent {space.p!r} does not match certificate exponent "
             f"{certificate.space_p!r}"
         )
-    if len(certificate.assignment) != len(family):
-        failures.append("assignment length does not match the family")
     if failures:
         return ValidationReport(False, tuple(failures), ())
 
@@ -531,28 +543,12 @@ def validate_certificate(
     if np.any(np.abs(elements) > plan.coeff_bound * (1 + 1e-12)):
         failures.append("a net coefficient exceeds the declared bound")
 
-    distances = []
-    for k in range(len(family)):
-        idx = certificate.assignment[k]
-        if not 0 <= idx < elements.shape[0]:
-            failures.append(f"member {family.labels[k]!r} is assigned to a missing net element")
-            distances.append(math.inf)
-            continue
-        net_fn = expand_coefficients(elements[idx], part)
-        d = weighted_norm(family.members[k] - net_fn, space)
-        distances.append(d)
-        if not d < plan.epsilon:
-            failures.append(
-                f"member {family.labels[k]!r} has distance {d!r}, not below epsilon "
-                f"{plan.epsilon!r}"
-            )
-        recorded = certificate.distances[k]
-        if not math.isclose(d, recorded, rel_tol=1e-9, abs_tol=1e-12):
-            failures.append(
-                f"member {family.labels[k]!r}: recomputed distance {d!r} disagrees "
-                f"with the recorded {recorded!r}"
-            )
-    return ValidationReport(not failures, tuple(failures), tuple(distances))
+    distances, remeasured = _remeasure(
+        family, elements, certificate.assignment, certificate.distances,
+        part, space, plan.epsilon, "distance",
+    )
+    failures.extend(remeasured)
+    return ValidationReport(not failures, tuple(failures), distances)
 
 
 def certificate_to_dict(cert: NetCertificate) -> dict:

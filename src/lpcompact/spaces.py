@@ -19,7 +19,7 @@ from .grid import (
     Grid,
     GridFunction,
     _block_view,
-    dyadic_partition,
+    _per_cube,
     inside_mask,
 )
 
@@ -29,7 +29,6 @@ __all__ = [
     "AxiomReport",
     "Witness",
     "weighted_norm",
-    "weighted_distance",
     "power_norm",
     "indicator_norm",
     "check_lattice_axioms",
@@ -79,10 +78,6 @@ def weighted_norm(f: GridFunction, space: WeightedSpace) -> float:
     p = space.p
     total = np.sum(np.abs(f.values) ** p * space.weight.values) * space.grid.cell_volume
     return float(total ** (1.0 / p))
-
-
-def weighted_distance(f: GridFunction, g: GridFunction, space: WeightedSpace) -> float:
-    return weighted_norm(f - g, space)
 
 
 def power_norm(f: GridFunction, space: WeightedSpace, n_power: int) -> float:
@@ -295,23 +290,9 @@ def l1_embedding_sweep(
 def dyadic_cube_family(grid: Grid) -> list[DyadicPartition]:
     """All grid-aligned dyadic cube scales up to the box, one partition each."""
     return [
-        dyadic_partition(grid, grid.box_level, i)
+        DyadicPartition(grid, grid.box_level, i)
         for i in range(grid.cell_exp, grid.box_level + 1)
     ]
-
-
-def _block_means(values: np.ndarray, part: DyadicPartition) -> np.ndarray:
-    blocks = _block_view(values, part)
-    if part.grid.dim == 1:
-        return blocks.mean(axis=1)
-    return blocks.mean(axis=(1, 3))
-
-
-def _block_mins(values: np.ndarray, part: DyadicPartition) -> np.ndarray:
-    blocks = _block_view(values, part)
-    if part.grid.dim == 1:
-        return blocks.min(axis=1)
-    return blocks.min(axis=(1, 3))
 
 
 def ap_constant(weight: GridFunction, p: float, cube_family=None) -> float:
@@ -352,8 +333,8 @@ def a1_constant(weight: GridFunction, cube_family=None) -> float:
     for part in cube_family:
         if part.grid != weight.grid:
             raise ModelError("cube family does not match the weight's grid")
-        wavg = _block_means(weight.values, part)
-        wmin = _block_mins(weight.values, part)
+        wavg = _per_cube(weight.values, part, np.mean)
+        wmin = _per_cube(weight.values, part, np.min)
         with np.errstate(divide="ignore", invalid="ignore"):
             vals = np.where(wmin > 0, wavg / wmin, np.where(wavg > 0, np.inf, 1.0))
         best = max(best, float(np.max(vals)))

@@ -96,6 +96,38 @@ def test_net_quasi_routing(tmp_path, capsys):
     assert rc == 0
 
 
+@pytest.mark.parametrize(
+    "p, field, edit",
+    [
+        (2.0, ("distances",), "drop"),
+        (0.5, ("distances",), "drop"),
+        (0.5, ("quasi", "audit_distances"), "drop"),
+        (0.5, ("assignment",), "drop"),
+        (0.5, ("assignment",), "index99"),
+    ],
+)
+def test_validate_malformed_lists_exit_3(tmp_path, capsys, p, field, edit):
+    # a recorded list shorter than the family, or an assignment pointing past
+    # the net, is a validation failure, not a crash
+    weight = {"kind": "constant", "value": 1.0} if p < 1 else None
+    spec = write_spec(tmp_path / "spec.json", p=p, weight=weight)
+    prob = load_problem(spec)
+    cert_path = tmp_path / "cert.json"
+    eps = 0.4 * bound_modulus(prob.family, prob.space)
+    assert cli.main(["net", "--spec", str(spec), "--epsilon", str(eps), "--out", str(cert_path)]) == 0
+    doc = json.loads(cert_path.read_text())
+    *parents, key = field
+    target = doc
+    for name in parents:
+        target = target[name]
+    target[key] = target[key][:-1] if edit == "drop" else [99] + target[key][1:]
+    cert_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    rc = cli.main(["validate", "--spec", str(spec), "--certificate", str(cert_path)])
+    assert rc == 3
+    assert "validation failure" in capsys.readouterr().err
+
+
 def test_weight_verdicts(tmp_path, capsys):
     critical = write_spec(
         tmp_path / "crit.json", p=2.0, weight={"kind": "power", "exponent": 2.0}

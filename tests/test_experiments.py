@@ -8,13 +8,13 @@ from lpcompact import (
     Grid,
     GridFunction,
     ModelError,
+    PowerLaw,
     WeightedSpace,
     blowup_fit,
     blowup_ratio,
     completeness_run,
     indicator_mass_ratio,
     inside_mask,
-    power_weight,
     sample,
     weighted_norm,
 )
@@ -22,9 +22,9 @@ from lpcompact import (
 
 def test_power_weight_values():
     grid = Grid(dim=1, box_level=0, cell_exp=-3)
-    flat = power_weight(0.0, grid)
+    flat = sample(PowerLaw(0.0), grid)
     np.testing.assert_array_equal(flat.values, 1.0)
-    quad = power_weight(2.0, grid)
+    quad = sample(PowerLaw(2.0), grid)
     np.testing.assert_allclose(quad.values, np.abs(grid.axis_centers()) ** 2)
     # centers are symmetric about the origin, so the weight is too
     np.testing.assert_array_equal(quad.values, quad.values[::-1])
@@ -32,7 +32,7 @@ def test_power_weight_values():
 
 def test_indicator_mass_ratio_hand_value():
     grid = Grid(dim=1, box_level=0, cell_exp=-3)
-    sp = WeightedSpace(2.0, power_weight(0.0, grid))
+    sp = WeightedSpace(2.0, sample(PowerLaw(0.0), grid))
     # ball of radius 1/2 holds 8 cells of side 1/8: mass 1, norm 1
     assert indicator_mass_ratio(sp, 0.5) == 1.0
 
@@ -45,7 +45,7 @@ def test_indicator_mass_ratio_hand_value():
 
 def test_indicator_mass_ratio_weight_scaling():
     grid = Grid(dim=1, box_level=0, cell_exp=-6)
-    w = power_weight(1.5, grid)
+    w = sample(PowerLaw(1.5), grid)
     base = indicator_mass_ratio(WeightedSpace(2.0, w), 0.25)
     scaled = indicator_mass_ratio(WeightedSpace(2.0, 5.0 * w), 0.25)
     assert scaled == pytest.approx(base / 5.0 ** 0.5, rel=1e-12)

@@ -11,7 +11,6 @@ from lpcompact import (
     all_cube_averages,
     ball_average_field,
     cube_average,
-    dyadic_partition,
     inside_mask,
     outside_mask,
     restrict_inside,
@@ -116,7 +115,7 @@ def test_masks_box_vs_ball(grid2d):
 
 def test_partition_layout():
     g = Grid(dim=1, box_level=1, cell_exp=-2)  # 16 cells on [-2, 2)
-    part = dyadic_partition(g, 0, -1)  # cover [-1, 1) with cubes of side 1/2
+    part = DyadicPartition(g, 0, -1)  # cover [-1, 1) with cubes of side 1/2
     assert part.cubes_per_axis == 4
     assert part.cells_per_cube_axis == 2
     assert part.cell_start == 4
@@ -129,14 +128,14 @@ def test_partition_layout():
 def test_partition_validation():
     g = Grid(dim=1, box_level=0, cell_exp=-2)
     with pytest.raises(ModelError):
-        dyadic_partition(g, 1, -1)  # box bigger than the grid
+        DyadicPartition(g, 1, -1)  # box bigger than the grid
     with pytest.raises(ModelError):
-        dyadic_partition(g, 0, -3)  # cube finer than a cell
+        DyadicPartition(g, 0, -3)  # cube finer than a cell
 
 
 def test_cube_averages_match_loop(grid2d, rng):
     f = GridFunction(grid2d, rng.standard_normal(grid2d.shape))
-    part = dyadic_partition(grid2d, 0, -1)
+    part = DyadicPartition(grid2d, 0, -1)
     avgs = all_cube_averages(f, part)
     for idx in range(part.n_cubes):
         blk = f.values[part.cube_slices(idx)]
@@ -148,7 +147,7 @@ def test_cube_average_exactness():
     # power-of-two cell counts: averages of lattice values are exact dyadics
     g = Grid(dim=1, box_level=0, cell_exp=-3)
     f = GridFunction(g, np.array([1.0, 3.0] * 8))
-    part = dyadic_partition(g, 0, -2)
+    part = DyadicPartition(g, 0, -2)
     np.testing.assert_array_equal(all_cube_averages(f, part), [2.0] * 8)
 
 
@@ -203,7 +202,7 @@ def test_partition_reassembly(seed):
     g = Grid(dim=1, box_level=0, cell_exp=-4)
     r = np.random.default_rng(seed)
     f = GridFunction(g, r.standard_normal(g.shape))
-    part = dyadic_partition(g, 0, -2)
+    part = DyadicPartition(g, 0, -2)
     avgs = all_cube_averages(f, part)
     for idx in range(part.n_cubes):
         blk = f.values[part.cube_slices(idx)]

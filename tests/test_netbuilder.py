@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from lpcompact import (
     Constant,
+    DyadicPartition,
     Family,
     Gaussian,
     Grid,
@@ -21,9 +22,7 @@ from lpcompact import (
     certificate_from_dict,
     certificate_to_dict,
     cube_projection,
-    dyadic_partition,
     expand_coefficients,
-    greedy_net,
     load_certificate,
     projection_error,
     quantize_net,
@@ -33,11 +32,11 @@ from lpcompact import (
     select_tail_level,
     translation_modulus,
     validate_certificate,
-    weighted_distance,
     weighted_norm,
 )
 
 from conftest import random_family
+from lpcompact.netbuilder import cube_witnesses, null_cube_mask
 
 
 @pytest.fixture(scope="module")
@@ -57,7 +56,7 @@ def test_select_tail_level_indicator_oracle():
     fam = Family.from_profiles(grid, [Indicator(center=0.0, radius=0.3)])
     # support inside [-0.3, 0.3]: the box at level -1 ([-0.5, 0.5]) already
     # has zero tail, the level below does not
-    assert select_tail_level(fam, sp, 1e-9) == -1
+    assert select_tail_level(fam, sp, 1e-9) == (-1, 0.0)
     with pytest.raises(ModelError):
         select_tail_level(fam, sp, 0.0)
 
@@ -69,7 +68,7 @@ def test_select_tail_level_ambient_box_always_works():
     grid = Grid(dim=1, box_level=0, cell_exp=-4)
     sp = WeightedSpace(2.0, sample(Constant(1.0), grid))
     fam = Family.from_profiles(grid, [Constant(1.0)])  # mass up to the boundary
-    assert select_tail_level(fam, sp, 1e-9) == 0
+    assert select_tail_level(fam, sp, 1e-9) == (0, 0.0)
 
 
 def test_select_mesh_halfbox_oracle():
@@ -93,8 +92,50 @@ def test_select_mesh_respects_max_exp():
     assert select_mesh(fam, sp, 100.0, max_exp=-2) == -2
 
 
+def _null_cube_mask_loop(part, space):
+    """Reference: one cube at a time, through the cube's own slices."""
+    flags = np.empty(part.n_cubes, dtype=bool)
+    for k in range(part.n_cubes):
+        flags[k] = not np.any(space.weight.values[part.cube_slices(k)] > 0)
+    return flags
+
+
+def _cube_witnesses_loop(part, space):
+    """Reference: the first positive cell of each cube in its local row-major
+    order, mapped back to a flat grid index."""
+    shape = part.grid.shape
+    out = []
+    for k in range(part.n_cubes):
+        block = space.weight.values[part.cube_slices(k)] > 0
+        if not np.any(block):
+            out.append(-1)
+            continue
+        local = np.unravel_index(int(np.flatnonzero(block.reshape(-1))[0]), block.shape)
+        sl = part.cube_slices(k)
+        cell = tuple(s.start + i for s, i in zip(sl, local))
+        out.append(int(np.ravel_multi_index(cell, shape)))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_cube_reductions_match_loops(dim):
+    rng = np.random.default_rng(dim)
+    grid = Grid(dim=dim, box_level=1, cell_exp=-4 if dim == 1 else -3)
+    for density in (0.0, 0.03, 0.3, 1.0):
+        keep = rng.uniform(size=grid.shape) < density
+        w = np.where(keep, rng.uniform(0.1, 2.0, grid.shape), 0.0)
+        space = WeightedSpace(2.0, GridFunction(grid, w))
+        for box_level in range(grid.cell_exp, grid.box_level + 1):
+            for cube_exp in range(grid.cell_exp, box_level + 1):
+                part = DyadicPartition(grid, box_level, cube_exp)
+                np.testing.assert_array_equal(
+                    null_cube_mask(part, space), _null_cube_mask_loop(part, space), strict=True
+                )
+                assert cube_witnesses(part, space) == _cube_witnesses_loop(part, space)
+
+
 def test_cube_projection_fixes_cubewise_constants(grid1d):
-    part = dyadic_partition(grid1d, 0, -1)
+    part = DyadicPartition(grid1d, 0, -1)
     f = GridFunction(grid1d, np.repeat([1.0, -2.0, 3.0, 0.5], 2))
     coeffs = cube_projection(f, part)
     np.testing.assert_array_equal(coeffs, [1.0, -2.0, 3.0, 0.5])
@@ -106,7 +147,7 @@ def test_cube_projection_vanishing_zeroes_null_cubes(grid1d):
     w = np.ones(grid1d.shape)
     w[:2] = 0.0
     sp = WeightedSpace(2.0, GridFunction(grid1d, w))
-    part = dyadic_partition(grid1d, 0, -1)
+    part = DyadicPartition(grid1d, 0, -1)
     f = GridFunction(grid1d, np.ones(grid1d.shape))
     banach = cube_projection(f, part)
     vanishing = cube_projection(f, part, space=sp, variant="vanishing")
@@ -120,7 +161,7 @@ def test_cube_projection_vanishing_zeroes_null_cubes(grid1d):
 def test_projection_error_guarantee(grid1d, rng):
     sp = WeightedSpace(2.0, GridFunction(grid1d, rng.uniform(0.1, 1.0, grid1d.shape)))
     fam = random_family(grid1d, rng)
-    part = dyadic_partition(grid1d, 0, -1)
+    part = DyadicPartition(grid1d, 0, -1)
     for f in fam.members:
         coeffs = all_cube_averages(f, part)
         measured, guarantee = projection_error(f, coeffs, part, sp, check=True)
@@ -132,7 +173,7 @@ def test_projection_error_guarantee(grid1d, rng):
 
 
 def test_quantize_net_lattice_and_dedup(grid1d, flat_space):
-    part = dyadic_partition(grid1d, 0, -1)
+    part = DyadicPartition(grid1d, 0, -1)
     coeffs = np.array(
         [
             [0.30, 0.50, -0.20, 0.00],
@@ -151,17 +192,6 @@ def test_quantize_net_lattice_and_dedup(grid1d, flat_space):
     ) * (1 + 1e-12)
     assert qn.assignment[0] == qn.assignment[1] == 0
     assert qn.assignment[2] == 1
-
-
-def test_greedy_net_known_geometry(grid1d, flat_space):
-    ones = np.ones(grid1d.shape)
-    members = tuple(GridFunction(grid1d, c * ones) for c in (0.0, 1.0, 10.0))
-    fam = Family(grid1d, members, ("a", "b", "c"))
-    # distances scale with ||1|| = sqrt(2)
-    net = greedy_net(fam, flat_space, 2.0)
-    assert net.indices == (0, 2)
-    assert tuple(net.assignment) == (0, 0, 1)
-    assert net.covering_radii[-1] < 2.0
 
 
 def test_build_certificate_end_to_end(gauss_problem):
@@ -278,7 +308,7 @@ def test_zero_family_certificate():
 
 def test_projection_error_zero_coeffs_is_truncated_norm(grid1d, flat_space, rng):
     f = GridFunction(grid1d, rng.normal(size=grid1d.shape))
-    part = dyadic_partition(grid1d, -1, -2)
+    part = DyadicPartition(grid1d, -1, -2)
     zeros = np.zeros(part.n_cubes)
     measured, _ = projection_error(f, zeros, part, flat_space)
     from lpcompact import restrict_inside
@@ -286,26 +316,6 @@ def test_projection_error_zero_coeffs_is_truncated_norm(grid1d, flat_space, rng)
     assert measured == pytest.approx(
         weighted_norm(restrict_inside(f, 0.5, region="box"), flat_space), rel=1e-12
     )
-
-
-def test_greedy_net_cover_and_monotone(rng):
-    grid = Grid(dim=1, box_level=1, cell_exp=-6)
-    centers = np.linspace(-0.9, 0.9, 10)
-    fam = Family.from_profiles(grid, [Gaussian(center=float(c), sigma=0.3) for c in centers])
-    sp = WeightedSpace(2.0, sample(Constant(1.0), grid))
-    diameter = max(
-        weighted_distance(a, b, sp) for a in fam.members for b in fam.members
-    )
-    sizes = []
-    for eps in (0.1, 0.2, 0.5, 1.2 * diameter):
-        net = greedy_net(fam, sp, eps)
-        sizes.append(len(net.indices))
-        # every member must sit within eps of its assigned center
-        for i, j in enumerate(net.assignment):
-            center = fam.members[net.indices[j]]
-            assert weighted_distance(fam.members[i], center, sp) < eps
-    assert sizes == sorted(sizes, reverse=True)
-    assert sizes[-1] == 1  # eps beyond the diameter collapses the net
 
 
 def test_shrunken_epsilon_certificate_rejected(gauss_problem):

@@ -24,7 +24,6 @@ from lpcompact import (
     l1_embedding_sweep,
     power_norm,
     sample,
-    weighted_distance,
     weighted_norm,
 )
 
@@ -66,7 +65,7 @@ def test_norm_scaling_and_distance(flat_space, grid1d, rng):
     assert weighted_norm(f * 3.0, flat_space) == pytest.approx(
         3.0 * weighted_norm(f, flat_space), rel=1e-12
     )
-    assert weighted_distance(f, f, flat_space) == 0.0
+    assert weighted_norm(f - f, flat_space) == 0.0
 
 
 @settings(max_examples=40, deadline=None)
