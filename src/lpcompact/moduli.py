@@ -10,6 +10,7 @@ checks that domination on matched shift stencils.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,13 +19,12 @@ from .errors import ModelError
 from .grid import (
     Grid,
     GridFunction,
-    _shift_cells,
     ball_average_field,
-    restrict_outside,
+    outside_mask,
     shift_stencil,
 )
 from .profiles import sample
-from .spaces import WeightedSpace, weighted_norm
+from .spaces import WeightedSpace, _array_norm, weighted_norm
 
 __all__ = [
     "Family",
@@ -85,9 +85,48 @@ def bound_modulus(family: Family, space: WeightedSpace) -> float:
 def tail_modulus(family: Family, space: WeightedSpace, radius: float, region: str = "ball") -> float:
     """Largest member norm outside the region of the given radius."""
     _check_space(family, space)
+    outside = outside_mask(family.grid, radius, region)
+    kept = np.empty(family.grid.shape)
+    scratch = np.empty(family.grid.shape)
+    # multiplying by the mask zeroes the region: members are finite, and the
+    # sign a zero picks up is lost to the absolute value
     return max(
-        weighted_norm(restrict_outside(f, radius, region), space) for f in family.members
+        _array_norm(np.multiply(f.values, outside, out=kept), space, scratch)
+        for f in family.members
     )
+
+
+def _shifted_difference(values: np.ndarray, offsets: tuple[int, ...], out: np.ndarray) -> None:
+    """Write ``_shift_cells(values, offsets) - values`` into ``out``, allocating
+    nothing: one subtraction where the source cell lies in the box, and
+    ``0.0 - values`` on the strips where the ambient zero is shifted in."""
+    shape = values.shape
+    ks = [max(-n, min(n, k)) for k, n in zip(offsets, shape)]
+    dst = tuple(slice(k, None) if k >= 0 else slice(None, n + k) for k, n in zip(ks, shape))
+    src = tuple(slice(None, n - k) if k >= 0 else slice(-k, None) for k, n in zip(ks, shape))
+    np.subtract(values[src], values[dst], out=out[dst])
+    for axis, (k, n) in enumerate(zip(ks, shape)):
+        if k:
+            edge = slice(None, k) if k > 0 else slice(n + k, None)
+            strip = (*dst[:axis], edge) + (slice(None),) * (len(shape) - axis - 1)
+            np.subtract(0.0, values[strip], out=out[strip])
+
+
+def _shift_norm(
+    values: np.ndarray,
+    offsets: tuple[int, ...],
+    space: WeightedSpace,
+    diff: np.ndarray,
+    scratch: np.ndarray,
+) -> float:
+    """Norm of the shifted difference, measured on the caller's two buffers."""
+    _shifted_difference(values, offsets, diff)
+    d = _array_norm(diff, space, scratch)
+    # a norm may overflow on finite values, so only a non-finite norm is worth
+    # the scan for the non-finite entry that a GridFunction would reject
+    if not math.isfinite(d) and not np.all(np.isfinite(diff)):
+        raise ModelError("grid function values must be finite")
+    return d
 
 
 def translation_modulus(
@@ -107,12 +146,41 @@ def translation_modulus(
             f"translation radius {radius} admits no nonzero grid shift "
             f"(cell side {family.grid.cell_side})"
         )
+    diff = np.empty(family.grid.shape)
+    scratch = np.empty(family.grid.shape)
     worst = 0.0
     for f in family.members:
         for k in offsets:
-            shifted = GridFunction(family.grid, _shift_cells(f.values, k))
-            worst = max(worst, weighted_norm(shifted - f, space))
+            worst = max(worst, _shift_norm(f.values, k, space, diff, scratch))
     return worst
+
+
+def _box_translation_levels(family: Family, space: WeightedSpace, hi_exp: int):
+    """Yield ``(i, moduli)`` for i = cell_exp, ..., hi_exp, where ``moduli[j]``
+    is member j's box translation modulus at radius 2**i.
+
+    Box stencils nest, so level i only adds the ring K_{i-1} < |k|_inf <= K_i
+    (K_i = 2**(i - cell_exp) cells) to the shifts already measured; a running
+    maximum per member carries the smaller levels.  Every shift is measured
+    once, on two buffers reused for the whole scan, and each value equals
+    the one ``translation_modulus`` gives a one-member family.  A consumer
+    that stops iterating stops the scan after the last level it received.
+    """
+    _check_space(family, space)
+    grid = family.grid
+    diff = np.empty(grid.shape)
+    scratch = np.empty(grid.shape)
+    moduli = [0.0] * len(family)
+    inner = 0
+    for i in range(grid.cell_exp, hi_exp + 1):
+        ring = [
+            k for k in shift_stencil(grid, 2.0 ** i, kind="box") if max(map(abs, k)) > inner
+        ]
+        for j, f in enumerate(family.members):
+            for k in ring:
+                moduli[j] = max(moduli[j], _shift_norm(f.values, k, space, diff, scratch))
+        inner = 2 ** (i - grid.cell_exp)
+        yield i, tuple(moduli)
 
 
 def averaged_modulus(family: Family, space: WeightedSpace, radius: float) -> float:

@@ -33,7 +33,7 @@ from .grid import (
     inside_mask,
     restrict_inside,
 )
-from .moduli import Family, tail_modulus, translation_modulus
+from .moduli import Family, _box_translation_levels, tail_modulus
 from .spaces import WeightedSpace, indicator_norm, weighted_norm
 
 __all__ = [
@@ -82,6 +82,13 @@ class NetPlan:
     budget: EpsilonBudget
 
     def __post_init__(self):
+        b = self.budget
+        numbers = (
+            self.epsilon, self.quant_step, self.coeff_bound,
+            b.tail, b.projection, b.quantization,
+        )
+        if not all(math.isfinite(v) for v in numbers):
+            raise ModelError(f"plan numbers must be finite, got {numbers}")
         third = self.epsilon / 3.0
         if not (self.budget.tail < third and self.budget.projection < third):
             raise ModelError("tail and projection budgets must stay below epsilon/3")
@@ -99,6 +106,11 @@ class PowerTransferRecord:
     eps_prime: float
     c_max: float
     audit_distances: tuple[float, ...]
+
+    def __post_init__(self):
+        numbers = (self.p, self.epsilon, self.eps_prime, self.c_max)
+        if not all(math.isfinite(v) for v in numbers):
+            raise ModelError(f"power-transfer numbers must be finite, got {numbers}")
 
 
 @dataclass(frozen=True)
@@ -118,6 +130,8 @@ class NetCertificate:
     quasi: PowerTransferRecord | None = None
 
     def __post_init__(self):
+        if self.variant not in VARIANTS:
+            raise ModelError(f"unknown projector variant {self.variant!r}")
         arr = np.asarray(self.net_elements, dtype=np.float64)
         arr = arr.copy()
         arr.flags.writeable = False
@@ -156,8 +170,9 @@ def select_tail_level(
 
 def select_mesh(
     family: Family, space: WeightedSpace, epsilon: float, max_exp: int | None = None
-) -> int:
-    """Largest cube exponent whose box-shift modulus is below 2**-dim * eps/3.
+) -> tuple[int, tuple[float, ...]]:
+    """Largest cube exponent whose box-shift modulus is below 2**-dim * eps/3,
+    returned with each member's box-shift modulus at that exponent.
 
     The translation modulus is nondecreasing in the radius (stencils nest), so
     the scan walks up from the cell scale and stops at the first failure.
@@ -169,10 +184,10 @@ def select_mesh(
     threshold = 2.0 ** (-grid.dim) * epsilon / 3.0
     best = None
     value = math.inf
-    for i in range(grid.cell_exp, hi + 1):
-        value = translation_modulus(family, space, 2.0 ** i, stencil="box")
+    for i, moduli in _box_translation_levels(family, space, hi):
+        value = max(moduli)
         if value < threshold:
-            best = i
+            best = i, moduli
         else:
             break
     if best is None:
@@ -254,6 +269,7 @@ def projection_error(
     coeffs: np.ndarray,
     part: DyadicPartition,
     space: WeightedSpace,
+    modulus: float,
     check: bool = False,
     tol: float | None = None,
 ) -> tuple[float, float]:
@@ -261,21 +277,19 @@ def projection_error(
 
     Returns ``(measured, guarantee)`` where measured is the norm distance from
     the box-truncated f to its piecewise-cube reconstruction, and guarantee is
-    ``2**dim`` times the box translation modulus at the cube side.  The bound
-    holds because the deviation from a cube average is an average of shifted
-    differences: with c cells per cube axis the shifts involved fit the box
-    stencil of radius (c-1) cells, and there are at most ``(2c-1)**dim`` of
-    them against ``c**dim`` cube cells, a ratio strictly below ``2**dim``.
+    ``2**dim`` times ``modulus``, f's box translation modulus at the cube side
+    (``select_mesh`` returns it for every member).  The bound holds because
+    the deviation from a cube average is an average of shifted differences:
+    with c cells per cube axis the shifts involved fit the box stencil of
+    radius (c-1) cells, and there are at most ``(2c-1)**dim`` of them against
+    ``c**dim`` cube cells, a ratio strictly below ``2**dim``.
     With ``check=True`` a violation (possible only through arithmetic error
     for p >= 1) raises.
     """
     truncated = restrict_inside(f, 2.0 ** part.box_level, region="box")
     recon = expand_coefficients(coeffs, part)
     measured = weighted_norm(truncated - recon, space)
-    single = Family(grid=f.grid, members=(f,), labels=("f",))
-    guarantee = 2.0 ** f.grid.dim * translation_modulus(
-        single, space, 2.0 ** part.cube_exp, stencil="box"
-    )
+    guarantee = 2.0 ** f.grid.dim * modulus
     if check:
         slack = tol if tol is not None else 1e-10 * weighted_norm(f, space)
         if measured > guarantee + slack:
@@ -384,7 +398,7 @@ def build_certificate(
     grid = family.grid
 
     m, tail_value = select_tail_level(family, space, epsilon)
-    i_eps = select_mesh(family, space, epsilon, max_exp=m)
+    i_eps, shift_moduli = select_mesh(family, space, epsilon, max_exp=m)
     part = DyadicPartition(grid, m, i_eps)
 
     nulls = null_cube_mask(part, space)
@@ -394,7 +408,7 @@ def build_certificate(
         [cube_projection(f, part, space, variant) for f in family.members]
     )
     proj_errors = [
-        projection_error(f, coeffs[k], part, space, check=enforce)[0]
+        projection_error(f, coeffs[k], part, space, shift_moduli[k], check=enforce)[0]
         for k, f in enumerate(family.members)
     ]
 
@@ -503,6 +517,66 @@ def _remeasure(
     return tuple(distances), failures
 
 
+def _cube_ids(part: DyadicPartition) -> np.ndarray:
+    """Flat cube index of every cell in flat grid order, -1 outside the partition box."""
+    b = part.cubes_per_axis
+    q = (np.arange(part.grid.cells_per_axis) - part.cell_start) // part.cells_per_cube_axis
+    inside = (q >= 0) & (q < b)
+    if part.grid.dim == 1:
+        return np.where(inside, q, -1)
+    both = inside[:, None] & inside[None, :]
+    return np.where(both, q[:, None] * b + q[None, :], -1).reshape(-1)
+
+
+def _check_cube_claims(
+    cert: NetCertificate, part: DyadicPartition, space: WeightedSpace
+) -> list[str]:
+    """Validator side: the null cubes and witness cells the certificate declares.
+
+    A Banach certificate declares neither.  Under the vanishing variant every
+    cube is either listed as null and holds no positive weight, or has as its
+    witness a positive-weight cell inside it.  All checks run over arrays of
+    cubes, with no per-cube loop.
+    """
+    if cert.variant == "banach":
+        if cert.null_cubes or cert.witness_cells:
+            return ["a banach certificate lists null cubes or witness cells"]
+        return []
+    n = part.n_cubes
+    if len(cert.witness_cells) != n:
+        return [f"witness list has {len(cert.witness_cells)} entries for {n} cubes"]
+    try:
+        listed = np.fromiter(cert.null_cubes, np.int64, len(cert.null_cubes))
+        witness = np.fromiter(cert.witness_cells, np.int64, n)
+    except OverflowError:
+        return ["a null cube or witness index does not fit a 64-bit integer"]
+    if np.any((listed < 0) | (listed >= n)):
+        return ["the null cube list names a cube outside the partition"]
+    times_listed = np.bincount(listed, minlength=n)
+    if np.any(times_listed > 1):
+        return ["the null cube list repeats a cube"]
+    is_null = times_listed == 1
+    weight = space.weight.values.reshape(-1)
+    ids = _cube_ids(part)
+    weighted = np.bincount(ids[(weight > 0) & (ids >= 0)], minlength=n) > 0
+    failures = []
+    bad = np.flatnonzero(is_null & weighted)
+    if bad.size:
+        failures.append(
+            f"{bad.size} cubes listed as null hold positive weight (first: cube {bad[0]})"
+        )
+    on_grid = (witness >= 0) & (witness < weight.size)
+    cell = np.where(on_grid, witness, 0)
+    sound = on_grid & (weight[cell] > 0) & (ids[cell] == np.arange(n))
+    bad = np.flatnonzero(~is_null & ~sound)
+    if bad.size:
+        failures.append(
+            f"{bad.size} cubes are not listed as null and have no positive-weight "
+            f"witness cell inside them (first: cube {bad[0]})"
+        )
+    return failures
+
+
 def validate_certificate(
     family: Family, certificate: NetCertificate, space: WeightedSpace
 ) -> ValidationReport:
@@ -511,7 +585,8 @@ def validate_certificate(
     Recomputes every member-to-net distance directly from the stored
     coefficient vectors, checks them against the plan's epsilon, and checks
     that every net element sits on the declared step lattice inside the
-    declared coefficient bound.
+    declared coefficient bound, that the labels are the family's, and that
+    the null cubes and witness cells are what the variant claims.
     """
     failures: list[str] = []
     plan = certificate.plan
@@ -533,6 +608,10 @@ def validate_certificate(
         return ValidationReport(
             False, (f"net elements have shape {elements.shape}, expected (*, {part.n_cubes})",), ()
         )
+
+    if certificate.labels != family.labels:
+        failures.append("certificate labels do not match the family's labels")
+    failures.extend(_check_cube_claims(certificate, part, space))
 
     step = plan.quant_step
     lattice = elements / step

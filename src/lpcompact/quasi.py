@@ -211,5 +211,6 @@ def validate_quasi_certificate(
         rec.audit_distances, certificate.partition, space, rec.epsilon,
         "quasi-norm audit distance",
     )
-    failures.extend(remeasured)
+    # an assignment past the net is reported by the root side in the same words
+    failures.extend(line for line in remeasured if line not in failures)
     return ValidationReport(not failures, tuple(failures), distances)

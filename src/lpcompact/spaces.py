@@ -71,13 +71,27 @@ class WeightedSpace:
         return self.p / (self.p - 1.0)
 
 
+def _array_norm(
+    values: np.ndarray, space: WeightedSpace, scratch: np.ndarray | None = None
+) -> float:
+    """The weighted norm of a raw array of the grid's shape.
+
+    The terms |v|^p * weight are formed in place, in ``scratch`` when given
+    (``values`` is left untouched) or in one fresh array otherwise; either way
+    every float equals that of ``np.abs(v) ** p * weight``.
+    """
+    terms = np.abs(values, out=scratch)
+    np.power(terms, space.p, out=terms)
+    np.multiply(terms, space.weight.values, out=terms)
+    total = np.sum(terms) * space.grid.cell_volume
+    return float(total ** (1.0 / space.p))
+
+
 def weighted_norm(f: GridFunction, space: WeightedSpace) -> float:
     """(sum |f|^p * weight * cell_volume) ** (1/p); a quasi-norm for p < 1."""
     if f.grid != space.grid:
         raise ModelError("function and space live on different grids")
-    p = space.p
-    total = np.sum(np.abs(f.values) ** p * space.weight.values) * space.grid.cell_volume
-    return float(total ** (1.0 / p))
+    return _array_norm(f.values, space)
 
 
 def power_norm(f: GridFunction, space: WeightedSpace, n_power: int) -> float:

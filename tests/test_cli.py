@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 
 import pytest
 
@@ -297,3 +298,110 @@ def test_unknown_command_rejected():
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def _tamper_and_validate(tmp_path, capsys, spec, doc):
+    cert_path = tmp_path / "tampered.json"
+    cert_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    rc = cli.main(["validate", "--spec", str(spec), "--certificate", str(cert_path)])
+    return rc, capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def vanishing_sheet(tmp_path_factory):
+    # 2-D, weight cut to |x|_inf < 1.5 on [-2, 2]^2: the first cube row is null
+    tmp = tmp_path_factory.mktemp("sheet")
+    spec = write_spec(
+        tmp / "sheet.json",
+        weight={"kind": "power", "exponent": 0.5, "support": 1.5},
+        grid={"dim": 2, "box_level": 1, "cell_exp": -4},
+        members=[
+            {"kind": "gaussian", "center": [0.3, -0.2], "sigma": 0.8},
+            {"kind": "gaussian", "center": [-0.1, 0.4], "sigma": 0.8},
+            {"kind": "gaussian", "center": [0.0, 0.0], "sigma": 1.0},
+        ],
+    )
+    prob = load_problem(spec)
+    eps = 0.8 * bound_modulus(prob.family, prob.space)
+    cert_path = tmp / "cert.json"
+    argv = ["net", "--spec", str(spec), "--epsilon", repr(eps), "--variant", "vanishing"]
+    assert cli.main(argv + ["--out", str(cert_path)]) == 0
+    doc = json.loads(cert_path.read_text())
+    assert {0, 1, 2} <= set(doc["null_cubes"])
+    assert cli.main(["validate", "--spec", str(spec), "--certificate", str(cert_path)]) == 0
+    return spec, doc
+
+
+@pytest.mark.parametrize(
+    "edit",
+    ["witness_all_zero", "null_cube_dropped", "live_cube_listed_null", "witness_in_next_cube"],
+)
+def test_validate_cube_claims_exit_3(tmp_path, capsys, vanishing_sheet, edit):
+    # every cube needs a positive-weight witness inside it or a null listing
+    # with zero weight; each edit breaks that for at least one cube
+    spec, doc = vanishing_sheet
+    doc = json.loads(json.dumps(doc))
+    nulls, witnesses = doc["null_cubes"], doc["witness_cells"]
+    live = next(k for k in range(len(witnesses)) if k not in set(nulls))
+    if edit == "witness_all_zero":
+        doc["witness_cells"] = [0] * len(witnesses)
+        doc["null_cubes"] = [0, 1, 2]
+    elif edit == "null_cube_dropped":
+        doc["null_cubes"] = nulls[1:]
+    elif edit == "live_cube_listed_null":
+        doc["null_cubes"] = sorted(nulls + [live])
+    else:
+        witnesses[live] = witnesses[live + 1]
+    rc, err = _tamper_and_validate(tmp_path, capsys, spec, doc)
+    assert rc == 3
+    assert "validation failure" in err and "cube" in err
+
+
+@pytest.mark.parametrize(
+    "p, field, value, reason",
+    [
+        (2.0, ("plan", "epsilon"), math.inf, "model violation: plan numbers must be finite"),
+        (2.0, ("plan", "budget", "tail"), math.nan, "model violation: plan numbers must be finite"),
+        (2.0, ("variant",), "bogus", "model violation: unknown projector variant"),
+        (2.0, ("labels",), ["a", "b", "c"], "validation failure: certificate labels"),
+        (2.0, ("null_cubes",), [0], "validation failure: a banach certificate lists"),
+        (0.5, ("quasi", "epsilon"), math.inf, "model violation: power-transfer numbers"),
+        (0.5, ("labels",), ["m02", "m01", "m00"], "validation failure: certificate labels"),
+    ],
+    ids=[
+        "epsilon_inf", "budget_nan", "variant_bogus", "labels_renamed",
+        "banach_with_nulls", "quasi_epsilon_inf", "quasi_labels_permuted",
+    ],
+)
+def test_validate_bad_plan_variant_or_labels_exit_3(tmp_path, capsys, p, field, value, reason):
+    # each of these certificates used to validate: an infinite epsilon lets any
+    # net pass, and neither the variant nor the labels were checked
+    weight = {"kind": "constant", "value": 1.0} if p < 1 else None
+    spec = write_spec(tmp_path / "spec.json", p=p, weight=weight)
+    prob = load_problem(spec)
+    cert_path = tmp_path / "cert.json"
+    eps = 0.4 * bound_modulus(prob.family, prob.space)
+    assert cli.main(["net", "--spec", str(spec), "--epsilon", str(eps), "--out", str(cert_path)]) == 0
+    doc = json.loads(cert_path.read_text())
+    *parents, key = field
+    target = doc
+    for name in parents:
+        target = target[name]
+    target[key] = value
+    rc, err = _tamper_and_validate(tmp_path, capsys, spec, doc)
+    assert rc == 3
+    assert reason in err
+
+
+def test_validate_quasi_reports_missing_element_once(tmp_path, capsys):
+    spec = write_spec(tmp_path / "spec.json", p=0.5, weight={"kind": "constant", "value": 1.0})
+    prob = load_problem(spec)
+    cert_path = tmp_path / "cert.json"
+    eps = 0.4 * bound_modulus(prob.family, prob.space)
+    assert cli.main(["net", "--spec", str(spec), "--epsilon", str(eps), "--out", str(cert_path)]) == 0
+    doc = json.loads(cert_path.read_text())
+    doc["assignment"][0] = 99
+    rc, err = _tamper_and_validate(tmp_path, capsys, spec, doc)
+    assert rc == 3
+    assert err.count("member 'm00' is assigned to a missing net element 99") == 1

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from lpcompact import (
     averaged_modulus,
     bound_modulus,
     measure_moduli,
+    restrict_outside,
     sample,
     tail_modulus,
     translation_modulus,
@@ -25,6 +27,8 @@ from lpcompact import (
 )
 
 from conftest import random_family
+from lpcompact.grid import _shift_cells, shift_stencil
+from lpcompact.moduli import _box_translation_levels, _shifted_difference
 
 
 def test_family_validation(grid1d):
@@ -165,3 +169,82 @@ def test_translation_modulus_reflection_invariant(seed):
     assert translation_modulus(fam, sp, 2 * h) == pytest.approx(
         translation_modulus(mirrored, sp, 2 * h), rel=1e-12
     )
+
+
+def _weights_with_zeros(grid, rng):
+    w = rng.uniform(0.05, 2.0, grid.shape)
+    w[rng.random(grid.shape) < 0.3] = 0.0
+    return GridFunction(grid, w)
+
+
+def _translation_reference(f, space, radius):
+    """Box translation modulus of one member through GridFunction arithmetic,
+    one shifted copy per stencil offset."""
+    worst = 0.0
+    for k in shift_stencil(f.grid, radius, kind="box"):
+        shifted = GridFunction(f.grid, _shift_cells(f.values, k))
+        worst = max(worst, weighted_norm(shifted - f, space))
+    return worst
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_shifted_difference_matches_shift_cells(dim):
+    # every cell of the buffer is written, with the values of the allocating
+    # form, for shifts inside, at and past the box edge (8 cells per axis)
+    rng = np.random.default_rng(dim)
+    values = rng.standard_normal((8,) * dim)
+    reach = range(-10, 11) if dim == 1 else (-9, -8, -3, 0, 2, 8, 12)
+    for offsets in itertools.product(reach, repeat=dim):
+        out = np.full(values.shape, np.nan)
+        _shifted_difference(values, offsets, out)
+        np.testing.assert_array_equal(out, _shift_cells(values, offsets) - values)
+
+
+@pytest.mark.parametrize("p", [0.5, 1.0, 1.5, 2.0, 3.0])
+@pytest.mark.parametrize(
+    "grid", [Grid(dim=1, box_level=0, cell_exp=-5), Grid(dim=2, box_level=0, cell_exp=-3)]
+)
+def test_ring_scan_equals_translation_modulus(grid, p):
+    # the ring scan's per-member curve equals, bit for bit, the modulus of a
+    # one-member family and the modulus computed through GridFunction copies
+    rng = np.random.default_rng(int(10 * p) + grid.dim)
+    sp = WeightedSpace(p, _weights_with_zeros(grid, rng))
+    fam = random_family(grid, rng)
+    levels = list(_box_translation_levels(fam, sp, grid.box_level))
+    assert [i for i, _ in levels] == list(range(grid.cell_exp, grid.box_level + 1))
+    for i, moduli in levels:
+        for f, label, value in zip(fam.members, fam.labels, moduli):
+            single = Family(grid, (f,), (label,))
+            assert value == translation_modulus(single, sp, 2.0**i, stencil="box")
+            assert value == _translation_reference(f, sp, 2.0**i)
+        assert max(moduli) == translation_modulus(fam, sp, 2.0**i, stencil="box")
+
+
+@pytest.mark.parametrize("p", [0.5, 1.0, 2.0, 3.0])
+@pytest.mark.parametrize(
+    "grid", [Grid(dim=1, box_level=1, cell_exp=-4), Grid(dim=2, box_level=1, cell_exp=-3)]
+)
+def test_tail_modulus_equals_per_member_restriction(grid, p):
+    # one outside mask per radius gives the same floats as restricting each member
+    rng = np.random.default_rng(int(10 * p) + grid.dim)
+    sp = WeightedSpace(p, _weights_with_zeros(grid, rng))
+    fam = random_family(grid, rng)
+    for region in ("ball", "box"):
+        for m in range(grid.cell_exp, grid.box_level + 1):
+            r = 2.0**m
+            expected = max(weighted_norm(restrict_outside(f, r, region), sp) for f in fam.members)
+            assert tail_modulus(fam, sp, r, region) == expected
+
+
+def test_translation_modulus_rejects_non_finite_difference():
+    # adjacent +-1e308 overflow the shifted difference: the same error a
+    # GridFunction holding that difference raises
+    g = Grid(dim=1, box_level=0, cell_exp=-3)
+    sp = WeightedSpace(2.0, sample(Constant(1.0), g))
+    vals = np.zeros(g.shape)
+    vals[3], vals[4] = 1e308, -1e308
+    fam = Family(g, (GridFunction(g, vals),), ("big",))
+    with pytest.raises(ModelError, match="finite"):
+        translation_modulus(fam, sp, g.cell_side, stencil="box")
+    with pytest.raises(ModelError, match="finite"):
+        next(_box_translation_levels(fam, sp, g.box_level))

@@ -16,8 +16,10 @@ from lpcompact import (
     HypothesisError,
     Indicator,
     ModelError,
+    PowerLaw,
     WeightedSpace,
     all_cube_averages,
+    bound_modulus,
     build_certificate,
     certificate_from_dict,
     certificate_to_dict,
@@ -30,12 +32,14 @@ from lpcompact import (
     save_certificate,
     select_mesh,
     select_tail_level,
+    tail_modulus,
     translation_modulus,
     validate_certificate,
     weighted_norm,
 )
 
 from conftest import random_family
+from lpcompact.moduli import _box_translation_levels
 from lpcompact.netbuilder import cube_witnesses, null_cube_mask
 
 
@@ -77,7 +81,9 @@ def test_select_mesh_halfbox_oracle():
     grid = Grid(dim=1, box_level=1, cell_exp=-6)
     sp = WeightedSpace(2.0, sample(Constant(1.0), grid))
     fam = Family.from_profiles(grid, [Indicator(center=0.5, radius=0.5)])
-    assert select_mesh(fam, sp, 2.0) == -5
+    level, moduli = select_mesh(fam, sp, 2.0)
+    assert level == -5
+    assert moduli == (translation_modulus(fam, sp, 2.0**-5, stencil="box"),)
     with pytest.raises(HypothesisError) as err:
         select_mesh(fam, sp, 1.0)
     assert err.value.criterion == "equicontinuity"
@@ -89,7 +95,7 @@ def test_select_mesh_respects_max_exp():
     sp = WeightedSpace(2.0, sample(Constant(1.0), grid))
     fam = Family.from_profiles(grid, [Constant(1.0)])  # translation-invariant inside
     # without a cap the scan would run to the box level
-    assert select_mesh(fam, sp, 100.0, max_exp=-2) == -2
+    assert select_mesh(fam, sp, 100.0, max_exp=-2)[0] == -2
 
 
 def _null_cube_mask_loop(part, space):
@@ -162,9 +168,11 @@ def test_projection_error_guarantee(grid1d, rng):
     sp = WeightedSpace(2.0, GridFunction(grid1d, rng.uniform(0.1, 1.0, grid1d.shape)))
     fam = random_family(grid1d, rng)
     part = DyadicPartition(grid1d, 0, -1)
-    for f in fam.members:
+    # the moduli the build passes in: select_mesh's scan at the cube side
+    moduli = dict(_box_translation_levels(fam, sp, -1))[-1]
+    for f, modulus in zip(fam.members, moduli):
         coeffs = all_cube_averages(f, part)
-        measured, guarantee = projection_error(f, coeffs, part, sp, check=True)
+        measured, guarantee = projection_error(f, coeffs, part, sp, modulus, check=True)
         assert measured <= guarantee + 1e-12
         assert guarantee == pytest.approx(
             2.0 * translation_modulus(fam := Family(grid1d, (f,), ("x",)), sp, 0.5, "box"),
@@ -310,7 +318,8 @@ def test_projection_error_zero_coeffs_is_truncated_norm(grid1d, flat_space, rng)
     f = GridFunction(grid1d, rng.normal(size=grid1d.shape))
     part = DyadicPartition(grid1d, -1, -2)
     zeros = np.zeros(part.n_cubes)
-    measured, _ = projection_error(f, zeros, part, flat_space)
+    modulus = translation_modulus(Family(grid1d, (f,), ("f",)), flat_space, 0.25, "box")
+    measured, _ = projection_error(f, zeros, part, flat_space, modulus)
     from lpcompact import restrict_inside
 
     assert measured == pytest.approx(
@@ -346,3 +355,94 @@ def test_certificate_distances_below_epsilon(seed):
     cert = build_certificate(fam, sp, eps)
     assert max(cert.distances) < eps
     assert validate_certificate(fam, cert, sp).passed
+
+
+def test_select_tail_level_returns_tail_modulus(gauss_problem):
+    # the returned tail is the modulus at the chosen level, and the level
+    # below it misses the budget
+    grid, fam, space, bound = gauss_problem
+    eps = 0.05 * bound
+    m, tail = select_tail_level(fam, space, eps)
+    assert tail == tail_modulus(fam, space, 2.0**m, region="box")
+    assert tail < eps / 3
+    assert tail_modulus(fam, space, 2.0 ** (m - 1), region="box") >= eps / 3
+
+
+def test_build_certificate_non_finite_difference_is_model_error():
+    # +-1e308 in adjacent cells: the one-cell shifted difference overflows,
+    # which is a model violation, not a failed compactness hypothesis
+    grid = Grid(dim=1, box_level=0, cell_exp=-3)
+    sp = WeightedSpace(2.0, sample(Constant(1.0), grid))
+    vals = np.zeros(grid.shape)
+    vals[3], vals[4] = 1e308, -1e308
+    fam = Family(grid, (GridFunction(grid, vals),), ("big",))
+    with pytest.raises(ModelError, match="finite"):
+        build_certificate(fam, sp, 1.0)
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("plan", "epsilon"), math.inf),
+        (("plan", "epsilon"), math.nan),
+        (("plan", "quant_step"), math.inf),
+        (("plan", "coeff_bound"), -math.inf),
+        (("plan", "budget", "quantization"), math.nan),
+        (("variant",), "bogus"),
+    ],
+)
+def test_certificate_from_dict_rejects_bad_plan_and_variant(gauss_problem, path, value):
+    grid, fam, space, bound = gauss_problem
+    doc = certificate_to_dict(build_certificate(fam, space, 0.1 * bound))
+    *parents, key = path
+    target = doc
+    for name in parents:
+        target = target[name]
+    target[key] = value
+    with pytest.raises(ModelError):
+        certificate_from_dict(doc)
+
+
+def test_validate_reports_label_mismatch(gauss_problem):
+    from dataclasses import replace
+
+    grid, fam, space, bound = gauss_problem
+    cert = build_certificate(fam, space, 0.1 * bound)
+    relabelled = replace(cert, labels=tuple(reversed(cert.labels)))
+    rep = validate_certificate(fam, relabelled, space)
+    assert not rep.passed
+    assert any("labels" in msg for msg in rep.failures)
+
+
+def test_validate_checks_cube_claims(gauss_problem):
+    from dataclasses import replace
+
+    grid, fam, _, _ = gauss_problem
+    wv = sample(PowerLaw(0.5), grid).values.copy()
+    wv[:16] = 0.0
+    space = WeightedSpace(2.0, GridFunction(grid, wv))
+    eps = 0.05 * bound_modulus(fam, space)
+    cert = build_certificate(fam, space, eps, variant="vanishing")
+    nulls, witnesses = cert.null_cubes, cert.witness_cells
+    assert validate_certificate(fam, cert, space).passed
+    first_live = next(k for k in range(len(witnesses)) if k not in nulls)
+    moved = list(witnesses)
+    moved[first_live] = witnesses[first_live + 1]  # a positive cell of the next cube
+    tampered = [
+        (
+            replace(cert, null_cubes=(), witness_cells=(0,) * len(witnesses)),
+            "no positive-weight witness",
+        ),
+        (replace(cert, null_cubes=nulls + (first_live,)), "listed as null hold positive weight"),
+        (replace(cert, null_cubes=nulls[1:]), "no positive-weight witness"),
+        (replace(cert, null_cubes=nulls + nulls[:1]), "repeats a cube"),
+        (replace(cert, null_cubes=nulls + (len(witnesses),)), "outside the partition"),
+        (replace(cert, witness_cells=tuple(moved)), f"(first: cube {first_live})"),
+        (replace(cert, witness_cells=witnesses[:-1]), "witness list has"),
+        (replace(cert, witness_cells=(10**30,) + witnesses[1:]), "64-bit"),
+        (replace(cert, variant="banach"), "banach certificate lists"),
+    ]
+    for bad, reason in tampered:
+        rep = validate_certificate(fam, bad, space)
+        assert not rep.passed
+        assert any(reason in msg for msg in rep.failures), rep.failures
