@@ -23,18 +23,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import HypothesisError, ModelError
+from .errors import HypothesisError, ModelError, SpecFileError
 from .grid import (
     DyadicPartition,
     Grid,
     GridFunction,
+    _block_view,
     _first_positive_cells,
     all_cube_averages,
     inside_mask,
-    restrict_inside,
 )
 from .moduli import Family, _box_translation_levels, tail_modulus
-from .spaces import WeightedSpace, indicator_norm, weighted_norm
+from .spaces import WeightedSpace, _array_norm, indicator_norm
+from .specfile import _integer, _number
 
 __all__ = [
     "EpsilonBudget",
@@ -219,49 +220,44 @@ def cube_witnesses(part: DyadicPartition, space: WeightedSpace) -> tuple[int, ..
 
 
 def cube_projection(
-    f: GridFunction,
-    part: DyadicPartition,
-    space: WeightedSpace | None = None,
-    variant: str = "banach",
+    f: GridFunction, part: DyadicPartition, nulls: np.ndarray | None = None
 ) -> np.ndarray:
     """Cube-average coefficients of f over the partition.
 
-    ``variant="banach"`` takes the plain average on every cube.  With
-    ``variant="vanishing"`` cubes of vanishing weight get coefficient zero;
-    the space is needed to identify them.
+    The plain average on every cube, except that the cubes flagged in
+    ``nulls`` (the vanishing variant passes ``null_cube_mask``) get zero.
     """
     if f.grid != part.grid:
         raise ModelError("function and partition live on different grids")
-    if variant not in VARIANTS:
-        raise ModelError(f"unknown projector variant {variant!r}")
     coeffs = all_cube_averages(f, part)
-    if variant == "vanishing":
-        if space is None:
-            raise ModelError("the vanishing-weight variant needs the space")
-        coeffs = np.where(null_cube_mask(part, space), 0.0, coeffs)
+    if nulls is not None:
+        coeffs = np.where(nulls, 0.0, coeffs)
     if not np.all(np.isfinite(coeffs)):
         raise ModelError("cube averages must be finite")
     return coeffs
 
 
-def expand_coefficients(coeffs: np.ndarray, part: DyadicPartition) -> GridFunction:
-    """Piecewise-constant function with the given value on each cube, zero outside."""
+def _write_cubes(
+    out: np.ndarray, coeffs: np.ndarray, part: DyadicPartition, minuend=None
+) -> np.ndarray:
+    """Write each cube's coefficient, or ``minuend`` minus it, over that cube's
+    cells of ``out`` in place; cells outside the partition box keep their values.
+    """
     coeffs = np.asarray(coeffs, dtype=np.float64)
     if coeffs.shape != (part.n_cubes,):
-        raise ModelError(
-            f"expected {part.n_cubes} coefficients, got shape {coeffs.shape}"
-        )
-    grid = part.grid
-    values = np.zeros(grid.shape)
-    b, c = part.cubes_per_axis, part.cells_per_cube_axis
-    if grid.dim == 1:
-        inner = np.repeat(coeffs, c)
+        raise ModelError(f"expected {part.n_cubes} coefficients, got shape {coeffs.shape}")
+    # (b, 1) or (b, 1, b, 1): broadcasts over the cells of each cube
+    cubes = coeffs.reshape((part.cubes_per_axis, 1) * part.grid.dim)
+    if minuend is None:
+        _block_view(out, part)[...] = cubes
     else:
-        inner = np.repeat(
-            np.repeat(coeffs.reshape(b, b), c, axis=0), c, axis=1
-        )
-    values[part.inside_slices()] = inner
-    return GridFunction(grid, values)
+        np.subtract(_block_view(minuend, part), cubes, out=_block_view(out, part))
+    return out
+
+
+def expand_coefficients(coeffs: np.ndarray, part: DyadicPartition) -> GridFunction:
+    """Piecewise-constant function with the given value on each cube, zero outside."""
+    return GridFunction(part.grid, _write_cubes(np.zeros(part.grid.shape), coeffs, part))
 
 
 def projection_error(
@@ -271,7 +267,6 @@ def projection_error(
     space: WeightedSpace,
     modulus: float,
     check: bool = False,
-    tol: float | None = None,
 ) -> tuple[float, float]:
     """Measured projection error and its translation-modulus guarantee.
 
@@ -283,15 +278,16 @@ def projection_error(
     with c cells per cube axis the shifts involved fit the box stencil of
     radius (c-1) cells, and there are at most ``(2c-1)**dim`` of them against
     ``c**dim`` cube cells, a ratio strictly below ``2**dim``.
-    With ``check=True`` a violation (possible only through arithmetic error
-    for p >= 1) raises.
+    With ``check=True`` a violation beyond ``1e-10 * ||f||`` (possible only
+    through arithmetic error for p >= 1) raises.
     """
-    truncated = restrict_inside(f, 2.0 ** part.box_level, region="box")
-    recon = expand_coefficients(coeffs, part)
-    measured = weighted_norm(truncated - recon, space)
+    # zero outside the partition box, f minus its cube's coefficient inside
+    diff = _write_cubes(np.zeros(f.grid.shape), coeffs, part, f.values)
+    scratch = np.empty(f.grid.shape)
+    measured = _array_norm(diff, space, scratch)
     guarantee = 2.0 ** f.grid.dim * modulus
     if check:
-        slack = tol if tol is not None else 1e-10 * weighted_norm(f, space)
+        slack = 1e-10 * _array_norm(f.values, space, scratch)
         if measured > guarantee + slack:
             raise ModelError(
                 f"projection error {measured!r} exceeds its guarantee {guarantee!r}"
@@ -335,22 +331,21 @@ def quantize_net(
     # float rounding may overshoot step/2 by an ulp, never more
     if np.any(np.abs(coeffs - rounded) > 0.5 * quant_step * (1 + 1e-12)):
         raise ModelError("lattice rounding moved a coefficient beyond half a step")
-    seen: dict[tuple, int] = {}
-    assignment = []
-    for row in lattice.astype(np.int64):
-        key = tuple(row.tolist())
-        if key not in seen:
-            seen[key] = len(seen)
-        assignment.append(seen[key])
-    elements = np.array(
-        [np.array(key, dtype=np.float64) * quant_step for key in seen], dtype=np.float64
-    ).reshape(len(seen), part.n_cubes)
+    # each row names the first row on its lattice point, keyed by the point's
+    # bytes (an int64 holds no -0.0); those first rows, in order, are the net
+    points = lattice.astype(np.int64)
+    first: dict[bytes, int] = {}
+    heads = [first.setdefault(row.tobytes(), i) for i, row in enumerate(points)]
+    rows, assignment = np.unique(np.array(heads, dtype=np.intp), return_inverse=True)
+    elements = points[rows] * quant_step
+    buf = np.zeros(part.grid.shape)
+    scratch = np.empty(part.grid.shape)
     distances = tuple(
-        weighted_norm(expand_coefficients(coeffs[i] - elements[assignment[i]], part), space)
-        for i in range(coeffs.shape[0])
+        _array_norm(_write_cubes(buf, c - elements[j], part), space, scratch)
+        for c, j in zip(coeffs, assignment)
     )
     return QuantizedNet(
-        net_elements=elements, assignment=tuple(assignment), distances=distances
+        net_elements=elements, assignment=tuple(assignment.tolist()), distances=distances
     )
 
 
@@ -365,11 +360,12 @@ def _net_distances(
     """Builder side: norm distance from every member to its assigned net
     element expanded over the partition; a distance not below epsilon means
     the budget accounting is broken and raises."""
+    diff = np.empty(part.grid.shape)
+    scratch = np.empty(part.grid.shape)
     distances = []
     for f, label, j in zip(family.members, family.labels, assignment):
-        # bound, not inlined, for the allocator reason given in _remeasure
-        net_fn = expand_coefficients(elements[j], part)
-        d = weighted_norm(f - net_fn, space)
+        np.copyto(diff, f.values)
+        d = _array_norm(_write_cubes(diff, elements[j], part, f.values), space, scratch)
         if not d < epsilon:
             raise ModelError(
                 f"member {label!r} is at distance {d!r} from its net element, not "
@@ -404,9 +400,8 @@ def build_certificate(
     nulls = null_cube_mask(part, space)
     enforce = variant == "banach" and not bool(nulls.any())
 
-    coeffs = np.stack(
-        [cube_projection(f, part, space, variant) for f in family.members]
-    )
+    zeroed = nulls if variant == "vanishing" else None
+    coeffs = np.stack([cube_projection(f, part, zeroed) for f in family.members])
     proj_errors = [
         projection_error(f, coeffs[k], part, space, shift_moduli[k], check=enforce)[0]
         for k, f in enumerate(family.members)
@@ -496,17 +491,16 @@ def _remeasure(
         failures.append(f"recorded {what} list has {len(recorded)} entries for {n} members")
     if failures:
         return (), failures
+    diff = np.empty(part.grid.shape)
+    scratch = np.empty(part.grid.shape)
     distances = []
     for f, label, idx, rec in zip(family.members, family.labels, assignment, recorded):
         if not 0 <= idx < len(elements):
             failures.append(f"member {label!r} is assigned to a missing net element {idx}")
             distances.append(math.inf)
             continue
-        # keep the expansion bound until the next member replaces it: freeing
-        # it at once lets malloc hand its pages back to the OS and fault them
-        # in again for every member, about 20% of validation on 2**16 cells
-        net_fn = expand_coefficients(elements[idx], part)
-        d = weighted_norm(f - net_fn, space)
+        np.copyto(diff, f.values)
+        d = _array_norm(_write_cubes(diff, elements[idx], part, f.values), space, scratch)
         distances.append(d)
         if not d < epsilon:
             failures.append(f"member {label!r} has {what} {d!r}, not below epsilon {epsilon!r}")
@@ -673,52 +667,73 @@ def certificate_to_dict(cert: NetCertificate) -> dict:
     return doc
 
 
+def _entries(values, kinds: tuple[type, ...], what: str):
+    """A JSON list whose entries are all of ``kinds`` and none a bool; raises
+    ``TypeError`` otherwise."""
+    if not isinstance(values, (list, tuple)):
+        raise TypeError(f"{what} must be a list, got {type(values).__name__}")
+    for kind in set(map(type, values)):
+        if issubclass(kind, bool) or not issubclass(kind, kinds):
+            raise TypeError(f"{what} may not hold a {kind.__name__}")
+    return values
+
+
 def certificate_from_dict(doc: dict) -> NetCertificate:
+    """Rebuild a certificate from its JSON document.  As in a spec file, an
+    integer field takes only a JSON integer and a float field only a JSON
+    number; any other entry, and a ragged net, raises ``ModelError``."""
     try:
         plan_doc = doc["plan"]
         budget = plan_doc["budget"]
         plan = NetPlan(
-            epsilon=float(plan_doc["epsilon"]),
-            box_level=int(plan_doc["box_level"]),
-            cube_exp=int(plan_doc["cube_exp"]),
-            quant_step=float(plan_doc["quant_step"]),
-            coeff_bound=float(plan_doc["coeff_bound"]),
+            epsilon=_number(plan_doc, "epsilon", "plan"),
+            box_level=_integer(plan_doc, "box_level", "plan"),
+            cube_exp=_integer(plan_doc, "cube_exp", "plan"),
+            quant_step=_number(plan_doc, "quant_step", "plan"),
+            coeff_bound=_number(plan_doc, "coeff_bound", "plan"),
             budget=EpsilonBudget(
-                tail=float(budget["tail"]),
-                projection=float(budget["projection"]),
-                quantization=float(budget["quantization"]),
+                tail=_number(budget, "tail", "plan.budget"),
+                projection=_number(budget, "projection", "plan.budget"),
+                quantization=_number(budget, "quantization", "plan.budget"),
             ),
         )
         grid = Grid(
-            dim=int(doc["grid"]["dim"]),
-            box_level=int(doc["grid"]["box_level"]),
-            cell_exp=int(doc["grid"]["cell_exp"]),
+            dim=_integer(doc["grid"], "dim", "grid"),
+            box_level=_integer(doc["grid"], "box_level", "grid"),
+            cell_exp=_integer(doc["grid"], "cell_exp", "grid"),
         )
         quasi = None
         if "quasi" in doc:
             q = doc["quasi"]
+            audits = _entries(q["audit_distances"], (int, float), "quasi.audit_distances")
             quasi = PowerTransferRecord(
-                p=float(q["p"]),
-                n_power=int(q["n_power"]),
-                epsilon=float(q["epsilon"]),
-                eps_prime=float(q["eps_prime"]),
-                c_max=float(q["c_max"]),
-                audit_distances=tuple(float(v) for v in q["audit_distances"]),
+                p=_number(q, "p", "quasi"),
+                n_power=_integer(q, "n_power", "quasi"),
+                epsilon=_number(q, "epsilon", "quasi"),
+                eps_prime=_number(q, "eps_prime", "quasi"),
+                c_max=_number(q, "c_max", "quasi"),
+                audit_distances=tuple(map(float, audits)),
             )
+        rows = _entries(doc["net_elements"], (list,), "net_elements")
+        for row in rows:
+            _entries(row, (int, float), "a net element")
+        if len(set(map(len, rows))) > 1:
+            raise TypeError("net_elements rows have different lengths")
+        distances = _entries(doc["distances"], (int, float), "distances")
         return NetCertificate(
             plan=plan,
             grid=grid,
-            space_p=float(doc["space_p"]),
+            space_p=_number(doc, "space_p", "certificate"),
             variant=str(doc["variant"]),
-            net_elements=np.asarray(doc["net_elements"], dtype=np.float64),
-            assignment=tuple(int(i) for i in doc["assignment"]),
-            distances=tuple(float(d) for d in doc["distances"]),
-            labels=tuple(str(s) for s in doc["labels"]),
-            null_cubes=tuple(int(i) for i in doc.get("null_cubes", ())),
-            witness_cells=tuple(int(i) for i in doc.get("witness_cells", ())),
+            net_elements=np.asarray(rows, dtype=np.float64),
+            assignment=tuple(_entries(doc["assignment"], (int,), "assignment")),
+            distances=tuple(map(float, distances)),
+            labels=tuple(_entries(doc["labels"], (str,), "labels")),
+            null_cubes=tuple(_entries(doc.get("null_cubes", ()), (int,), "null_cubes")),
+            witness_cells=tuple(_entries(doc.get("witness_cells", ()), (int,), "witness_cells")),
             quasi=quasi,
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, SpecFileError) as exc:
         raise ModelError(f"malformed certificate document: {exc}") from exc
 
 

@@ -41,6 +41,8 @@ __all__ = [
     "a1_constant",
 ]
 
+_TINY = np.finfo(np.float64).tiny
+
 
 @dataclass(frozen=True)
 class WeightedSpace:
@@ -77,14 +79,34 @@ def _array_norm(
     """The weighted norm of a raw array of the grid's shape.
 
     The terms |v|^p * weight are formed in place, in ``scratch`` when given
-    (``values`` is left untouched) or in one fresh array otherwise; either way
-    every float equals that of ``np.abs(v) ** p * weight``.
+    (``values`` is left untouched, so it must not be ``scratch``) or in one
+    fresh array otherwise; either way every float equals that of
+    ``np.abs(v) ** p * weight``.  A sum that overflows, underflows or comes
+    out zero is measured again on |v| / max|v| over the positive-weight cells
+    and scaled back, so large exponents neither lose small functions nor
+    saturate large ones.  A non-finite entry raises the ``ModelError`` a
+    ``GridFunction`` raises.
     """
     terms = np.abs(values, out=scratch)
+    total = _weighted_power_sum(terms, space)
+    if _TINY <= total < math.inf:
+        return float(total ** (1.0 / space.p))
+    terms = np.abs(values, out=terms)
+    if not np.all(np.isfinite(terms)):
+        raise ModelError("grid function values must be finite")
+    np.multiply(terms, space.weight.values > 0, out=terms)
+    peak = np.max(terms)
+    if peak == 0.0:
+        return 0.0
+    np.divide(terms, peak, out=terms)
+    return float(peak * _weighted_power_sum(terms, space) ** (1.0 / space.p))
+
+
+def _weighted_power_sum(terms: np.ndarray, space: WeightedSpace) -> float:
+    """sum |v|^p * weight * cell_volume for ``terms`` = |v|, overwriting ``terms``."""
     np.power(terms, space.p, out=terms)
     np.multiply(terms, space.weight.values, out=terms)
-    total = np.sum(terms) * space.grid.cell_volume
-    return float(total ** (1.0 / space.p))
+    return np.sum(terms) * space.grid.cell_volume
 
 
 def weighted_norm(f: GridFunction, space: WeightedSpace) -> float:

@@ -405,3 +405,40 @@ def test_validate_quasi_reports_missing_element_once(tmp_path, capsys):
     rc, err = _tamper_and_validate(tmp_path, capsys, spec, doc)
     assert rc == 3
     assert err.count("member 'm00' is assigned to a missing net element 99") == 1
+
+
+@pytest.mark.parametrize(
+    "p, field, edit",
+    [
+        (2.0, ("plan", "box_level"), lambda v: v + 0.5),
+        (2.0, ("grid", "dim"), lambda v: 1.9),
+        (2.0, ("assignment",), lambda v: ["0"] + v[1:]),
+        (2.0, ("assignment",), lambda v: [bool(a) if a < 2 else a for a in v]),
+        (2.0, ("assignment",), lambda v: [v[0] + 0.9] + v[1:]),
+        (2.0, ("plan", "epsilon"), lambda v: str(v)),
+        (2.0, ("net_elements",), lambda v: [v[0][:-1]] + v[1:]),
+        (2.0, ("net_elements",), lambda v: [["a"] + v[0][1:]] + v[1:]),
+        (0.5, ("quasi", "p"), lambda v: "a"),
+    ],
+    ids=[
+        "box_level_half", "dim_float", "assignment_string", "assignment_bools",
+        "assignment_float", "epsilon_string", "net_ragged", "net_string", "quasi_p_string",
+    ],
+)
+def test_validate_coerced_types_exit_3(tmp_path, capsys, p, field, edit):
+    # each of these used to load by coercion, and the first six validated
+    weight = {"kind": "constant", "value": 1.0} if p < 1 else None
+    spec = write_spec(tmp_path / "spec.json", p=p, weight=weight)
+    prob = load_problem(spec)
+    cert_path = tmp_path / "cert.json"
+    eps = 0.4 * bound_modulus(prob.family, prob.space)
+    assert cli.main(["net", "--spec", str(spec), "--epsilon", str(eps), "--out", str(cert_path)]) == 0
+    doc = json.loads(cert_path.read_text())
+    *parents, key = field
+    target = doc
+    for name in parents:
+        target = target[name]
+    target[key] = edit(target[key])
+    rc, err = _tamper_and_validate(tmp_path, capsys, spec, doc)
+    assert rc == 3
+    assert "model violation: malformed certificate document" in err

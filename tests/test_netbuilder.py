@@ -28,6 +28,8 @@ from lpcompact import (
     load_certificate,
     projection_error,
     quantize_net,
+    quasi_certificate,
+    restrict_inside,
     sample,
     save_certificate,
     select_mesh,
@@ -35,12 +37,13 @@ from lpcompact import (
     tail_modulus,
     translation_modulus,
     validate_certificate,
+    validate_quasi_certificate,
     weighted_norm,
 )
 
 from conftest import random_family
 from lpcompact.moduli import _box_translation_levels
-from lpcompact.netbuilder import cube_witnesses, null_cube_mask
+from lpcompact.netbuilder import _net_distances, _remeasure, cube_witnesses, null_cube_mask
 
 
 @pytest.fixture(scope="module")
@@ -156,12 +159,10 @@ def test_cube_projection_vanishing_zeroes_null_cubes(grid1d):
     part = DyadicPartition(grid1d, 0, -1)
     f = GridFunction(grid1d, np.ones(grid1d.shape))
     banach = cube_projection(f, part)
-    vanishing = cube_projection(f, part, space=sp, variant="vanishing")
+    vanishing = cube_projection(f, part, nulls=null_cube_mask(part, sp))
     assert banach[0] == 1.0
     assert vanishing[0] == 0.0
     np.testing.assert_array_equal(vanishing[1:], banach[1:])
-    with pytest.raises(ModelError):
-        cube_projection(f, part, variant="nope")
 
 
 def test_projection_error_guarantee(grid1d, rng):
@@ -446,3 +447,122 @@ def test_validate_checks_cube_claims(gauss_problem):
         rep = validate_certificate(fam, bad, space)
         assert not rep.passed
         assert any(reason in msg for msg in rep.failures), rep.failures
+
+
+def _expand_by_repeat(coeffs, part):
+    """Reference: the expansion as np.repeat along each axis, zero outside."""
+    b, c = part.cubes_per_axis, part.cells_per_cube_axis
+    values = np.zeros(part.grid.shape)
+    if part.grid.dim == 1:
+        inner = np.repeat(coeffs, c)
+    else:
+        inner = np.repeat(np.repeat(coeffs.reshape(b, b), c, axis=0), c, axis=1)
+    values[part.inside_slices()] = inner
+    return GridFunction(part.grid, values)
+
+
+def _cube_kernel_cases(dim):
+    """Random members, coefficients and zero-holding weights on a grid, with
+    partitions whose box is smaller than the grid's and one that fills it."""
+    rng = np.random.default_rng(10 + dim)
+    grid = Grid(dim=dim, box_level=1, cell_exp=-4 if dim == 1 else -3)
+    weight = rng.uniform(0.1, 2.0, grid.shape) * (rng.uniform(size=grid.shape) > 0.3)
+    fam = random_family(grid, rng, n=4)
+    for box_level, cube_exp in ((0, -2), (-1, -3), (1, -1)):
+        part = DyadicPartition(grid, box_level, cube_exp)
+        for p in (1.0, 1.5, 2.0, 3.0):
+            coeffs = rng.normal(size=(len(fam), part.n_cubes))
+            yield fam, part, WeightedSpace(p, GridFunction(grid, weight)), coeffs
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_cube_kernel_equals_expanded_reference(dim):
+    # every distance after the mesh scan, against the expression it replaced
+    for fam, part, space, coeffs in _cube_kernel_cases(dim):
+        radius = 2.0 ** part.box_level
+        for f, c in zip(fam.members, coeffs):
+            np.testing.assert_array_equal(
+                expand_coefficients(c, part).values, _expand_by_repeat(c, part).values
+            )
+            assert projection_error(f, c, part, space, 0.0)[0] == weighted_norm(
+                restrict_inside(f, radius, "box") - expand_coefficients(c, part), space
+            )
+        qn = quantize_net(coeffs, 0.5, 0.5 * math.ceil(np.max(np.abs(coeffs)) / 0.5), part, space)
+        assert qn.distances == tuple(
+            weighted_norm(expand_coefficients(c - qn.net_elements[j], part), space)
+            for c, j in zip(coeffs, qn.assignment)
+        )
+        assignment = (2, 0, 3, 0)
+        expected = tuple(
+            weighted_norm(f - expand_coefficients(coeffs[j], part), space)
+            for f, j in zip(fam.members, assignment)
+        )
+        assert _net_distances(fam, coeffs, assignment, part, space, math.inf) == expected
+        distances, failures = _remeasure(
+            fam, coeffs, assignment, expected, part, space, math.inf, "distance"
+        )
+        assert distances == expected and failures == []
+
+
+def test_quasi_audit_equals_expanded_reference():
+    grid = Grid(dim=1, box_level=1, cell_exp=-6)
+    space = WeightedSpace(0.5, sample(PowerLaw(0.5), grid))
+    fam = Family.from_profiles(
+        grid, [Gaussian(center=c, sigma=0.4) for c in (-0.4, 0.0, 0.3, 0.5)]
+    )
+    cert = quasi_certificate(fam, space, 0.4 * bound_modulus(fam, space))
+    n, part = cert.quasi.n_power, cert.partition
+    expected = tuple(
+        weighted_norm(f - expand_coefficients(cert.net_elements[j] ** n, part), space)
+        for f, j in zip(fam.members, cert.assignment)
+    )
+    assert cert.quasi.audit_distances == expected
+    assert validate_quasi_certificate(fam, cert, space).distances == expected
+
+
+def _quantize_by_tuple_keys(coeffs, step):
+    """Reference: the dedup on tuples of lattice coordinates it replaced."""
+    seen, assignment = {}, []
+    for row in np.rint(coeffs / step).astype(np.int64):
+        key = tuple(row.tolist())
+        if key not in seen:
+            seen[key] = len(seen)
+        assignment.append(seen[key])
+    elements = np.array(
+        [np.array(key, dtype=np.float64) * step for key in seen], dtype=np.float64
+    ).reshape(len(seen), coeffs.shape[1])
+    return elements, tuple(assignment)
+
+
+def test_quantize_net_matches_tuple_key_reference(grid1d, flat_space):
+    part = DyadicPartition(grid1d, 0, -1)
+    rng = np.random.default_rng(3)
+    coeffs = np.vstack(
+        [
+            [-0.1, 0.3, 0.6, -0.6],  # rounds to the lattice point (-0.0, 1, 2, -2)
+            [0.1, 0.3, 0.6, -0.6],  # rounds to (0, 1, 2, -2): the same point
+            rng.uniform(-1.0, 1.0, (6, part.n_cubes)),
+        ]
+    )
+    assert np.signbit(np.rint(coeffs[0, 0] / 0.25))
+    qn = quantize_net(coeffs, 0.25, 1.0, part, flat_space)
+    elements, assignment = _quantize_by_tuple_keys(coeffs, 0.25)
+    assert qn.assignment == assignment
+    assert qn.assignment[0] == qn.assignment[1]
+    np.testing.assert_array_equal(qn.net_elements, elements)
+    np.testing.assert_array_equal(np.signbit(qn.net_elements), np.signbit(elements))
+    assert not np.signbit(qn.net_elements[0, 0])
+
+
+def test_build_computes_the_null_cube_mask_once(gauss_problem, monkeypatch):
+    import lpcompact.netbuilder as nb
+
+    grid, fam, _, _ = gauss_problem
+    wv = sample(PowerLaw(0.5), grid).values.copy()
+    wv[:16] = 0.0
+    space = WeightedSpace(2.0, GridFunction(grid, wv))
+    calls = []
+    monkeypatch.setattr(nb, "null_cube_mask", lambda *a: calls.append(a) or null_cube_mask(*a))
+    cert = build_certificate(fam, space, 0.05 * bound_modulus(fam, space), variant="vanishing")
+    assert cert.null_cubes and len(fam) == 20
+    assert len(calls) == 1

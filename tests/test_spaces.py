@@ -68,6 +68,50 @@ def test_norm_scaling_and_distance(flat_space, grid1d, rng):
     assert weighted_norm(f - f, flat_space) == 0.0
 
 
+@pytest.mark.parametrize("value", [1e-3, 10.0])
+def test_large_exponent_norm_of_a_constant(value):
+    # at p = 400 the power of 1e-3 underflows and that of 10 overflows; the
+    # norm on [-1, 1] with weight 1 is still value * 2**(1/p)
+    g = Grid(dim=1, box_level=0, cell_exp=-6)
+    sp = WeightedSpace(400.0, sample(Constant(1.0), g))
+    f = GridFunction(g, np.full(g.shape, value))
+    with np.errstate(over="ignore", under="ignore"):
+        assert weighted_norm(f, sp) == pytest.approx(value * 2.0 ** (1 / 400), rel=1e-12)
+
+
+def test_large_exponent_rescaling_ignores_zero_weight_cells():
+    # the norm cannot see a zero-weight cell, so its value must not set the
+    # scale that the visible cells are measured against
+    g = Grid(dim=1, box_level=0, cell_exp=-6)
+    w = np.ones(g.shape)
+    w[0] = 0.0
+    values = np.full(g.shape, 0.5)
+    values[0] = 1e300
+    sp = WeightedSpace(400.0, GridFunction(g, w))
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        measured = weighted_norm(GridFunction(g, values), sp)
+    assert measured == pytest.approx(0.5 * (2.0 - g.cell_side) ** (1 / 400), rel=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10_000),
+    st.floats(min_value=0.05, max_value=500.0),
+    st.floats(min_value=-3.0, max_value=3.0),
+    st.booleans(),
+)
+def test_norm_is_homogeneous_over_the_exponent_range(seed, p, log_c, negative):
+    g = Grid(dim=1, box_level=0, cell_exp=-4)
+    r = np.random.default_rng(seed)
+    w = r.uniform(0.0, 2.0, g.shape) * (r.uniform(size=g.shape) > 0.3)
+    sp = WeightedSpace(p, GridFunction(g, w))
+    f = GridFunction(g, r.standard_normal(g.shape) * 10.0 ** r.uniform(-3.0, 3.0))
+    c = (-1.0 if negative else 1.0) * 10.0 ** log_c
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        scaled, plain = weighted_norm(f * c, sp), weighted_norm(f, sp)
+    assert scaled == pytest.approx(abs(c) * plain, rel=1e-12)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000), st.floats(min_value=1.0, max_value=4.0))
 def test_triangle_inequality_banach(seed, p):
