@@ -27,7 +27,6 @@ __all__ = [
     "Grid",
     "GridFunction",
     "DyadicPartition",
-    "translate",
     "restrict_outside",
     "restrict_inside",
     "inside_mask",
@@ -147,24 +146,6 @@ class GridFunction:
         return GridFunction(self.grid, np.abs(self.values))
 
 
-def _as_offsets(grid: Grid, shift: float | tuple | list | np.ndarray) -> tuple[int, ...]:
-    """Convert a translation vector to integer cell offsets, exactly."""
-    vec = np.atleast_1d(np.asarray(shift, dtype=np.float64))
-    if vec.shape != (grid.dim,):
-        raise ModelError(f"shift must have {grid.dim} coordinates, got shape {vec.shape}")
-    offsets = []
-    for y in vec:
-        k = round(y / grid.cell_side)
-        # dyadic cell sides make k*h exact, so exact equality is the right test
-        if k * grid.cell_side != y:
-            raise ModelError(
-                f"shift coordinate {y!r} is not an exact multiple of the cell side "
-                f"{grid.cell_side!r}"
-            )
-        offsets.append(int(k))
-    return tuple(offsets)
-
-
 def _shift_axis(values: np.ndarray, k: int, axis: int) -> np.ndarray:
     """Shift by k cells along one axis, filling with zeros (no wraparound)."""
     if k == 0:
@@ -190,17 +171,6 @@ def _shift_cells(values: np.ndarray, offsets: tuple[int, ...]) -> np.ndarray:
     for axis, k in enumerate(offsets):
         out = _shift_axis(out, k, axis)
     return out
-
-
-def translate(f: GridFunction, shift) -> GridFunction:
-    """Translate ``f`` by a grid-aligned vector: (tau_y f)(x) = f(x - y).
-
-    Mass shifted past the box boundary is discarded and zeros are shifted in,
-    which is exactly the ambient convention of functions vanishing outside the
-    box.  Off-grid shifts are rejected rather than rounded.
-    """
-    offsets = _as_offsets(f.grid, shift)
-    return GridFunction(f.grid, _shift_cells(f.values, offsets))
 
 
 def inside_mask(grid: Grid, radius: float, region: str = "ball") -> np.ndarray:
@@ -286,13 +256,6 @@ class DyadicPartition:
         c = self.cells_per_cube_axis
         lo = self.cell_start
         return tuple(slice(lo + i * c, lo + (i + 1) * c) for i in multi)
-
-    def cube_corner(self, flat: int) -> tuple[float, ...]:
-        """Coordinates of the cube's lower corner."""
-        multi = self.cube_multi_index(flat)
-        side = 2.0 ** self.cube_exp
-        origin = -(2.0 ** self.box_level)
-        return tuple(origin + i * side for i in multi)
 
 
 def _block_view(arr: np.ndarray, part: DyadicPartition) -> np.ndarray:

@@ -111,19 +111,6 @@ def _shifted_difference(values: np.ndarray, offsets: tuple[int, ...], out: np.nd
             np.subtract(0.0, values[strip], out=out[strip])
 
 
-def _shift_norm(
-    values: np.ndarray,
-    offsets: tuple[int, ...],
-    space: WeightedSpace,
-    diff: np.ndarray,
-    scratch: np.ndarray,
-) -> float:
-    """Norm of the shifted difference, measured on the caller's two buffers;
-    a non-finite difference raises through ``_array_norm``."""
-    _shifted_difference(values, offsets, diff)
-    return _array_norm(diff, space, scratch)
-
-
 def translation_modulus(
     family: Family, space: WeightedSpace, radius: float, stencil: str = "ball"
 ) -> float:
@@ -146,7 +133,8 @@ def translation_modulus(
     worst = 0.0
     for f in family.members:
         for k in offsets:
-            worst = max(worst, _shift_norm(f.values, k, space, diff, scratch))
+            _shifted_difference(f.values, k, diff)
+            worst = max(worst, _array_norm(diff, space, scratch))
     return worst
 
 
@@ -173,7 +161,8 @@ def _box_translation_levels(family: Family, space: WeightedSpace, hi_exp: int):
         ]
         for j, f in enumerate(family.members):
             for k in ring:
-                moduli[j] = max(moduli[j], _shift_norm(f.values, k, space, diff, scratch))
+                _shifted_difference(f.values, k, diff)
+                moduli[j] = max(moduli[j], _array_norm(diff, space, scratch))
         inner = 2 ** (i - grid.cell_exp)
         yield i, tuple(moduli)
 

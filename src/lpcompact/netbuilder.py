@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -90,6 +90,8 @@ class NetPlan:
         )
         if not all(math.isfinite(v) for v in numbers):
             raise ModelError(f"plan numbers must be finite, got {numbers}")
+        if self.quant_step <= 0:
+            raise ModelError(f"quantization step must be positive, got {self.quant_step!r}")
         third = self.epsilon / 3.0
         if not (self.budget.tail < third and self.budget.projection < third):
             raise ModelError("tail and projection budgets must stay below epsilon/3")
@@ -225,7 +227,7 @@ def cube_projection(
     """Cube-average coefficients of f over the partition.
 
     The plain average on every cube, except that the cubes flagged in
-    ``nulls`` (the vanishing variant passes ``null_cube_mask``) get zero.
+    ``nulls`` (the vanishing variant passes the null-cube mask) get zero.
     """
     if f.grid != part.grid:
         raise ModelError("function and partition live on different grids")
@@ -397,7 +399,9 @@ def build_certificate(
     i_eps, shift_moduli = select_mesh(family, space, epsilon, max_exp=m)
     part = DyadicPartition(grid, m, i_eps)
 
-    nulls = null_cube_mask(part, space)
+    # one reduction gives both the null cubes and their witnesses
+    first = _first_positive_cells(space.weight.values, part)
+    nulls = first == grid.n_cells
     enforce = variant == "banach" and not bool(nulls.any())
 
     zeroed = nulls if variant == "vanishing" else None
@@ -440,8 +444,8 @@ def build_certificate(
         ),
     )
     if variant == "vanishing":
-        null_idx = tuple(int(k) for k in np.flatnonzero(nulls))
-        witnesses = cube_witnesses(part, space)
+        null_idx = tuple(np.flatnonzero(nulls).tolist())
+        witnesses = tuple(np.where(nulls, -1, first).tolist())
     else:
         null_idx = ()
         witnesses = ()
@@ -607,12 +611,14 @@ def validate_certificate(
         failures.append("certificate labels do not match the family's labels")
     failures.extend(_check_cube_claims(certificate, part, space))
 
-    step = plan.quant_step
-    lattice = elements / step
-    off = np.abs(lattice - np.rint(lattice))
-    if np.any(off > 1e-9):
-        worst = int(np.argmax(off.max(axis=1)))
-        failures.append(f"net element {worst} leaves the quantization lattice")
+    # every element must be its own nearest lattice point; a NaN, a step so
+    # small that e / step overflows, or one so large that e rounds to 0 fails
+    with np.errstate(all="ignore"):
+        snapped = np.rint(elements / plan.quant_step) * plan.quant_step
+        on_lattice = np.abs(elements - snapped) <= 1e-9 * np.abs(elements)
+    if not np.all(on_lattice):
+        row = int(np.argmin(on_lattice.all(axis=1)))
+        failures.append(f"net element {row} leaves the quantization lattice")
     if np.any(np.abs(elements) > plan.coeff_bound * (1 + 1e-12)):
         failures.append("a net coefficient exceeds the declared bound")
 
@@ -625,29 +631,13 @@ def validate_certificate(
 
 
 def certificate_to_dict(cert: NetCertificate) -> dict:
-    plan = cert.plan
     doc = {
-        "plan": {
-            "epsilon": plan.epsilon,
-            "box_level": plan.box_level,
-            "cube_exp": plan.cube_exp,
-            "quant_step": plan.quant_step,
-            "coeff_bound": plan.coeff_bound,
-            "budget": {
-                "tail": plan.budget.tail,
-                "projection": plan.budget.projection,
-                "quantization": plan.budget.quantization,
-            },
-        },
-        "grid": {
-            "dim": cert.grid.dim,
-            "box_level": cert.grid.box_level,
-            "cell_exp": cert.grid.cell_exp,
-        },
+        "plan": asdict(cert.plan),
+        "grid": asdict(cert.grid),
         "space_p": cert.space_p,
         "variant": cert.variant,
         "cube_order": "row-major by cube corner",
-        "net_elements": [[float(v) for v in row] for row in cert.net_elements],
+        "net_elements": cert.net_elements.tolist(),
         "assignment": list(cert.assignment),
         "distances": list(cert.distances),
         "labels": list(cert.labels),
@@ -655,15 +645,7 @@ def certificate_to_dict(cert: NetCertificate) -> dict:
         "witness_cells": list(cert.witness_cells),
     }
     if cert.quasi is not None:
-        q = cert.quasi
-        doc["quasi"] = {
-            "p": q.p,
-            "n_power": q.n_power,
-            "epsilon": q.epsilon,
-            "eps_prime": q.eps_prime,
-            "c_max": q.c_max,
-            "audit_distances": list(q.audit_distances),
-        }
+        doc["quasi"] = asdict(cert.quasi)
     return doc
 
 
@@ -733,7 +715,7 @@ def certificate_from_dict(doc: dict) -> NetCertificate:
             witness_cells=tuple(_entries(doc.get("witness_cells", ()), (int,), "witness_cells")),
             quasi=quasi,
         )
-    except (KeyError, TypeError, SpecFileError) as exc:
+    except (KeyError, TypeError, OverflowError, SpecFileError) as exc:
         raise ModelError(f"malformed certificate document: {exc}") from exc
 
 

@@ -33,7 +33,7 @@ from .netbuilder import (
     build_certificate,
     validate_certificate,
 )
-from .spaces import WeightedSpace, power_norm, weighted_norm
+from .spaces import WeightedSpace, weighted_norm
 
 __all__ = [
     "select_power",
@@ -127,8 +127,8 @@ def factorization_gap(
         nf ** (i / n_power) * ng ** ((n_power - 1 - i) / n_power)
         for i in range(n_power)
     )
-    root_gap = power_norm(
-        power_transfer(f, n_power) - power_transfer(g, n_power), space, n_power
+    root_gap = weighted_norm(
+        power_transfer(f, n_power) - power_transfer(g, n_power), root_space(space, n_power)
     )
     rhs = constant * root_gap
     return FactorizationGap(
@@ -197,6 +197,9 @@ def validate_quasi_certificate(
         failures.append(
             f"space exponent {space.p!r} does not match the transfer record {rec.p!r}"
         )
+        return ValidationReport(False, tuple(failures), ())
+    if rec.n_power != select_power(rec.p):
+        failures.append(f"the transfer record's power is not select_power({rec.p!r})")
         return ValidationReport(False, tuple(failures), ())
     ys = root_space(space, rec.n_power)
     roots = root_family(family, rec.n_power)

@@ -22,6 +22,7 @@ from .grid import (
     _per_cube,
     inside_mask,
 )
+from .profiles import sample
 
 __all__ = [
     "WeightedSpace",
@@ -29,10 +30,8 @@ __all__ = [
     "AxiomReport",
     "Witness",
     "weighted_norm",
-    "power_norm",
     "indicator_norm",
     "check_lattice_axioms",
-    "check_indicator_membership",
     "finiteness_witness",
     "l1_embedding_constant",
     "l1_embedding_sweep",
@@ -60,11 +59,6 @@ class WeightedSpace:
     @property
     def grid(self) -> Grid:
         return self.weight.grid
-
-    @property
-    def strict(self) -> bool:
-        """True when the weight is positive on every cell."""
-        return bool(np.all(self.weight.values > 0))
 
     @property
     def conjugate(self) -> float:
@@ -116,18 +110,6 @@ def weighted_norm(f: GridFunction, space: WeightedSpace) -> float:
     return _array_norm(f.values, space)
 
 
-def power_norm(f: GridFunction, space: WeightedSpace, n_power: int) -> float:
-    """Norm of |f|**n_power in the space, taken to the 1/n_power.
-
-    Equals the norm of f in the companion space with exponent p * n_power and
-    the same weight; the root-transfer construction relies on this identity.
-    """
-    if n_power < 1:
-        raise ModelError("power must be a positive integer")
-    powered = GridFunction(f.grid, np.abs(f.values) ** n_power)
-    return weighted_norm(powered, space) ** (1.0 / n_power)
-
-
 def indicator_norm(space: WeightedSpace, mask: np.ndarray) -> float:
     """Norm of the indicator of a union of cells."""
     mask = np.asarray(mask, dtype=bool)
@@ -159,10 +141,6 @@ class AxiomReport:
         raise KeyError(name)
 
 
-def _null_cells(space: WeightedSpace) -> np.ndarray:
-    return space.weight.values == 0
-
-
 def check_lattice_axioms(space, probes, chains=()) -> AxiomReport:
     """Verify the norm-lattice axioms on finite probe material.
 
@@ -175,7 +153,7 @@ def check_lattice_axioms(space, probes, chains=()) -> AxiomReport:
     * monotone limits: each chain must rise pointwise and its norms must rise
       to the norm of the pointwise supremum.
     """
-    null = _null_cells(space)
+    null = space.weight.values == 0
     checks = []
 
     failed = None
@@ -245,12 +223,6 @@ def check_lattice_axioms(space, probes, chains=()) -> AxiomReport:
     return AxiomReport(tuple(checks))
 
 
-def check_indicator_membership(space: WeightedSpace, mask: np.ndarray) -> AxiomCheck:
-    """Indicators of finite cell unions must have finite norm."""
-    nrm = indicator_norm(space, mask)
-    return AxiomCheck("indicator_membership", math.isfinite(nrm), f"norm {nrm!r}")
-
-
 @dataclass(frozen=True)
 class Witness:
     cell: tuple[int, ...]
@@ -313,8 +285,6 @@ def l1_embedding_sweep(
     Boundedness along the sweep indicates the embedding constant is finite;
     steady geometric growth is the discrete signature of divergence.
     """
-    from .profiles import sample
-
     out = []
     for ce in cell_exps:
         grid = Grid(dim=dim, box_level=box_level, cell_exp=ce)

@@ -12,8 +12,6 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from .errors import SpecFileError
 from .grid import Grid
 from .moduli import Family
@@ -42,11 +40,19 @@ def _require_keys(doc: dict, required, optional=(), where: str = "document") -> 
         raise SpecFileError(f"{where} has unknown keys {unknown}")
 
 
+def _float(v, where: str) -> float:
+    """``float(v)`` for a JSON number; an integer beyond float range raises."""
+    try:
+        return float(v)
+    except OverflowError:
+        raise SpecFileError(f"{where} is too large for a float") from None
+
+
 def _number(doc: dict, key: str, where: str) -> float:
     v = doc[key]
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise SpecFileError(f"{where}.{key} must be a number, got {v!r}")
-    return float(v)
+    return _float(v, f"{where}.{key}")
 
 
 def _integer(doc: dict, key: str, where: str) -> int:
@@ -107,7 +113,7 @@ def _parse_profile(doc: dict, base_dir: Path, where: str):
         )
     if kind == "table":
         _require_keys(doc, ["kind"], optional=["values", "path"], where=where)
-        return Table(values=_freeze(_table_values(doc, base_dir, where)))
+        return Table(values=_freeze(_table_values(doc, base_dir, where), where))
     raise SpecFileError(f"{where}: unknown profile kind {kind!r}")
 
 
@@ -124,17 +130,19 @@ _ALL_KEYS = sorted({k for keys in _PROFILE_KEYS.values() for k in keys})
 
 def _vector(v, where: str):
     if isinstance(v, (int, float)) and not isinstance(v, bool):
-        return float(v)
+        return _float(v, f"{where}.center")
     if isinstance(v, list) and v and all(
         isinstance(x, (int, float)) and not isinstance(x, bool) for x in v
     ):
-        return tuple(float(x) for x in v)
+        return tuple(_float(x, f"{where}.center") for x in v)
     raise SpecFileError(f"{where}: center must be a number or a list of numbers, got {v!r}")
 
 
-def _freeze(values):
+def _freeze(values, where: str):
     if isinstance(values, list):
-        return tuple(_freeze(v) for v in values)
+        return tuple(_freeze(v, where) for v in values)
+    if isinstance(values, int) and not isinstance(values, bool):
+        return _float(values, f"{where}.values")
     return values
 
 

@@ -368,15 +368,24 @@ def test_validate_cube_claims_exit_3(tmp_path, capsys, vanishing_sheet, edit):
         (2.0, ("null_cubes",), [0], "validation failure: a banach certificate lists"),
         (0.5, ("quasi", "epsilon"), math.inf, "model violation: power-transfer numbers"),
         (0.5, ("labels",), ["m02", "m01", "m00"], "validation failure: certificate labels"),
+        (2.0, ("plan", "quant_step"), 0.0, "model violation: quantization step must be positive"),
+        (2.0, ("plan", "quant_step"), lambda v: -v, "model violation: quantization step must"),
+        (2.0, ("plan", "quant_step"), 1e-320, "validation failure: net element 0 leaves"),
+        (2.0, ("plan", "quant_step"), 1e300, "validation failure: net element 0 leaves"),
+        (0.5, ("quasi", "n_power"), 2, "validation failure: the transfer record's power"),
     ],
     ids=[
         "epsilon_inf", "budget_nan", "variant_bogus", "labels_renamed",
         "banach_with_nulls", "quasi_epsilon_inf", "quasi_labels_permuted",
+        "quant_step_zero", "quant_step_negated", "quant_step_subnormal", "quant_step_huge",
+        "quasi_n_power_2",
     ],
 )
 def test_validate_bad_plan_variant_or_labels_exit_3(tmp_path, capsys, p, field, value, reason):
     # each of these certificates used to validate: an infinite epsilon lets any
-    # net pass, and neither the variant nor the labels were checked
+    # net pass, neither the variant nor the labels were checked, and a zero,
+    # negative, subnormal or huge quantization step hid every net element from
+    # the lattice check
     weight = {"kind": "constant", "value": 1.0} if p < 1 else None
     spec = write_spec(tmp_path / "spec.json", p=p, weight=weight)
     prob = load_problem(spec)
@@ -388,7 +397,7 @@ def test_validate_bad_plan_variant_or_labels_exit_3(tmp_path, capsys, p, field, 
     target = doc
     for name in parents:
         target = target[name]
-    target[key] = value
+    target[key] = value(target[key]) if callable(value) else value
     rc, err = _tamper_and_validate(tmp_path, capsys, spec, doc)
     assert rc == 3
     assert reason in err
@@ -442,3 +451,59 @@ def test_validate_coerced_types_exit_3(tmp_path, capsys, p, field, edit):
     rc, err = _tamper_and_validate(tmp_path, capsys, spec, doc)
     assert rc == 3
     assert "model violation: malformed certificate document" in err
+
+
+# an integer literal that json reads exactly but float() cannot convert
+BEYOND_FLOAT = 10 ** 400
+
+
+@pytest.mark.parametrize(
+    "field",
+    [("space", "p"), ("members", 0, "sigma"), ("members", 1, "center"),
+     ("space", "weight", "values", 5)],
+    ids=["space_p", "sigma", "center", "table_value"],
+)
+def test_spec_integer_beyond_float_range_exit_2(tmp_path, capsys, field):
+    table = {"kind": "table", "values": [1.0] * 128}
+    spec = write_spec(tmp_path / "spec.json", weight=table if "weight" in field else None)
+    doc = json.loads(spec.read_text())
+    *parents, key = field
+    target = doc
+    for name in parents:
+        target = target[name]
+    target[key] = BEYOND_FLOAT
+    spec.write_text(json.dumps(doc))
+    rc = cli.main(["net", "--spec", str(spec), "--epsilon", "0.1", "--out", str(tmp_path / "c")])
+    assert rc == 2
+    assert "is too large for a float" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "p, field, reason",
+    [
+        (2.0, ("plan", "epsilon"), "model violation: malformed certificate document"),
+        (2.0, ("space_p",), "model violation: malformed certificate document"),
+        (2.0, ("distances", 1), "model violation: malformed certificate document"),
+        (2.0, ("net_elements", 0, 3), "model violation: malformed certificate document"),
+        (0.5, ("quasi", "c_max"), "model violation: malformed certificate document"),
+        (0.5, ("quasi", "audit_distances", 2), "model violation: malformed certificate"),
+        (0.5, ("quasi", "n_power"), "validation failure: the transfer record's power"),
+    ],
+    ids=["epsilon", "space_p", "distance", "net_entry", "c_max", "audit_distance", "n_power"],
+)
+def test_certificate_integer_beyond_float_range_exit_3(tmp_path, capsys, p, field, reason):
+    weight = {"kind": "constant", "value": 1.0} if p < 1 else None
+    spec = write_spec(tmp_path / "spec.json", p=p, weight=weight)
+    prob = load_problem(spec)
+    cert_path = tmp_path / "cert.json"
+    eps = 0.4 * bound_modulus(prob.family, prob.space)
+    assert cli.main(["net", "--spec", str(spec), "--epsilon", str(eps), "--out", str(cert_path)]) == 0
+    doc = json.loads(cert_path.read_text())
+    *parents, key = field
+    target = doc
+    for name in parents:
+        target = target[name]
+    target[key] = BEYOND_FLOAT
+    rc, err = _tamper_and_validate(tmp_path, capsys, spec, doc)
+    assert rc == 3
+    assert reason in err

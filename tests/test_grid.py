@@ -16,7 +16,6 @@ from lpcompact import (
     restrict_inside,
     restrict_outside,
     shift_stencil,
-    translate,
 )
 
 
@@ -72,29 +71,6 @@ def test_gridfunction_arithmetic(grid1d):
         f + GridFunction(other, np.zeros(other.shape))
 
 
-def test_translate_exact_shift(grid1d):
-    f = GridFunction(grid1d, np.arange(8.0))
-    # shift right by one cell (0.25): zero-fill from the left edge
-    g = translate(f, 0.25)
-    np.testing.assert_array_equal(g.values, [0, 0, 1, 2, 3, 4, 5, 6])
-    g = translate(f, -0.5)
-    np.testing.assert_array_equal(g.values, [2, 3, 4, 5, 6, 7, 0, 0])
-
-
-def test_translate_rejects_offgrid(grid1d):
-    f = GridFunction(grid1d, np.arange(8.0))
-    with pytest.raises(ModelError):
-        translate(f, 0.1)
-
-
-def test_translate_2d(grid2d):
-    f = GridFunction(grid2d, np.arange(64.0).reshape(8, 8))
-    g = translate(f, (0.25, -0.25))
-    expected = np.zeros((8, 8))
-    expected[1:, :-1] = f.values[:-1, 1:]
-    np.testing.assert_array_equal(g.values, expected)
-
-
 def test_masks_by_center(grid1d):
     # open ball of radius 0.5: |center| < 0.5 picks the middle four cells
     m = inside_mask(grid1d, 0.5)
@@ -120,8 +96,6 @@ def test_partition_layout():
     assert part.cells_per_cube_axis == 2
     assert part.cell_start == 4
     assert part.inside_slices() == (slice(4, 12),)
-    assert part.cube_corner(0) == (-1.0,)
-    assert part.cube_corner(3) == (0.5,)
     assert part.cube_slices(1) == (slice(6, 8),)
 
 
@@ -180,19 +154,6 @@ def test_ball_average_field_oracle(grid1d):
     vals = f.values
     expected = (np.r_[0.0, vals[:-1]] + vals + np.r_[vals[1:], 0.0]) / 3.0
     np.testing.assert_allclose(avg.values, expected, rtol=1e-15)
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.integers(min_value=-3, max_value=3), st.integers(min_value=0, max_value=123))
-def test_translate_unweighted_isometry_inside(k, seed):
-    # away from the boundary, translation moves mass without changing it
-    g = Grid(dim=1, box_level=0, cell_exp=-4)
-    r = np.random.default_rng(seed)
-    vals = np.zeros(g.shape)
-    vals[12:20] = r.standard_normal(8)
-    f = GridFunction(g, vals)
-    shifted = translate(f, k * g.cell_side)
-    assert np.sum(shifted.values**2) == pytest.approx(np.sum(vals**2), rel=1e-12)
 
 
 @settings(max_examples=30, deadline=None)
