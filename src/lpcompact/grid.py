@@ -146,31 +146,18 @@ class GridFunction:
         return GridFunction(self.grid, np.abs(self.values))
 
 
-def _shift_axis(values: np.ndarray, k: int, axis: int) -> np.ndarray:
-    """Shift by k cells along one axis, filling with zeros (no wraparound)."""
-    if k == 0:
-        return values
-    out = np.zeros_like(values)
-    n = values.shape[axis]
-    if abs(k) >= n:
-        return out
-    src = [slice(None)] * values.ndim
-    dst = [slice(None)] * values.ndim
-    if k > 0:
-        dst[axis] = slice(k, None)
-        src[axis] = slice(None, n - k)
-    else:
-        dst[axis] = slice(None, n + k)
-        src[axis] = slice(-k, None)
-    out[tuple(dst)] = values[tuple(src)]
-    return out
-
-
-def _shift_cells(values: np.ndarray, offsets: tuple[int, ...]) -> np.ndarray:
-    out = values
-    for axis, k in enumerate(offsets):
-        out = _shift_axis(out, k, axis)
-    return out
+def _shift_slices(shape: tuple[int, ...], offsets: tuple[int, ...]):
+    """``(dst, src, strips)`` of the shift by ``offsets`` cells with zero fill
+    and no wraparound: the shifted array is ``values[src]`` at ``dst`` and 0 on
+    the strips, which with ``dst`` tile the array."""
+    ks = [max(-n, min(n, k)) for k, n in zip(offsets, shape)]
+    dst = tuple(slice(k, None) if k >= 0 else slice(None, n + k) for k, n in zip(ks, shape))
+    src = tuple(slice(None, n - k) if k >= 0 else slice(-k, None) for k, n in zip(ks, shape))
+    strips = [
+        (*dst[:axis], slice(None, k) if k > 0 else slice(n + k, None), ...)
+        for axis, (k, n) in enumerate(zip(ks, shape)) if k
+    ]
+    return dst, src, strips
 
 
 def inside_mask(grid: Grid, radius: float, region: str = "ball") -> np.ndarray:
@@ -344,6 +331,7 @@ def ball_average_field(f: GridFunction, radius: float) -> GridFunction:
         raise ModelError(f"averaging radius {radius} is below half a cell side {h / 2}")
     stencil = shift_stencil(f.grid, radius, kind="ball", include_zero=True)
     acc = np.zeros_like(f.values)
-    for k in stencil:
-        acc += _shift_cells(f.values, k)
+    for dst, src, _ in (_shift_slices(f.grid.shape, k) for k in stencil):
+        # acc starts at +0.0 and is never -0.0, so the zero strips add nothing
+        acc[dst] += f.values[src]
     return GridFunction(f.grid, acc / len(stencil))

@@ -18,6 +18,7 @@ from .errors import ModelError
 from .grid import (
     Grid,
     GridFunction,
+    _shift_slices,
     ball_average_field,
     outside_mask,
     shift_stencil,
@@ -96,19 +97,12 @@ def tail_modulus(family: Family, space: WeightedSpace, radius: float, region: st
 
 
 def _shifted_difference(values: np.ndarray, offsets: tuple[int, ...], out: np.ndarray) -> None:
-    """Write ``_shift_cells(values, offsets) - values`` into ``out``, allocating
-    nothing: one subtraction where the source cell lies in the box, and
-    ``0.0 - values`` on the strips where the ambient zero is shifted in."""
-    shape = values.shape
-    ks = [max(-n, min(n, k)) for k, n in zip(offsets, shape)]
-    dst = tuple(slice(k, None) if k >= 0 else slice(None, n + k) for k, n in zip(ks, shape))
-    src = tuple(slice(None, n - k) if k >= 0 else slice(-k, None) for k, n in zip(ks, shape))
+    """Write the zero-fill shift of ``values`` by ``offsets``, minus ``values``,
+    into ``out`` without allocating; the strips take ``0.0 - values``."""
+    dst, src, strips = _shift_slices(values.shape, offsets)
     np.subtract(values[src], values[dst], out=out[dst])
-    for axis, (k, n) in enumerate(zip(ks, shape)):
-        if k:
-            edge = slice(None, k) if k > 0 else slice(n + k, None)
-            strip = (*dst[:axis], edge) + (slice(None),) * (len(shape) - axis - 1)
-            np.subtract(0.0, values[strip], out=out[strip])
+    for strip in strips:
+        np.subtract(0.0, values[strip], out=out[strip])
 
 
 def translation_modulus(
@@ -121,50 +115,38 @@ def translation_modulus(
     box stencil at radius 2**i realises the whole dyadic shift box of level i.
     Radii below one cell admit no shift at all and are rejected.
     """
-    _check_space(family, space)
-    offsets = shift_stencil(family.grid, radius, kind=stencil, include_zero=False)
-    if not offsets:
-        raise ModelError(
-            f"translation radius {radius} admits no nonzero grid shift "
-            f"(cell side {family.grid.cell_side})"
-        )
-    diff = np.empty(family.grid.shape)
-    scratch = np.empty(family.grid.shape)
-    worst = 0.0
-    for f in family.members:
-        for k in offsets:
-            _shifted_difference(f.values, k, diff)
-            worst = max(worst, _array_norm(diff, space, scratch))
-    return worst
+    return max(next(_translation_levels(family, space, [radius], stencil)))
 
 
-def _box_translation_levels(family: Family, space: WeightedSpace, hi_exp: int):
-    """Yield ``(i, moduli)`` for i = cell_exp, ..., hi_exp, where ``moduli[j]``
-    is member j's box translation modulus at radius 2**i.
+def _translation_levels(family: Family, space: WeightedSpace, radii, stencil: str):
+    """Yield, for each of the nondecreasing ``radii``, every member's
+    translation modulus at that radius.
 
-    Box stencils nest, so level i only adds the ring K_{i-1} < |k|_inf <= K_i
-    (K_i = 2**(i - cell_exp) cells) to the shifts already measured; a running
-    maximum per member carries the smaller levels.  Every shift is measured
-    once, on two buffers reused for the whole scan, and each value equals
-    the one ``translation_modulus`` gives a one-member family.  A consumer
-    that stops iterating stops the scan after the last level it received.
+    Closed stencils nest, so a radius only measures the shifts the smaller
+    radii lacked, on two buffers reused for the whole scan, and a running
+    maximum per member carries the rest.  A consumer that stops iterating
+    stops the scan after the last radius it received.
     """
     _check_space(family, space)
     grid = family.grid
     diff = np.empty(grid.shape)
     scratch = np.empty(grid.shape)
     moduli = [0.0] * len(family)
-    inner = 0
-    for i in range(grid.cell_exp, hi_exp + 1):
-        ring = [
-            k for k in shift_stencil(grid, 2.0 ** i, kind="box") if max(map(abs, k)) > inner
-        ]
+    seen = set()
+    for radius in radii:
+        offsets = shift_stencil(grid, radius, kind=stencil)
+        if not offsets:
+            raise ModelError(
+                f"translation radius {radius} admits no nonzero grid shift "
+                f"(cell side {grid.cell_side})"
+            )
+        ring = [k for k in offsets if k not in seen]
+        seen.update(ring)
         for j, f in enumerate(family.members):
             for k in ring:
                 _shifted_difference(f.values, k, diff)
                 moduli[j] = max(moduli[j], _array_norm(diff, space, scratch))
-        inner = 2 ** (i - grid.cell_exp)
-        yield i, tuple(moduli)
+        yield tuple(moduli)
 
 
 def averaged_modulus(family: Family, space: WeightedSpace, radius: float) -> float:
@@ -240,16 +222,15 @@ def measure_moduli(
     stencil: str = "ball",
     with_averaged: bool = True,
 ) -> ModuliReport:
-    """Evaluate all moduli curves; radii are reported in the given order."""
-    _check_space(family, space)
+    """Evaluate all moduli curves; radii are reported in the given order, and
+    one scan over the distinct shift radii measures each shift once."""
     tail = tuple((float(r), tail_modulus(family, space, r, region)) for r in tail_radii)
-    trans = tuple(
-        (float(r), translation_modulus(family, space, r, stencil)) for r in shift_radii
-    )
-    if with_averaged:
-        avg = tuple((float(r), averaged_modulus(family, space, r)) for r in shift_radii)
-    else:
-        avg = ()
+    radii = [float(r) for r in shift_radii]
+    distinct = sorted(set(radii))
+    scan = dict(zip(distinct, map(max, _translation_levels(family, space, distinct, stencil))))
+    trans = tuple((r, scan[r]) for r in radii)
+    averaged = {r: averaged_modulus(family, space, r) for r in distinct if with_averaged}
+    avg = tuple((r, averaged[r]) for r in radii) if with_averaged else ()
     return ModuliReport(
         bound=bound_modulus(family, space), tail=tail, translation=trans, averaged=avg
     )

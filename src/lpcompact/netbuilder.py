@@ -33,7 +33,7 @@ from .grid import (
     all_cube_averages,
     inside_mask,
 )
-from .moduli import Family, _box_translation_levels, tail_modulus
+from .moduli import Family, _translation_levels, tail_modulus
 from .spaces import WeightedSpace, _array_norm, indicator_norm
 from .specfile import _integer, _number
 
@@ -45,13 +45,10 @@ __all__ = [
     "ValidationReport",
     "select_tail_level",
     "select_mesh",
-    "null_cube_mask",
-    "cube_witnesses",
     "cube_projection",
     "expand_coefficients",
     "projection_error",
     "quantize_net",
-    "QuantizedNet",
     "build_certificate",
     "validate_certificate",
     "certificate_to_dict",
@@ -185,9 +182,11 @@ def select_mesh(
     grid = family.grid
     hi = grid.box_level if max_exp is None else max_exp
     threshold = 2.0 ** (-grid.dim) * epsilon / 3.0
+    levels = range(grid.cell_exp, hi + 1)
     best = None
     value = math.inf
-    for i, moduli in _box_translation_levels(family, space, hi):
+    scan = _translation_levels(family, space, [2.0**i for i in levels], "box")
+    for i, moduli in zip(levels, scan):
         value = max(moduli)
         if value < threshold:
             best = i, moduli
@@ -727,4 +726,8 @@ def save_certificate(cert: NetCertificate, path) -> None:
 
 def load_certificate(path) -> NetCertificate:
     with open(path) as fh:
-        return certificate_from_dict(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:
+            raise ModelError(f"malformed certificate document: {exc}") from exc
+    return certificate_from_dict(doc)

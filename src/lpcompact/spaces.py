@@ -79,21 +79,28 @@ def _array_norm(
     out zero is measured again on |v| / max|v| over the positive-weight cells
     and scaled back, so large exponents neither lose small functions nor
     saturate large ones.  A non-finite entry raises the ``ModelError`` a
-    ``GridFunction`` raises.
+    ``GridFunction`` raises, and so does a norm beyond float range.
     """
     terms = np.abs(values, out=scratch)
-    total = _weighted_power_sum(terms, space)
-    if _TINY <= total < math.inf:
-        return float(total ** (1.0 / space.p))
-    terms = np.abs(values, out=terms)
-    if not np.all(np.isfinite(terms)):
-        raise ModelError("grid function values must be finite")
-    np.multiply(terms, space.weight.values > 0, out=terms)
-    peak = np.max(terms)
-    if peak == 0.0:
-        return 0.0
-    np.divide(terms, peak, out=terms)
-    return float(peak * _weighted_power_sum(terms, space) ** (1.0 / space.p))
+    total, scale = _weighted_power_sum(terms, space), 1.0
+    if not _TINY <= total < math.inf:
+        terms = np.abs(values, out=terms)
+        if not np.all(np.isfinite(terms)):
+            raise ModelError("grid function values must be finite")
+        np.multiply(terms, space.weight.values > 0, out=terms)
+        scale = np.max(terms)
+        if scale == 0.0:
+            return 0.0
+        np.divide(terms, scale, out=terms)
+        total = _weighted_power_sum(terms, space)
+    # in Python floats: pow is libm's, as in numpy, but raises on overflow
+    try:
+        norm = float(scale) * float(total) ** (1.0 / space.p)
+    except OverflowError:
+        norm = math.inf
+    if norm == math.inf:
+        raise ModelError(f"a norm at p = {space.p} exceeds the float range")
+    return norm
 
 
 def _weighted_power_sum(terms: np.ndarray, space: WeightedSpace) -> float:

@@ -206,6 +206,7 @@ def load_problem(path) -> Problem:
             doc = json.load(fh)
     except OSError as exc:
         raise SpecFileError(f"cannot read spec {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # bad JSON, bad UTF-8, or an integer literal past Python's digit limit
         raise SpecFileError(f"spec {path} is not valid JSON: {exc}") from exc
     return parse_problem(doc, base_dir=path.parent)

@@ -4,10 +4,12 @@ Builds the three benchmark workloads at their reference seed, exactly as the
 benchmark's ``lpcompact net`` children do (spec written as JSON, epsilon the
 workload's share of the uniform bound), and checks each saved certificate
 against the sha256 pinned in ``bench/expectations.json``.  A change to the
-pipeline that moves a single float of a certificate fails here.
+pipeline that moves a single float of a certificate fails here.  So does a
+deletion or rename of any function the traced benchmark run wraps by name.
 """
 
 import hashlib
+import importlib
 import importlib.util
 import json
 import sys
@@ -26,8 +28,9 @@ from lpcompact import (
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-def _workloads():
-    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
+def _bench_module(name):
+    """Load ``bench/<name>.py`` read-only, under a name outside the package."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     # dataclasses resolve their module through sys.modules
     sys.modules[spec.name] = module
@@ -35,7 +38,7 @@ def _workloads():
     return module
 
 
-WORKLOADS = _workloads()
+WORKLOADS = _bench_module("workloads")
 PINS = json.loads((BENCH / "expectations.json").read_text())["sha256_at_default_seed"]
 
 
@@ -53,3 +56,11 @@ def test_reference_certificate_matches_pin(tmp_path, name):
     cert_path = tmp_path / "cert.json"
     save_certificate(cert, cert_path)
     assert hashlib.sha256(cert_path.read_bytes()).hexdigest() == PINS[name]
+
+
+def test_tracing_targets_resolve():
+    # a traced benchmark run wraps every target by module and name, so a
+    # target deleted or renamed in the package would break that run
+    tracing = _bench_module("tracing")
+    for _span, module, attr in tracing.TARGETS:
+        assert callable(getattr(importlib.import_module(module), attr, None)), (module, attr)

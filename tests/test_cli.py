@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import warnings
 
 import pytest
 
@@ -507,3 +508,44 @@ def test_certificate_integer_beyond_float_range_exit_3(tmp_path, capsys, p, fiel
     rc, err = _tamper_and_validate(tmp_path, capsys, spec, doc)
     assert rc == 3
     assert reason in err
+
+
+# an integer literal past Python's limit on int-string conversion (4,300
+# digits), where json.load itself raises a plain ValueError
+PAST_DIGIT_LIMIT = "9" * 5001
+
+
+def test_spec_integer_past_digit_limit_exit_2(tmp_path, capsys):
+    spec = write_spec(tmp_path / "spec.json")
+    spec.write_text(spec.read_text().replace('"sigma": 0.4', f'"sigma": {PAST_DIGIT_LIMIT}', 1))
+    rc = cli.main(["net", "--spec", str(spec), "--epsilon", "0.1", "--out", str(tmp_path / "c")])
+    assert rc == 2
+    assert "is not valid JSON" in capsys.readouterr().err
+
+
+def test_certificate_integer_past_digit_limit_exit_3(tmp_path, capsys):
+    spec = write_spec(tmp_path / "spec.json")
+    prob = load_problem(spec)
+    cert_path = tmp_path / "cert.json"
+    eps = 0.4 * bound_modulus(prob.family, prob.space)
+    assert cli.main(["net", "--spec", str(spec), "--epsilon", str(eps), "--out", str(cert_path)]) == 0
+    text = cert_path.read_text()
+    cert_path.write_text(text.replace('"space_p": 2.0', f'"space_p": {PAST_DIGIT_LIMIT}', 1))
+    capsys.readouterr()
+    rc = cli.main(["validate", "--spec", str(spec), "--certificate", str(cert_path)])
+    assert rc == 3
+    assert "model violation: malformed certificate document" in capsys.readouterr().err
+
+
+def test_norm_beyond_float_range_exit_3(tmp_path, capsys):
+    # the family's bound norm, 1.7e308 * 2**(5/3) at p = 0.6, exceeds the
+    # float range: a model violation, with no warning on the way
+    spec = write_spec(
+        tmp_path / "spec.json", p=0.6, weight={"kind": "constant", "value": 1.0},
+        members=[{"kind": "constant", "value": 1.7e308}],
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main(["net", "--spec", str(spec), "--epsilon", "0.1", "--out", str(tmp_path / "c")])
+    assert rc == 3
+    assert "model violation: a norm at p = 0.6 exceeds the float range" in capsys.readouterr().err

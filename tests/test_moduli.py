@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -16,7 +17,9 @@ from lpcompact import (
     ModelError,
     WeightedSpace,
     averaged_modulus,
+    ball_average_field,
     bound_modulus,
+    load_problem,
     measure_moduli,
     restrict_outside,
     sample,
@@ -27,8 +30,37 @@ from lpcompact import (
 )
 
 from conftest import random_family
-from lpcompact.grid import _shift_cells, shift_stencil
-from lpcompact.moduli import _box_translation_levels, _shifted_difference
+from lpcompact.grid import shift_stencil
+from lpcompact.moduli import _shifted_difference, _translation_levels
+from test_benchmark_pins import WORKLOADS
+
+
+def _shift_axis(values, k, axis):
+    """Reference zero-fill shift by k cells along one axis (no wraparound)."""
+    if k == 0:
+        return values
+    out = np.zeros_like(values)
+    n = values.shape[axis]
+    if abs(k) >= n:
+        return out
+    src = [slice(None)] * values.ndim
+    dst = [slice(None)] * values.ndim
+    if k > 0:
+        dst[axis] = slice(k, None)
+        src[axis] = slice(None, n - k)
+    else:
+        dst[axis] = slice(None, n + k)
+        src[axis] = slice(-k, None)
+    out[tuple(dst)] = values[tuple(src)]
+    return out
+
+
+def _shift_cells(values, offsets):
+    """Reference zero-fill shift by a cell offset vector, one axis at a time."""
+    out = values
+    for axis, k in enumerate(offsets):
+        out = _shift_axis(out, k, axis)
+    return out
 
 
 def test_family_validation(grid1d):
@@ -177,11 +209,11 @@ def _weights_with_zeros(grid, rng):
     return GridFunction(grid, w)
 
 
-def _translation_reference(f, space, radius):
-    """Box translation modulus of one member through GridFunction arithmetic,
+def _translation_reference(f, space, radius, kind="box"):
+    """Translation modulus of one member through GridFunction arithmetic,
     one shifted copy per stencil offset."""
     worst = 0.0
-    for k in shift_stencil(f.grid, radius, kind="box"):
+    for k in shift_stencil(f.grid, radius, kind=kind):
         shifted = GridFunction(f.grid, _shift_cells(f.values, k))
         worst = max(worst, weighted_norm(shifted - f, space))
     return worst
@@ -200,24 +232,91 @@ def test_shifted_difference_matches_shift_cells(dim):
         np.testing.assert_array_equal(out, _shift_cells(values, offsets) - values)
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_ball_average_field_matches_shift_cells(dim):
+    # the in-place slice sums give the bits of summing zero-filled copies,
+    # -0.0 entries and stencils reaching past the box included
+    grid = Grid(dim=dim, box_level=0, cell_exp=-3 if dim == 1 else -2)
+    rng = np.random.default_rng(dim)
+    values = rng.standard_normal(grid.shape)
+    values[rng.random(grid.shape) < 0.2] = -0.0
+    f = GridFunction(grid, values)
+    for radius in (0.5 * grid.cell_side, grid.cell_side, 2.5 * grid.cell_side, 3.0):
+        stencil = shift_stencil(grid, radius, kind="ball", include_zero=True)
+        acc = np.zeros(grid.shape)
+        for k in stencil:
+            acc += _shift_cells(f.values, k)
+        expected = acc / len(stencil)
+        assert ball_average_field(f, radius).values.tobytes() == expected.tobytes()
+
+
 @pytest.mark.parametrize("p", [0.5, 1.0, 1.5, 2.0, 3.0])
 @pytest.mark.parametrize(
     "grid", [Grid(dim=1, box_level=0, cell_exp=-5), Grid(dim=2, box_level=0, cell_exp=-3)]
 )
 def test_ring_scan_equals_translation_modulus(grid, p):
-    # the ring scan's per-member curve equals, bit for bit, the modulus of a
-    # one-member family and the modulus computed through GridFunction copies
+    # the scan's per-member curve equals, bit for bit, the modulus computed
+    # through GridFunction copies, at every radius of either stencil; the
+    # dyadic radii are select_mesh's, the others are not nested dyadically
     rng = np.random.default_rng(int(10 * p) + grid.dim)
     sp = WeightedSpace(p, _weights_with_zeros(grid, rng))
     fam = random_family(grid, rng)
-    levels = list(_box_translation_levels(fam, sp, grid.box_level))
-    assert [i for i, _ in levels] == list(range(grid.cell_exp, grid.box_level + 1))
-    for i, moduli in levels:
-        for f, label, value in zip(fam.members, fam.labels, moduli):
-            single = Family(grid, (f,), (label,))
-            assert value == translation_modulus(single, sp, 2.0**i, stencil="box")
-            assert value == _translation_reference(f, sp, 2.0**i)
-        assert max(moduli) == translation_modulus(fam, sp, 2.0**i, stencil="box")
+    h = grid.cell_side
+    dyadic = [2.0**i for i in range(grid.cell_exp, grid.box_level + 1)]
+    for stencil, radii in (("box", dyadic), ("ball", [h, 1.5 * h, 2.3 * h, 2.3 * h, 5.0 * h])):
+        levels = list(_translation_levels(fam, sp, radii, stencil))
+        assert len(levels) == len(radii)
+        for radius, moduli in zip(radii, levels):
+            for f, value in zip(fam.members, moduli):
+                assert value == _translation_reference(f, sp, radius, stencil)
+            assert max(moduli) == translation_modulus(fam, sp, radius, stencil)
+
+
+@pytest.mark.parametrize("stencil", ["ball", "box"])
+@pytest.mark.parametrize(
+    "grid", [Grid(dim=1, box_level=0, cell_exp=-4), Grid(dim=2, box_level=0, cell_exp=-2)]
+)
+def test_measure_moduli_unsorted_repeated_radii(grid, stencil):
+    # one scan over the sorted distinct radii reports, in the caller's order,
+    # the floats a separate measurement per radius gives
+    rng = np.random.default_rng(grid.dim)
+    sp = WeightedSpace(1.5, _weights_with_zeros(grid, rng))
+    fam = random_family(grid, rng)
+    h = grid.cell_side
+    radii = [3.7 * h, h, 3.7 * h, 1.4 * h, 0.5, h]
+    rep = measure_moduli(fam, sp, shift_radii=radii, tail_radii=[0.5], stencil=stencil)
+    assert [r for r, _ in rep.translation] == radii
+    assert [r for r, _ in rep.averaged] == radii
+    for r, value in rep.translation:
+        assert value == max(_translation_reference(f, sp, r, stencil) for f in fam.members)
+    for r, value in rep.averaged:
+        assert value == averaged_modulus(fam, sp, r)
+    with pytest.raises(ModelError, match=f"translation radius {h / 4} admits no nonzero"):
+        measure_moduli(fam, sp, shift_radii=[h, h / 4], tail_radii=[0.5], stencil=stencil)
+
+
+def test_measure_moduli_measures_each_shift_once(tmp_path, monkeypatch):
+    # bank1d at radii of 1, 2, 4 and 8 cells: the ball stencils hold 2 + 4 +
+    # 8 + 16 shifts, but only the 16 of the largest are distinct, so the 20
+    # members need 320 shifted differences, not 600
+    spec_path = tmp_path / "bank1d.json"
+    spec_path.write_text(json.dumps(WORKLOADS.WORKLOADS["bank1d"].spec(WORKLOADS.DEFAULT_SEED)))
+    problem = load_problem(spec_path)
+    calls = []
+
+    def counted(values, offsets, out):
+        calls.append(offsets)
+        _shifted_difference(values, offsets, out)
+
+    monkeypatch.setattr("lpcompact.moduli._shifted_difference", counted)
+    h = problem.grid.cell_side
+    rep = measure_moduli(
+        problem.family, problem.space, shift_radii=[h, 2 * h, 4 * h, 8 * h],
+        tail_radii=[1.0], with_averaged=False,
+    )
+    assert len(rep.translation) == 4
+    assert len(calls) == 320
+    assert len(set(calls)) == 16
 
 
 @pytest.mark.parametrize("p", [0.5, 1.0, 2.0, 3.0])
@@ -247,4 +346,4 @@ def test_translation_modulus_rejects_non_finite_difference():
     with pytest.raises(ModelError, match="finite"):
         translation_modulus(fam, sp, g.cell_side, stencil="box")
     with pytest.raises(ModelError, match="finite"):
-        next(_box_translation_levels(fam, sp, g.box_level))
+        next(_translation_levels(fam, sp, [g.cell_side], "box"))

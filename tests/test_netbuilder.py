@@ -42,7 +42,7 @@ from lpcompact import (
 )
 
 from conftest import random_family
-from lpcompact.moduli import _box_translation_levels
+from lpcompact.moduli import _translation_levels
 from lpcompact.netbuilder import _net_distances, _remeasure, cube_witnesses, null_cube_mask
 
 
@@ -170,7 +170,7 @@ def test_projection_error_guarantee(grid1d, rng):
     fam = random_family(grid1d, rng)
     part = DyadicPartition(grid1d, 0, -1)
     # the moduli the build passes in: select_mesh's scan at the cube side
-    moduli = dict(_box_translation_levels(fam, sp, -1))[-1]
+    moduli = next(_translation_levels(fam, sp, [0.5], "box"))
     for f, modulus in zip(fam.members, moduli):
         coeffs = all_cube_averages(f, part)
         measured, guarantee = projection_error(f, coeffs, part, sp, modulus, check=True)

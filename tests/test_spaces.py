@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -89,6 +90,22 @@ def test_large_exponent_rescaling_ignores_zero_weight_cells():
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         measured = weighted_norm(GridFunction(g, values), sp)
     assert measured == pytest.approx(0.5 * (2.0 - g.cell_side) ** (1 / 400), rel=1e-12)
+
+
+@pytest.mark.parametrize("p", [0.6, 2.0])
+def test_norm_beyond_float_range_is_model_error(p):
+    # 1.7e308 on [-1, 1): at p = 0.6 the power sum is finite and its root is
+    # not; at p = 2 the sum overflows, and so does the rescaled norm
+    # 1.7e308 * 2**(1/2).  At 1e308 the rescaled norm 1.41e308 still fits.
+    g = Grid(dim=1, box_level=0, cell_exp=-4)
+    sp = WeightedSpace(p, sample(Constant(1.0), g))
+    with warnings.catch_warnings(), np.errstate(over="ignore"):
+        warnings.simplefilter("error")
+        with pytest.raises(ModelError, match=f"a norm at p = {p} exceeds the float range"):
+            weighted_norm(GridFunction(g, np.full(g.shape, 1.7e308)), sp)
+        if p == 2.0:
+            fits = weighted_norm(GridFunction(g, np.full(g.shape, 1e308)), sp)
+            assert fits == pytest.approx(1e308 * math.sqrt(2.0), rel=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
