@@ -16,9 +16,9 @@ class SpecFileError(ValueError):
 class HypothesisError(RuntimeError):
     """A compactness hypothesis could not be certified at the working resolution.
 
-    ``criterion`` names the failing modulus: ``"vanishing-at-infinity"`` when no
-    truncation box keeps the tail below budget, ``"equicontinuity"`` when no
-    admissible mesh keeps the translation modulus below budget.
+    ``criterion`` names the failing modulus: ``"equicontinuity"`` when no
+    admissible mesh keeps the translation modulus below budget.  The tail
+    never fails, because the ambient box truncates nothing and has zero tail.
     """
 
     def __init__(self, criterion: str, message: str):

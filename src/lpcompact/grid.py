@@ -17,6 +17,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -302,6 +303,8 @@ def shift_stencil(
     """
     if kind not in ("ball", "box"):
         raise ModelError(f"unknown stencil kind {kind!r}")
+    if not math.isfinite(radius):
+        raise ModelError(f"shift radius {radius} is not finite")
     h = grid.cell_side
     kmax = int(np.floor(radius / h + 1e-12))
     offsets = []

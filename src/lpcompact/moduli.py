@@ -10,6 +10,8 @@ checks that domination on matched shift stencils.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,7 +120,9 @@ def translation_modulus(
     return max(next(_translation_levels(family, space, [radius], stencil)))
 
 
-def _translation_levels(family: Family, space: WeightedSpace, radii, stencil: str):
+def _translation_levels(
+    family: Family, space: WeightedSpace, radii, stencil: str, stop: float = math.inf
+):
     """Yield, for each of the nondecreasing ``radii``, every member's
     translation modulus at that radius.
 
@@ -126,6 +130,12 @@ def _translation_levels(family: Family, space: WeightedSpace, radii, stencil: st
     radii lacked, on two buffers reused for the whole scan, and a running
     maximum per member carries the rest.  A consumer that stops iterating
     stops the scan after the last radius it received.
+
+    The scan also ends after the first radius whose largest modulus reaches
+    ``stop``.  It measures the longer shifts of each ring first, and past the
+    first radius it leaves the ring as soon as one member's modulus reaches
+    ``stop``, so the moduli of that last yield may fall short of the full
+    ones; a threshold search only needs to see that one of them reached it.
     """
     _check_space(family, space)
     grid = family.grid
@@ -133,7 +143,7 @@ def _translation_levels(family: Family, space: WeightedSpace, radii, stencil: st
     scratch = np.empty(grid.shape)
     moduli = [0.0] * len(family)
     seen = set()
-    for radius in radii:
+    for n, radius in enumerate(radii):
         offsets = shift_stencil(grid, radius, kind=stencil)
         if not offsets:
             raise ModelError(
@@ -142,11 +152,15 @@ def _translation_levels(family: Family, space: WeightedSpace, radii, stencil: st
             )
         ring = [k for k in offsets if k not in seen]
         seen.update(ring)
-        for j, f in enumerate(family.members):
-            for k in ring:
-                _shifted_difference(f.values, k, diff)
-                moduli[j] = max(moduli[j], _array_norm(diff, space, scratch))
+        ring.sort(key=lambda k: sum(c * c for c in k), reverse=True)
+        for j, k in itertools.product(range(len(family)), ring):
+            _shifted_difference(family.members[j].values, k, diff)
+            moduli[j] = max(moduli[j], _array_norm(diff, space, scratch))
+            if n and moduli[j] >= stop:
+                break
         yield tuple(moduli)
+        if max(moduli) >= stop:
+            return
 
 
 def averaged_modulus(family: Family, space: WeightedSpace, radius: float) -> float:

@@ -149,23 +149,30 @@ class NetCertificate:
 def select_tail_level(
     family: Family, space: WeightedSpace, epsilon: float
 ) -> tuple[int, float]:
-    """Smallest dyadic box level whose box-tail modulus is below epsilon/3,
-    returned with that tail modulus."""
-    if epsilon <= 0:
+    """Smallest dyadic box level whose box-tail modulus, and that of every
+    larger box, is below epsilon/3, returned with that tail modulus.
+
+    The scan walks down from the ambient box, where the tail is 0, and stops
+    at the first failure.  The tail is nonincreasing in the level, in floats
+    too while the power sums stay in the normal range: a smaller box only
+    zeroes more of the nonnegative terms |f|^p * weight, which ``np.sum`` adds
+    in the same fixed order, and rounding, ``max`` and the p-th root are
+    monotone.  Where the norm rescales a sum that underflows or overflows,
+    the scale moves with the level and the tail can rise by an ulp as the
+    box grows; the scan then keeps the larger box.
+    """
+    if not epsilon > 0:
         raise ModelError("epsilon must be positive")
-    grid = family.grid
     threshold = epsilon / 3.0
-    last = math.inf
-    for m in range(grid.cell_exp, grid.box_level + 1):
-        last = tail_modulus(family, space, 2.0 ** m, region="box")
-        if last < threshold:
-            return m, last
-    raise HypothesisError(
-        "vanishing-at-infinity",
-        f"select_tail_level: tail modulus is {last:.6g} at the full box (level "
-        f"{grid.box_level}), needs < {threshold:.6g}; the family does not vanish "
-        f"at infinity at this resolution",
-    )
+    if threshold == 0.0:
+        raise ModelError(f"epsilon {epsilon!r} leaves no positive tail budget epsilon/3")
+    grid = family.grid
+    for m in range(grid.box_level, grid.cell_exp - 1, -1):
+        tail = tail_modulus(family, space, 2.0**m, region="box")
+        if not tail < threshold:
+            break
+        best = m, tail
+    return best
 
 
 def select_mesh(
@@ -175,7 +182,8 @@ def select_mesh(
     returned with each member's box-shift modulus at that exponent.
 
     The translation modulus is nondecreasing in the radius (stencils nest), so
-    the scan walks up from the cell scale and stops at the first failure.
+    the scan walks up from the cell scale and stops at the first failure; past
+    the first level it stops at the first shift that reaches the threshold.
     """
     if epsilon <= 0:
         raise ModelError("epsilon must be positive")
@@ -185,7 +193,7 @@ def select_mesh(
     levels = range(grid.cell_exp, hi + 1)
     best = None
     value = math.inf
-    scan = _translation_levels(family, space, [2.0**i for i in levels], "box")
+    scan = _translation_levels(family, space, [2.0**i for i in levels], "box", threshold)
     for i, moduli in zip(levels, scan):
         value = max(moduli)
         if value < threshold:

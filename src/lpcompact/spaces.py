@@ -82,7 +82,10 @@ def _array_norm(
     ``GridFunction`` raises, and so does a norm beyond float range.
     """
     terms = np.abs(values, out=scratch)
-    total, scale = _weighted_power_sum(terms, space), 1.0
+    # this pass may overflow, or meet inf * 0: both are rescaled below
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = _weighted_power_sum(terms, space)
+    scale = 1.0
     if not _TINY <= total < math.inf:
         terms = np.abs(values, out=terms)
         if not np.all(np.isfinite(terms)):
@@ -105,7 +108,11 @@ def _array_norm(
 
 def _weighted_power_sum(terms: np.ndarray, space: WeightedSpace) -> float:
     """sum |v|^p * weight * cell_volume for ``terms`` = |v|, overwriting ``terms``."""
-    np.power(terms, space.p, out=terms)
+    if space.p == 2.0:
+        # the same bits as np.power(terms, 2.0), in a third of the time
+        np.square(terms, out=terms)
+    else:
+        np.power(terms, space.p, out=terms)
     np.multiply(terms, space.weight.values, out=terms)
     return np.sum(terms) * space.grid.cell_volume
 

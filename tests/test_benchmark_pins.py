@@ -5,7 +5,9 @@ benchmark's ``lpcompact net`` children do (spec written as JSON, epsilon the
 workload's share of the uniform bound), and checks each saved certificate
 against the sha256 pinned in ``bench/expectations.json``.  A change to the
 pipeline that moves a single float of a certificate fails here.  So does a
-deletion or rename of any function the traced benchmark run wraps by name.
+deletion or rename of any function the traced benchmark run wraps by name,
+and a build that measures more tail moduli or shifted differences than its
+level scans need.
 """
 
 import hashlib
@@ -42,8 +44,9 @@ WORKLOADS = _bench_module("workloads")
 PINS = json.loads((BENCH / "expectations.json").read_text())["sha256_at_default_seed"]
 
 
-@pytest.mark.parametrize("name", sorted(PINS))
-def test_reference_certificate_matches_pin(tmp_path, name):
+def _reference_build(tmp_path, name):
+    """Build a workload's certificate at its reference seed, as the
+    benchmark's ``lpcompact net`` child does."""
     workload = WORKLOADS.WORKLOADS[name]
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(
@@ -52,10 +55,40 @@ def test_reference_certificate_matches_pin(tmp_path, name):
     problem = load_problem(spec_path)
     epsilon = workload.eps_share * bound_modulus(problem.family, problem.space)
     build = build_certificate if problem.space.p >= 1 else quasi_certificate
-    cert = build(problem.family, problem.space, epsilon, variant=workload.variant)
+    return build(problem.family, problem.space, epsilon, variant=workload.variant)
+
+
+@pytest.mark.parametrize("name", sorted(PINS))
+def test_reference_certificate_matches_pin(tmp_path, name):
     cert_path = tmp_path / "cert.json"
-    save_certificate(cert, cert_path)
+    save_certificate(_reference_build(tmp_path, name), cert_path)
     assert hashlib.sha256(cert_path.read_bytes()).hexdigest() == PINS[name]
+
+
+# tail moduli and shifted differences one reference build measures: both
+# level scans stop at their first threshold crossing, where a full scan
+# measured 16 / 2,560, 8 / 192 and 15 / 2,560
+WORK = {"bank1d": (2, 1281), "sheet2d_null": (2, 65), "quasi_half": (2, 1281)}
+
+
+@pytest.mark.parametrize("name", sorted(WORK))
+def test_reference_build_work(tmp_path, monkeypatch, name):
+    calls = {"tail_modulus": 0, "_shifted_difference": 0}
+
+    def counted(module, attr):
+        inner = getattr(importlib.import_module(module), attr)
+
+        def wrapper(*args, **kwargs):
+            calls[attr] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(f"{module}.{attr}", wrapper)
+
+    # the tail scan calls tail_modulus through netbuilder's import of it
+    counted("lpcompact.netbuilder", "tail_modulus")
+    counted("lpcompact.moduli", "_shifted_difference")
+    _reference_build(tmp_path, name)
+    assert (calls["tail_modulus"], calls["_shifted_difference"]) == WORK[name]
 
 
 def test_tracing_targets_resolve():

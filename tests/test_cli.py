@@ -1,11 +1,19 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
+import lpcompact
 from lpcompact import bound_modulus, cli, load_problem
+
+# the directory holding the package, for CLI runs in a child process
+SRC = str(Path(lpcompact.__file__).resolve().parents[1])
 
 
 def write_spec(path, p=2.0, weight=None, members=None, grid=None):
@@ -549,3 +557,41 @@ def test_norm_beyond_float_range_exit_3(tmp_path, capsys):
         rc = cli.main(["net", "--spec", str(spec), "--epsilon", "0.1", "--out", str(tmp_path / "c")])
     assert rc == 3
     assert "model violation: a norm at p = 0.6 exceeds the float range" in capsys.readouterr().err
+
+
+def test_validate_first_pass_overflow_under_warnings_as_errors(tmp_path, capsys):
+    # a net entry of 1e300 overflows the first power sum of its distance,
+    # which the norm rescales; under -W error that must still be the same
+    # three validation failures, not a RuntimeWarning traceback
+    spec = write_spec(tmp_path / "spec.json")
+    prob = load_problem(spec)
+    cert_path = tmp_path / "cert.json"
+    eps = 0.4 * bound_modulus(prob.family, prob.space)
+    assert cli.main(["net", "--spec", str(spec), "--epsilon", str(eps), "--out", str(cert_path)]) == 0
+    doc = json.loads(cert_path.read_text())
+    doc["net_elements"][0][0] = 1e300
+    cert_path.write_text(json.dumps(doc))
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    runs = [
+        subprocess.run(
+            [sys.executable, *flags, "-m", "lpcompact.cli", "validate",
+             "--spec", str(spec), "--certificate", str(cert_path)],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        for flags in ([], ["-W", "error"])
+    ]
+    assert [r.returncode for r in runs] == [3, 3]
+    assert runs[1].stderr == runs[0].stderr
+    lines = runs[0].stderr.splitlines()
+    assert len(lines) == 3 and all(line.startswith("validation failure: ") for line in lines)
+
+
+@pytest.mark.parametrize("radius", ["inf", "nan"])
+def test_moduli_non_finite_radius_exit_3(tmp_path, spec_path, capsys, radius):
+    rc = cli.main(
+        ["moduli", "--spec", str(spec_path), "--r-list", f"0.0625,{radius}",
+         "--n-list", "1.0", "--out", str(tmp_path / "m")]
+    )
+    assert rc == 3
+    assert f"model violation: shift radius {radius} is not finite" in capsys.readouterr().err

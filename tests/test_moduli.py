@@ -295,6 +295,49 @@ def test_measure_moduli_unsorted_repeated_radii(grid, stencil):
         measure_moduli(fam, sp, shift_radii=[h, h / 4], tail_radii=[0.5], stencil=stencil)
 
 
+def _accepted(levels, stop):
+    """The yields a threshold search accepts: those before the first whose
+    largest modulus reaches ``stop``."""
+    accepted = []
+    for moduli in levels:
+        if not max(moduli) < stop:
+            break
+        accepted.append(moduli)
+    return accepted
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=9999),
+    dim=st.sampled_from([1, 2]),
+    stencil=st.sampled_from(["box", "ball"]),
+    p=st.sampled_from([0.5, 1.0, 2.0, 3.0]),
+    data=st.data(),
+)
+def test_early_stopping_scan_matches_full_scan(seed, dim, stencil, p, data):
+    # at any threshold the early-stopping scan accepts the same radii as the
+    # full scan, with the same per-member moduli, and ends right after them
+    grid = Grid(dim=dim, box_level=0, cell_exp=-4 if dim == 1 else -2)
+    rng = np.random.default_rng(seed)
+    sp = WeightedSpace(p, _weights_with_zeros(grid, rng))
+    fam = random_family(grid, rng)
+    radii = [2.0**i for i in range(grid.cell_exp, grid.box_level + 1)]
+    full = list(_translation_levels(fam, sp, radii, stencil))
+    values = sorted({v for moduli in full for v in moduli})
+    stop = data.draw(
+        st.one_of(
+            st.sampled_from(values),
+            st.floats(min_value=0.0, max_value=2.0 * values[-1]),
+        )
+    )
+    stop = float(np.nextafter(stop, data.draw(st.sampled_from([-np.inf, stop, np.inf]))))
+    early = list(_translation_levels(fam, sp, radii, stencil, stop))
+    accepted = _accepted(full, stop)
+    assert _accepted(early, stop) == accepted
+    assert early[0] == full[0]
+    assert len(early) == min(len(accepted) + 1, len(radii))
+
+
 def test_measure_moduli_measures_each_shift_once(tmp_path, monkeypatch):
     # bank1d at radii of 1, 2, 4 and 8 cells: the ball stencils hold 2 + 4 +
     # 8 + 16 shifts, but only the 16 of the largest are distinct, so the 20

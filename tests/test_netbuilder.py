@@ -44,6 +44,7 @@ from lpcompact import (
 from conftest import random_family
 from lpcompact.moduli import _translation_levels
 from lpcompact.netbuilder import _net_distances, _remeasure, cube_witnesses, null_cube_mask
+from lpcompact.spaces import _weighted_power_sum
 
 
 @pytest.fixture(scope="module")
@@ -66,6 +67,11 @@ def test_select_tail_level_indicator_oracle():
     assert select_tail_level(fam, sp, 1e-9) == (-1, 0.0)
     with pytest.raises(ModelError):
         select_tail_level(fam, sp, 0.0)
+    with pytest.raises(ModelError, match="epsilon must be positive"):
+        select_tail_level(fam, sp, math.nan)
+    # epsilon / 3 rounds to zero
+    with pytest.raises(ModelError, match="no positive tail budget"):
+        select_tail_level(fam, sp, 5e-324)
 
 
 def test_select_tail_level_ambient_box_always_works():
@@ -76,6 +82,79 @@ def test_select_tail_level_ambient_box_always_works():
     sp = WeightedSpace(2.0, sample(Constant(1.0), grid))
     fam = Family.from_profiles(grid, [Constant(1.0)])  # mass up to the boundary
     assert select_tail_level(fam, sp, 1e-9) == (0, 0.0)
+
+
+def _tail_level_upward(family, space, epsilon):
+    """Reference: the scan up from the cell level, which measures every level
+    below the answer and returns the first that passes."""
+    threshold = epsilon / 3.0
+    for m in range(family.grid.cell_exp, family.grid.box_level + 1):
+        tail = tail_modulus(family, space, 2.0**m, region="box")
+        if tail < threshold:
+            return m, tail
+
+
+def _tail_scan_case(name):
+    grid = Grid(dim=1, box_level=2, cell_exp=-5)
+    one = sample(Constant(1.0), grid)
+    gauss = [sample(Gaussian(center=c, sigma=0.6), grid) for c in (-1.0, 0.3, 2.5)]
+    tiny = [GridFunction(grid, 1e-160 * f.values) for f in gauss]
+    if name == "zero-ring":
+        # mass at the centre and in [2.5, 3.5]: the rings between the level -2
+        # and level 1 boxes hold none, so those levels share one tail
+        outer = sample(Indicator(center=0.0, radius=0.2), grid) + sample(
+            Indicator(center=3.0, radius=0.5), grid
+        )
+        return WeightedSpace(2.0, one), [outer, sample(Gaussian(center=-1.0, sigma=0.1), grid)]
+    if name == "zero-weight-ring":
+        # the weight vanishes for 0.5 <= |x| < 2
+        r = grid.center_maxnorm()
+        gap = np.where(r < 0.5, 1.0, 0.0) + np.where(r >= 2.0, 0.5, 0.0)
+        return WeightedSpace(1.5, GridFunction(grid, gap)), gauss
+    # |f|^p is at most 1e-320: every tail sum underflows and is rescaled
+    if name == "underflow-p2":
+        return WeightedSpace(2.0, one), tiny
+    return WeightedSpace(3.0, sample(PowerLaw(0.5), grid)), tiny
+
+
+@pytest.mark.parametrize("name", ["zero-ring", "zero-weight-ring", "underflow-p2", "underflow-p3"])
+def test_select_tail_level_down_scan_matches_upward_scan(name):
+    # at every tail value of the curve, and one ulp either side of it, the
+    # scan down from the box returns the level and the tail bits of the scan
+    # up from the cell level
+    space, members = _tail_scan_case(name)
+    grid = space.grid
+    fam = Family(grid, tuple(members), tuple(f"t{i}" for i in range(len(members))))
+    levels = range(grid.cell_exp, grid.box_level + 1)
+    curve = [tail_modulus(fam, space, 2.0**m, region="box") for m in levels]
+    assert curve[-1] == 0.0
+    if name.startswith("underflow"):
+        sums = [_weighted_power_sum(np.abs(f.values), space) for f in members]
+        assert max(sums) < np.finfo(np.float64).tiny and curve[0] > 0
+    else:
+        assert len(set(curve)) < len(curve)
+    for value in set(curve) - {0.0}:
+        for eps in (3 * value, np.nextafter(3 * value, 0.0), np.nextafter(3 * value, np.inf)):
+            eps = float(eps)
+            assert select_tail_level(fam, space, eps) == _tail_level_upward(fam, space, eps)
+
+
+def test_select_tail_level_keeps_the_larger_box_at_an_ulp_rise():
+    # both tail sums underflow, and the rescaling scale is the largest value
+    # in the tail, which the level -2 tail gains in cell 2: there the tail
+    # comes out one ulp below the level -1 tail.  At that threshold the upward
+    # scan stops at level -2 although level -1 fails; the scan down keeps
+    # level 0, below which every tail reaches the threshold
+    grid = Grid(dim=1, box_level=0, cell_exp=-2)
+    values, weight = np.zeros(grid.shape), np.zeros(grid.shape)
+    values[0], weight[0] = 1e-160, 0.5
+    values[2], weight[2] = 1e-160 * (1 + 1e-9), 1e-100
+    fam = Family(grid, (GridFunction(grid, values),), ("a",))
+    sp = WeightedSpace(2.0, GridFunction(grid, weight))
+    low, mid = (tail_modulus(fam, sp, 2.0**m, region="box") for m in (-2, -1))
+    assert low == np.nextafter(mid, 0.0)
+    assert _tail_level_upward(fam, sp, 3 * mid) == (-2, low)
+    assert select_tail_level(fam, sp, 3 * mid) == (0, 0.0)
 
 
 def test_select_mesh_halfbox_oracle():
@@ -91,6 +170,26 @@ def test_select_mesh_halfbox_oracle():
         select_mesh(fam, sp, 1.0)
     assert err.value.criterion == "equicontinuity"
     assert "select_mesh" in str(err.value)
+
+
+def test_select_mesh_one_cell_failure_reports_full_modulus():
+    # the first member alone already misses the budget at one cell; the
+    # message still reports the modulus over every member, the second's
+    grid = Grid(dim=1, box_level=1, cell_exp=-6)
+    sp = WeightedSpace(2.0, sample(Constant(1.0), grid))
+    step = sample(Indicator(center=0.5, radius=0.5), grid)
+    fam = Family(grid, (step, GridFunction(grid, 3.0 * step.values)), ("one", "three"))
+    h = grid.cell_side
+    first = translation_modulus(Family(grid, (step,), ("one",)), sp, h, stencil="box")
+    full = translation_modulus(fam, sp, h, stencil="box")
+    eps = 3.0 * first  # a budget of first / 2 per one-cell shift
+    assert full == pytest.approx(3.0 * first)
+    with pytest.raises(HypothesisError) as err:
+        select_mesh(fam, sp, eps)
+    assert str(err.value) == (
+        f"select_mesh: translation modulus is {full:.6g} already at one cell (shift "
+        f"{h}), needs < {0.5 * eps / 3.0:.6g}; the family is not equicontinuous at this resolution"
+    )
 
 
 def test_select_mesh_respects_max_exp():
