@@ -132,10 +132,10 @@ def _translation_levels(
     stops the scan after the last radius it received.
 
     The scan also ends after the first radius whose largest modulus reaches
-    ``stop``.  It measures the longer shifts of each ring first, and past the
-    first radius it leaves the ring as soon as one member's modulus reaches
-    ``stop``, so the moduli of that last yield may fall short of the full
-    ones; a threshold search only needs to see that one of them reached it.
+    ``stop``.  Past the first radius it leaves the ring as soon as one
+    member's modulus reaches ``stop``, so the moduli of that last yield may
+    fall short of the full ones; a threshold search only needs to see that one
+    of them reached it.
     """
     _check_space(family, space)
     grid = family.grid
@@ -152,7 +152,6 @@ def _translation_levels(
             )
         ring = [k for k in offsets if k not in seen]
         seen.update(ring)
-        ring.sort(key=lambda k: sum(c * c for c in k), reverse=True)
         for j, k in itertools.product(range(len(family)), ring):
             _shifted_difference(family.members[j].values, k, diff)
             moduli[j] = max(moduli[j], _array_norm(diff, space, scratch))

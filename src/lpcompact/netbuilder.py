@@ -152,8 +152,8 @@ def select_tail_level(
     """Smallest dyadic box level whose box-tail modulus, and that of every
     larger box, is below epsilon/3, returned with that tail modulus.
 
-    The scan walks down from the ambient box, where the tail is 0, and stops
-    at the first failure.  The tail is nonincreasing in the level, in floats
+    The ambient box truncates nothing, so its tail is 0 unmeasured; the scan
+    walks down from there and stops at the first failure.  The tail is nonincreasing in the level, in floats
     too while the power sums stay in the normal range: a smaller box only
     zeroes more of the nonnegative terms |f|^p * weight, which ``np.sum`` adds
     in the same fixed order, and rounding, ``max`` and the p-th root are
@@ -167,7 +167,8 @@ def select_tail_level(
     if threshold == 0.0:
         raise ModelError(f"epsilon {epsilon!r} leaves no positive tail budget epsilon/3")
     grid = family.grid
-    for m in range(grid.box_level, grid.cell_exp - 1, -1):
+    best = grid.box_level, 0.0
+    for m in range(grid.box_level - 1, grid.cell_exp - 1, -1):
         tail = tail_modulus(family, space, 2.0**m, region="box")
         if not tail < threshold:
             break

@@ -68,7 +68,7 @@ def test_reference_certificate_matches_pin(tmp_path, name):
 # tail moduli and shifted differences one reference build measures: both
 # level scans stop at their first threshold crossing, where a full scan
 # measured 16 / 2,560, 8 / 192 and 15 / 2,560
-WORK = {"bank1d": (2, 1281), "sheet2d_null": (2, 65), "quasi_half": (2, 1281)}
+WORK = {"bank1d": (1, 1281), "sheet2d_null": (1, 65), "quasi_half": (1, 1281)}
 
 
 @pytest.mark.parametrize("name", sorted(WORK))
