@@ -153,13 +153,14 @@ def select_tail_level(
     larger box, is below epsilon/3, returned with that tail modulus.
 
     The ambient box truncates nothing, so its tail is 0 unmeasured; the scan
-    walks down from there and stops at the first failure.  The tail is nonincreasing in the level, in floats
-    too while the power sums stay in the normal range: a smaller box only
-    zeroes more of the nonnegative terms |f|^p * weight, which ``np.sum`` adds
-    in the same fixed order, and rounding, ``max`` and the p-th root are
-    monotone.  Where the norm rescales a sum that underflows or overflows,
-    the scale moves with the level and the tail can rise by an ulp as the
-    box grows; the scan then keeps the larger box.
+    walks down from there and stops at the first failure.  The tail is
+    nonincreasing in the level, in floats too while the power sums stay in
+    the normal range: a smaller box only zeroes more of the nonnegative terms
+    |f|^p * weight, which ``np.sum`` adds in the same fixed order, and
+    rounding, ``max`` and the p-th root are monotone.  Where the norm
+    rescales a sum that underflows or overflows, the scale moves with the
+    level and the tail can rise by an ulp as the box grows; the scan then
+    keeps the larger box.
     """
     if not epsilon > 0:
         raise ModelError("epsilon must be positive")
