@@ -100,9 +100,11 @@ def tail_modulus(family: Family, space: WeightedSpace, radius: float, region: st
 
 def _shifted_difference(values: np.ndarray, offsets: tuple[int, ...], out: np.ndarray) -> None:
     """Write the zero-fill shift of ``values`` by ``offsets``, minus ``values``,
-    into ``out`` without allocating; the strips take ``0.0 - values``."""
+    into ``out`` without allocating; the strips take ``0.0 - values``.  A
+    difference beyond float range is left as inf for the norm to reject."""
     dst, src, strips = _shift_slices(values.shape, offsets)
-    np.subtract(values[src], values[dst], out=out[dst])
+    with np.errstate(over="ignore"):
+        np.subtract(values[src], values[dst], out=out[dst])
     for strip in strips:
         np.subtract(0.0, values[strip], out=out[strip])
 

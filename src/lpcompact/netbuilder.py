@@ -639,23 +639,30 @@ def validate_certificate(
     return ValidationReport(not failures, tuple(failures), distances)
 
 
-def certificate_to_dict(cert: NetCertificate) -> dict:
+def _short_fields(cert: NetCertificate) -> dict:
+    """Every field of the certificate document but the three per-cube lists."""
     doc = {
         "plan": asdict(cert.plan),
         "grid": asdict(cert.grid),
         "space_p": cert.space_p,
         "variant": cert.variant,
         "cube_order": "row-major by cube corner",
-        "net_elements": cert.net_elements.tolist(),
         "assignment": list(cert.assignment),
         "distances": list(cert.distances),
         "labels": list(cert.labels),
-        "null_cubes": list(cert.null_cubes),
-        "witness_cells": list(cert.witness_cells),
     }
     if cert.quasi is not None:
         doc["quasi"] = asdict(cert.quasi)
     return doc
+
+
+def certificate_to_dict(cert: NetCertificate) -> dict:
+    return {
+        **_short_fields(cert),
+        "net_elements": cert.net_elements.tolist(),
+        "null_cubes": list(cert.null_cubes),
+        "witness_cells": list(cert.witness_cells),
+    }
 
 
 def _entries(values, kinds: tuple[type, ...], what: str):
@@ -728,10 +735,76 @@ def certificate_from_dict(doc: dict) -> NetCertificate:
         raise ModelError(f"malformed certificate document: {exc}") from exc
 
 
+def _flat_list_text(values, depth: int) -> str:
+    """``json.dumps(values, indent=2)`` for a flat list of numbers nested
+    ``depth`` levels deep.  json's C encoder formats the entries exactly as
+    its indenting encoder does; the newline and indent go in as separator."""
+    if len(values) == 0:
+        return "[]"
+    pad = "\n" + "  " * (depth + 1)
+    inner = json.dumps(values, separators=("," + pad, ": "))[1:-1]
+    return "[" + pad + inner + "\n" + "  " * depth + "]"
+
+
+def _lattice_texts(net: np.ndarray, step: float):
+    """When every entry of the 2-D ``net`` is, bit for bit, ``j * step`` for
+    integers j spanning at most ``net.size`` values, return each entry's index
+    into a table of the distinct texts, and that table; else None.  A net
+    built by ``quantize_net`` qualifies, so each of its few distinct values
+    is formatted once.  ``-0.0`` fails the bitwise check."""
+    with np.errstate(over="ignore"):
+        k = np.rint(net / step)
+        if not np.isfinite(k).all():
+            return None
+        lo, hi = k.min(), k.max()
+        if not hi - lo <= net.size:
+            return None
+        k -= lo
+        index = k.astype(np.intp)
+        del k
+        table = (lo + np.arange(index.max() + 1)) * step
+    bits = table.view(np.int64)
+    if not all(map(np.array_equal, (bits[i] for i in index), net.view(np.int64))):
+        return None
+    return index, np.array([float.__repr__(v) for v in table.tolist()], dtype=object)
+
+
+def _write_net(fh, net: np.ndarray, step: float) -> None:
+    """Write ``net.tolist()`` as ``json.dump(indent=2)`` nests it one level
+    deep, one row at a time."""
+    if net.ndim != 2 or net.size == 0:
+        # no build makes these shapes; json writes them whole
+        fh.write(json.dumps(net.tolist(), indent=2).replace("\n", "\n  "))
+        return
+    lattice = _lattice_texts(net, step)
+    fh.write("[")
+    for i, row in enumerate(net):
+        fh.write(",\n    " if i else "\n    ")
+        if lattice is None:
+            fh.write(_flat_list_text(row.tolist(), 2))
+        else:
+            index, texts = lattice
+            fh.write("[\n      " + ",\n      ".join(texts[index[i]].tolist()) + "\n    ]")
+    fh.write("\n  ]")
+
+
 def save_certificate(cert: NetCertificate, path) -> None:
+    """Write exactly ``json.dumps(certificate_to_dict(cert), indent=2,
+    sort_keys=True)`` and a newline, without building that text or the net
+    as Python floats.  The short fields go through ``json.dumps``, the
+    per-cube lists are spliced in as text and the net is streamed by row."""
+    fields = _short_fields(cert)
     with open(path, "w") as fh:
-        json.dump(certificate_to_dict(cert), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        keys = sorted([*fields, "net_elements", "null_cubes", "witness_cells"])
+        for i, key in enumerate(keys):
+            fh.write((",\n  " if i else "{\n  ") + json.dumps(key) + ": ")
+            if key == "net_elements":
+                _write_net(fh, cert.net_elements, cert.plan.quant_step)
+            elif key in fields:
+                fh.write(json.dumps(fields[key], indent=2, sort_keys=True).replace("\n", "\n  "))
+            else:
+                fh.write(_flat_list_text(getattr(cert, key), 1))
+        fh.write("\n}\n")
 
 
 def load_certificate(path) -> NetCertificate:

@@ -209,8 +209,15 @@ def validate_quasi_certificate(
         # the root-side check stopped before measuring: the certificate is malformed
         return ValidationReport(False, tuple(failures), ())
 
+    with np.errstate(over="ignore"):
+        powers = certificate.net_elements ** rec.n_power
+    finite = np.isfinite(powers).all(axis=1)
+    if not finite.all():
+        row = int(np.argmin(finite))
+        failures.append(f"net element {row} overflows at the power {rec.n_power}")
+        return ValidationReport(False, tuple(failures), ())
     distances, remeasured = _remeasure(
-        family, certificate.net_elements ** rec.n_power, certificate.assignment,
+        family, powers, certificate.assignment,
         rec.audit_distances, certificate.partition, space, rec.epsilon,
         "quasi-norm audit distance",
     )

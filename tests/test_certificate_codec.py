@@ -3,10 +3,16 @@
 ``certificate_to_dict`` builds its document from ``dataclasses.asdict`` and
 ``ndarray.tolist``.  ``_reference_dict`` below is the field-by-field writer it
 replaced; every document must serialise to the same text as the reference's.
+``save_certificate`` streams that text without building it; every file it
+writes must be ``json.dumps(certificate_to_dict(c), indent=2,
+sort_keys=True)`` and a newline, whether the net takes its lattice path or is
+formatted value by value.
 """
 
 import dataclasses
 import json
+import math
+import tracemalloc
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -22,6 +28,7 @@ from lpcompact import (
     certificate_to_dict,
     save_certificate,
 )
+from lpcompact.netbuilder import _lattice_texts
 
 
 def _reference_dict(cert):
@@ -172,3 +179,96 @@ def test_saved_certificate_is_the_reference_text(tmp_path):
     save_certificate(cert, path)
     assert path.read_text() == _text(_reference_dict(cert)) + "\n"
     assert "-0.0" in path.read_text() and "5e-324" in path.read_text()
+
+
+def _saved_text(cert, tmp_path):
+    path = tmp_path / "cert.json"
+    save_certificate(cert, path)
+    return path.read_text()
+
+
+def _with_net(cert, net, quant_step):
+    plan = dataclasses.replace(cert.plan, quant_step=quant_step)
+    return dataclasses.replace(cert, plan=plan, net_elements=net)
+
+
+@st.composite
+def lattice_certificates(draw):
+    """Nets of integer lattice points times a step, within a span of
+    ``net.size`` points: one-cube rows too, and quasi records."""
+    base = draw(st.one_of(_any_certificate, st.just(_edge_certificate(quasi=True))))
+    step = draw(st.sampled_from([0.1, 1 / 3, 5e-324, 1.0] + [2.0 ** -k for k in (1, 7, 30, 60)]))
+    shape = (draw(st.integers(1, 4)), draw(st.integers(1, 6)))
+    size = shape[0] * shape[1]
+    lo = draw(st.integers(-(2 ** 40), 2 ** 40))
+    points = draw(st.lists(st.integers(lo, lo + size), min_size=size, max_size=size))
+    return _with_net(base, np.array(points, dtype=np.int64).reshape(shape) * step, step)
+
+
+@st.composite
+def fallback_certificates(draw):
+    """Lattice nets that must be formatted value by value: a planted -0.0,
+    NaN or infinity, or a span of lattice points wider than the net."""
+    cert = draw(lattice_certificates())
+    net = cert.net_elements.copy()
+    where = draw(st.integers(0, net.size - 1))
+    planted = draw(st.sampled_from([-0.0, math.nan, math.inf, -math.inf]))
+    net.flat[where] = planted
+    wide = np.array([[0.0, 2.0 ** 60]])
+    return draw(st.sampled_from([
+        _with_net(cert, net, cert.plan.quant_step),
+        _with_net(cert, wide, 1.0),
+    ]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_any_certificate)
+@example(_edge_certificate(quasi=False))
+@example(_edge_certificate(quasi=True))
+def test_saved_text_is_json_dumps(tmp_path_factory, cert):
+    text = _saved_text(cert, tmp_path_factory.mktemp("cert"))
+    assert text == _text(certificate_to_dict(cert)) + "\n"
+
+
+@settings(max_examples=60, deadline=None)
+@given(lattice_certificates())
+def test_saved_lattice_net_is_json_dumps(tmp_path_factory, cert):
+    assert _lattice_texts(cert.net_elements, cert.plan.quant_step) is not None
+    text = _saved_text(cert, tmp_path_factory.mktemp("cert"))
+    assert text == _text(certificate_to_dict(cert)) + "\n"
+
+
+@settings(max_examples=60, deadline=None)
+@given(fallback_certificates())
+@example(_with_net(_edge_certificate(quasi=False), np.array([[0.1, -0.0, 0.2]]), 0.1))
+def test_saved_fallback_net_is_json_dumps(tmp_path_factory, cert):
+    assert _lattice_texts(cert.net_elements, cert.plan.quant_step) is None
+    text = _saved_text(cert, tmp_path_factory.mktemp("cert"))
+    assert text == _text(certificate_to_dict(cert)) + "\n"
+
+
+def test_saved_text_streams_within_the_reference_memory(tmp_path):
+    # an (8, 65536) lattice net, the shape of the benchmark's per-cube
+    # workload: the writer must peak no higher than json.dump of the document
+    rng = np.random.default_rng(0)
+    cert = _with_net(
+        _edge_certificate(quasi=False), rng.integers(-5, 5, (8, 65536)) * 0.1, 0.1
+    )
+    cert = dataclasses.replace(
+        cert, null_cubes=tuple(range(0, 65536, 2)), witness_cells=tuple(range(65536))
+    )
+
+    def peak(write):
+        tracemalloc.start()
+        try:
+            write()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def reference():
+        with open(tmp_path / "reference.json", "w") as fh:
+            json.dump(certificate_to_dict(cert), fh, indent=2, sort_keys=True)
+
+    streamed = peak(lambda: save_certificate(cert, tmp_path / "streamed.json"))
+    assert streamed <= peak(reference)

@@ -559,11 +559,23 @@ def test_norm_beyond_float_range_exit_3(tmp_path, capsys):
     assert "model violation: a norm at p = 0.6 exceeds the float range" in capsys.readouterr().err
 
 
-def test_validate_first_pass_overflow_under_warnings_as_errors(tmp_path, capsys):
-    # a net entry of 1e300 overflows the first power sum of its distance,
-    # which the norm rescales; under -W error that must still be the same
-    # three validation failures, not a RuntimeWarning traceback
-    spec = write_spec(tmp_path / "spec.json")
+def _runs_without_and_with_warnings_as_errors(*args):
+    """Run ``python -m lpcompact.cli *args`` in a child, then again under
+    ``-W error``."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    return [
+        subprocess.run(
+            [sys.executable, *flags, "-m", "lpcompact.cli", *map(str, args)],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        for flags in ([], ["-W", "error"])
+    ]
+
+
+def _tampered_net_certificate(tmp_path, p):
+    """Build a certificate through the CLI, then set its first net entry to 1e300."""
+    spec = write_spec(tmp_path / "spec.json", p=p)
     prob = load_problem(spec)
     cert_path = tmp_path / "cert.json"
     eps = 0.4 * bound_modulus(prob.family, prob.space)
@@ -571,20 +583,52 @@ def test_validate_first_pass_overflow_under_warnings_as_errors(tmp_path, capsys)
     doc = json.loads(cert_path.read_text())
     doc["net_elements"][0][0] = 1e300
     cert_path.write_text(json.dumps(doc))
-    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    runs = [
-        subprocess.run(
-            [sys.executable, *flags, "-m", "lpcompact.cli", "validate",
-             "--spec", str(spec), "--certificate", str(cert_path)],
-            capture_output=True, text=True, env=env, check=False,
-        )
-        for flags in ([], ["-W", "error"])
-    ]
+    return spec, cert_path
+
+
+def test_validate_first_pass_overflow_under_warnings_as_errors(tmp_path, capsys):
+    # a net entry of 1e300 overflows the first power sum of its distance,
+    # which the norm rescales; under -W error that must still be the same
+    # three validation failures, not a RuntimeWarning traceback
+    spec, cert_path = _tampered_net_certificate(tmp_path, 2.0)
+    runs = _runs_without_and_with_warnings_as_errors(
+        "validate", "--spec", spec, "--certificate", cert_path
+    )
     assert [r.returncode for r in runs] == [3, 3]
     assert runs[1].stderr == runs[0].stderr
     lines = runs[0].stderr.splitlines()
     assert len(lines) == 3 and all(line.startswith("validation failure: ") for line in lines)
+
+
+def test_validate_quasi_power_overflow_is_a_validation_failure(tmp_path, capsys):
+    # at p = 1/2 the net lives in root space; a tampered 1e300 entry
+    # overflows when raised back to the power 3, which is a failure line
+    spec, cert_path = _tampered_net_certificate(tmp_path, 0.5)
+    runs = _runs_without_and_with_warnings_as_errors(
+        "validate", "--spec", spec, "--certificate", cert_path
+    )
+    assert [r.returncode for r in runs] == [3, 3]
+    assert runs[1].stderr == runs[0].stderr
+    lines = runs[0].stderr.splitlines()
+    assert all(line.startswith("validation failure: ") for line in lines)
+    assert "validation failure: net element 0 overflows at the power 3" in lines
+
+
+def test_net_shifted_difference_overflow_under_warnings_as_errors(tmp_path):
+    # +-1e308 in adjacent cells: the one-cell shifted difference overflows,
+    # a model violation with or without -W error
+    values = [0.0] * 16
+    values[3], values[4] = 1e308, -1e308
+    spec = write_spec(
+        tmp_path / "spec.json", weight={"kind": "constant", "value": 1.0},
+        members=[{"kind": "table", "values": values}],
+        grid={"dim": 1, "box_level": 0, "cell_exp": -3},
+    )
+    runs = _runs_without_and_with_warnings_as_errors(
+        "net", "--spec", spec, "--epsilon", 1.0, "--out", tmp_path / "cert.json"
+    )
+    assert [r.returncode for r in runs] == [3, 3]
+    assert [r.stderr for r in runs] == ["model violation: grid function values must be finite\n"] * 2
 
 
 @pytest.mark.parametrize("radius", ["inf", "nan"])
