@@ -80,10 +80,14 @@ class Grid:
         half = self.cells_per_axis // 2
         return (np.arange(self.cells_per_axis) - half + 0.5) * self.cell_side
 
-    def center_mesh(self) -> list[np.ndarray]:
-        """Per-axis center coordinates broadcast to the full cell shape."""
+    def center_mesh(self) -> tuple[np.ndarray, ...]:
+        """Per-axis center coordinates broadcast to the full cell shape,
+        read-only so that every profile sampled on one mesh sees the same."""
         axes = [self.axis_centers() for _ in range(self.dim)]
-        return list(np.meshgrid(*axes, indexing="ij"))
+        mesh = tuple(np.meshgrid(*axes, indexing="ij"))
+        for c in mesh:
+            c.flags.writeable = False
+        return mesh
 
     def center_radii(self) -> np.ndarray:
         """Euclidean norm of every cell center."""

@@ -25,8 +25,15 @@ from .grid import (
     outside_mask,
     shift_stencil,
 )
-from .profiles import sample
-from .spaces import WeightedSpace, _array_norm, weighted_norm
+from .profiles import _sample_all
+from .spaces import (
+    _TINY,
+    WeightedSpace,
+    _array_norm,
+    _sum_root,
+    _weighted_power_sum,
+    weighted_norm,
+)
 
 __all__ = [
     "Family",
@@ -67,7 +74,7 @@ class Family:
 
     @classmethod
     def from_profiles(cls, grid: Grid, profiles, labels=None) -> "Family":
-        members = tuple(sample(p, grid) for p in profiles)
+        members = _sample_all(profiles, grid)
         if labels is None:
             labels = tuple(f"m{i:02d}" for i in range(len(members)))
         return cls(grid=grid, members=members, labels=tuple(labels))
@@ -101,10 +108,10 @@ def tail_modulus(family: Family, space: WeightedSpace, radius: float, region: st
 def _shifted_difference(values: np.ndarray, offsets: tuple[int, ...], out: np.ndarray) -> None:
     """Write the zero-fill shift of ``values`` by ``offsets``, minus ``values``,
     into ``out`` without allocating; the strips take ``0.0 - values``.  A
-    difference beyond float range is left as inf for the norm to reject."""
+    difference beyond float range comes out inf, for the norm to reject; the
+    scan calls this under ``np.errstate(over="ignore")``."""
     dst, src, strips = _shift_slices(values.shape, offsets)
-    with np.errstate(over="ignore"):
-        np.subtract(values[src], values[dst], out=out[dst])
+    np.subtract(values[src], values[dst], out=out[dst])
     for strip in strips:
         np.subtract(0.0, values[strip], out=out[strip])
 
@@ -129,8 +136,13 @@ def _translation_levels(
     translation modulus at that radius.
 
     Closed stencils nest, so a radius only measures the shifts the smaller
-    radii lacked, on two buffers reused for the whole scan, and a running
-    maximum per member carries the rest.  A consumer that stops iterating
+    radii lacked, and a running maximum per member carries the rest.  Each
+    shifted difference is written into one buffer reused for the whole scan,
+    and its terms |d|^p * weight are formed over it in place; only a power
+    sum outside [tiny, inf) writes the difference again and hands it to
+    ``_array_norm``, which rescales it or raises, under the caller's own
+    floating-point error settings.  Every value equals ``_array_norm`` of
+    the shifted difference bit for bit.  A consumer that stops iterating
     stops the scan after the last radius it received.
 
     The scan also ends after the first radius whose largest modulus reaches
@@ -142,9 +154,9 @@ def _translation_levels(
     _check_space(family, space)
     grid = family.grid
     diff = np.empty(grid.shape)
-    scratch = np.empty(grid.shape)
     moduli = [0.0] * len(family)
     seen = set()
+    errors = np.geterr()
     for n, radius in enumerate(radii):
         offsets = shift_stencil(grid, radius, kind=stencil)
         if not offsets:
@@ -154,11 +166,21 @@ def _translation_levels(
             )
         ring = [k for k in offsets if k not in seen]
         seen.update(ring)
-        for j, k in itertools.product(range(len(family)), ring):
-            _shifted_difference(family.members[j].values, k, diff)
-            moduli[j] = max(moduli[j], _array_norm(diff, space, scratch))
-            if n and moduli[j] >= stop:
-                break
+        # the difference and its power sum may overflow, or meet inf * 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j, k in itertools.product(range(len(family)), ring):
+                values = family.members[j].values
+                _shifted_difference(values, k, diff)
+                total = _weighted_power_sum(diff, space, diff)
+                if _TINY <= total < math.inf:
+                    norm = _sum_root(total, space)
+                else:
+                    _shifted_difference(values, k, diff)
+                    with np.errstate(**errors):
+                        norm = _array_norm(diff, space)
+                moduli[j] = max(moduli[j], norm)
+                if n and moduli[j] >= stop:
+                    break
         yield tuple(moduli)
         if max(moduli) >= stop:
             return

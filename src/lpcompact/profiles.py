@@ -34,7 +34,7 @@ def _center_vector(value, dim: int) -> np.ndarray:
     return vec
 
 
-def _radial_distance(mesh: list[np.ndarray], center: np.ndarray) -> np.ndarray:
+def _radial_distance(mesh: tuple[np.ndarray, ...], center: np.ndarray) -> np.ndarray:
     return np.sqrt(sum((c - x0) ** 2 for c, x0 in zip(mesh, center)))
 
 
@@ -42,7 +42,7 @@ def _radial_distance(mesh: list[np.ndarray], center: np.ndarray) -> np.ndarray:
 class Constant:
     value: float
 
-    def evaluate(self, mesh: list[np.ndarray]) -> np.ndarray:
+    def evaluate(self, mesh: tuple[np.ndarray, ...]) -> np.ndarray:
         return np.full_like(mesh[0], float(self.value))
 
 
@@ -58,10 +58,19 @@ class Gaussian:
         if self.sigma <= 0:
             raise ModelError("gaussian sigma must be positive")
 
-    def evaluate(self, mesh: list[np.ndarray]) -> np.ndarray:
+    def evaluate(self, mesh: tuple[np.ndarray, ...]) -> np.ndarray:
+        # the operations of amplitude * exp(-sum((x - x0) ** 2) / (2 sigma^2)),
+        # in its order and so with its bits, in one output array
         c = _center_vector(self.center, len(mesh))
-        r2 = sum((x - x0) ** 2 for x, x0 in zip(mesh, c))
-        return self.amplitude * np.exp(-r2 / (2.0 * self.sigma ** 2))
+        out = np.subtract(mesh[0], c[0])
+        np.square(out, out=out)
+        for x, x0 in zip(mesh[1:], c[1:]):
+            term = np.subtract(x, x0)
+            np.add(out, np.square(term, out=term), out=out)
+        np.negative(out, out=out)
+        np.divide(out, 2.0 * self.sigma ** 2, out=out)
+        np.exp(out, out=out)
+        return np.multiply(out, self.amplitude, out=out)
 
 
 @dataclass(frozen=True)
@@ -76,7 +85,7 @@ class Bump:
         if self.radius <= 0:
             raise ModelError("bump radius must be positive")
 
-    def evaluate(self, mesh: list[np.ndarray]) -> np.ndarray:
+    def evaluate(self, mesh: tuple[np.ndarray, ...]) -> np.ndarray:
         c = _center_vector(self.center, len(mesh))
         t2 = (_radial_distance(mesh, c) / self.radius) ** 2
         out = np.zeros_like(mesh[0])
@@ -97,7 +106,7 @@ class Indicator:
         if self.radius <= 0:
             raise ModelError("indicator radius must be positive")
 
-    def evaluate(self, mesh: list[np.ndarray]) -> np.ndarray:
+    def evaluate(self, mesh: tuple[np.ndarray, ...]) -> np.ndarray:
         c = _center_vector(self.center, len(mesh))
         return np.where(_radial_distance(mesh, c) < self.radius, 1.0, 0.0)
 
@@ -112,7 +121,7 @@ class PowerLaw:
     exponent: float
     support: float | None = None
 
-    def evaluate(self, mesh: list[np.ndarray]) -> np.ndarray:
+    def evaluate(self, mesh: tuple[np.ndarray, ...]) -> np.ndarray:
         r = np.sqrt(sum(c * c for c in mesh))
         out = r ** self.exponent
         if self.support is not None:
@@ -129,7 +138,7 @@ class Table:
 
     values: tuple = field(default=())
 
-    def evaluate(self, mesh: list[np.ndarray]) -> np.ndarray:
+    def evaluate(self, mesh: tuple[np.ndarray, ...]) -> np.ndarray:
         arr = np.asarray(self.values, dtype=np.float64)
         if arr.shape != mesh[0].shape:
             raise ModelError(
@@ -140,8 +149,17 @@ class Table:
 
 def sample(profile, grid: Grid) -> GridFunction:
     """Evaluate a profile at every cell center of the grid."""
+    return _sample_all((profile,), grid)[0]
+
+
+def _sample_all(profiles, grid: Grid) -> tuple[GridFunction, ...]:
+    """Evaluate each profile at every cell center of the grid, all on one
+    read-only center mesh, freed when the last profile is sampled."""
     mesh = grid.center_mesh()
-    values = profile.evaluate(mesh)
-    if not np.all(np.isfinite(values)):
-        raise ModelError(f"profile {profile!r} produced non-finite samples")
-    return GridFunction(grid, values)
+    out = []
+    for profile in profiles:
+        values = profile.evaluate(mesh)
+        if not np.all(np.isfinite(values)):
+            raise ModelError(f"profile {profile!r} produced non-finite samples")
+        out.append(GridFunction(grid, values))
+    return tuple(out)

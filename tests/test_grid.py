@@ -168,3 +168,16 @@ def test_partition_reassembly(seed):
     for idx in range(part.n_cubes):
         blk = f.values[part.cube_slices(idx)]
         assert blk.mean() == pytest.approx(avgs[idx], rel=1e-13, abs=1e-15)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_center_mesh_is_read_only(dim):
+    # profiles sampled together share one mesh, which none of them can change
+    g = Grid(dim=dim, box_level=0, cell_exp=-2)
+    mesh = g.center_mesh()
+    fresh = np.meshgrid(*[g.axis_centers()] * dim, indexing="ij")
+    for c, f in zip(mesh, fresh, strict=True):
+        assert not c.flags.writeable
+        with pytest.raises(ValueError):
+            c[(0,) * dim] = 1.0
+        np.testing.assert_array_equal(c, f)

@@ -1,10 +1,13 @@
 import itertools
 import json
 import math
+import tracemalloc
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lpcompact import (
@@ -15,6 +18,7 @@ from lpcompact import (
     GridFunction,
     Indicator,
     ModelError,
+    PowerLaw,
     WeightedSpace,
     averaged_modulus,
     ball_average_field,
@@ -32,6 +36,7 @@ from lpcompact import (
 from conftest import random_family
 from lpcompact.grid import shift_stencil
 from lpcompact.moduli import _shifted_difference, _translation_levels
+from lpcompact.spaces import _array_norm
 from test_benchmark_pins import WORKLOADS
 
 
@@ -380,13 +385,72 @@ def test_tail_modulus_equals_per_member_restriction(grid, p):
 
 def test_translation_modulus_rejects_non_finite_difference():
     # adjacent +-1e308 overflow the shifted difference: the same error a
-    # GridFunction holding that difference raises
+    # GridFunction holding that difference raises, at every exponent and
+    # without a numpy warning from the scan's in-place pass
     g = Grid(dim=1, box_level=0, cell_exp=-3)
-    sp = WeightedSpace(2.0, sample(Constant(1.0), g))
     vals = np.zeros(g.shape)
     vals[3], vals[4] = 1e308, -1e308
     fam = Family(g, (GridFunction(g, vals),), ("big",))
-    with pytest.raises(ModelError, match="finite"):
-        translation_modulus(fam, sp, g.cell_side, stencil="box")
-    with pytest.raises(ModelError, match="finite"):
-        next(_translation_levels(fam, sp, [g.cell_side], "box"))
+    for p in (0.5, 1.0, 2.0, 3.0, 40.0):
+        sp = WeightedSpace(p, sample(Constant(1.0), g))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ModelError, match="grid function values must be finite"):
+                translation_modulus(fam, sp, g.cell_side, stencil="box")
+            with pytest.raises(ModelError, match="grid function values must be finite"):
+                next(_translation_levels(fam, sp, [g.cell_side], "box"))
+
+
+def _norm_or_error(measure):
+    try:
+        return measure().hex()
+    except ModelError as exc:
+        return str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    p=st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0, 40.0]),
+    dim=st.sampled_from([1, 2]),
+    scale=st.sampled_from([1.0, 1e-200, 1e200]),
+    seed=st.integers(0, 2**32 - 1),
+    offsets=st.tuples(st.integers(-10, 10), st.integers(-10, 10)),
+)
+# the two rescale paths: |d|**40 underflows to 0 and d**2 overflows to inf
+@example(p=40.0, dim=1, scale=1e-200, seed=0, offsets=(3, 0))
+@example(p=2.0, dim=2, scale=1e200, seed=1, offsets=(-2, 5))
+def test_scan_value_is_array_norm_of_the_shifted_difference(p, dim, scale, seed, offsets):
+    # one shift per scan, through a one-offset stencil: the in-place value is
+    # _array_norm of the allocating shifted difference, bit for bit, or the
+    # same ModelError
+    grid = Grid(dim=dim, box_level=0, cell_exp=-3 if dim == 1 else -2)
+    rng = np.random.default_rng(seed)
+    sp = WeightedSpace(p, _weights_with_zeros(grid, rng))
+    values = scale * rng.standard_normal(grid.shape)
+    fam = Family(grid, (GridFunction(grid, values),), ("f",))
+    offsets = offsets[:dim]
+    expected = _norm_or_error(lambda: _array_norm(_shift_cells(values, offsets) - values, sp))
+    with mock.patch("lpcompact.moduli.shift_stencil", lambda grid, radius, kind: [offsets]):
+        scanned = _norm_or_error(
+            lambda: next(_translation_levels(fam, sp, [grid.cell_side], "box"))[0]
+        )
+    assert scanned == expected
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0])
+def test_scan_allocates_one_grid_sized_buffer(p):
+    # 64 shifts on 65,536 cells: every difference and its power sum share one
+    # buffer of 512 KiB
+    grid = Grid(dim=1, box_level=2, cell_exp=-13)
+    sp = WeightedSpace(p, sample(PowerLaw(0.5), grid))
+    fam = Family.from_profiles(grid, [Gaussian(center=0.25, sigma=0.5)])
+    radius = 32 * grid.cell_side
+    assert len(shift_stencil(grid, radius, kind="box")) == 64
+    grid_bytes = grid.n_cells * 8
+    tracemalloc.start()
+    try:
+        next(_translation_levels(fam, sp, [radius], "box"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert grid_bytes <= peak < 1.25 * grid_bytes

@@ -73,3 +73,26 @@ def test_powerlaw_negative_exponent_finite(grid1d):
     f = sample(PowerLaw(-0.5), grid1d)
     assert np.all(np.isfinite(f.values))
     assert f.values[4] == pytest.approx(0.125**-0.5, rel=1e-15)
+
+
+@pytest.mark.parametrize(
+    "grid", [Grid(dim=1, box_level=0, cell_exp=-3), Grid(dim=1, box_level=2, cell_exp=-13),
+             Grid(dim=2, box_level=1, cell_exp=-3)]
+)
+def test_gaussian_and_constant_match_closed_forms(grid):
+    # the in-place evaluation keeps the bits of the closed-form expressions
+    mesh = np.meshgrid(*[grid.axis_centers()] * grid.dim, indexing="ij")
+    rng = np.random.default_rng(grid.n_cells)
+    for _ in range(20):
+        centre = rng.normal(0.0, 2.0, grid.dim)
+        sigma, amplitude = float(rng.uniform(1e-3, 3.0)), float(rng.normal(0.0, 10.0))
+        profile = Gaussian(center=tuple(centre), sigma=sigma, amplitude=amplitude)
+        r2 = sum((x - x0) ** 2 for x, x0 in zip(mesh, centre))
+        expected = amplitude * np.exp(-r2 / (2.0 * sigma ** 2))
+        assert sample(profile, grid).values.tobytes() == expected.tobytes()
+        value = float(rng.normal())
+        assert sample(Constant(value), grid).values.tobytes() == np.full(grid.shape, value).tobytes()
+    # a scalar centre on a 2-D grid, an integer width and the default amplitude
+    r2 = sum((x - 0.3) ** 2 for x in mesh)
+    expected = 1.0 * np.exp(-r2 / (2.0 * 2 ** 2))
+    assert sample(Gaussian(center=0.3, sigma=2), grid).values.tobytes() == expected.tobytes()

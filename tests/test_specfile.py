@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lpcompact import (
+    Grid,
     PowerLaw,
     SpecFileError,
     load_problem,
@@ -36,6 +37,22 @@ def test_parse_full_document():
     assert prob.family.labels == ("m00", "flat", "m02", "m03")
     expected = sample(Gaussian(center=0.3, sigma=0.4), prob.grid)
     np.testing.assert_array_equal(prob.family.members[0].values, expected.values)
+
+
+
+def test_parse_samples_on_two_center_meshes(monkeypatch):
+    # the weight on one mesh, then all four members on another, where every
+    # profile used to build its own
+    calls = []
+    center_mesh = Grid.center_mesh
+
+    def counted(grid):
+        calls.append(grid)
+        return center_mesh(grid)
+
+    monkeypatch.setattr(Grid, "center_mesh", counted)
+    prob = parse_problem(base_doc())
+    assert calls == [prob.grid, prob.grid]
 
 
 def test_top_level_labels_override():
