@@ -5,168 +5,29 @@ grid functions (uniform bound, vanishing tail, translation equicontinuity) and
 turns quantitative smallness of those moduli into an explicit, machine-checkable
 epsilon-net certificate.  Exponents below one are handled by a power transfer
 to a companion Banach space.
+
+Each submodule's ``__all__`` is the one declaration of its public names; the
+package re-exports them all, plus the three error types.
 """
 
 from .errors import HypothesisError, ModelError, SpecFileError
-from .grid import (
-    DyadicPartition,
-    Grid,
-    GridFunction,
-    all_cube_averages,
-    ball_average_field,
-    cube_average,
-    inside_mask,
-    outside_mask,
-    restrict_inside,
-    restrict_outside,
-    shift_stencil,
-)
-from .profiles import Bump, Constant, Gaussian, Indicator, PowerLaw, Table, sample
-from .spaces import (
-    AxiomCheck,
-    AxiomReport,
-    WeightedSpace,
-    Witness,
-    a1_constant,
-    ap_constant,
-    check_lattice_axioms,
-    dyadic_cube_family,
-    finiteness_witness,
-    indicator_norm,
-    l1_embedding_constant,
-    l1_embedding_sweep,
-    weighted_norm,
-)
-from .moduli import (
-    AveragingComparison,
-    Family,
-    ModuliReport,
-    averaged_modulus,
-    bound_modulus,
-    measure_moduli,
-    tail_modulus,
-    translation_modulus,
-    verify_averaging_bound,
-)
-from .netbuilder import (
-    EpsilonBudget,
-    NetCertificate,
-    NetPlan,
-    PowerTransferRecord,
-    ValidationReport,
-    build_certificate,
-    certificate_from_dict,
-    certificate_to_dict,
-    cube_projection,
-    expand_coefficients,
-    load_certificate,
-    projection_error,
-    quantize_net,
-    save_certificate,
-    select_mesh,
-    select_tail_level,
-    validate_certificate,
-)
-from .quasi import (
-    FactorizationGap,
-    factorization_gap,
-    power_transfer,
-    quasi_certificate,
-    root_family,
-    root_space,
-    select_power,
-    split_nonnegative,
-    validate_quasi_certificate,
-)
-from .experiments import (
-    BlowupReport,
-    CompletenessReport,
-    blowup_fit,
-    blowup_ratio,
-    completeness_run,
-    indicator_mass_ratio,
-)
-from .specfile import Problem, load_problem, parse_problem
+from .grid import *  # noqa: F401,F403
+from .profiles import *  # noqa: F401,F403
+from .spaces import *  # noqa: F401,F403
+from .moduli import *  # noqa: F401,F403
+from .netbuilder import *  # noqa: F401,F403
+from .quasi import *  # noqa: F401,F403
+from .experiments import *  # noqa: F401,F403
+from .specfile import *  # noqa: F401,F403
+from . import experiments, grid, moduli, netbuilder, profiles, quasi, spaces, specfile
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AveragingComparison",
-    "AxiomCheck",
-    "AxiomReport",
-    "BlowupReport",
-    "Bump",
-    "CompletenessReport",
-    "Constant",
-    "DyadicPartition",
-    "EpsilonBudget",
-    "FactorizationGap",
-    "Family",
-    "Gaussian",
-    "Grid",
-    "GridFunction",
-    "HypothesisError",
-    "Indicator",
-    "ModelError",
-    "ModuliReport",
-    "NetCertificate",
-    "NetPlan",
-    "PowerLaw",
-    "PowerTransferRecord",
-    "Problem",
-    "SpecFileError",
-    "Table",
-    "ValidationReport",
-    "WeightedSpace",
-    "Witness",
-    "a1_constant",
-    "all_cube_averages",
-    "ap_constant",
-    "averaged_modulus",
-    "ball_average_field",
-    "blowup_fit",
-    "blowup_ratio",
-    "bound_modulus",
-    "build_certificate",
-    "certificate_from_dict",
-    "certificate_to_dict",
-    "check_lattice_axioms",
-    "completeness_run",
-    "cube_average",
-    "cube_projection",
-    "dyadic_cube_family",
-    "expand_coefficients",
-    "factorization_gap",
-    "finiteness_witness",
-    "indicator_mass_ratio",
-    "indicator_norm",
-    "inside_mask",
-    "l1_embedding_constant",
-    "l1_embedding_sweep",
-    "load_certificate",
-    "load_problem",
-    "measure_moduli",
-    "outside_mask",
-    "parse_problem",
-    "power_transfer",
-    "projection_error",
-    "quantize_net",
-    "quasi_certificate",
-    "restrict_inside",
-    "restrict_outside",
-    "root_family",
-    "root_space",
-    "sample",
-    "save_certificate",
-    "select_mesh",
-    "select_power",
-    "select_tail_level",
-    "shift_stencil",
-    "split_nonnegative",
-    "tail_modulus",
-    "translation_modulus",
-    "validate_certificate",
-    "validate_quasi_certificate",
-    "verify_averaging_bound",
-    "weighted_norm",
-]
+__all__ = sorted(
+    ["HypothesisError", "ModelError", "SpecFileError"]
+    + [
+        name
+        for module in (grid, profiles, spaces, moduli, netbuilder, quasi, experiments, specfile)
+        for name in module.__all__
+    ]
+)

@@ -32,7 +32,6 @@ __all__ = [
     "restrict_inside",
     "inside_mask",
     "outside_mask",
-    "cube_average",
     "all_cube_averages",
     "ball_average_field",
     "shift_stencil",
@@ -239,15 +238,12 @@ class DyadicPartition:
         hi = lo + self.cells_per_axis_inside
         return tuple(slice(lo, hi) for _ in range(self.grid.dim))
 
-    def cube_multi_index(self, flat: int) -> tuple[int, ...]:
-        return tuple(int(i) for i in np.unravel_index(flat, (self.cubes_per_axis,) * self.grid.dim))
-
     def cube_slices(self, flat: int) -> tuple[slice, ...]:
         """Cell slices (into the full grid array) covered by one cube."""
-        multi = self.cube_multi_index(flat)
+        multi = np.unravel_index(flat, (self.cubes_per_axis,) * self.grid.dim)
         c = self.cells_per_cube_axis
         lo = self.cell_start
-        return tuple(slice(lo + i * c, lo + (i + 1) * c) for i in multi)
+        return tuple(slice(lo + int(i) * c, lo + (int(i) + 1) * c) for i in multi)
 
 
 def _block_view(arr: np.ndarray, part: DyadicPartition) -> np.ndarray:
@@ -285,15 +281,6 @@ def all_cube_averages(f: GridFunction, part: DyadicPartition) -> np.ndarray:
     so the mean is an exact finite sum with no quadrature error.
     """
     return _per_cube(f.values, part, np.mean)
-
-
-def cube_average(f: GridFunction, part: DyadicPartition, cube_index: int) -> float:
-    """Mean of f over a single cube of the partition."""
-    if not 0 <= cube_index < part.n_cubes:
-        raise ModelError(f"cube index {cube_index} out of range 0..{part.n_cubes - 1}")
-    if f.grid != part.grid:
-        raise ModelError("function and partition live on different grids")
-    return float(f.values[part.cube_slices(cube_index)].mean())
 
 
 def shift_stencil(

@@ -27,7 +27,6 @@ from .grid import (
 )
 from .profiles import _sample_all
 from .spaces import (
-    _TINY,
     WeightedSpace,
     _array_norm,
     _sum_root,
@@ -139,8 +138,8 @@ def _translation_levels(
     radii lacked, and a running maximum per member carries the rest.  Each
     shifted difference is written into one buffer reused for the whole scan,
     and its terms |d|^p * weight are formed over it in place; only a power
-    sum outside [tiny, inf) writes the difference again and hands it to
-    ``_array_norm``, which rescales it or raises, under the caller's own
+    sum outside [``space._sum_floor``, inf) writes the difference again and
+    hands it to ``_array_norm``, which rescales it or raises, under the caller's own
     floating-point error settings.  Every value equals ``_array_norm`` of
     the shifted difference bit for bit.  A consumer that stops iterating
     stops the scan after the last radius it received.
@@ -157,6 +156,7 @@ def _translation_levels(
     moduli = [0.0] * len(family)
     seen = set()
     errors = np.geterr()
+    floor = space._sum_floor
     for n, radius in enumerate(radii):
         offsets = shift_stencil(grid, radius, kind=stencil)
         if not offsets:
@@ -172,7 +172,7 @@ def _translation_levels(
                 values = family.members[j].values
                 _shifted_difference(values, k, diff)
                 total = _weighted_power_sum(diff, space, diff)
-                if _TINY <= total < math.inf:
+                if floor <= total < math.inf:
                     norm = _sum_root(total, space)
                 else:
                     _shifted_difference(values, k, diff)

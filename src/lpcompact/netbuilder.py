@@ -214,20 +214,21 @@ def select_mesh(
 
 def null_cube_mask(part: DyadicPartition, space: WeightedSpace) -> np.ndarray:
     """Cubes on which the weight vanishes identically (flat, row-major)."""
-    if part.grid != space.grid:
-        raise ModelError("partition and space live on different grids")
-    return _first_positive_cells(space.weight.values, part) == part.grid.n_cells
+    return cube_witnesses(part, space) < 0
 
 
-def cube_witnesses(part: DyadicPartition, space: WeightedSpace) -> tuple[int, ...]:
+def cube_witnesses(part: DyadicPartition, space: WeightedSpace) -> np.ndarray:
     """Per cube, the flat grid index of its first positive-weight cell, -1 if none.
 
     These are the finiteness witnesses that make the zeroed projector well
     defined: every cube that the norm can see contains a cell of positive
-    weight, and grid functions are finite there by construction.
+    weight, and grid functions are finite there by construction.  A cube
+    without one is a null cube.
     """
+    if part.grid != space.grid:
+        raise ModelError("partition and space live on different grids")
     first = _first_positive_cells(space.weight.values, part)
-    return tuple(np.where(first == part.grid.n_cells, -1, first).tolist())
+    return np.where(first == part.grid.n_cells, -1, first)
 
 
 def cube_projection(
@@ -409,8 +410,8 @@ def build_certificate(
     part = DyadicPartition(grid, m, i_eps)
 
     # one reduction gives both the null cubes and their witnesses
-    first = _first_positive_cells(space.weight.values, part)
-    nulls = first == grid.n_cells
+    witnesses = cube_witnesses(part, space)
+    nulls = witnesses < 0
     enforce = variant == "banach" and not bool(nulls.any())
 
     zeroed = nulls if variant == "vanishing" else None
@@ -427,7 +428,7 @@ def build_certificate(
         step = (2.0 * epsilon / (3.0 * chi_norm)) * (1.0 - 1e-9)
     else:
         step = 1.0
-    max_coeff = float(np.max(np.abs(coeffs))) if coeffs.size else 0.0
+    max_coeff = float(np.max(np.abs(coeffs)))
     # a lattice multiple at least max_coeff: rounding then never leaves the
     # bound; ceil alone can land one ulp short, so the loop finishes the job
     coeff_bound = step * math.ceil(max_coeff / step)
@@ -454,10 +455,10 @@ def build_certificate(
     )
     if variant == "vanishing":
         null_idx = tuple(np.flatnonzero(nulls).tolist())
-        witnesses = tuple(np.where(nulls, -1, first).tolist())
+        witness_idx = tuple(witnesses.tolist())
     else:
         null_idx = ()
-        witnesses = ()
+        witness_idx = ()
     return NetCertificate(
         plan=plan,
         grid=grid,
@@ -468,7 +469,7 @@ def build_certificate(
         distances=distances,
         labels=family.labels,
         null_cubes=null_idx,
-        witness_cells=witnesses,
+        witness_cells=witness_idx,
     )
 
 

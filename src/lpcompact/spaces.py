@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -35,7 +36,6 @@ __all__ = [
     "finiteness_witness",
     "l1_embedding_constant",
     "l1_embedding_sweep",
-    "dyadic_cube_family",
     "ap_constant",
     "a1_constant",
 ]
@@ -66,6 +66,19 @@ class WeightedSpace:
             raise ModelError("conjugate exponent needs p > 1")
         return self.p / (self.p - 1.0)
 
+    @cached_property
+    def _sum_floor(self) -> float:
+        """The smallest power sum a plain pass over |v|^p * weight vouches for.
+
+        A power or product that underflows is off by at most 2**-1074 times
+        the cell's weight, or 2**-1074, so the terms lost to underflow move
+        the sum by at most 2**-1074 * (max weight + 1) * cells * cell_volume;
+        at or above this floor that is half an ulp of the sum.
+        """
+        grid = self.grid
+        per_cell = math.ldexp(float(np.max(self.weight.values)) + 1.0, -1021)
+        return max(_TINY, per_cell * grid.n_cells * grid.cell_volume)
+
 
 def _array_norm(
     values: np.ndarray, space: WeightedSpace, scratch: np.ndarray | None = None
@@ -75,16 +88,18 @@ def _array_norm(
     The terms |v|^p * weight are formed in place, in ``scratch`` when given
     (``values`` is left untouched, so it must not be ``scratch``) or in one
     fresh array otherwise; either way every float equals that of
-    ``np.abs(v) ** p * weight``.  A sum that overflows, underflows or comes
-    out zero is measured again on |v| / max|v| over the positive-weight cells
-    and scaled back, so large exponents neither lose small functions nor
-    saturate large ones.  A non-finite entry raises the ``ModelError`` a
+    ``np.abs(v) ** p * weight``.  A sum below ``space._sum_floor``, one that
+    overflows or one that comes out zero is measured again on |v| / max|v|
+    over the positive-weight cells and scaled back, so large exponents
+    neither lose small functions nor saturate large ones.  Where that sum
+    still leaves the range, ``_exponent_norm`` carries each term's binary
+    exponent apart.  A non-finite entry raises the ``ModelError`` a
     ``GridFunction`` raises, and so does a norm beyond float range.
     """
     # this pass may overflow, or meet inf * 0: both are rescaled below
     with np.errstate(over="ignore", invalid="ignore"):
         total = _weighted_power_sum(values, space, scratch)
-    if _TINY <= total < math.inf:
+    if space._sum_floor <= total < math.inf:
         return _sum_root(total, space)
     terms = np.abs(values, out=scratch)
     if not np.all(np.isfinite(terms)):
@@ -94,7 +109,12 @@ def _array_norm(
     if scale == 0.0:
         return 0.0
     np.divide(terms, scale, out=terms)
-    return _sum_root(_weighted_power_sum(terms, space, terms), space, scale)
+    # the terms are at most the weights, whose sum may still overflow
+    with np.errstate(over="ignore"):
+        total = _weighted_power_sum(terms, space, terms)
+    if space._sum_floor <= total < math.inf:
+        return _sum_root(total, space, scale)
+    return _exponent_norm(values, space)
 
 
 def _weighted_power_sum(
@@ -126,6 +146,37 @@ def _sum_root(total: float, space: WeightedSpace, scale: float = 1.0) -> float:
     return norm
 
 
+def _exponent_norm(values: np.ndarray, space: WeightedSpace) -> float:
+    """The norm with each term |v|^p * weight held as a mantissa in about
+    [2**-p, 2] times an exact power of two, so no term over- or underflows
+    before the largest is scaled to one; the root splits its exponent the
+    same way.  A few ulps from the exact norm for p up to about a thousand.
+    """
+    p = space.p
+    weight = space.weight.values
+    keep = (weight > 0) & (values != 0)
+    mv, ev = np.frexp(np.abs(values[keep]))
+    mw, ew = np.frexp(weight[keep])
+    # p * ev as k + f with integer k: p_hi has 40 bits, so p_hi * ev is exact
+    m, e = math.frexp(p)
+    p_hi = math.ldexp(math.floor(math.ldexp(m, 40)), e - 40)
+    k = np.floor(p_hi * ev)
+    f = (p_hi * ev - k) + (p - p_hi) * ev
+    carry = np.floor(f)
+    k += carry + ew
+    terms = np.power(mv, p) * np.exp2(f - carry) * mw
+    top = np.max(k)
+    total = np.sum(np.ldexp(terms, np.maximum(k - top, -1100).astype(np.int64)))
+    # norm = (total * 2**shift) ** (1/p), with shift = q * p + r exactly
+    shift = top + space.grid.cell_exp * space.grid.dim
+    r = math.fmod(shift, p)
+    q = round((shift - r) / p)
+    try:
+        return math.ldexp(float(total) ** (1.0 / p) * 2.0 ** (r / p), q)
+    except OverflowError:
+        raise ModelError(f"a norm at p = {p} exceeds the float range") from None
+
+
 def weighted_norm(f: GridFunction, space: WeightedSpace) -> float:
     """(sum |f|^p * weight * cell_volume) ** (1/p); a quasi-norm for p < 1."""
     if f.grid != space.grid:
@@ -138,8 +189,12 @@ def indicator_norm(space: WeightedSpace, mask: np.ndarray) -> float:
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != space.grid.shape:
         raise ModelError("mask shape does not match the grid")
-    total = np.sum(space.weight.values[mask]) * space.grid.cell_volume
-    return float(total ** (1.0 / space.p))
+    # a sum of weights is exact to rounding wherever it is in range
+    with np.errstate(over="ignore"):
+        total = np.sum(space.weight.values[mask]) * space.grid.cell_volume
+    if total == 0.0 or _TINY <= total < math.inf:
+        return _sum_root(total, space)
+    return _array_norm(mask.astype(np.float64), space)
 
 
 @dataclass(frozen=True)
@@ -316,15 +371,15 @@ def l1_embedding_sweep(
     return out
 
 
-def dyadic_cube_family(grid: Grid) -> list[DyadicPartition]:
-    """All grid-aligned dyadic cube scales up to the box, one partition each."""
-    return [
+def _dyadic_partitions(grid: Grid):
+    """The box cut into grid-aligned dyadic cubes, one partition per scale."""
+    return (
         DyadicPartition(grid, grid.box_level, i)
         for i in range(grid.cell_exp, grid.box_level + 1)
-    ]
+    )
 
 
-def ap_constant(weight: GridFunction, p: float, cube_family=None) -> float:
+def ap_constant(weight: GridFunction, p: float) -> float:
     """Max over dyadic cubes of (avg w)^(1/p) (avg w^(1-p'))^(1/p').
 
     Each cube is evaluated in normalized form, mean((w / avg w)^(1-p'))^(1/p'),
@@ -337,12 +392,8 @@ def ap_constant(weight: GridFunction, p: float, cube_family=None) -> float:
         raise ModelError("ap_constant needs p > 1")
     pc = p / (p - 1.0)
     dual_exp = 1.0 - pc
-    if cube_family is None:
-        cube_family = dyadic_cube_family(weight.grid)
     best = 0.0
-    for part in cube_family:
-        if part.grid != weight.grid:
-            raise ModelError("cube family does not match the weight's grid")
+    for part in _dyadic_partitions(weight.grid):
         blocks = _block_view(weight.values, part)
         axes = (1,) if part.grid.dim == 1 else (1, 3)
         sel = (slice(None), None) if part.grid.dim == 1 else (slice(None), None, slice(None), None)
@@ -354,14 +405,10 @@ def ap_constant(weight: GridFunction, p: float, cube_family=None) -> float:
     return best
 
 
-def a1_constant(weight: GridFunction, cube_family=None) -> float:
+def a1_constant(weight: GridFunction) -> float:
     """Max over dyadic cubes of (avg w) / (min w); +inf when the min is zero."""
-    if cube_family is None:
-        cube_family = dyadic_cube_family(weight.grid)
     best = 0.0
-    for part in cube_family:
-        if part.grid != weight.grid:
-            raise ModelError("cube family does not match the weight's grid")
+    for part in _dyadic_partitions(weight.grid):
         wavg = _per_cube(weight.values, part, np.mean)
         wmin = _per_cube(weight.values, part, np.min)
         with np.errstate(divide="ignore", invalid="ignore"):

@@ -631,6 +631,47 @@ def test_net_shifted_difference_overflow_under_warnings_as_errors(tmp_path):
     assert [r.stderr for r in runs] == ["model violation: grid function values must be finite\n"] * 2
 
 
+def test_net_indicator_norm_past_the_weight_sum_range(tmp_path):
+    # 128 cells of weight 1e307 inside the chosen box sum past float range
+    # before the cell volume 1/64 brings them back: the box indicator's norm
+    # is about 4.5e153 and the quantization step stays positive
+    spec = write_spec(
+        tmp_path / "spec.json", weight={"kind": "constant", "value": 1e307},
+        members=[
+            {"kind": "gaussian", "center": 0.0, "sigma": 0.3, "amplitude": 1e-150},
+            {"kind": "gaussian", "center": 0.2, "sigma": 0.3, "amplitude": 1e-150},
+        ],
+    )
+    cert = tmp_path / "cert.json"
+    built = _runs_without_and_with_warnings_as_errors(
+        "net", "--spec", spec, "--epsilon", 1500, "--out", cert
+    )
+    assert [(r.returncode, r.stderr) for r in built] == [(0, "")] * 2
+    checked = _runs_without_and_with_warnings_as_errors(
+        "validate", "--spec", spec, "--certificate", cert
+    )
+    assert [(r.returncode, r.stderr) for r in checked] == [(0, "")] * 2
+
+
+def test_net_small_member_under_huge_weight_is_judged_on_its_merits(tmp_path):
+    # the constant 1e-300 under weight 1e308: every norm needs the rescale
+    # of both factors.  The one-cell shift leaves 1e-300 on one cell, a
+    # modulus of 3.5e-147, which misses the 1.7e-147 the mesh budget allows
+    spec = write_spec(
+        tmp_path / "spec.json", weight={"kind": "constant", "value": 1e308},
+        members=[{"kind": "constant", "value": 1e-300}],
+        grid={"dim": 1, "box_level": 0, "cell_exp": -3},
+    )
+    runs = _runs_without_and_with_warnings_as_errors(
+        "net", "--spec", spec, "--epsilon", 1e-146, "--out", tmp_path / "cert.json"
+    )
+    assert [r.returncode for r in runs] == [4, 4]
+    assert runs[1].stderr == runs[0].stderr
+    assert runs[0].stderr.startswith(
+        "hypothesis failure (equicontinuity): select_mesh: translation modulus is 3.53553e-147"
+    )
+
+
 @pytest.mark.parametrize("radius", ["inf", "nan"])
 def test_moduli_non_finite_radius_exit_3(tmp_path, spec_path, capsys, radius):
     rc = cli.main(

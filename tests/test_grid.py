@@ -10,7 +10,6 @@ from lpcompact import (
     ModelError,
     all_cube_averages,
     ball_average_field,
-    cube_average,
     inside_mask,
     outside_mask,
     restrict_inside,
@@ -114,7 +113,6 @@ def test_cube_averages_match_loop(grid2d, rng):
     for idx in range(part.n_cubes):
         blk = f.values[part.cube_slices(idx)]
         assert avgs[idx] == pytest.approx(blk.mean(), rel=1e-15)
-        assert cube_average(f, part, idx) == pytest.approx(avgs[idx], rel=1e-12)
 
 
 def test_cube_average_exactness():

@@ -1,9 +1,12 @@
 import math
+import sys
 import warnings
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lpcompact import (
@@ -16,7 +19,6 @@ from lpcompact import (
     a1_constant,
     ap_constant,
     check_lattice_axioms,
-    dyadic_cube_family,
     finiteness_witness,
     indicator_norm,
     inside_mask,
@@ -117,6 +119,102 @@ def test_norm_beyond_float_range_is_model_error(p):
         if p == 2.0:
             fits = weighted_norm(GridFunction(g, np.full(g.shape, 1e308)), sp)
             assert fits == pytest.approx(1e308 * math.sqrt(2.0), rel=1e-12)
+
+
+def test_indicator_norm_past_the_float_range_of_its_weight_sum():
+    # 256 cells of weight 1e307 sum past float range before the cell volume
+    # 1/64 brings the total back to 4e307; the norm is its square root
+    g = Grid(dim=1, box_level=1, cell_exp=-6)
+    sp = WeightedSpace(2.0, sample(Constant(1e307), g))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        norm = indicator_norm(sp, np.ones(g.shape, dtype=bool))
+    assert norm == pytest.approx(math.sqrt(4e307), rel=1e-15)
+
+
+_GRIDS = (Grid(dim=1, box_level=0, cell_exp=-2), Grid(dim=2, box_level=0, cell_exp=-1))
+_ULP = 2.0**-52
+
+
+def _reference_norm(values, weight, p, cell_volume) -> Decimal:
+    """The weighted norm to 60 digits: an exact rational power sum for
+    integer p, 60-digit decimal powers otherwise."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        if p == int(p):
+            exact = Fraction(cell_volume) * sum(
+                Fraction(abs(v)) ** int(p) * Fraction(w) for v, w in zip(values, weight)
+            )
+            total = Decimal(exact.numerator) / Decimal(exact.denominator)
+        else:
+            total = Decimal(cell_volume) * sum(
+                Decimal(abs(v)) ** Decimal(p) * Decimal(w) for v, w in zip(values, weight)
+            )
+        return total ** (Decimal(1) / Decimal(p))
+
+
+def _binary(min_exp, max_exp):
+    """Positive floats m * 2**e, m in [1/2, 1), spread evenly over e."""
+    return st.builds(
+        math.ldexp,
+        st.floats(min_value=0.5, max_value=1.0, exclude_max=True),
+        st.integers(min_value=min_exp, max_value=max_exp),
+    )
+
+
+@st.composite
+def _extreme_norms(draw):
+    """A small grid, p (1.3 has too many bits for p * exponent to be exact
+    in one product), values over 1e-300..1e300 of either sign and weights
+    over 1e-300..1.8e308, each with zeros."""
+    grid = draw(st.sampled_from(_GRIDS))
+    p = draw(st.sampled_from([0.5, 1.0, 1.3, 1.5, 2.0, 3.0, 40.0]))
+    magnitude = st.one_of(st.just(0.0), _binary(-995, 996))
+    value = st.builds(lambda m, neg: -m if neg else m, magnitude, st.booleans())
+    weight = st.one_of(st.just(0.0), _binary(-995, 1024))
+    n = grid.n_cells
+    values = draw(st.lists(value, min_size=n, max_size=n))
+    weights = draw(st.lists(weight, min_size=n, max_size=n))
+    return grid, p, values, weights
+
+
+@settings(max_examples=300, deadline=None)
+@given(_extreme_norms())
+# the constant 1e-300 under weight 1e308: the first power sum underflows and
+# the rescaled one overflows; the norm is 2**(1/2) * 1e-146
+@example((_GRIDS[0], 2.0, [1e-300] * 8, [1e308] * 8))
+# 1e-160 squares to a subnormal that the weight 1e308 lifts back into range:
+# the plain sum is in range but off in its fifth digit
+@example((_GRIDS[0], 2.0, [1e-160] * 8, [1e308] * 8))
+# one cell dominates through its weight, the other through its value
+@example((_GRIDS[0], 2.0, [1.0, 1e-160] + [0.0] * 6, [1e-300, 1e308] + [0.0] * 6))
+@example((_GRIDS[1], 40.0, [1e-300] * 16, [1e-300] * 16))
+def test_norm_matches_exact_reference_at_extreme_scales(case):
+    grid, p, values, weights = case
+    space = WeightedSpace(p, GridFunction(grid, np.reshape(weights, grid.shape)))
+    f = GridFunction(grid, np.reshape(values, grid.shape))
+    reference = _reference_norm(values, weights, p, grid.cell_volume)
+    # a few ulps, more at p < 1 where the root raises the sum's error to 1/p.
+    # The root also raises a float sum to the rounded 1 / p, which moves the
+    # norm by up to |ln sum| <= 745 times that rounding: up to 2.8e-14 at
+    # p = 1.5, for sums near either end of the float range
+    exponent_error = abs(Fraction(1) / Fraction(p) - Fraction(1.0 / p))
+    tol = 16 * _ULP * max(1.0, 1.0 / p) + 745 * float(exponent_error)
+    largest = Decimal(sys.float_info.max)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if reference > largest * Decimal(1 + tol):
+            with pytest.raises(ModelError, match="exceeds the float range"):
+                weighted_norm(f, space)
+            return
+        try:
+            measured = weighted_norm(f, space)
+        except ModelError:
+            assert reference > largest * Decimal(1 - tol)
+            return
+    # below the normal range only the subnormal spacing is left
+    error = abs(Decimal(measured) - reference)
+    assert error <= reference * Decimal(tol) + Decimal(2.0**-1072)
 
 
 @settings(max_examples=60, deadline=None)
@@ -289,16 +387,6 @@ def test_ap_constant_isolated_zero_diverges(grid1d):
     w[3] = 0.0  # no full null cube, but the dual average blows up
     assert ap_constant(GridFunction(grid1d, w), 2.0) == math.inf
     assert a1_constant(GridFunction(grid1d, w)) == math.inf
-
-
-def test_ap_constant_monotone_in_cube_family():
-    g = Grid(dim=1, box_level=0, cell_exp=-6)
-    w = sample(PowerLaw(1.0), g)
-    fam = dyadic_cube_family(g)
-    partial = ap_constant(w, 2.0, cube_family=fam[:2])
-    full = ap_constant(w, 2.0, cube_family=fam)
-    assert partial <= full
-    assert full == ap_constant(w, 2.0)
 
 
 def test_ap_needs_p_above_one(grid1d):
