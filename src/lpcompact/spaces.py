@@ -146,11 +146,26 @@ def _sum_root(total: float, space: WeightedSpace, scale: float = 1.0) -> float:
     return norm
 
 
+def _mantissa_power(m: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray | int]:
+    """``m ** p`` for m in [1/2, 1) as a mantissa in [2**-256, 1] times 2 to
+    an integer exponent.  Above p = 256 the power is taken in chunks of 256,
+    p = 256 * n + rem, each chunk renormalised by ``np.frexp`` so that none
+    underflows; the chunks' rounding errors add up to about p / 512 ulps,
+    which the root divides by p again."""
+    if p <= 256:
+        return np.power(m, p), 0
+    rem = math.fmod(p, 256.0)
+    chunk, chunk_exp = np.frexp(np.power(m, 256.0))
+    mant, exp = _mantissa_power(chunk, (p - rem) / 256.0)
+    mant, rem_exp = np.frexp(mant * np.power(m, rem))
+    return mant, exp + chunk_exp * ((p - rem) / 256.0) + rem_exp
+
+
 def _exponent_norm(values: np.ndarray, space: WeightedSpace) -> float:
     """The norm with each term |v|^p * weight held as a mantissa in about
-    [2**-p, 2] times an exact power of two, so no term over- or underflows
+    [2**-256, 2] times an exact power of two, so no term over- or underflows
     before the largest is scaled to one; the root splits its exponent the
-    same way.  A few ulps from the exact norm for p up to about a thousand.
+    same way.  A few ulps from the exact norm at any p.
     """
     p = space.p
     weight = space.weight.values
@@ -163,8 +178,9 @@ def _exponent_norm(values: np.ndarray, space: WeightedSpace) -> float:
     k = np.floor(p_hi * ev)
     f = (p_hi * ev - k) + (p - p_hi) * ev
     carry = np.floor(f)
-    k += carry + ew
-    terms = np.power(mv, p) * np.exp2(f - carry) * mw
+    power, power_exp = _mantissa_power(mv, p)
+    k += carry + ew + power_exp
+    terms = power * np.exp2(f - carry) * mw
     top = np.max(k)
     total = np.sum(np.ldexp(terms, np.maximum(k - top, -1100).astype(np.int64)))
     # norm = (total * 2**shift) ** (1/p), with shift = q * p + r exactly

@@ -136,21 +136,64 @@ _GRIDS = (Grid(dim=1, box_level=0, cell_exp=-2), Grid(dim=2, box_level=0, cell_e
 _ULP = 2.0**-52
 
 
-def _reference_norm(values, weight, p, cell_volume) -> Decimal:
-    """The weighted norm to 60 digits: an exact rational power sum for
-    integer p, 60-digit decimal powers otherwise."""
+def _reference_log_sum(values, weight, p, cell_volume) -> Decimal | None:
+    """ln(sum |v|^p * w * cell_volume) to 60 digits, None for a zero sum.
+    For integer p the sum is an exact binary integer cut to its top 256 bits;
+    otherwise each term is a 60-digit decimal power."""
     with localcontext() as ctx:
         ctx.prec = 60
         if p == int(p):
-            exact = Fraction(cell_volume) * sum(
-                Fraction(abs(v)) ** int(p) * Fraction(w) for v, w in zip(values, weight)
-            )
-            total = Decimal(exact.numerator) / Decimal(exact.denominator)
-        else:
-            total = Decimal(cell_volume) * sum(
-                Decimal(abs(v)) ** Decimal(p) * Decimal(w) for v, w in zip(values, weight)
-            )
-        return total ** (Decimal(1) / Decimal(p))
+            terms = []
+            for v, w in zip(values, weight):
+                if v != 0 and w != 0:
+                    # floats are n / 2**k: exact integers and binary exponents
+                    vn, vd = abs(v).as_integer_ratio()
+                    wn, wd = w.as_integer_ratio()
+                    shift = (vd.bit_length() - 1) * int(p) + wd.bit_length() - 1
+                    terms.append((vn ** int(p) * wn, -shift))
+            if not terms:
+                return None
+            low = min(e for _, e in terms)
+            total = sum(n << (e - low) for n, e in terms)
+            cut = max(total.bit_length() - 256, 0)
+            ln2 = Decimal(2).ln()
+            return Decimal(total >> cut).ln() + (low + cut) * ln2 + Decimal(cell_volume).ln()
+        total = Decimal(cell_volume) * sum(
+            Decimal(abs(v)) ** Decimal(p) * Decimal(w) for v, w in zip(values, weight)
+        )
+        return total.ln() if total else None
+
+
+def _rooted_log_bound(log_sum, log_scale, log_peak, space) -> Decimal:
+    """A bound on |ln T| for the sum T that ``_array_norm`` raises to 1 / p.
+
+    Walks the passes in order: the plain sum, which any |v|^p past float
+    range spoils (``log_peak`` is ln max |v| over all cells, zero weights
+    too), then the sum over |v| / exp(``log_scale``).  A pass is accepted
+    when its sum is at least the floor and its sum before the cell volume
+    is finite.  Every pass within a factor of two of that test is counted,
+    and the walk stops at one that passes it with room; past both,
+    ``_exponent_norm`` roots a sum of at least 2**-(min(p, 256) + 1) and at
+    most twice the cell count."""
+    p = Decimal(space.p)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        slack = Decimal(2).ln()
+        low = Decimal(space._sum_floor).ln()
+        high = Decimal(sys.float_info.max).ln()
+        log_volume = Decimal(space.grid.cell_volume).ln()
+        passes = (
+            (log_sum, max(p * log_peak, log_sum - log_volume)),
+            (log_sum - p * log_scale, log_sum - p * log_scale - log_volume),
+        )
+        bound = Decimal(0)
+        for log_t, log_top in passes:
+            if log_t >= low - slack and log_top <= high + slack:
+                bound = max(bound, abs(log_t))
+                if log_t >= low + slack and log_top <= high - slack:
+                    return bound
+        split = (min(p, Decimal(256)) + 1) * slack
+        return max(bound, split, Decimal(2 * space.grid.n_cells).ln())
 
 
 def _binary(min_exp, max_exp):
@@ -165,10 +208,10 @@ def _binary(min_exp, max_exp):
 @st.composite
 def _extreme_norms(draw):
     """A small grid, p (1.3 has too many bits for p * exponent to be exact
-    in one product), values over 1e-300..1e300 of either sign and weights
+    in one product; past 256 the power is split into chunks), values over 1e-300..1e300 of either sign and weights
     over 1e-300..1.8e308, each with zeros."""
     grid = draw(st.sampled_from(_GRIDS))
-    p = draw(st.sampled_from([0.5, 1.0, 1.3, 1.5, 2.0, 3.0, 40.0]))
+    p = draw(st.sampled_from([0.5, 1.0, 1.3, 1.5, 2.0, 3.0, 40.0, 1100.5, 2000.0]))
     magnitude = st.one_of(st.just(0.0), _binary(-995, 996))
     value = st.builds(lambda m, neg: -m if neg else m, magnitude, st.booleans())
     weight = st.one_of(st.just(0.0), _binary(-995, 1024))
@@ -189,17 +232,32 @@ def _extreme_norms(draw):
 # one cell dominates through its weight, the other through its value
 @example((_GRIDS[0], 2.0, [1.0, 1e-160] + [0.0] * 6, [1e-300, 1e308] + [0.0] * 6))
 @example((_GRIDS[1], 40.0, [1e-300] * 16, [1e-300] * 16))
+# 1/2 ** 2000 underflows: both passes overflow, then both fall below the floor
+@example((_GRIDS[0], 2000.0, [1.0] * 8, [1e308] * 8))
+@example((_GRIDS[0], 2000.0, [1.0] * 8, [1e-310] * 8))
 def test_norm_matches_exact_reference_at_extreme_scales(case):
     grid, p, values, weights = case
     space = WeightedSpace(p, GridFunction(grid, np.reshape(weights, grid.shape)))
     f = GridFunction(grid, np.reshape(values, grid.shape))
-    reference = _reference_norm(values, weights, p, grid.cell_volume)
+    log_sum = _reference_log_sum(values, weights, p, grid.cell_volume)
+    if log_sum is None:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert weighted_norm(f, space) == 0.0
+        return
+    scale = max(abs(v) for v, w in zip(values, weights) if w > 0)
+    peak = max(abs(v) for v in values)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        reference = (log_sum / Decimal(p)).exp()
+        log_scale, log_peak = Decimal(scale).ln(), Decimal(peak).ln()
     # a few ulps, more at p < 1 where the root raises the sum's error to 1/p.
-    # The root also raises a float sum to the rounded 1 / p, which moves the
-    # norm by up to |ln sum| <= 745 times that rounding: up to 2.8e-14 at
-    # p = 1.5, for sums near either end of the float range
+    # The root also raises a float sum T to the rounded 1 / p, which moves
+    # the norm by |ln T| times that rounding: up to 2.8e-14 at p = 1.5 for
+    # sums near either end of the float range, a few ulps for sums near one
     exponent_error = abs(Fraction(1) / Fraction(p) - Fraction(1.0 / p))
-    tol = 16 * _ULP * max(1.0, 1.0 / p) + 745 * float(exponent_error)
+    rooted = float(_rooted_log_bound(log_sum, log_scale, log_peak, space))
+    tol = 16 * _ULP * max(1.0, 1.0 / p) + rooted * float(exponent_error)
     largest = Decimal(sys.float_info.max)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
