@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ModelError
 from .grid import (
@@ -115,6 +117,26 @@ def _shifted_difference(values: np.ndarray, offsets: tuple[int, ...], out: np.nd
         np.subtract(0.0, values[strip], out=out[strip])
 
 
+def _shift_norm(
+    values: np.ndarray, offsets, space: WeightedSpace, diff: np.ndarray, errors: dict
+) -> float:
+    """The exact kernel: ``_array_norm`` of the shifted difference, bit for bit.
+
+    The difference is written into ``diff`` and its terms |d|^p * weight are
+    formed over it in place; only a power sum outside [``space._sum_floor``,
+    inf) writes the difference again and hands it to ``_array_norm``, which
+    rescales it or raises under the caller's own floating-point settings
+    ``errors``.  Called under ``np.errstate(over="ignore", invalid="ignore")``.
+    """
+    _shifted_difference(values, offsets, diff)
+    total = _weighted_power_sum(diff, space, diff)
+    if space._sum_floor <= total < math.inf:
+        return _sum_root(total, space)
+    _shifted_difference(values, offsets, diff)
+    with np.errstate(**errors):
+        return _array_norm(diff, space)
+
+
 def translation_modulus(
     family: Family, space: WeightedSpace, radius: float, stencil: str = "ball"
 ) -> float:
@@ -132,17 +154,16 @@ def _translation_levels(
     family: Family, space: WeightedSpace, radii, stencil: str, stop: float = math.inf
 ):
     """Yield, for each of the nondecreasing ``radii``, every member's
-    translation modulus at that radius.
+    translation modulus at that radius.  This exact scan serves
+    ``translation_modulus`` and ``measure_moduli``, and ``_select_level`` at
+    every p but 2.
 
     Closed stencils nest, so a radius only measures the shifts the smaller
-    radii lacked, and a running maximum per member carries the rest.  Each
-    shifted difference is written into one buffer reused for the whole scan,
-    and its terms |d|^p * weight are formed over it in place; only a power
-    sum outside [``space._sum_floor``, inf) writes the difference again and
-    hands it to ``_array_norm``, which rescales it or raises, under the caller's own
-    floating-point error settings.  Every value equals ``_array_norm`` of
-    the shifted difference bit for bit.  A consumer that stops iterating
-    stops the scan after the last radius it received.
+    radii lacked, and a running maximum per member carries the rest.  Every
+    shift goes through ``_shift_norm`` with one buffer reused for the whole
+    scan, so every value equals ``_array_norm`` of the shifted difference bit
+    for bit.  A consumer that stops iterating stops the scan after the last
+    radius it received.
 
     The scan also ends after the first radius whose largest modulus reaches
     ``stop``.  Past the first radius it leaves the ring as soon as one
@@ -156,7 +177,6 @@ def _translation_levels(
     moduli = [0.0] * len(family)
     seen = set()
     errors = np.geterr()
-    floor = space._sum_floor
     for n, radius in enumerate(radii):
         offsets = shift_stencil(grid, radius, kind=stencil)
         if not offsets:
@@ -169,21 +189,241 @@ def _translation_levels(
         # the difference and its power sum may overflow, or meet inf * 0
         with np.errstate(over="ignore", invalid="ignore"):
             for j, k in itertools.product(range(len(family)), ring):
-                values = family.members[j].values
-                _shifted_difference(values, k, diff)
-                total = _weighted_power_sum(diff, space, diff)
-                if floor <= total < math.inf:
-                    norm = _sum_root(total, space)
-                else:
-                    _shifted_difference(values, k, diff)
-                    with np.errstate(**errors):
-                        norm = _array_norm(diff, space)
+                norm = _shift_norm(family.members[j].values, k, space, diff, errors)
                 moduli[j] = max(moduli[j], norm)
                 if n and moduli[j] >= stop:
                     break
         yield tuple(moduli)
         if max(moduli) >= stop:
             return
+
+
+def _select_level(family: Family, space: WeightedSpace, levels: range, threshold: float):
+    """Walk up the consecutive box ``levels`` and stop at the first whose
+    box-shift modulus reaches ``threshold``: the mesh selection behind
+    ``select_mesh``.
+
+    Returns the last level below the threshold with each member's modulus
+    there, or None with the first level's moduli when even that level fails
+    (and ``()`` when ``levels`` is empty).  At p = 2 the shifts are screened
+    (``_screened_level``); at any other p ``_translation_levels`` measures
+    them.  Both give the exact scan's result, bit for bit.
+    """
+    if space.p == 2.0:
+        return _screened_level(family, space, levels, threshold)
+    best = None, ()
+    scan = _translation_levels(family, space, [2.0**i for i in levels], "box", threshold)
+    for n, (i, moduli) in enumerate(zip(levels, scan)):
+        if not max(moduli) < threshold:
+            return best if n else (None, moduli)
+        best = i, moduli
+    return best
+
+
+# the screen's dots are at most this long: OpenBLAS hands long dots to its
+# threads, which can stall for milliseconds, and short blocks of a window
+# stay in cache across the windows of a box
+_DOT_BLOCK = 2048
+_UNIT_ROUNDOFF = 2.0**-53
+# pow(total, 0.5) in ``_sum_root`` is within an ulp of the real root and
+# np.sqrt of a bound within half an ulp; 8 ulps cover both
+_ROOT_SLACK = 2.0**-50
+_HALF_MAX = sys.float_info.max / 2.0
+
+
+def _screened_level(family: Family, space: WeightedSpace, levels: range, threshold: float):
+    """``_select_level`` at p = 2, deciding most shifts from an enclosure of
+    the norm the exact kernel would compute (``_ShiftScreen``).
+
+    Levels, then members, then shifts go in the exact scan's order.  A shift
+    whose norm is surely below the threshold passes, one surely at or above it
+    fails, and ``_shift_norm`` measures any other, including every shift the
+    screen cannot vouch for.  So the exact kernel meets only shifts the exact
+    scan measures, and every one of them that could raise.  Past the first
+    level a failing shift ends the scan, as it ends the exact one; the first
+    level is gone through in full.  Moduli are confirmed only at the chosen
+    level, or at a failing first level (``_confirmed_moduli``).
+    """
+    if not levels:
+        return None, ()
+    _check_space(family, space)
+    errors = np.geterr()
+    diff = np.empty(family.grid.shape)
+
+    def exact(j, offsets):
+        k = tuple(int(x) for x in offsets)
+        return _shift_norm(family.members[j].values, k, space, diff, errors)
+
+    screen = None
+    squares = []  # per member, kept across screens
+    rings, lows, highs = [], [], []
+    inner = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n, i in enumerate(levels):
+            reach = round(2.0 ** (i - family.grid.cell_exp))
+            if screen is None or screen.room < reach:
+                screen = _ShiftScreen(family, space, reach, squares)
+            ring, enclosures = screen.ring(inner, reach)
+            low = np.empty((len(family), len(ring)))
+            high = np.empty_like(low)
+            fails = False
+            for j, bounds in enumerate(enclosures):
+                low[j], high[j] = bounds
+                for pos in np.flatnonzero(~(high[j] < threshold)):
+                    if not low[j, pos] >= threshold:
+                        low[j, pos] = high[j, pos] = exact(j, ring[pos])
+                        if low[j, pos] < threshold:
+                            continue
+                    if n:
+                        return levels[n - 1], _confirmed_moduli(rings, lows, highs, exact)
+                    fails = True
+            rings.append(ring)
+            lows.append(low)
+            highs.append(high)
+            if fails:
+                return None, _confirmed_moduli(rings, lows, highs, exact)
+            inner = reach
+        return levels[-1], _confirmed_moduli(rings, lows, highs, exact)
+
+
+def _confirmed_moduli(rings, lows, highs, exact) -> tuple[float, ...]:
+    """Each member's exact modulus over the scanned rings: the largest exact
+    norm among the shifts whose upper bound reaches the member's largest lower
+    bound, which include the shift of the maximum.  Shifts measured already
+    carry their norm as both bounds."""
+    ring = np.concatenate(rings)
+    low = np.concatenate(lows, axis=1)
+    high = np.concatenate(highs, axis=1)
+    return tuple(
+        max(
+            float(low[j, pos]) if low[j, pos] == high[j, pos] else exact(j, ring[pos])
+            for pos in np.flatnonzero(high[j] >= np.max(low[j]))
+        )
+        for j in range(len(low))
+    )
+
+
+class _ShiftScreen:
+    """Enclosures, at p = 2, of the norms the exact kernel computes, for a
+    whole ring of shifts of one member at a time.
+
+    With the zero-fill shift, ||tau_k f - f||^2 / cell_volume = A + B_k - 2 C_k
+    for A = sum w f^2, B_k = sum_x w(x) f^2(x - k) and C_k = sum_x (w f)(x)
+    f(x - k).  One member's f^2 and f sit in zero-padded buffers, read flat:
+    the window that starts at sum_a (room - k_a) * pitch_a, against w and w f
+    laid out at the same pitch, gives B_k and C_k as one dot each, and a box
+    of shifts is a basic slice of the windows.  The padding ``room`` covers
+    the ring being scanned, and at least a sixteenth of the grid's narrowest
+    side, so that the first levels share one set of buffers.
+
+    A dot of N terms is within gamma_N times the sum of its |terms| of its
+    exact value in any order (Higham, Accuracy and Stability, 3.1),
+    |C_k| <= (A + B_k) / 2, and the kernel's own sum is at most 2 (A + B_k);
+    a product that underflows loses at most 2**-1075 times its other factor,
+    a weight, |f| or 1.  So the power sum the kernel rounds and scales lies
+    within gamma * (A + B_k) plus that allowance of the screened value.  The
+    screen vouches for a shift when that value is finite and the whole
+    enclosure lies in [``space._sum_floor``, max / 2], where the kernel takes
+    its plain pass and ``_sum_root``'s pow moves the root by an ulp; other
+    shifts get the bounds -inf and inf.  Used under ``np.errstate(over="ignore",
+    invalid="ignore")``.
+    """
+
+    def __init__(self, family: Family, space: WeightedSpace, reach: int, squares: list):
+        grid = family.grid
+        self.family, self.space, self.room = family, space, max(reach, min(grid.shape) // 16)
+        padded = tuple(size + 2 * self.room for size in grid.shape)
+        pitched = (grid.shape[0], *padded[1:])
+        span = math.prod(pitched)
+        # the screen's three dots and the kernel's sum, with room for the
+        # roundings of the combination and of the bound itself
+        self.gamma = 8.0 * (span + 4) * _UNIT_ROUNDOFF / (1.0 - (span + 4) * _UNIT_ROUNDOFF)
+        # f^2 and f, with room for a window to start at any (room - k_0) *
+        # pitch + s, 0 <= s < pitch
+        self.pads, self.windows = [], []
+        for _ in range(2):
+            flat = np.zeros(math.prod(padded) + math.prod(padded[1:]) - 1)
+            windows = sliding_window_view(flat, span)
+            self.pads.append(flat[: math.prod(padded)].reshape(padded))
+            self.windows.append(windows.reshape(2 * self.room + 1, *padded[1:], span, copy=False))
+        self.corner = tuple(slice(0, size) for size in grid.shape)
+        self.interior = tuple(slice(self.room, self.room + size) for size in grid.shape)
+        # w and w f at the padded pitch, zero in the padding
+        self.weight = space.weight.values
+        if pitched != grid.shape:
+            self.weight = np.zeros(pitched)
+            self.weight[self.corner] = space.weight.values
+        self.weighted = np.zeros(pitched)
+        # per member, A and the underflow allowance, kept across rings
+        self.squares = squares
+
+    def _load(self, j: int) -> tuple[float, float]:
+        """Put member j into the buffers; return its A and underflow allowance."""
+        f = self.family.members[j].values
+        weight = self.space.weight.values
+        np.multiply(f, f, out=self.pads[0][self.interior])
+        self.pads[1][self.interior] = f
+        np.multiply(weight, f, out=self.weighted[self.corner])
+        if j == len(self.squares):
+            square = float(_box_dots(self.weight, self.windows[0][(self.room,) * f.ndim]))
+            top = max(float(np.max(f)), -float(np.min(f)), float(np.max(weight)))
+            lost = math.ldexp(f.size * 5.0 * (top + 1.0), -1073)
+            self.squares.append((square, lost))
+        return self.squares[j]
+
+    def ring(self, inner: int, reach: int):
+        """The shifts k with inner < max|k| <= reach (cells), in stencil order,
+        and a generator of each member's lower and upper bounds on the
+        kernel's norm at those shifts."""
+        dim = self.family.grid.dim
+        cube = np.indices((2 * reach + 1,) * dim) - reach
+        ring = np.argwhere(np.max(np.abs(cube), axis=0) > inner) - reach
+        return ring, self._enclosures(inner, reach, ring)
+
+    def _enclosures(self, inner, reach, ring):
+        grid, space, room = self.family.grid, self.space, self.room
+        spots = tuple((ring + reach).T)
+        b, c = np.empty((2, *(2 * reach + 1,) * grid.dim))
+        for j in range(len(self.family)):
+            square, lost = self._load(j)
+            for box in _ring_boxes(inner, reach, grid.dim):
+                # the window at room - k holds f(x - k)
+                window = tuple(slice(room - hi, room - lo + 1) for lo, hi in box)
+                spot = tuple(slice(reach + lo, reach + hi + 1) for lo, hi in box)
+                b[spot] = np.flip(_box_dots(self.weight, self.windows[0][window]))
+                c[spot] = np.flip(_box_dots(self.weighted, self.windows[1][window]))
+            mass = square + b[spots]
+            screened = mass - 2.0 * c[spots]
+            bound = self.gamma * mass + lost
+            low = (screened - bound) * grid.cell_volume
+            high = (screened + bound) * grid.cell_volume
+            sure = (
+                np.isfinite(screened) & np.isfinite(bound) & (low >= space._sum_floor)
+                & (np.maximum(screened + bound, high) <= _HALF_MAX)
+            )
+            yield (
+                np.where(sure, np.sqrt(low) * (1.0 - _ROOT_SLACK), -math.inf),
+                np.where(sure, np.sqrt(high) * (1.0 + _ROOT_SLACK), math.inf),
+            )
+
+
+def _ring_boxes(inner: int, reach: int, dim: int):
+    """The offsets k with inner < max|k| <= reach as 2 * dim boxes, each a
+    tuple of inclusive per-axis ranges (lo, hi)."""
+    for axis in range(dim):
+        for side in ((-reach, -inner - 1), (inner + 1, reach)):
+            yield ((-inner, inner),) * axis + (side,) + ((-reach, reach),) * (dim - axis - 1)
+
+
+def _box_dots(factor: np.ndarray, windows: np.ndarray) -> np.ndarray:
+    """The dot product of ``factor``, flattened, with each of ``windows``
+    (flat windows on their last axis).  That axis is viewed, without a copy,
+    as blocks of at most ``_DOT_BLOCK`` cells, one dot each, so that no dot
+    leaves this thread."""
+    cells = windows.shape[-1]
+    block = math.gcd(cells, _DOT_BLOCK)
+    windows = windows.reshape(*windows.shape[:-1], cells // block, block, copy=False)
+    return np.vecdot(factor.reshape(cells // block, block), windows).sum(axis=-1)
 
 
 def averaged_modulus(family: Family, space: WeightedSpace, radius: float) -> float:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -33,7 +34,7 @@ from .grid import (
     all_cube_averages,
     inside_mask,
 )
-from .moduli import Family, _translation_levels, tail_modulus
+from .moduli import Family, _select_level, tail_modulus
 from .spaces import WeightedSpace, _array_norm, indicator_norm
 from .specfile import _integer, _number
 
@@ -146,6 +147,13 @@ class NetCertificate:
         return int(self.net_elements.shape[0])
 
 
+def _check_epsilon(epsilon: float) -> None:
+    if epsilon <= 0:
+        raise ModelError("epsilon must be positive")
+    if not math.isfinite(epsilon):
+        raise ModelError(f"epsilon must be positive and finite, got {epsilon!r}")
+
+
 def select_tail_level(
     family: Family, space: WeightedSpace, epsilon: float
 ) -> tuple[int, float]:
@@ -162,8 +170,7 @@ def select_tail_level(
     level and the tail can rise by an ulp as the box grows; the scan then
     keeps the larger box.
     """
-    if not epsilon > 0:
-        raise ModelError("epsilon must be positive")
+    _check_epsilon(epsilon)
     threshold = epsilon / 3.0
     if threshold == 0.0:
         raise ModelError(f"epsilon {epsilon!r} leaves no positive tail budget epsilon/3")
@@ -186,30 +193,24 @@ def select_mesh(
     The translation modulus is nondecreasing in the radius (stencils nest), so
     the scan walks up from the cell scale and stops at the first failure; past
     the first level it stops at the first shift that reaches the threshold.
+    At p = 2 a rigorous enclosure of each shifted norm decides most shifts,
+    and exact norms are taken only where it cannot, and at the chosen level;
+    the result is that of the exact scan, bit for bit (see
+    ``moduli._select_level``).
     """
-    if epsilon <= 0:
-        raise ModelError("epsilon must be positive")
+    _check_epsilon(epsilon)
     grid = family.grid
     hi = grid.box_level if max_exp is None else max_exp
     threshold = 2.0 ** (-grid.dim) * epsilon / 3.0
-    levels = range(grid.cell_exp, hi + 1)
-    best = None
-    value = math.inf
-    scan = _translation_levels(family, space, [2.0**i for i in levels], "box", threshold)
-    for i, moduli in zip(levels, scan):
-        value = max(moduli)
-        if value < threshold:
-            best = i, moduli
-        else:
-            break
-    if best is None:
+    level, moduli = _select_level(family, space, range(grid.cell_exp, hi + 1), threshold)
+    if level is None:
         raise HypothesisError(
             "equicontinuity",
-            f"select_mesh: translation modulus is {value:.6g} already at one cell "
-            f"(shift {grid.cell_side}), needs < {threshold:.6g}; the family is not "
-            f"equicontinuous at this resolution",
+            f"select_mesh: translation modulus is {max(moduli, default=math.inf):.6g} "
+            f"already at one cell (shift {grid.cell_side}), needs < {threshold:.6g}; "
+            f"the family is not equicontinuous at this resolution",
         )
-    return best
+    return level, moduli
 
 
 def null_cube_mask(part: DyadicPartition, space: WeightedSpace) -> np.ndarray:
@@ -424,8 +425,10 @@ def build_certificate(
     chi_norm = indicator_norm(space, inside_mask(grid, 2.0 ** m, region="box"))
     if chi_norm > 0:
         # shave a hair off the exact budget split so float rounding can
-        # never push the quantization stage past epsilon/3
-        step = (2.0 * epsilon / (3.0 * chi_norm)) * (1.0 - 1e-9)
+        # never push the quantization stage past epsilon/3; epsilon / (1.5 chi)
+        # has the bits of 2 epsilon / (3 chi) without overflowing 2 epsilon,
+        # and a step past float range is clamped to the largest float
+        step = min(epsilon / (1.5 * chi_norm) * (1.0 - 1e-9), sys.float_info.max)
     else:
         step = 1.0
     max_coeff = float(np.max(np.abs(coeffs)))

@@ -65,10 +65,12 @@ def test_reference_certificate_matches_pin(tmp_path, name):
     assert hashlib.sha256(cert_path.read_bytes()).hexdigest() == PINS[name]
 
 
-# tail moduli and shifted differences one reference build measures: both
-# level scans stop at their first threshold crossing, where a full scan
-# measured 16 / 2,560, 8 / 192 and 15 / 2,560
-WORK = {"bank1d": (1, 1281), "sheet2d_null": (1, 65), "quasi_half": (1, 1281)}
+# tail moduli and exact shifted differences one reference build measures:
+# both level scans stop at their first threshold crossing, where a full scan
+# measured 16 / 2,560, 8 / 192 and 15 / 2,560.  At p = 2 the mesh scan
+# screens its shifts and measures one exact norm per member at the chosen
+# level (1,281 and 65 without the screen); quasi_half builds at p = 1.5
+WORK = {"bank1d": (1, 20), "sheet2d_null": (1, 8), "quasi_half": (1, 1281)}
 
 
 @pytest.mark.parametrize("name", sorted(WORK))

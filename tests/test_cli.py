@@ -672,6 +672,37 @@ def test_net_small_member_under_huge_weight_is_judged_on_its_merits(tmp_path):
     )
 
 
+@pytest.mark.parametrize("epsilon", ["1e308", "1.7976931348623157e308"])
+def test_net_huge_epsilon_builds_a_one_element_net(tmp_path, epsilon):
+    # 2 * epsilon / (3 * chi) used to overflow to an infinite quantization
+    # step, and quantizing then met 0 * inf; the step is now
+    # epsilon / (1.5 * chi), clamped to the largest float
+    spec = write_spec(tmp_path / "spec.json")
+    cert = tmp_path / "cert.json"
+    runs = _runs_without_and_with_warnings_as_errors(
+        "net", "--spec", spec, "--epsilon", epsilon, "--out", cert
+    )
+    assert [r.returncode for r in runs] == [0, 0]
+    assert [r.stderr for r in runs] == ["", ""]
+    assert all(r.stdout.startswith("net of size 1 for 3 members") for r in runs)
+    checks = _runs_without_and_with_warnings_as_errors(
+        "validate", "--spec", spec, "--certificate", cert
+    )
+    assert [r.returncode for r in checks] == [0, 0]
+
+
+@pytest.mark.parametrize("epsilon", ["inf", "nan"])
+def test_net_non_finite_epsilon_exit_3(tmp_path, epsilon):
+    spec = write_spec(tmp_path / "spec.json")
+    runs = _runs_without_and_with_warnings_as_errors(
+        "net", "--spec", spec, "--epsilon", epsilon, "--out", tmp_path / "cert.json"
+    )
+    assert [r.returncode for r in runs] == [3, 3]
+    assert [r.stderr for r in runs] == [
+        f"model violation: epsilon must be positive and finite, got {epsilon}\n"
+    ] * 2
+
+
 @pytest.mark.parametrize("radius", ["inf", "nan"])
 def test_moduli_non_finite_radius_exit_3(tmp_path, spec_path, capsys, radius):
     rc = cli.main(

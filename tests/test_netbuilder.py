@@ -1,5 +1,7 @@
 import json
 import math
+import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -33,6 +35,7 @@ from lpcompact import (
     sample,
     save_certificate,
     select_mesh,
+    shift_stencil,
     select_tail_level,
     tail_modulus,
     translation_modulus,
@@ -42,6 +45,7 @@ from lpcompact import (
 )
 
 from conftest import random_family
+from lpcompact import moduli
 from lpcompact.moduli import _translation_levels
 from lpcompact.netbuilder import _net_distances, _remeasure, cube_witnesses, null_cube_mask
 from lpcompact.spaces import _weighted_power_sum
@@ -198,6 +202,204 @@ def test_select_mesh_respects_max_exp():
     fam = Family.from_profiles(grid, [Constant(1.0)])  # translation-invariant inside
     # without a cap the scan would run to the box level
     assert select_mesh(fam, sp, 100.0, max_exp=-2)[0] == -2
+
+
+@pytest.mark.parametrize("select", [select_tail_level, select_mesh])
+def test_selectors_reject_non_finite_epsilon(select):
+    grid = Grid(dim=1, box_level=1, cell_exp=-6)
+    sp = WeightedSpace(2.0, sample(Constant(1.0), grid))
+    fam = Family.from_profiles(grid, [Indicator(center=0.5, radius=0.5)])
+    for epsilon in (math.inf, math.nan):
+        with pytest.raises(ModelError) as err:
+            select(fam, sp, epsilon)
+        assert str(err.value) == f"epsilon must be positive and finite, got {epsilon!r}"
+    for epsilon in (0.0, -1.0, -math.inf):
+        with pytest.raises(ModelError) as err:
+            select(fam, sp, epsilon)
+        assert str(err.value) == "epsilon must be positive"
+
+
+def _select_mesh_reference(family, space, epsilon, max_exp=None):
+    """The mesh selection with every shift measured exactly: the walk up
+    ``_translation_levels`` that ``select_mesh`` ran before the screen."""
+    grid = family.grid
+    hi = grid.box_level if max_exp is None else max_exp
+    threshold = 2.0 ** (-grid.dim) * epsilon / 3.0
+    levels = range(grid.cell_exp, hi + 1)
+    best, value = None, math.inf
+    scan = _translation_levels(family, space, [2.0**i for i in levels], "box", threshold)
+    for i, moduli_at_i in zip(levels, scan):
+        value = max(moduli_at_i)
+        if value < threshold:
+            best = i, moduli_at_i
+        else:
+            break
+    if best is None:
+        raise HypothesisError(
+            "equicontinuity",
+            f"select_mesh: translation modulus is {value:.6g} already at one cell "
+            f"(shift {grid.cell_side}), needs < {threshold:.6g}; the family is not "
+            f"equicontinuous at this resolution",
+        )
+    return best
+
+
+def _measured_outcome(select, family, space, epsilon, max_exp):
+    """What ``select`` returns or raises, and the (member, shift) pairs that
+    reach the exact kernel."""
+    names = {id(f.values): j for j, f in enumerate(family.members)}
+    reached = set()
+    inner = moduli._shifted_difference
+
+    def counted(values, offsets, out):
+        reached.add((names[id(values)], tuple(offsets)))
+        inner(values, offsets, out)
+
+    with mock.patch.object(moduli, "_shifted_difference", counted):
+        try:
+            outcome = "ok", select(family, space, epsilon, max_exp)
+        except (HypothesisError, ModelError) as err:
+            outcome = type(err).__name__, str(err)
+    return outcome, reached
+
+
+def _epsilon_at(threshold, dim):
+    """An epsilon whose mesh threshold 2**-dim * epsilon / 3 is ``threshold``
+    itself, when a float near 3 * 2**dim * threshold gives it."""
+    epsilon = min(3.0 * 2.0**dim * threshold, sys.float_info.max)
+    for _ in range(8):
+        got = 2.0 ** (-dim) * epsilon / 3.0
+        if got == threshold:
+            break
+        epsilon = math.nextafter(epsilon, math.inf if got < threshold else 0.0)
+    return epsilon
+
+
+def _screen_space(grid, rng, weight_scale, frame):
+    """A p = 2 space with random zero weights, inside a zero frame of
+    ``frame`` cells; every second draw is mirror-symmetric."""
+    w = rng.uniform(0.05, 2.0, grid.shape) * weight_scale
+    w[rng.random(grid.shape) < 0.2] = 0.0
+    if rng.random() < 0.5:
+        w = np.maximum(w, np.flip(w))
+    if frame:
+        inside = w[(slice(frame, -frame),) * grid.dim].copy()
+        w[...] = 0.0
+        w[(slice(frame, -frame),) * grid.dim] = inside
+    return WeightedSpace(2.0, GridFunction(grid, w))
+
+
+def _screen_family(grid, rng, scale, smooth):
+    """Three members in [-2, 2] * scale: noise, or its running sum when
+    ``smooth`` (small moduli, so the screened sums cancel deeply); the last
+    is mirror-symmetric, so the shifts k and -k tie up to rounding."""
+    members = []
+    for _ in range(3):
+        v = rng.standard_normal(grid.shape)
+        if smooth:
+            v = np.cumsum(v, axis=-1) / grid.shape[-1]
+        members.append(np.clip(v, -2.0, 2.0) * scale)
+    members[-1] = 0.5 * members[-1] + 0.5 * np.flip(members[-1])
+    return Family(grid, tuple(GridFunction(grid, v) for v in members), ("a", "b", "c"))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=99999),
+    dim=st.sampled_from([1, 2]),
+    scale=st.sampled_from([1.0, 1e-160, 2e-154, 1e154]),
+    smooth=st.booleans(),
+    frame=st.integers(min_value=0, max_value=2),
+)
+def test_shift_screen_encloses_the_kernel(seed, dim, scale, smooth, frame):
+    # wherever the screen vouches for a shift, the exact kernel takes its
+    # plain pass and its norm lies inside the screened bounds
+    grid = Grid(dim=dim, box_level=0, cell_exp=-5 if dim == 1 else -3)
+    rng = np.random.default_rng(seed)
+    sp = _screen_space(grid, rng, 1.0, frame)
+    fam = _screen_family(grid, rng, scale, smooth)
+    diff = np.empty(grid.shape)
+    inner = 0
+    screen = None
+    squares = []
+    for reach in (1, 2, 4):
+        if screen is None or screen.room < reach:
+            screen = moduli._ShiftScreen(fam, sp, reach, squares)
+        ring, enclosures = screen.ring(inner, reach)
+        assert [tuple(k) for k in ring] == [
+            k for k in shift_stencil(grid, reach * grid.cell_side, "box")
+            if max(map(abs, k)) > inner
+        ]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for f, (low, high) in zip(fam.members, enclosures):
+                for k, lo, hi in zip(ring, low, high):
+                    sure = math.isfinite(lo)
+                    assert sure == math.isfinite(hi)
+                    if not sure:
+                        continue
+                    moduli._shifted_difference(f.values, tuple(k), diff)
+                    total = _weighted_power_sum(diff, sp, diff)
+                    assert sp._sum_floor <= total < math.inf
+                    norm = moduli._shift_norm(f.values, tuple(k), sp, diff, {})
+                    assert lo <= norm <= hi
+                    # tight enough to decide all but near-ties
+                    assert hi - lo <= 1e-6 * hi
+        inner = reach
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=99999),
+    dim=st.sampled_from([1, 2]),
+    scale=st.sampled_from([1.0, 1e-160, 1e154, 8e307]),
+    weight_scale=st.sampled_from([1.0, 1e-200, 1e200]),
+    smooth=st.booleans(),
+    frame=st.integers(min_value=0, max_value=2),
+    data=st.data(),
+)
+def test_screened_select_mesh_is_the_exact_scan(
+    seed, dim, scale, weight_scale, smooth, frame, data
+):
+    # at p = 2 select_mesh screens its shifts; whatever the threshold, it
+    # returns or raises exactly what the exact scan does, and the exact
+    # kernel only meets shifts that scan measures
+    grid = Grid(dim=dim, box_level=0, cell_exp=-5 if dim == 1 else -3)
+    rng = np.random.default_rng(seed)
+    sp = _screen_space(grid, rng, weight_scale, frame)
+    fam = _screen_family(grid, rng, scale, smooth)
+    max_exp = data.draw(st.sampled_from([None, grid.cell_exp - 1, grid.cell_exp, -1]))
+    # thresholds at the exact moduli, an ulp either side, and anywhere
+    radii = [2.0**i for i in range(grid.cell_exp, grid.box_level + 1)]
+    try:
+        values = sorted({v for level in _translation_levels(fam, sp, radii, "box") for v in level})
+    except ModelError:
+        values = [1.0]
+    threshold = data.draw(
+        st.one_of(st.sampled_from(values), st.floats(min_value=0.0, max_value=2.0 * values[-1]))
+    )
+    threshold = math.nextafter(threshold, data.draw(st.sampled_from([-math.inf, threshold, math.inf])))
+    epsilon = _epsilon_at(threshold, dim)
+    if not epsilon > 0:
+        return
+    expected, measured = _measured_outcome(_select_mesh_reference, fam, sp, epsilon, max_exp)
+    got, screened = _measured_outcome(select_mesh, fam, sp, epsilon, max_exp)
+    assert got == expected
+    assert screened <= measured
+
+
+def test_screened_select_mesh_confirms_a_threshold_on_a_modulus():
+    # the threshold is a shift's exact norm: the screen cannot tell that shift
+    # from the threshold, so the exact kernel decides, and the level fails
+    grid = Grid(dim=1, box_level=1, cell_exp=-6)
+    sp = WeightedSpace(2.0, sample(PowerLaw(0.5), grid))
+    fam = Family.from_profiles(grid, [Gaussian(center=0.1, sigma=0.3), Gaussian(center=-0.2, sigma=0.4)])
+    level, found = select_mesh(fam, sp, 1.0)
+    nxt = max(next(_translation_levels(fam, sp, [2.0 ** (level + 1)], "box")))
+    epsilon = _epsilon_at(nxt, 1)
+    assert 0.5 * epsilon / 3.0 == nxt
+    assert select_mesh(fam, sp, epsilon) == _select_mesh_reference(fam, sp, epsilon)
+    above = float(np.nextafter(epsilon, math.inf))
+    assert select_mesh(fam, sp, above) == _select_mesh_reference(fam, sp, above)
 
 
 def _null_cube_mask_loop(part, space):
