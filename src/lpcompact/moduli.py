@@ -150,13 +150,10 @@ def translation_modulus(
     return max(next(_translation_levels(family, space, [radius], stencil)))
 
 
-def _translation_levels(
-    family: Family, space: WeightedSpace, radii, stencil: str, stop: float = math.inf
-):
+def _translation_levels(family: Family, space: WeightedSpace, radii, stencil: str):
     """Yield, for each of the nondecreasing ``radii``, every member's
-    translation modulus at that radius.  This exact scan serves
-    ``translation_modulus`` and ``measure_moduli``, and ``_select_level`` at
-    every p but 2.
+    translation modulus at that radius: the full scan behind
+    ``translation_modulus`` and ``measure_moduli``.
 
     Closed stencils nest, so a radius only measures the shifts the smaller
     radii lacked, and a running maximum per member carries the rest.  Every
@@ -164,12 +161,6 @@ def _translation_levels(
     scan, so every value equals ``_array_norm`` of the shifted difference bit
     for bit.  A consumer that stops iterating stops the scan after the last
     radius it received.
-
-    The scan also ends after the first radius whose largest modulus reaches
-    ``stop``.  Past the first radius it leaves the ring as soon as one
-    member's modulus reaches ``stop``, so the moduli of that last yield may
-    fall short of the full ones; a threshold search only needs to see that one
-    of them reached it.
     """
     _check_space(family, space)
     grid = family.grid
@@ -177,7 +168,7 @@ def _translation_levels(
     moduli = [0.0] * len(family)
     seen = set()
     errors = np.geterr()
-    for n, radius in enumerate(radii):
+    for radius in radii:
         offsets = shift_stencil(grid, radius, kind=stencil)
         if not offsets:
             raise ModelError(
@@ -191,33 +182,7 @@ def _translation_levels(
             for j, k in itertools.product(range(len(family)), ring):
                 norm = _shift_norm(family.members[j].values, k, space, diff, errors)
                 moduli[j] = max(moduli[j], norm)
-                if n and moduli[j] >= stop:
-                    break
         yield tuple(moduli)
-        if max(moduli) >= stop:
-            return
-
-
-def _select_level(family: Family, space: WeightedSpace, levels: range, threshold: float):
-    """Walk up the consecutive box ``levels`` and stop at the first whose
-    box-shift modulus reaches ``threshold``: the mesh selection behind
-    ``select_mesh``.
-
-    Returns the last level below the threshold with each member's modulus
-    there, or None with the first level's moduli when even that level fails
-    (and ``()`` when ``levels`` is empty).  At p = 2 the shifts are screened
-    (``_screened_level``); at any other p ``_translation_levels`` measures
-    them.  Both give the exact scan's result, bit for bit.
-    """
-    if space.p == 2.0:
-        return _screened_level(family, space, levels, threshold)
-    best = None, ()
-    scan = _translation_levels(family, space, [2.0**i for i in levels], "box", threshold)
-    for n, (i, moduli) in enumerate(zip(levels, scan)):
-        if not max(moduli) < threshold:
-            return best if n else (None, moduli)
-        best = i, moduli
-    return best
 
 
 # the screen's dots are at most this long: OpenBLAS hands long dots to its
@@ -231,81 +196,89 @@ _ROOT_SLACK = 2.0**-50
 _HALF_MAX = sys.float_info.max / 2.0
 
 
-def _screened_level(family: Family, space: WeightedSpace, levels: range, threshold: float):
-    """``_select_level`` at p = 2, deciding most shifts from an enclosure of
-    the norm the exact kernel would compute (``_ShiftScreen``).
+def _select_level(family: Family, space: WeightedSpace, levels: range, threshold: float):
+    """Walk up the consecutive box ``levels`` and stop at the first whose
+    box-shift modulus reaches ``threshold``: the mesh selection behind
+    ``select_mesh``.
 
-    Levels, then members, then shifts go in the exact scan's order.  A shift
-    whose norm is surely below the threshold passes, one surely at or above it
-    fails, and ``_shift_norm`` measures any other, including every shift the
-    screen cannot vouch for.  So the exact kernel meets only shifts the exact
-    scan measures, and every one of them that could raise.  Past the first
-    level a failing shift ends the scan, as it ends the exact one; the first
-    level is gone through in full.  Moduli are confirmed only at the chosen
-    level, or at a failing first level (``_confirmed_moduli``).
+    Returns the last level below the threshold with each member's modulus
+    there, or None with the first level's moduli when even that level fails
+    (and ``()`` when ``levels`` is empty).  Each level adds the ring of
+    shifts the smaller boxes lacked (``_box_ring``), each shift with bounds on
+    its exact norm: the enclosure of ``_ShiftScreen`` at p = 2, (-inf, inf) at
+    any other p.  Levels, then members, then shifts go in stencil order.  A
+    shift surely below the threshold passes, one surely at or above it fails,
+    and ``_shift_norm`` measures any other.  The first level is gone through
+    in full; past it the first failing shift ends the walk.
+
+    At the end of a level each member keeps only the shifts whose upper bound
+    reaches its largest lower bound so far.  That bound only rises, so the
+    shift of the maximum stays, and ``_confirmed_moduli`` reads the kept
+    shifts alone.  The result is that of the exact scan, bit for bit.
     """
     if not levels:
         return None, ()
     _check_space(family, space)
+    grid = family.grid
     errors = np.geterr()
-    diff = np.empty(family.grid.shape)
+    diff = np.empty(grid.shape)
 
-    def exact(j, offsets):
-        k = tuple(int(x) for x in offsets)
+    def exact(j, k):
         return _shift_norm(family.members[j].values, k, space, diff, errors)
 
-    screen = None
-    squares = []  # per member, kept across screens
-    rings, lows, highs = [], [], []
+    # per member, the largest lower bound so far and the kept shifts, each
+    # as (shift, lower bound, upper bound)
+    top, kept = [-math.inf] * len(family), [[] for _ in family.members]
+    screen, squares = None, []  # per member, kept across screens
     inner = 0
     with np.errstate(over="ignore", invalid="ignore"):
         for n, i in enumerate(levels):
-            reach = round(2.0 ** (i - family.grid.cell_exp))
-            if screen is None or screen.room < reach:
-                screen = _ShiftScreen(family, space, reach, squares)
-            ring, enclosures = screen.ring(inner, reach)
-            low = np.empty((len(family), len(ring)))
-            high = np.empty_like(low)
-            fails = False
-            for j, bounds in enumerate(enclosures):
-                low[j], high[j] = bounds
-                for pos in np.flatnonzero(~(high[j] < threshold)):
-                    if not low[j, pos] >= threshold:
-                        low[j, pos] = high[j, pos] = exact(j, ring[pos])
-                        if low[j, pos] < threshold:
+            reach = round(2.0 ** (i - grid.cell_exp))
+            ring = _box_ring(inner, reach, grid.dim)
+            offsets = list(map(tuple, ring.tolist()))
+            if space.p != 2.0:
+                width = len(ring)
+                enclosures = ([[-math.inf] * width, [math.inf] * width] for _ in family.members)
+            else:
+                if screen is None or screen.room < reach:
+                    screen = _ShiftScreen(family, space, reach, squares)
+                enclosures = screen.enclosures(inner, reach, ring)
+            bounds, fails = [], False
+            for j, (low, high) in enumerate(enclosures):
+                for pos, k in enumerate(offsets):
+                    if high[pos] < threshold:
+                        continue
+                    if not low[pos] >= threshold:
+                        low[pos] = high[pos] = norm = exact(j, k)
+                        if norm < threshold:
                             continue
                     if n:
-                        return levels[n - 1], _confirmed_moduli(rings, lows, highs, exact)
+                        return levels[n - 1], _confirmed_moduli(kept, exact)
                     fails = True
-            rings.append(ring)
-            lows.append(low)
-            highs.append(high)
+                bounds.append((low, high))
+            for j, (low, high) in enumerate(bounds):
+                top[j] = max(top[j], *low)
+                kept[j] = [s for s in (*kept[j], *zip(offsets, low, high)) if s[2] >= top[j]]
             if fails:
-                return None, _confirmed_moduli(rings, lows, highs, exact)
+                return None, _confirmed_moduli(kept, exact)
             inner = reach
-        return levels[-1], _confirmed_moduli(rings, lows, highs, exact)
+        return levels[-1], _confirmed_moduli(kept, exact)
 
 
-def _confirmed_moduli(rings, lows, highs, exact) -> tuple[float, ...]:
-    """Each member's exact modulus over the scanned rings: the largest exact
-    norm among the shifts whose upper bound reaches the member's largest lower
-    bound, which include the shift of the maximum.  Shifts measured already
+def _confirmed_moduli(kept, exact) -> tuple[float, ...]:
+    """Each member's exact modulus: the largest exact norm among its kept
+    shifts, which include the shift of the maximum.  Shifts measured already
     carry their norm as both bounds."""
-    ring = np.concatenate(rings)
-    low = np.concatenate(lows, axis=1)
-    high = np.concatenate(highs, axis=1)
     return tuple(
-        max(
-            float(low[j, pos]) if low[j, pos] == high[j, pos] else exact(j, ring[pos])
-            for pos in np.flatnonzero(high[j] >= np.max(low[j]))
-        )
-        for j in range(len(low))
+        max(lo if lo == hi else exact(j, k) for k, lo, hi in member)
+        for j, member in enumerate(kept)
     )
 
 
 class _ShiftScreen:
     """Enclosures, at p = 2, of the norms the exact kernel computes, for a
-    whole ring of shifts of one member at a time.
+    whole ring of shifts of one member at a time: the bounds ``_select_level``
+    decides from at that p.
 
     With the zero-fill shift, ||tau_k f - f||^2 / cell_volume = A + B_k - 2 C_k
     for A = sum w f^2, B_k = sum_x w(x) f^2(x - k) and C_k = sum_x (w f)(x)
@@ -371,16 +344,10 @@ class _ShiftScreen:
             self.squares.append((square, lost))
         return self.squares[j]
 
-    def ring(self, inner: int, reach: int):
-        """The shifts k with inner < max|k| <= reach (cells), in stencil order,
-        and a generator of each member's lower and upper bounds on the
-        kernel's norm at those shifts."""
-        dim = self.family.grid.dim
-        cube = np.indices((2 * reach + 1,) * dim) - reach
-        ring = np.argwhere(np.max(np.abs(cube), axis=0) > inner) - reach
-        return ring, self._enclosures(inner, reach, ring)
-
-    def _enclosures(self, inner, reach, ring):
+    def enclosures(self, inner: int, reach: int, ring: np.ndarray):
+        """Each member's lower and upper bounds on the kernel's norm at the
+        shifts of ``ring``, those with inner < max|k| <= reach (cells), as two
+        lists."""
         grid, space, room = self.family.grid, self.space, self.room
         spots = tuple((ring + reach).T)
         b, c = np.empty((2, *(2 * reach + 1,) * grid.dim))
@@ -402,9 +369,16 @@ class _ShiftScreen:
                 & (np.maximum(screened + bound, high) <= _HALF_MAX)
             )
             yield (
-                np.where(sure, np.sqrt(low) * (1.0 - _ROOT_SLACK), -math.inf),
-                np.where(sure, np.sqrt(high) * (1.0 + _ROOT_SLACK), math.inf),
+                np.where(sure, np.sqrt(low) * (1.0 - _ROOT_SLACK), -math.inf).tolist(),
+                np.where(sure, np.sqrt(high) * (1.0 + _ROOT_SLACK), math.inf).tolist(),
             )
+
+
+def _box_ring(inner: int, reach: int, dim: int) -> np.ndarray:
+    """The shifts k with inner < max|k| <= reach (cells), one per row, in
+    stencil order."""
+    cube = np.indices((2 * reach + 1,) * dim) - reach
+    return np.argwhere(np.max(np.abs(cube), axis=0) > inner) - reach
 
 
 def _ring_boxes(inner: int, reach: int, dim: int):

@@ -191,12 +191,12 @@ def select_mesh(
     returned with each member's box-shift modulus at that exponent.
 
     The translation modulus is nondecreasing in the radius (stencils nest), so
-    the scan walks up from the cell scale and stops at the first failure; past
-    the first level it stops at the first shift that reaches the threshold.
-    At p = 2 a rigorous enclosure of each shifted norm decides most shifts,
-    and exact norms are taken only where it cannot, and at the chosen level;
-    the result is that of the exact scan, bit for bit (see
-    ``moduli._select_level``).
+    one walker (``moduli._select_level``) goes up from the cell scale and stops
+    at the first failure; past the first level it stops at the first shift
+    that reaches the threshold.  At p = 2 an enclosure of each shifted norm
+    decides most shifts, and exact norms are taken only where it cannot;
+    at any other p every shift is measured.  Either way the result is that of
+    the exact scan, bit for bit.
     """
     _check_epsilon(epsilon)
     grid = family.grid

@@ -17,6 +17,7 @@ trusted to the estimate alone.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -28,6 +29,7 @@ from .netbuilder import (
     NetCertificate,
     PowerTransferRecord,
     ValidationReport,
+    _check_epsilon,
     _net_distances,
     _remeasure,
     build_certificate,
@@ -149,8 +151,7 @@ def quasi_certificate(
     """
     if not 0 < space.p < 1:
         raise ModelError("quasi_certificate applies to exponents 0 < p < 1")
-    if epsilon <= 0:
-        raise ModelError("epsilon must be positive")
+    _check_epsilon(epsilon)
     for f, lab in zip(family.members, family.labels):
         if np.any(f.values < 0):
             raise ModelError(
@@ -161,7 +162,8 @@ def quasi_certificate(
     roots = root_family(family, n)
     bound = bound_modulus(family, space)
     c_max = n * bound ** ((n - 1) / n)
-    eps_prime = epsilon / c_max if c_max > 0 else epsilon
+    # the audits measure against epsilon itself, so a root budget may be clamped
+    eps_prime = min(epsilon / c_max, sys.float_info.max) if c_max > 0 else epsilon
 
     cert = build_certificate(roots, ys, eps_prime, variant=variant)
 

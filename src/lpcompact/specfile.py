@@ -82,50 +82,50 @@ def _table_values(doc: dict, base_dir: Path, where: str):
     return rows
 
 
+# per profile kind, the required keys besides "kind" and the optional ones
+_PROFILE_KEYS = {
+    "constant": (["value"], []),
+    "gaussian": (["center", "sigma"], ["amplitude"]),
+    "bump": (["center", "radius"], ["amplitude"]),
+    "indicator": (["center", "radius"], []),
+    "power": (["exponent"], ["support"]),
+    "table": ([], ["values", "path"]),
+}
+_ALL_KEYS = sorted({k for keys in _PROFILE_KEYS.values() for k in keys[0] + keys[1]})
+
+
 def _parse_profile(doc: dict, base_dir: Path, where: str):
-    _require_keys(doc, ["kind"], optional=_PROFILE_KEYS.get(doc.get("kind"), _ALL_KEYS), where=where)
-    kind = doc.get("kind")
+    kind = doc.get("kind") if isinstance(doc, dict) else None
+    # until it is reported, an unknown kind admits the keys of every kind
+    known = isinstance(kind, str) and kind in _PROFILE_KEYS
+    required, optional = _PROFILE_KEYS[kind] if known else ([], _ALL_KEYS)
+    # unknown keys are reported before missing ones
+    _require_keys(doc, ["kind"], optional=[*required, *optional], where=where)
+    _require_keys(doc, ["kind", *required], optional=optional, where=where)
     if kind == "constant":
-        _require_keys(doc, ["kind", "value"], where=where)
         return Constant(value=_number(doc, "value", where))
     if kind == "gaussian":
-        _require_keys(doc, ["kind", "center", "sigma"], optional=["amplitude"], where=where)
         return Gaussian(
             center=_vector(doc["center"], where),
             sigma=_number(doc, "sigma", where),
             amplitude=_number(doc, "amplitude", where) if "amplitude" in doc else 1.0,
         )
     if kind == "bump":
-        _require_keys(doc, ["kind", "center", "radius"], optional=["amplitude"], where=where)
         return Bump(
             center=_vector(doc["center"], where),
             radius=_number(doc, "radius", where),
             amplitude=_number(doc, "amplitude", where) if "amplitude" in doc else 1.0,
         )
     if kind == "indicator":
-        _require_keys(doc, ["kind", "center", "radius"], where=where)
         return Indicator(center=_vector(doc["center"], where), radius=_number(doc, "radius", where))
     if kind == "power":
-        _require_keys(doc, ["kind", "exponent"], optional=["support"], where=where)
         return PowerLaw(
             exponent=_number(doc, "exponent", where),
             support=_number(doc, "support", where) if "support" in doc else None,
         )
     if kind == "table":
-        _require_keys(doc, ["kind"], optional=["values", "path"], where=where)
         return Table(values=_freeze(_table_values(doc, base_dir, where), where))
     raise SpecFileError(f"{where}: unknown profile kind {kind!r}")
-
-
-_PROFILE_KEYS = {
-    "constant": ["value"],
-    "gaussian": ["center", "sigma", "amplitude"],
-    "bump": ["center", "radius", "amplitude"],
-    "indicator": ["center", "radius"],
-    "power": ["exponent", "support"],
-    "table": ["values", "path"],
-}
-_ALL_KEYS = sorted({k for keys in _PROFILE_KEYS.values() for k in keys})
 
 
 def _vector(v, where: str):

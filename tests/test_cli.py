@@ -691,6 +691,32 @@ def test_net_huge_epsilon_builds_a_one_element_net(tmp_path, epsilon):
     assert [r.returncode for r in checks] == [0, 0]
 
 
+def test_net_huge_epsilon_on_the_power_transfer(tmp_path):
+    # small members give C_max < 1, where epsilon / C_max overflowed to an
+    # infinite root budget; it is now clamped to the largest float, and the
+    # audits still measure against epsilon itself
+    members = [
+        {"kind": "gaussian", "center": c, "sigma": 0.3, "amplitude": 1e-3} for c in (-0.3, 0.3)
+    ]
+    spec = write_spec(
+        tmp_path / "spec.json", p=0.5, weight={"kind": "constant", "value": 1.0}, members=members
+    )
+    prob = load_problem(spec)
+    assert 3 * bound_modulus(prob.family, prob.space) ** (2 / 3) < 1.0
+    cert = tmp_path / "cert.json"
+    runs = _runs_without_and_with_warnings_as_errors(
+        "net", "--spec", spec, "--epsilon", "1e308", "--out", cert
+    )
+    assert [r.returncode for r in runs] == [0, 0]
+    assert [r.stderr for r in runs] == ["", ""]
+    assert all(r.stdout.startswith("net of size 1 for 2 members") for r in runs)
+    assert json.loads(cert.read_text())["quasi"]["eps_prime"] == sys.float_info.max
+    checks = _runs_without_and_with_warnings_as_errors(
+        "validate", "--spec", spec, "--certificate", cert
+    )
+    assert [r.returncode for r in checks] == [0, 0]
+
+
 @pytest.mark.parametrize("epsilon", ["inf", "nan"])
 def test_net_non_finite_epsilon_exit_3(tmp_path, epsilon):
     spec = write_spec(tmp_path / "spec.json")

@@ -34,8 +34,9 @@ from lpcompact import (
 )
 
 from conftest import random_family
+from lpcompact import moduli
 from lpcompact.grid import shift_stencil
-from lpcompact.moduli import _shifted_difference, _translation_levels
+from lpcompact.moduli import _select_level, _shifted_difference, _translation_levels
 from lpcompact.spaces import _array_norm
 from test_benchmark_pins import WORKLOADS
 
@@ -300,47 +301,85 @@ def test_measure_moduli_unsorted_repeated_radii(grid, stencil):
         measure_moduli(fam, sp, shift_radii=[h, h / 4], tail_radii=[0.5], stencil=stencil)
 
 
-def _accepted(levels, stop):
-    """The yields a threshold search accepts: those before the first whose
-    largest modulus reaches ``stop``."""
-    accepted = []
-    for moduli in levels:
-        if not max(moduli) < stop:
-            break
-        accepted.append(moduli)
-    return accepted
+def _full_scan_selection(family, space, levels, threshold):
+    """What the mesh walker must return: the last of the box ``levels`` the
+    full ``_translation_levels`` scan accepts, before the first whose largest
+    modulus reaches ``threshold``, with that scan's moduli there; or None with
+    its first-level moduli (``()`` for no levels)."""
+    best = None, ()
+    full = _translation_levels(family, space, [2.0**i for i in levels], "box")
+    for n, (i, moduli) in enumerate(zip(levels, full)):
+        if not max(moduli) < threshold:
+            return best if n else (None, moduli)
+        best = i, moduli
+    return best
+
+
+def _drawn_threshold(family, space, levels, data):
+    """A threshold at one of the exact moduli, an ulp either side, or
+    anywhere up to twice the largest."""
+    full = _translation_levels(family, space, [2.0**i for i in levels], "box")
+    values = sorted({v for moduli in full for v in moduli}) or [1.0]
+    threshold = data.draw(
+        st.one_of(
+            st.sampled_from(values),
+            st.floats(min_value=0.0, max_value=2.0 * values[-1]),
+        )
+    )
+    toward = data.draw(st.sampled_from([-np.inf, threshold, np.inf]))
+    return float(np.nextafter(threshold, toward))
 
 
 @settings(max_examples=80, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=9999),
     dim=st.sampled_from([1, 2]),
-    stencil=st.sampled_from(["box", "ball"]),
-    p=st.sampled_from([0.5, 1.0, 2.0, 3.0]),
+    p=st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0]),
     data=st.data(),
 )
-def test_early_stopping_scan_matches_full_scan(seed, dim, stencil, p, data):
-    # at any threshold the early-stopping scan accepts the same radii as the
-    # full scan, with the same per-member moduli, and ends right after them
+def test_early_stopping_scan_matches_full_scan(seed, dim, p, data):
+    # at any threshold the mesh walker, which stops at the first failing
+    # shift, returns what the full scan selects
     grid = Grid(dim=dim, box_level=0, cell_exp=-4 if dim == 1 else -2)
     rng = np.random.default_rng(seed)
     sp = WeightedSpace(p, _weights_with_zeros(grid, rng))
     fam = random_family(grid, rng)
-    radii = [2.0**i for i in range(grid.cell_exp, grid.box_level + 1)]
-    full = list(_translation_levels(fam, sp, radii, stencil))
-    values = sorted({v for moduli in full for v in moduli})
-    stop = data.draw(
-        st.one_of(
-            st.sampled_from(values),
-            st.floats(min_value=0.0, max_value=2.0 * values[-1]),
-        )
-    )
-    stop = float(np.nextafter(stop, data.draw(st.sampled_from([-np.inf, stop, np.inf]))))
-    early = list(_translation_levels(fam, sp, radii, stencil, stop))
-    accepted = _accepted(full, stop)
-    assert _accepted(early, stop) == accepted
-    assert early[0] == full[0]
-    assert len(early) == min(len(accepted) + 1, len(radii))
+    top = data.draw(st.integers(min_value=grid.cell_exp - 1, max_value=grid.box_level))
+    levels = range(grid.cell_exp, top + 1)
+    threshold = _drawn_threshold(fam, sp, levels, data)
+    expected = _full_scan_selection(fam, sp, levels, threshold)
+    assert _select_level(fam, sp, levels, threshold) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=9999),
+    dim=st.sampled_from([1, 2]),
+    data=st.data(),
+)
+def test_select_level_trusts_enclosures_only_as_bounds(seed, dim, data):
+    # with loose random enclosures in place of the p = 2 screen's, which
+    # overlap and misorder the shifts or meet the threshold exactly, the
+    # walker still returns what the full scan selects: the shifts it drops
+    # can never hold a member's maximum
+    grid = Grid(dim=dim, box_level=0, cell_exp=-4 if dim == 1 else -2)
+    rng = np.random.default_rng(seed)
+    sp = WeightedSpace(2.0, _weights_with_zeros(grid, rng))
+    fam = random_family(grid, rng)
+    levels = range(grid.cell_exp, grid.box_level + 1)
+    threshold = _drawn_threshold(fam, sp, levels, data)
+    diff = np.empty(grid.shape)
+
+    def loose(screen, inner, reach, ring):
+        for f in fam.members:
+            norms = np.array([moduli._shift_norm(f.values, tuple(k), sp, diff, {}) for k in ring])
+            # a third of the bounds are the exact norm itself
+            slack = rng.uniform(0.0, 0.5, (2, len(ring))) * (rng.random((2, len(ring))) < 2 / 3)
+            yield norms * (1.0 - slack[0]), norms * (1.0 + slack[1])
+
+    expected = _full_scan_selection(fam, sp, levels, threshold)
+    with mock.patch.object(moduli._ShiftScreen, "enclosures", loose):
+        assert _select_level(fam, sp, levels, threshold) == expected
 
 
 def test_measure_moduli_measures_each_shift_once(tmp_path, monkeypatch):

@@ -196,3 +196,43 @@ def test_load_problem_errors(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(SpecFileError, match="not valid JSON"):
         load_problem(bad)
+
+
+@pytest.mark.parametrize(
+    "profile, message",
+    [
+        ({"center": 0.3}, "spec.members[0] is missing keys ['kind']"),
+        ({"kind": "gaussian", "center": 0.3}, "spec.members[0] is missing keys ['sigma']"),
+        # unknown keys are reported before missing ones
+        (
+            {"kind": "gaussian", "center": 0.3, "sgima": 0.4},
+            "spec.members[0] has unknown keys ['sgima']",
+        ),
+        (
+            {"kind": "constant", "value": 1.0, "amplitude": 2.0},
+            "spec.members[0] has unknown keys ['amplitude']",
+        ),
+        ({"kind": "power", "support": 1.0}, "spec.members[0] is missing keys ['exponent']"),
+        ({"kind": "table"}, "spec.members[0] needs exactly one of 'values' or 'path'"),
+        ({"kind": "wavelet", "scale": 1.0}, "spec.members[0] has unknown keys ['scale']"),
+        ({"kind": "wavelet", "sigma": 1.0}, "spec.members[0]: unknown profile kind 'wavelet'"),
+        (
+            {"kind": ["gaussian"], "sigma": 1.0},
+            "spec.members[0]: unknown profile kind ['gaussian']",
+        ),
+    ],
+)
+def test_profile_key_errors(profile, message):
+    doc = base_doc()
+    doc["members"][0] = profile
+    with pytest.raises(SpecFileError) as err:
+        parse_problem(doc)
+    assert str(err.value) == message
+
+
+def test_weight_profile_must_be_an_object():
+    doc = base_doc()
+    doc["space"]["weight"] = [0.5]
+    with pytest.raises(SpecFileError) as err:
+        parse_problem(doc)
+    assert str(err.value) == "spec.space.weight must be an object, got list"
