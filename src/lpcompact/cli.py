@@ -12,6 +12,7 @@ import csv
 import json
 import math
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from .errors import HypothesisError, ModelError, SpecFileError
@@ -51,14 +52,24 @@ def _ints(text: str) -> list[int]:
         raise SpecFileError(f"bad integer list {text!r}: {exc}") from exc
 
 
+@contextmanager
+def _writing(path, what: str = "output"):
+    """Report a failure to write ``path`` as a spec error (exit 2), as an
+    unreadable spec is."""
+    try:
+        yield
+    except OSError as exc:
+        raise SpecFileError(f"cannot write {what} {path}: {exc.strerror or exc}") from exc
+
+
 def _write_json(path: Path, obj) -> None:
-    with open(path, "w") as fh:
+    with _writing(path), open(path, "w") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 def _write_csv(path: Path, header, rows) -> None:
-    with open(path, "w", newline="") as fh:
+    with _writing(path), open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
@@ -88,6 +99,10 @@ def cmd_moduli(args) -> int:
 
 def cmd_net(args) -> int:
     problem = load_problem(args.spec)
+    # a missing directory fails before the build, not after it
+    out = Path(args.out)
+    if not out.parent.is_dir():
+        raise SpecFileError(f"cannot write certificate {out}: no directory {out.parent}")
     if problem.space.p >= 1:
         cert = build_certificate(
             problem.family, problem.space, args.epsilon, variant=args.variant
@@ -102,7 +117,8 @@ def cmd_net(args) -> int:
         for line in report.failures:
             print(f"validation failure: {line}", file=sys.stderr)
         return 3
-    save_certificate(cert, args.out)
+    with _writing(args.out, "certificate"):
+        save_certificate(cert, args.out)
     print(
         f"net of size {cert.n_net} for {len(problem.family)} members at epsilon "
         f"{args.epsilon:g}; certificate written to {args.out}"

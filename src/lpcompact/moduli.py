@@ -29,6 +29,7 @@ from .grid import (
 )
 from .profiles import _sample_all
 from .spaces import (
+    _TINY,
     WeightedSpace,
     _array_norm,
     _sum_root,
@@ -190,10 +191,14 @@ def _translation_levels(family: Family, space: WeightedSpace, radii, stencil: st
 # stay in cache across the windows of a box
 _DOT_BLOCK = 2048
 _UNIT_ROUNDOFF = 2.0**-53
-# pow(total, 0.5) in ``_sum_root`` is within an ulp of the real root and
-# np.sqrt of a bound within half an ulp; 8 ulps cover both
+# pow(total, 1 / p) in ``_sum_root`` is within an ulp of the real root, and
+# np.sqrt or pow of a bound within an ulp; 8 ulps cover both
 _ROOT_SLACK = 2.0**-50
 _HALF_MAX = sys.float_info.max / 2.0
+# the per-term error ``_PowerScreen`` allows np.power(x, 1.5): relative to
+# x**1.5, plus _TINY absolute (a flushed or inexact subnormal).  libm's pow is
+# within an ulp and numpy's SIMD loops within a few; 2**-40 is some 4,000 ulps
+_POWER_SLACK = 2.0**-40
 
 
 def _select_level(family: Family, space: WeightedSpace, levels: range, threshold: float):
@@ -205,11 +210,12 @@ def _select_level(family: Family, space: WeightedSpace, levels: range, threshold
     there, or None with the first level's moduli when even that level fails
     (and ``()`` when ``levels`` is empty).  Each level adds the ring of
     shifts the smaller boxes lacked (``_box_ring``), each shift with bounds on
-    its exact norm: the enclosure of ``_ShiftScreen`` at p = 2, (-inf, inf) at
-    any other p.  Levels, then members, then shifts go in stencil order.  A
-    shift surely below the threshold passes, one surely at or above it fails,
-    and ``_shift_norm`` measures any other.  The first level is gone through
-    in full; past it the first failing shift ends the walk.
+    its exact norm: the enclosure of ``_ShiftScreen`` at p = 2 and of
+    ``_PowerScreen`` at p = 1.5, (-inf, inf) at any other p.
+    Levels, then members, then shifts go in stencil order.  A shift surely
+    below the threshold passes, one surely at or above it fails, and
+    ``_shift_norm`` measures any other.  The first level is gone through in
+    full; past it the first failing shift ends the walk.
 
     At the end of a level each member keeps only the shifts whose upper bound
     reaches its largest lower bound so far.  That bound only rises, so the
@@ -236,12 +242,17 @@ def _select_level(family: Family, space: WeightedSpace, levels: range, threshold
             reach = round(2.0 ** (i - grid.cell_exp))
             ring = _box_ring(inner, reach, grid.dim)
             offsets = list(map(tuple, ring.tolist()))
-            if space.p != 2.0:
+            if space.p not in (1.5, 2.0):
                 width = len(ring)
                 enclosures = ([[-math.inf] * width, [math.inf] * width] for _ in family.members)
             else:
                 if screen is None or screen.room < reach:
-                    screen = _ShiftScreen(family, space, reach, squares)
+                    # the p = 1.5 screen forms its terms in the kernel's
+                    # buffer, which is free while the screen runs
+                    screen = (
+                        _ShiftScreen(family, space, reach, squares) if space.p == 2.0
+                        else _PowerScreen(family, space, reach, diff)
+                    )
                 enclosures = screen.enclosures(inner, reach, ring)
             bounds, fails = [], False
             for j, (low, high) in enumerate(enclosures):
@@ -372,6 +383,98 @@ class _ShiftScreen:
                 np.where(sure, np.sqrt(low) * (1.0 - _ROOT_SLACK), -math.inf).tolist(),
                 np.where(sure, np.sqrt(high) * (1.0 + _ROOT_SLACK), math.inf).tolist(),
             )
+
+
+class _PowerScreen:
+    """Enclosures, at p = 1.5, of the norms the exact kernel computes, for a
+    whole ring of shifts of one member at a time: the bounds ``_select_level``
+    decides from at that p.
+
+    One member sits in a zero-padded buffer, and the window at room - k holds
+    f(x - k), so d = window - f has the kernel's shifted difference, bit for
+    bit.  The screened sum is S = sum_x w(x) (|d| * sqrt|d|)(x), a blocked
+    dot as in ``_box_dots``, against the kernel's sum of np.power(|d|, 1.5)
+    * w.  With E the exact sum of w |d|**1.5 over the N cells:
+
+    - np.power is taken to be within ``_POWER_SLACK`` (eta) of |d|**1.5 plus
+      ``_TINY`` per term; a deliberately wide allowance, pinned by a test.
+    - The kernel rounds each power times w once and sums pairwise, so it is
+      within (eta + gamma_N) E, Higham's bound for a sum of nonnegative terms
+      (Accuracy and Stability, 3.1), of E, up to underflow.
+    - The screen rounds sqrt, the product and the product with w, then sums
+      in any order: within gamma_{N+2} E of E, up to underflow.
+    - Underflow loses at most _TINY times the weight in the power and
+      2**-1075 in each product or the weight factor: under 2**-1021 (max w +
+      1) per cell in all, and ``lost`` is four times that over the N cells.
+
+    So the kernel's sum is within gamma S + lost of S, with gamma = 2 eta +
+    8 (N + 4) u / (1 - (N + 4) u): the second term covers both sums, E
+    against S and the roundings of the bound itself.  The screen vouches for
+    a shift when S and the bound are finite and the whole enclosure lies in
+    [``space._sum_floor``, max / 2]: there the kernel takes its plain pass
+    and ``_sum_root`` raises that sum to the rounded 1 / p, and the bounds
+    are the enclosure raised to that same exponent by the same pow, each
+    moved by ``_ROOT_SLACK``.  A member with max|f| above 2**680 could
+    overflow a power that the screen does not, so it gets the bounds -inf
+    and inf at every shift, as does any shift not vouched for.  Used under
+    ``np.errstate(over="ignore", invalid="ignore")``.
+    """
+
+    def __init__(self, family: Family, space: WeightedSpace, reach: int, diff: np.ndarray):
+        grid = family.grid
+        self.family, self.space, self.room = family, space, max(reach, min(grid.shape) // 16)
+        self.pad = np.zeros(tuple(size + 2 * self.room for size in grid.shape))
+        self.interior = tuple(slice(self.room, self.room + size) for size in grid.shape)
+        # the terms are formed in ``diff`` (grid-shaped, left to the screen
+        # between the yields of ``enclosures``) and the roots in ``root``
+        self.diff, self.root = diff.reshape(-1), np.empty(grid.n_cells)
+        self.weight = space.weight.values.reshape(-1)
+        span = grid.n_cells + 4
+        self.gamma = 8.0 * span * _UNIT_ROUNDOFF / (1.0 - span * _UNIT_ROUNDOFF) + 2.0 * _POWER_SLACK
+        self.lost = math.ldexp(grid.n_cells, -1019) * (float(np.max(self.weight)) + 1.0)
+        # per member, whether max|f| keeps every power in range
+        self.fits = [
+            max(float(np.max(f.values)), -float(np.min(f.values))) <= 2.0**680
+            for f in family.members
+        ]
+
+    def _sums(self, f: np.ndarray, offsets) -> list[float]:
+        """The screened sums S of one member's values ``f`` at ``offsets``."""
+        self.pad[self.interior] = f
+        diff, root, room = self.diff, self.root, self.room
+        sums = []
+        for k in offsets:
+            window = tuple(slice(room - a, room - a + size) for a, size in zip(k, f.shape))
+            np.subtract(self.pad[window], f, out=diff.reshape(f.shape))
+            np.abs(diff, out=diff)
+            np.sqrt(diff, out=root)
+            np.multiply(diff, root, out=diff)
+            sums.append(float(_box_dots(self.weight, diff)))
+        return sums
+
+    def enclosures(self, inner: int, reach: int, ring: np.ndarray):
+        """Each member's lower and upper bounds on the kernel's norm at the
+        shifts of ``ring``, those with inner < max|k| <= reach (cells), as two
+        lists."""
+        grid, space = self.family.grid, self.space
+        offsets = ring.tolist()
+        exponent = 1.0 / space.p
+        for f, fits in zip(self.family.members, self.fits):
+            if not fits:
+                yield [-math.inf] * len(offsets), [math.inf] * len(offsets)
+                continue
+            low, high = [], []
+            for screened in self._sums(f.values, offsets):
+                bound = self.gamma * screened + self.lost
+                lo = (screened - bound) * grid.cell_volume
+                hi = (screened + bound) * grid.cell_volume
+                if space._sum_floor <= lo and max(screened + bound, hi) <= _HALF_MAX:
+                    low.append(lo**exponent * (1.0 - _ROOT_SLACK))
+                    high.append(hi**exponent * (1.0 + _ROOT_SLACK))
+                else:
+                    low.append(-math.inf)
+                    high.append(math.inf)
+            yield low, high
 
 
 def _box_ring(inner: int, reach: int, dim: int) -> np.ndarray:

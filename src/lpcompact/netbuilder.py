@@ -193,10 +193,10 @@ def select_mesh(
     The translation modulus is nondecreasing in the radius (stencils nest), so
     one walker (``moduli._select_level``) goes up from the cell scale and stops
     at the first failure; past the first level it stops at the first shift
-    that reaches the threshold.  At p = 2 an enclosure of each shifted norm
-    decides most shifts, and exact norms are taken only where it cannot;
-    at any other p every shift is measured.  Either way the result is that of
-    the exact scan, bit for bit.
+    that reaches the threshold.  At p = 2 and p = 1.5 an enclosure of each
+    shifted norm decides most shifts, and exact norms are taken only where it
+    cannot; at any other p every shift is measured.  Either way the result is
+    that of the exact scan, bit for bit.
     """
     _check_epsilon(epsilon)
     grid = family.grid
@@ -812,9 +812,11 @@ def save_certificate(cert: NetCertificate, path) -> None:
 
 
 def load_certificate(path) -> NetCertificate:
-    with open(path) as fh:
-        try:
+    try:
+        with open(path) as fh:
             doc = json.load(fh)
-        except ValueError as exc:
-            raise ModelError(f"malformed certificate document: {exc}") from exc
+    except OSError as exc:
+        raise ModelError(f"cannot read certificate {path}: {exc.strerror or exc}") from exc
+    except ValueError as exc:
+        raise ModelError(f"malformed certificate document: {exc}") from exc
     return certificate_from_dict(doc)

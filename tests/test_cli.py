@@ -737,3 +737,40 @@ def test_moduli_non_finite_radius_exit_3(tmp_path, spec_path, capsys, radius):
     )
     assert rc == 3
     assert f"model violation: shift radius {radius} is not finite" in capsys.readouterr().err
+
+
+def test_validate_unreadable_certificate_exit_3(tmp_path):
+    # a certificate the validator cannot read is a model violation, named by
+    # its path, not an OSError traceback
+    spec = write_spec(tmp_path / "spec.json", p=0.5, weight={"kind": "constant", "value": 1.0})
+    for cert in (tmp_path / "missing.json", tmp_path):
+        runs = _runs_without_and_with_warnings_as_errors(
+            "validate", "--spec", spec, "--certificate", cert
+        )
+        assert [r.returncode for r in runs] == [3, 3]
+        assert [r.stderr.count("\n") for r in runs] == [1, 1]
+        assert all(
+            r.stderr.startswith(f"model violation: cannot read certificate {cert}: ") for r in runs
+        )
+
+
+def test_net_unwritable_out_exit_2(tmp_path):
+    # an --out that cannot be written is reported like an unreadable --spec;
+    # a missing directory is caught before the build
+    spec = write_spec(tmp_path / "spec.json", p=0.5, weight={"kind": "constant", "value": 1.0})
+    missing = tmp_path / "nodir" / "cert.json"
+    runs = _runs_without_and_with_warnings_as_errors(
+        "net", "--spec", spec, "--epsilon", "1", "--out", missing
+    )
+    assert [r.returncode for r in runs] == [2, 2]
+    assert [r.stderr for r in runs] == [
+        f"spec error: cannot write certificate {missing}: no directory {missing.parent}\n"
+    ] * 2
+    runs = _runs_without_and_with_warnings_as_errors(
+        "net", "--spec", spec, "--epsilon", "1", "--out", tmp_path
+    )
+    assert [r.returncode for r in runs] == [2, 2]
+    assert [r.stderr for r in runs] == [
+        f"spec error: cannot write certificate {tmp_path}: Is a directory\n"
+    ] * 2
+    assert [r.stdout for r in runs] == ["", ""]

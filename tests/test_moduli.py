@@ -355,16 +355,17 @@ def test_early_stopping_scan_matches_full_scan(seed, dim, p, data):
 @given(
     seed=st.integers(min_value=0, max_value=9999),
     dim=st.sampled_from([1, 2]),
+    p=st.sampled_from([1.5, 2.0]),
     data=st.data(),
 )
-def test_select_level_trusts_enclosures_only_as_bounds(seed, dim, data):
-    # with loose random enclosures in place of the p = 2 screen's, which
-    # overlap and misorder the shifts or meet the threshold exactly, the
-    # walker still returns what the full scan selects: the shifts it drops
-    # can never hold a member's maximum
+def test_select_level_trusts_enclosures_only_as_bounds(seed, dim, p, data):
+    # with loose random enclosures in place of the screen's at p = 2 or 1.5,
+    # which overlap and misorder the shifts or meet the threshold exactly,
+    # the walker still returns what the full scan selects: the shifts it
+    # drops can never hold a member's maximum
     grid = Grid(dim=dim, box_level=0, cell_exp=-4 if dim == 1 else -2)
     rng = np.random.default_rng(seed)
-    sp = WeightedSpace(2.0, _weights_with_zeros(grid, rng))
+    sp = WeightedSpace(p, _weights_with_zeros(grid, rng))
     fam = random_family(grid, rng)
     levels = range(grid.cell_exp, grid.box_level + 1)
     threshold = _drawn_threshold(fam, sp, levels, data)
@@ -378,7 +379,8 @@ def test_select_level_trusts_enclosures_only_as_bounds(seed, dim, data):
             yield norms * (1.0 - slack[0]), norms * (1.0 + slack[1])
 
     expected = _full_scan_selection(fam, sp, levels, threshold)
-    with mock.patch.object(moduli._ShiftScreen, "enclosures", loose):
+    screen = moduli._ShiftScreen if p == 2.0 else moduli._PowerScreen
+    with mock.patch.object(screen, "enclosures", loose):
         assert _select_level(fam, sp, levels, threshold) == expected
 
 
@@ -493,3 +495,26 @@ def test_scan_allocates_one_grid_sized_buffer(p):
     finally:
         tracemalloc.stop()
     assert grid_bytes <= peak < 1.25 * grid_bytes
+
+
+def test_power_slack_covers_numpy_power():
+    # the p = 1.5 screen allows np.power(x, 1.5) an error of _POWER_SLACK
+    # times x**1.5 plus _TINY per term; pin that on x log-uniform over the
+    # whole float range, subnormals included, through the kernel's own
+    # in-place call.  Half the slack is asserted, so that the rounding of the
+    # reference x * sqrt(x) cannot hide a loop that uses all of it
+    rng = np.random.default_rng(15)
+    x = np.ldexp(rng.uniform(0.5, 1.0, 200_000), rng.integers(-1073, 1025, 200_000))
+    top = np.finfo(np.float64).max
+    edges = [5e-324, 2.0**-1030, np.finfo(np.float64).tiny, 2.0**-681, 1.0, 2.0**682, top]
+    x = np.concatenate([x, edges, np.nextafter(edges, 0.0), np.nextafter(edges[:-1], np.inf)])
+    got = np.abs(x)
+    with np.errstate(over="ignore"):
+        np.power(got, 1.5, out=got)
+        reference = x * np.sqrt(x)
+    finite = reference <= top / 2.0
+    assert finite.sum() > 100_000
+    error = np.abs(got[finite] - reference[finite])
+    assert np.all(error <= 0.5 * moduli._POWER_SLACK * reference[finite] + moduli._TINY)
+    # a power past the range overflows, as the screen's own does
+    assert np.all(np.isinf(got[x >= 2.0**683]))
