@@ -99,10 +99,13 @@ def cmd_moduli(args) -> int:
 
 def cmd_net(args) -> int:
     problem = load_problem(args.spec)
-    # a missing directory fails before the build, not after it
+    # a missing directory, or an --out that is one, fails before the build,
+    # not after it; nothing is opened yet, so an existing file is kept
     out = Path(args.out)
     if not out.parent.is_dir():
         raise SpecFileError(f"cannot write certificate {out}: no directory {out.parent}")
+    if out.is_dir():
+        raise SpecFileError(f"cannot write certificate {out}: Is a directory")
     if problem.space.p >= 1:
         cert = build_certificate(
             problem.family, problem.space, args.epsilon, variant=args.variant

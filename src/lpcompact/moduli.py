@@ -199,6 +199,13 @@ _HALF_MAX = sys.float_info.max / 2.0
 # x**1.5, plus _TINY absolute (a flushed or inexact subnormal).  libm's pow is
 # within an ulp and numpy's SIMD loops within a few; 2**-40 is some 4,000 ulps
 _POWER_SLACK = 2.0**-40
+# the p = 1.5 screen's float32 unit roundoff and smallest normal float32
+_FLOAT32_ROUNDOFF = 2.0**-24
+_FLOAT32_TINY = 2.0**-126
+# x ** _TWO_THIRDS, with the exponent rounded, is within |ln x| * 2**-54 and
+# an ulp of x**(2/3): under 2**-45 over the float range
+_TWO_THIRDS = 2.0 / 3.0
+_NORM_SLACK = 2.0**-44
 
 
 def _select_level(family: Family, space: WeightedSpace, levels: range, threshold: float):
@@ -351,7 +358,8 @@ class _ShiftScreen:
         if j == len(self.squares):
             square = float(_box_dots(self.weight, self.windows[0][(self.room,) * f.ndim]))
             top = max(float(np.max(f)), -float(np.min(f)), float(np.max(weight)))
-            lost = math.ldexp(f.size * 5.0 * (top + 1.0), -1073)
+            # the power of two first: the product could pass max
+            lost = math.ldexp(f.size * 5.0, -1073) * (top + 1.0)
             self.squares.append((square, lost))
         return self.squares[j]
 
@@ -388,93 +396,166 @@ class _ShiftScreen:
 class _PowerScreen:
     """Enclosures, at p = 1.5, of the norms the exact kernel computes, for a
     whole ring of shifts of one member at a time: the bounds ``_select_level``
-    decides from at that p.
+    decides from at that p.  Each shift is screened in float32.
 
-    One member sits in a zero-padded buffer, and the window at room - k holds
-    f(x - k), so d = window - f has the kernel's shifted difference, bit for
-    bit.  The screened sum is S = sum_x w(x) (|d| * sqrt|d|)(x), a blocked
-    dot as in ``_box_dots``, against the kernel's sum of np.power(|d|, 1.5)
-    * w.  With E the exact sum of w |d|**1.5 over the N cells:
+    N(g) = (sum_x w(x) |g(x)|**1.5)**(2/3) is the weighted norm, a norm at
+    p = 1.5, and N_1 the unweighted one.  Member j is scaled by 2**-t (t even,
+    max|f| 2**-t in [2**32, 2**34)) and the weight by 2**-s (max w 2**-s in
+    [2**48, 2**49)); a scaled value or weight below 2**-126 is flushed to 0,
+    so that float32 never runs on a subnormal input, and the rest are
+    rounded to float32 once.  All that follows is in these scaled units,
+    and a sum goes back by the exact factor 2**(1.5 t + s).  The window at
+    room - k of the zero-padded member holds f(x - k), and each shift takes
+    five float32 passes: the difference d', |d'|, its root, their product,
+    and a dot with the weight in blocks of ``_DOT_BLOCK`` cells (one
+    ``vecdot``), whose sums are added in float64.
 
-    - np.power is taken to be within ``_POWER_SLACK`` (eta) of |d|**1.5 plus
-      ``_TINY`` per term; a deliberately wide allowance, pinned by a test.
-    - The kernel rounds each power times w once and sums pairwise, so it is
-      within (eta + gamma_N) E, Higham's bound for a sum of nonnegative terms
-      (Accuracy and Stability, 3.1), of E, up to underflow.
-    - The screen rounds sqrt, the product and the product with w, then sums
-      in any order: within gamma_{N+2} E of E, up to underflow.
-    - Underflow loses at most _TINY times the weight in the power and
-      2**-1075 in each product or the weight factor: under 2**-1021 (max w +
-      1) per cell in all, and ``lost`` is four times that over the N cells.
+    - Minkowski.  The member's rounding e_j = fl32(f) - f (flushes included)
+      is exact in float64, and d' - d, against the kernel's float64
+      difference d, is e_j(x - k) - e_j(x), plus the roundings of the two
+      subtractions (u32 = 2**-24 of |d'|, u of |d|) and, should a
+      flush-to-zero mode take a subnormal d' to 0, 2**-126.  N(e_j) and
+      N(e_j(. - k)) are at most (max w)**(2/3) N_1(e_j), so |N(d') - N(d)|
+      <= N(d' - d) <= 2 u32 N(d') + rho_j, with one number per member rho_j
+      = 2 (max w)**(2/3) N_1(e_j) + 2**-126 (N max w)**(2/3) over the N
+      cells, with N_1(e_j) bounded from above as np.power's slack allows.
+      Cancellation in d costs nothing: rho_j does not depend on the shift.
+    - The float32 sum S.  The roundings of the weight, the root, the
+      product and a block's dot (any order), and the float64 sum of the
+      blocks, put the real sum of w |d'|**1.5 within ``spread`` S of S
+      (Higham, Accuracy and Stability, 3.1), up to ``underflow``: a float32
+      result that underflows, even to 0, is off by at most 2**-126, and a
+      weight flushed to 0 drops a term below 2**-126 |d'|**1.5 <= 2**-73.
+    - The kernel.  np.power is taken to be within ``_POWER_SLACK`` (eta) of
+      |d|**1.5 plus ``_TINY`` per term, and the kernel rounds each power
+      times w once and sums pairwise: within ``gamma`` = 2 eta + 8 (N + 4) u /
+      (1 - (N + 4) u) of the real sum N(d)**1.5, which also covers the
+      roundings of the bound itself, up to ``lost``, four times the
+      underflow of N cells.
 
-    So the kernel's sum is within gamma S + lost of S, with gamma = 2 eta +
-    8 (N + 4) u / (1 - (N + 4) u): the second term covers both sums, E
-    against S and the roundings of the bound itself.  The screen vouches for
-    a shift when S and the bound are finite and the whole enclosure lies in
-    [``space._sum_floor``, max / 2]: there the kernel takes its plain pass
-    and ``_sum_root`` raises that sum to the rounded 1 / p, and the bounds
-    are the enclosure raised to that same exponent by the same pow, each
-    moved by ``_ROOT_SLACK``.  A member with max|f| above 2**680 could
-    overflow a power that the screen does not, so it gets the bounds -inf
-    and inf at every shift, as does any shift not vouched for.  Used under
-    ``np.errstate(over="ignore", invalid="ignore")``.
+    So N(d) lies in [n_lo, n_hi] (``_norm_bounds``), n_lo = ((S - underflow)
+    (1 - spread))**(2/3) (1 - 3 u32) - rho_j and n_hi = ((S + underflow)
+    (1 + 2 spread))**(2/3) (1 + 3 u32) + rho_j, and the kernel's sum within
+    gamma of [max(n_lo, 0)**1.5, n_hi**1.5], up to lost.  The screen
+    vouches for a shift when that enclosure lies in [``space._sum_floor``,
+    max / 2]: there the kernel takes its plain pass and ``_sum_root`` raises
+    that sum to the rounded 1 / p, and the bounds are the enclosure raised
+    to that same exponent by the same pow, each moved by ``_ROOT_SLACK``.
+    Where the allowances are far below the sum, the bounds on the norm are
+    within 2 rho_j (cell_volume 2**(1.5 t + s))**(2/3) + 3 spread hi of
+    each other.  A member with max|f| above 2**680 could overflow a power in
+    the kernel, so it gets the bounds -inf and inf at every shift, as does
+    any shift not vouched for.  Used under ``np.errstate(over="ignore",
+    invalid="ignore")``.
     """
 
     def __init__(self, family: Family, space: WeightedSpace, reach: int, diff: np.ndarray):
         grid = family.grid
+        cells = grid.n_cells
         self.family, self.space, self.room = family, space, max(reach, min(grid.shape) // 16)
-        self.pad = np.zeros(tuple(size + 2 * self.room for size in grid.shape))
+        self.pad = np.zeros(tuple(size + 2 * self.room for size in grid.shape), dtype=np.float32)
         self.interior = tuple(slice(self.room, self.room + size) for size in grid.shape)
-        # the terms are formed in ``diff`` (grid-shaped, left to the screen
-        # between the yields of ``enclosures``) and the roots in ``root``
-        self.diff, self.root = diff.reshape(-1), np.empty(grid.n_cells)
-        self.weight = space.weight.values.reshape(-1)
-        span = grid.n_cells + 4
-        self.gamma = 8.0 * span * _UNIT_ROUNDOFF / (1.0 - span * _UNIT_ROUNDOFF) + 2.0 * _POWER_SLACK
-        self.lost = math.ldexp(grid.n_cells, -1019) * (float(np.max(self.weight)) + 1.0)
-        # per member, whether max|f| keeps every power in range
-        self.fits = [
-            max(float(np.max(f.values)), -float(np.min(f.values))) <= 2.0**680
-            for f in family.members
-        ]
+        # the terms and the roots in the two halves of ``diff`` (grid-shaped,
+        # left to the screen between the yields of ``enclosures``)
+        self.terms, self.roots = np.split(diff.reshape(-1).view(np.float32), 2)
+        # the weight times 2**-s, flushed and rounded
+        top = float(np.max(space.weight.values))
+        s = math.frexp(top)[1] - 49
+        top = math.ldexp(top, -s)
+        weight = np.ldexp(space.weight.values, -s, out=np.empty(grid.shape, np.float32))
+        weight[weight < _FLOAT32_TINY] = 0.0
+        block = math.gcd(cells, _DOT_BLOCK)
+        self.weight = weight.reshape(-1, block)
+        self.spread = (
+            _gamma(block + 4, _FLOAT32_ROUNDOFF) + 2.0 * _gamma(cells // block + 4, _UNIT_ROUNDOFF)
+        )
+        self.underflow = math.ldexp(cells, -72)
+        self.gamma = 2.0 * _POWER_SLACK + 8.0 * _gamma(cells + 4, _UNIT_ROUNDOFF)
+        self.lost = math.ldexp(cells, -1019) * (float(np.max(space.weight.values)) + 1.0)
+        # (max w)**(2/3), the flush allowance 2**-126 (N max w)**(2/3), and
+        # what lifts a sum of N np.power terms above their real sum
+        lift = top**_TWO_THIRDS * (1.0 + _NORM_SLACK)
+        flush = _FLOAT32_TINY * (cells * top) ** _TWO_THIRDS * (1.0 + _NORM_SLACK)
+        above = 1.0 + 2.0 * _POWER_SLACK + _gamma(cells, _UNIT_ROUNDOFF)
+        # per member, t, the power of two of its sums (1.5 t + s) and rho_j;
+        # None for a member past 2**680
+        self.members = []
+        for f in family.members:
+            big = max(float(np.max(f.values)), -float(np.min(f.values)))
+            if big > 2.0**680:
+                self.members.append(None)
+                continue
+            t = 2 * math.ceil((math.frexp(big)[1] - 34) / 2)
+            # _load uses ``diff`` as scratch, so it goes first
+            rounded = self._load(f.values, t)
+            error = np.ldexp(f.values, -t, out=diff)
+            np.subtract(rounded, error, out=error)
+            np.abs(error, out=error)
+            np.power(error, 1.5, out=error)
+            plain = ((float(np.sum(error)) + cells * _TINY) * above) ** _TWO_THIRDS
+            rho = 2.0 * lift * plain * (1.0 + _NORM_SLACK) + flush
+            self.members.append((t, 3 * t // 2 + s, rho * (1.0 + _NORM_SLACK)))
 
-    def _sums(self, f: np.ndarray, offsets) -> list[float]:
-        """The screened sums S of one member's values ``f`` at ``offsets``."""
-        self.pad[self.interior] = f
-        diff, root, room = self.diff, self.root, self.room
-        sums = []
+    def _load(self, values: np.ndarray, t: int) -> np.ndarray:
+        """Put ``values`` times 2**-t, flushed and rounded, into the padded
+        buffer; return its interior."""
+        rounded = self.pad[self.interior]
+        np.ldexp(values, -t, out=rounded)
+        scratch = self.terms.reshape(rounded.shape)
+        np.copyto(rounded, 0.0, where=np.abs(rounded, out=scratch) < _FLOAT32_TINY)
+        return rounded
+
+    def _norm_bounds(self, j: int, offsets):
+        """Bounds on N(d), in scaled units, for member j at ``offsets``."""
+        values = self._load(self.family.members[j].values, self.members[j][0])
+        terms, roots, room = self.terms, self.roots, self.room
+        rho, underflow, spread = self.members[j][2], self.underflow, self.spread
         for k in offsets:
-            window = tuple(slice(room - a, room - a + size) for a, size in zip(k, f.shape))
-            np.subtract(self.pad[window], f, out=diff.reshape(f.shape))
-            np.abs(diff, out=diff)
-            np.sqrt(diff, out=root)
-            np.multiply(diff, root, out=diff)
-            sums.append(float(_box_dots(self.weight, diff)))
-        return sums
+            window = tuple(slice(room - a, room - a + size) for a, size in zip(k, values.shape))
+            np.subtract(self.pad[window], values, out=terms.reshape(values.shape))
+            np.abs(terms, out=terms)
+            np.sqrt(terms, out=roots)
+            np.multiply(terms, roots, out=terms)
+            blocks = np.vecdot(self.weight, terms.reshape(self.weight.shape))
+            screened = float(blocks.sum(dtype=np.float64))
+            low = (screened - underflow) * (1.0 - spread)
+            high = (screened + underflow) * (1.0 + 2.0 * spread)
+            low = low**_TWO_THIRDS * (1.0 - 3.0 * _FLOAT32_ROUNDOFF) if low > 0.0 else 0.0
+            yield low - rho, high**_TWO_THIRDS * (1.0 + 3.0 * _FLOAT32_ROUNDOFF) + rho
 
     def enclosures(self, inner: int, reach: int, ring: np.ndarray):
         """Each member's lower and upper bounds on the kernel's norm at the
         shifts of ``ring``, those with inner < max|k| <= reach (cells), as two
         lists."""
-        grid, space = self.family.grid, self.space
+        cell_volume, floor = self.family.grid.cell_volume, self.space._sum_floor
         offsets = ring.tolist()
-        exponent = 1.0 / space.p
-        for f, fits in zip(self.family.members, self.fits):
-            if not fits:
+        exponent = 1.0 / self.space.p
+        for j, member in enumerate(self.members):
+            if member is None:
                 yield [-math.inf] * len(offsets), [math.inf] * len(offsets)
                 continue
             low, high = [], []
-            for screened in self._sums(f.values, offsets):
-                bound = self.gamma * screened + self.lost
-                lo = (screened - bound) * grid.cell_volume
-                hi = (screened + bound) * grid.cell_volume
-                if space._sum_floor <= lo and max(screened + bound, hi) <= _HALF_MAX:
+            for n_lo, n_hi in self._norm_bounds(j, offsets):
+                try:
+                    e_lo = math.ldexp(max(n_lo, 0.0) ** 1.5 * (1.0 - _ROOT_SLACK), member[1])
+                    e_hi = math.ldexp(n_hi**1.5 * (1.0 + _ROOT_SLACK), member[1])
+                except OverflowError:
+                    e_lo, e_hi = 0.0, math.inf
+                lo = (e_lo - self.gamma * e_lo - self.lost) * cell_volume
+                top = e_hi + self.gamma * e_hi + self.lost
+                hi = top * cell_volume
+                if floor <= lo and max(top, hi) <= _HALF_MAX:
                     low.append(lo**exponent * (1.0 - _ROOT_SLACK))
                     high.append(hi**exponent * (1.0 + _ROOT_SLACK))
                 else:
                     low.append(-math.inf)
                     high.append(math.inf)
             yield low, high
+
+
+def _gamma(n: int, unit: float) -> float:
+    """Higham's gamma_n at the unit roundoff ``unit``."""
+    return n * unit / (1.0 - n * unit)
 
 
 def _box_ring(inner: int, reach: int, dim: int) -> np.ndarray:

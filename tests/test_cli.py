@@ -774,3 +774,26 @@ def test_net_unwritable_out_exit_2(tmp_path):
         f"spec error: cannot write certificate {tmp_path}: Is a directory\n"
     ] * 2
     assert [r.stdout for r in runs] == ["", ""]
+
+
+def test_net_out_directory_exit_2_before_the_build(tmp_path):
+    # an --out that names a directory is refused before the build: at an
+    # epsilon the build cannot meet (exit 4 once built) it still exits 2.
+    # Nothing is opened before the build, so a build that fails leaves an
+    # existing certificate as it was
+    spec = write_spec(tmp_path / "spec.json", p=0.5, weight={"kind": "constant", "value": 1.0})
+    runs = _runs_without_and_with_warnings_as_errors(
+        "net", "--spec", spec, "--epsilon", "1e-9", "--out", tmp_path
+    )
+    assert [r.returncode for r in runs] == [2, 2]
+    assert [r.stderr for r in runs] == [
+        f"spec error: cannot write certificate {tmp_path}: Is a directory\n"
+    ] * 2
+    assert [r.stdout for r in runs] == ["", ""]
+    kept = tmp_path / "cert.json"
+    kept.write_text("kept")
+    runs = _runs_without_and_with_warnings_as_errors(
+        "net", "--spec", spec, "--epsilon", "1e-9", "--out", kept
+    )
+    assert [r.returncode for r in runs] == [4, 4]
+    assert kept.read_text() == "kept"

@@ -516,5 +516,6 @@ def test_power_slack_covers_numpy_power():
     assert finite.sum() > 100_000
     error = np.abs(got[finite] - reference[finite])
     assert np.all(error <= 0.5 * moduli._POWER_SLACK * reference[finite] + moduli._TINY)
-    # a power past the range overflows, as the screen's own does
+    # a power past the range overflows: the screen gives no bounds to a
+    # member past 2**680, whose differences could reach it
     assert np.all(np.isinf(got[x >= 2.0**683]))

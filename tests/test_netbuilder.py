@@ -358,11 +358,40 @@ def test_shift_screen_encloses_the_kernel(seed, dim, scale, smooth, frame):
         inner = reach
 
 
+def test_shift_screen_vouches_at_huge_weights():
+    # members of about 1e-3 on 64 cells under a constant weight of 1e306:
+    # every power sum is near 1e300, well inside the range, so the screen
+    # vouches for all 4 ring shifts.  Its underflow allowance takes the
+    # power of two first; cells * 5 * max w overflowed before, and the
+    # screen vouched for none
+    grid = Grid(dim=1, box_level=0, cell_exp=-5)
+    rng = np.random.default_rng(0)
+    members = tuple(GridFunction(grid, 1e-3 * rng.uniform(-1.0, 1.0, grid.shape)) for _ in range(2))
+    fam = Family(grid, members, ("a", "b"))
+    sp = WeightedSpace(2.0, GridFunction(grid, np.full(grid.shape, 1e306)))
+    ring = moduli._box_ring(0, 1, grid.dim)
+    screen = moduli._ShiftScreen(fam, sp, 1, [])
+    diff = np.empty(grid.shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        bounds = [
+            (lo, moduli._shift_norm(f.values, tuple(k), sp, diff, {}), hi)
+            for f, (low, high) in zip(fam.members, screen.enclosures(0, 1, ring))
+            for k, lo, hi in zip(ring, low, high)
+        ]
+    assert len(bounds) == 4
+    assert all(math.isfinite(lo) and lo <= norm <= hi for lo, norm, hi in bounds)
+
+
 # box levels of 64-cell (1-D) and 16 x 16 (2-D) grids: box volume 2 or 4,
 # 1/16 (the floor is then the smallest normal float, above the screen's
 # underflow allowance), or cells of volume 2 (a power sum past max / 2 is
 # then finite before and after the cell volume)
 _SCREEN_BOXES = {1: {"unit": 0, "small": -5, "large": 6}, 2: {"unit": 0, "small": -3, "large": 4}}
+
+
+def _norm_at_one_and_a_half(values, weight):
+    """(sum weight |values|**1.5)**(2/3) in float64."""
+    return float(np.sum(np.abs(values) ** 1.5 * weight)) ** (2.0 / 3.0)
 
 
 @settings(max_examples=100, deadline=None)
@@ -374,61 +403,95 @@ _SCREEN_BOXES = {1: {"unit": 0, "small": -5, "large": 6}, 2: {"unit": 0, "small"
     sum_exp=st.integers(min_value=-1100, max_value=1040),
     smooth=st.booleans(),
     frame=st.integers(min_value=0, max_value=2),
+    kind=st.sampled_from(["plain", "cancel", "wide"]),
 )
-@example(seed=0, dim=1, box="unit", scale_exp=0, sum_exp=0, smooth=False, frame=0)
-@example(seed=1, dim=2, box="unit", scale_exp=-700, sum_exp=-1060, smooth=True, frame=1)
-@example(seed=3, dim=1, box="unit", scale_exp=680, sum_exp=1010, smooth=False, frame=2)
-@example(seed=2, dim=1, box="small", scale_exp=-36, sum_exp=-1018, smooth=False, frame=2)
-@example(seed=88, dim=2, box="small", scale_exp=-127, sum_exp=-1013, smooth=True, frame=2)
-@example(seed=84, dim=1, box="large", scale_exp=102, sum_exp=1027, smooth=True, frame=0)
-@example(seed=68, dim=2, box="large", scale_exp=615, sum_exp=1016, smooth=True, frame=1)
-def test_power_screen_encloses_the_kernel(seed, dim, box, scale_exp, sum_exp, smooth, frame):
-    # at p = 1.5 the kernel's power sum lies within gamma S + lost of the
-    # screened S, and wherever the screen vouches for a shift the kernel
-    # takes its plain pass and its norm lies inside the screened bounds.  The
-    # weight is scaled so that the sums land near 2**sum_exp, from subnormal
-    # to past the float range; the screen gives (-inf, inf) wherever the
-    # kernel's sum leaves [floor, max / 2], and to members past 2**680
+@example(seed=0, dim=1, box="unit", scale_exp=0, sum_exp=0, smooth=False, frame=0, kind="plain")
+@example(seed=1, dim=2, box="unit", scale_exp=-700, sum_exp=-1060, smooth=True, frame=1, kind="plain")
+@example(seed=3, dim=1, box="unit", scale_exp=680, sum_exp=1010, smooth=False, frame=2, kind="plain")
+@example(seed=2, dim=1, box="small", scale_exp=-36, sum_exp=-1018, smooth=False, frame=2, kind="plain")
+@example(seed=88, dim=2, box="small", scale_exp=-127, sum_exp=-1013, smooth=True, frame=2, kind="plain")
+@example(seed=84, dim=1, box="large", scale_exp=102, sum_exp=1027, smooth=True, frame=0, kind="plain")
+@example(seed=68, dim=2, box="large", scale_exp=615, sum_exp=1016, smooth=True, frame=1, kind="plain")
+# float32 rounds f = 1 + 2**-30 g to a constant: only rho_j holds d
+@example(seed=5, dim=1, box="unit", scale_exp=0, sum_exp=-40, smooth=True, frame=2, kind="cancel")
+@example(seed=6, dim=2, box="unit", scale_exp=-300, sum_exp=-500, smooth=False, frame=2, kind="cancel")
+# values and weights spread over 2**300 each, past float32's range
+@example(seed=7, dim=1, box="unit", scale_exp=0, sum_exp=0, smooth=False, frame=0, kind="wide")
+@example(seed=8, dim=2, box="large", scale_exp=200, sum_exp=700, smooth=True, frame=1, kind="wide")
+# members of max|f| just below, at and above the 2**680 cap
+@example(seed=9, dim=1, box="unit", scale_exp=678, sum_exp=1015, smooth=False, frame=0, kind="plain")
+@example(seed=10, dim=1, box="unit", scale_exp=679, sum_exp=1017, smooth=False, frame=1, kind="plain")
+@example(seed=11, dim=2, box="unit", scale_exp=680, sum_exp=1018, smooth=False, frame=0, kind="wide")
+def test_power_screen_encloses_the_kernel(seed, dim, box, scale_exp, sum_exp, smooth, frame, kind):
+    # at p = 1.5 the kernel's N(d) lies in the screen's bounds in norm space,
+    # within rho_j of the float32 N(d') up to the float32 sum's roundings,
+    # at every shift; wherever the screen vouches for a shift the kernel
+    # takes its plain pass and its norm lies inside the screened bounds, no
+    # further apart than the docstring's width.  The weight is scaled so
+    # that the sums land near 2**sum_exp, from subnormal to past the float
+    # range; the screen gives (-inf, inf) wherever the kernel's sum leaves
+    # [floor, max / 2], and to members past 2**680.  "cancel" lifts the
+    # members to scale (1 + 2**-30 g), which float32 rounds to a constant;
+    # "wide" spreads values and weights over 2**300 each
     box_level = _SCREEN_BOXES[dim][box]
     grid = Grid(dim=dim, box_level=box_level, cell_exp=box_level - (5 if dim == 1 else 3))
     rng = np.random.default_rng(seed)
     weight_exp = min(max(sum_exp - round(1.5 * scale_exp), -1074), 1022)
     sp = _screen_space(grid, rng, math.ldexp(1.0, weight_exp), frame, 1.5)
     fam = _screen_family(grid, rng, math.ldexp(1.0, scale_exp), smooth)
+    if kind != "plain":
+        if kind == "cancel":
+            lifted = [math.ldexp(1.0, scale_exp) + np.ldexp(f.values, -30) for f in fam.members]
+        else:
+            lifted = [np.ldexp(f.values, rng.integers(-300, 1, grid.shape)) for f in fam.members]
+            weight = np.ldexp(sp.weight.values, rng.integers(-300, 1, grid.shape))
+            sp = WeightedSpace(1.5, GridFunction(grid, weight))
+        fam = Family(grid, tuple(GridFunction(grid, v) for v in lifted), fam.labels)
+    cell_volume, top = grid.cell_volume, sys.float_info.max
     diff, scratch = np.empty((2, *grid.shape))
     inner, screen = 0, None
     for reach in (1, 2, 4):
         if screen is None or screen.room < reach:
             screen = moduli._PowerScreen(fam, sp, reach, scratch)
         ring = moduli._box_ring(inner, reach, grid.dim)
+        offsets = ring.tolist()
         enclosures = screen.enclosures(inner, reach, ring)
         with np.errstate(over="ignore", invalid="ignore"):
-            for f, (low, high) in zip(fam.members, enclosures):
-                in_range = np.max(np.abs(f.values)) <= 2.0**680
-                sums = screen._sums(f.values, ring.tolist())
-                for k, lo, hi, screened in zip(ring, low, high, sums):
+            for j, (f, (low, high)) in enumerate(zip(fam.members, enclosures)):
+                member = screen.members[j]
+                assert (member is None) == (np.max(np.abs(f.values)) > 2.0**680)
+                if member is None:
+                    assert (low, high) == ([-math.inf] * len(ring), [math.inf] * len(ring))
+                    continue
+                t, power, rho = member
+                weight = np.ldexp(sp.weight.values, 3 * t // 2 - power)
+                bounds = screen._norm_bounds(j, offsets)
+                for k, lo, hi, (n_lo, n_hi) in zip(offsets, low, high, bounds):
                     moduli._shifted_difference(f.values, tuple(k), diff)
+                    scaled = _norm_at_one_and_a_half(np.ldexp(diff, -t), weight)
+                    assert n_lo <= scaled * (1.0 + 1e-12) and scaled * (1.0 - 1e-12) <= n_hi
                     total = _weighted_power_sum(diff, sp, diff)
-                    if math.isfinite(screened) and math.isfinite(total):
-                        error = abs(total / grid.cell_volume - screened)
-                        assert error <= screen.gamma * screened + screen.lost
                     sure = math.isfinite(lo)
                     assert sure == math.isfinite(hi)
                     if not sure:
-                        # the plain pass is well inside the range: vouch
+                        # the plain pass is well inside the range and the
+                        # norm well above the allowances: vouch
                         assert not (
-                            in_range and 8.0 * sp._sum_floor <= total
-                            and max(total, total / grid.cell_volume) <= sys.float_info.max / 4.0
+                            16.0 * sp._sum_floor <= total
+                            and max(total, total / cell_volume) <= top / 4.0
+                            and scaled >= 8.0 * (rho + screen.underflow ** (2.0 / 3.0))
                         )
                         continue
-                    assert in_range
-                    assert sp._sum_floor <= total <= sys.float_info.max / 2.0
+                    assert sp._sum_floor <= total <= top / 2.0
                     norm = moduli._shift_norm(f.values, tuple(k), sp, diff, {})
                     assert lo <= norm <= hi
-                    # tight enough to decide all but near-ties, unless huge
-                    # weights lift the underflow allowance near the sum
-                    if screen.lost * grid.cell_volume <= 1e-12 * total:
-                        assert hi - lo <= 1e-9 * hi
+                    # the width the docstring gives, where the allowances are
+                    # far below the sum
+                    if screen.lost * cell_volume <= 1e-12 * total and screen.underflow <= 1e-9 * scaled**1.5:
+                        # rho_j is in scaled units: 2 rho_j (cell_volume 2**(1.5 t + s))**(2/3)
+                        unit = (math.log2(cell_volume) + power) * 2.0 / 3.0
+                        width = math.ldexp(2.0 * rho * 2.0 ** (unit % 1.0), math.floor(unit))
+                        assert hi - lo <= width + 3.0 * screen.spread * hi
         inner = reach
 
 
