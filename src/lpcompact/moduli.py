@@ -16,7 +16,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ModelError
 from .grid import (
@@ -186,26 +185,39 @@ def _translation_levels(family: Family, space: WeightedSpace, radii, stencil: st
         yield tuple(moduli)
 
 
-# the screen's dots are at most this long: OpenBLAS hands long dots to its
-# threads, which can stall for milliseconds, and short blocks of a window
-# stay in cache across the windows of a box
+# a shift's float32 dot goes in blocks of at most this many cells of the
+# last axis, one ``vecdot`` row each, summed by ``math.fsum``: each block
+# then rounds within Higham's gamma of its length, and no dot is long enough
+# for OpenBLAS to hand it to its threads, which can stall for milliseconds
 _DOT_BLOCK = 2048
 _UNIT_ROUNDOFF = 2.0**-53
 # pow(total, 1 / p) in ``_sum_root`` is within an ulp of the real root, and
-# np.sqrt or pow of a bound within an ulp; 8 ulps cover both
+# pow of a bound within an ulp; 8 ulps cover both
 _ROOT_SLACK = 2.0**-50
 _HALF_MAX = sys.float_info.max / 2.0
-# the per-term error ``_PowerScreen`` allows np.power(x, 1.5): relative to
-# x**1.5, plus _TINY absolute (a flushed or inexact subnormal).  libm's pow is
-# within an ulp and numpy's SIMD loops within a few; 2**-40 is some 4,000 ulps
+# the per-term error ``_PowerScreen`` allows the kernel's np.power(x, p):
+# relative to x**p, plus _TINY absolute (a flushed or inexact subnormal).
+# libm's pow is within an ulp and numpy's SIMD loops within a few; 2**-40 is
+# some 4,000 ulps
 _POWER_SLACK = 2.0**-40
-# the p = 1.5 screen's float32 unit roundoff and smallest normal float32
+# the screen's float32 unit roundoff and smallest normal float32
 _FLOAT32_ROUNDOFF = 2.0**-24
 _FLOAT32_TINY = 2.0**-126
-# x ** _TWO_THIRDS, with the exponent rounded, is within |ln x| * 2**-54 and
-# an ulp of x**(2/3): under 2**-45 over the float range
-_TWO_THIRDS = 2.0 / 3.0
+# the per-term error the screen allows float32 np.power(x, p) once p is
+# rounded to float32: relative to x**p32, plus 2**-126 absolute.  numpy's
+# float32 loops are within 2 u32
+_FLOAT32_LOOP_SLACK = 8.0 * _FLOAT32_ROUNDOFF
+# x ** (1 / p), with the exponent rounded (by at most 2**-54 at p >= 1), is
+# within |ln x| * 2**-54 and an ulp of x**(1/p): under 2**-44 over the float
+# range
 _NORM_SLACK = 2.0**-44
+# the screen scales members so that a difference's power is at most
+# 2**_TERM_EXP; with weights below 2**49 a block of 2**11 terms sums below
+# 2**112.5, inside float32
+_TERM_EXP = 52.5
+# a member the screen serves takes no power past 2**_KERNEL_EXP in the
+# kernel, inside the range np.power's slack is pinned on
+_KERNEL_EXP = 1021.5
 
 
 def _select_level(family: Family, space: WeightedSpace, levels: range, threshold: float):
@@ -217,12 +229,12 @@ def _select_level(family: Family, space: WeightedSpace, levels: range, threshold
     there, or None with the first level's moduli when even that level fails
     (and ``()`` when ``levels`` is empty).  Each level adds the ring of
     shifts the smaller boxes lacked (``_box_ring``), each shift with bounds on
-    its exact norm: the enclosure of ``_ShiftScreen`` at p = 2 and of
-    ``_PowerScreen`` at p = 1.5, (-inf, inf) at any other p.
-    Levels, then members, then shifts go in stencil order.  A shift surely
-    below the threshold passes, one surely at or above it fails, and
+    its exact norm from ``_PowerScreen``, taken shift by shift as the walk
+    goes.  Levels, then members, then shifts go in stencil order.  A shift
+    surely below the threshold passes, one surely at or above it fails, and
     ``_shift_norm`` measures any other.  The first level is gone through in
-    full; past it the first failing shift ends the walk.
+    full; past it the first failing shift ends the walk, and the screen
+    forms no powers past that shift's pair of k and -k.
 
     At the end of a level each member keeps only the shifts whose upper bound
     reaches its largest lower bound so far.  That bound only rises, so the
@@ -242,41 +254,30 @@ def _select_level(family: Family, space: WeightedSpace, levels: range, threshold
     # per member, the largest lower bound so far and the kept shifts, each
     # as (shift, lower bound, upper bound)
     top, kept = [-math.inf] * len(family), [[] for _ in family.members]
-    screen, squares = None, []  # per member, kept across screens
-    inner = 0
+    screen, inner = None, 0
     with np.errstate(over="ignore", invalid="ignore"):
         for n, i in enumerate(levels):
             reach = round(2.0 ** (i - grid.cell_exp))
-            ring = _box_ring(inner, reach, grid.dim)
-            offsets = list(map(tuple, ring.tolist()))
-            if space.p not in (1.5, 2.0):
-                width = len(ring)
-                enclosures = ([[-math.inf] * width, [math.inf] * width] for _ in family.members)
-            else:
-                if screen is None or screen.room < reach:
-                    # the p = 1.5 screen forms its terms in the kernel's
-                    # buffer, which is free while the screen runs
-                    screen = (
-                        _ShiftScreen(family, space, reach, squares) if space.p == 2.0
-                        else _PowerScreen(family, space, reach, diff)
-                    )
-                enclosures = screen.enclosures(inner, reach, ring)
-            bounds, fails = [], False
-            for j, (low, high) in enumerate(enclosures):
-                for pos, k in enumerate(offsets):
-                    if high[pos] < threshold:
-                        continue
-                    if not low[pos] >= threshold:
-                        low[pos] = high[pos] = norm = exact(j, k)
-                        if norm < threshold:
-                            continue
-                    if n:
-                        return levels[n - 1], _confirmed_moduli(kept, exact)
-                    fails = True
-                bounds.append((low, high))
-            for j, (low, high) in enumerate(bounds):
-                top[j] = max(top[j], *low)
-                kept[j] = [s for s in (*kept[j], *zip(offsets, low, high)) if s[2] >= top[j]]
+            offsets = list(map(tuple, _box_ring(inner, reach, grid.dim).tolist()))
+            if screen is None or screen.room < reach:
+                # the screen loads members through the kernel's buffer, which
+                # is free between the kernel's calls
+                screen = _PowerScreen(family, space, reach, diff)
+            rings, fails = [], False
+            for j, enclosures in enumerate(screen.enclosures(offsets)):
+                ring = []
+                for k, (low, high) in zip(offsets, enclosures):
+                    if not high < threshold and not low >= threshold:
+                        low = high = exact(j, k)
+                    if not high < threshold:
+                        if n:
+                            return levels[n - 1], _confirmed_moduli(kept, exact)
+                        fails = True
+                    ring.append((k, low, high))
+                rings.append(ring)
+            for j, ring in enumerate(rings):
+                top[j] = max(top[j], *(low for _, low, _ in ring))
+                kept[j] = [s for s in (*kept[j], *ring) if s[2] >= top[j]]
             if fails:
                 return None, _confirmed_moduli(kept, exact)
             inner = reach
@@ -293,264 +294,262 @@ def _confirmed_moduli(kept, exact) -> tuple[float, ...]:
     )
 
 
-class _ShiftScreen:
-    """Enclosures, at p = 2, of the norms the exact kernel computes, for a
-    whole ring of shifts of one member at a time: the bounds ``_select_level``
-    decides from at that p.
-
-    With the zero-fill shift, ||tau_k f - f||^2 / cell_volume = A + B_k - 2 C_k
-    for A = sum w f^2, B_k = sum_x w(x) f^2(x - k) and C_k = sum_x (w f)(x)
-    f(x - k).  One member's f^2 and f sit in zero-padded buffers, read flat:
-    the window that starts at sum_a (room - k_a) * pitch_a, against w and w f
-    laid out at the same pitch, gives B_k and C_k as one dot each, and a box
-    of shifts is a basic slice of the windows.  The padding ``room`` covers
-    the ring being scanned, and at least a sixteenth of the grid's narrowest
-    side, so that the first levels share one set of buffers.
-
-    A dot of N terms is within gamma_N times the sum of its |terms| of its
-    exact value in any order (Higham, Accuracy and Stability, 3.1),
-    |C_k| <= (A + B_k) / 2, and the kernel's own sum is at most 2 (A + B_k);
-    a product that underflows loses at most 2**-1075 times its other factor,
-    a weight, |f| or 1.  So the power sum the kernel rounds and scales lies
-    within gamma * (A + B_k) plus that allowance of the screened value.  The
-    screen vouches for a shift when that value is finite and the whole
-    enclosure lies in [``space._sum_floor``, max / 2], where the kernel takes
-    its plain pass and ``_sum_root``'s pow moves the root by an ulp; other
-    shifts get the bounds -inf and inf.  Used under ``np.errstate(over="ignore",
-    invalid="ignore")``.
-    """
-
-    def __init__(self, family: Family, space: WeightedSpace, reach: int, squares: list):
-        grid = family.grid
-        self.family, self.space, self.room = family, space, max(reach, min(grid.shape) // 16)
-        padded = tuple(size + 2 * self.room for size in grid.shape)
-        pitched = (grid.shape[0], *padded[1:])
-        span = math.prod(pitched)
-        # the screen's three dots and the kernel's sum, with room for the
-        # roundings of the combination and of the bound itself
-        self.gamma = 8.0 * (span + 4) * _UNIT_ROUNDOFF / (1.0 - (span + 4) * _UNIT_ROUNDOFF)
-        # f^2 and f, with room for a window to start at any (room - k_0) *
-        # pitch + s, 0 <= s < pitch
-        self.pads, self.windows = [], []
-        for _ in range(2):
-            flat = np.zeros(math.prod(padded) + math.prod(padded[1:]) - 1)
-            windows = sliding_window_view(flat, span)
-            self.pads.append(flat[: math.prod(padded)].reshape(padded))
-            self.windows.append(windows.reshape(2 * self.room + 1, *padded[1:], span, copy=False))
-        self.corner = tuple(slice(0, size) for size in grid.shape)
-        self.interior = tuple(slice(self.room, self.room + size) for size in grid.shape)
-        # w and w f at the padded pitch, zero in the padding
-        self.weight = space.weight.values
-        if pitched != grid.shape:
-            self.weight = np.zeros(pitched)
-            self.weight[self.corner] = space.weight.values
-        self.weighted = np.zeros(pitched)
-        # per member, A and the underflow allowance, kept across rings
-        self.squares = squares
-
-    def _load(self, j: int) -> tuple[float, float]:
-        """Put member j into the buffers; return its A and underflow allowance."""
-        f = self.family.members[j].values
-        weight = self.space.weight.values
-        np.multiply(f, f, out=self.pads[0][self.interior])
-        self.pads[1][self.interior] = f
-        np.multiply(weight, f, out=self.weighted[self.corner])
-        if j == len(self.squares):
-            square = float(_box_dots(self.weight, self.windows[0][(self.room,) * f.ndim]))
-            top = max(float(np.max(f)), -float(np.min(f)), float(np.max(weight)))
-            # the power of two first: the product could pass max
-            lost = math.ldexp(f.size * 5.0, -1073) * (top + 1.0)
-            self.squares.append((square, lost))
-        return self.squares[j]
-
-    def enclosures(self, inner: int, reach: int, ring: np.ndarray):
-        """Each member's lower and upper bounds on the kernel's norm at the
-        shifts of ``ring``, those with inner < max|k| <= reach (cells), as two
-        lists."""
-        grid, space, room = self.family.grid, self.space, self.room
-        spots = tuple((ring + reach).T)
-        b, c = np.empty((2, *(2 * reach + 1,) * grid.dim))
-        for j in range(len(self.family)):
-            square, lost = self._load(j)
-            for box in _ring_boxes(inner, reach, grid.dim):
-                # the window at room - k holds f(x - k)
-                window = tuple(slice(room - hi, room - lo + 1) for lo, hi in box)
-                spot = tuple(slice(reach + lo, reach + hi + 1) for lo, hi in box)
-                b[spot] = np.flip(_box_dots(self.weight, self.windows[0][window]))
-                c[spot] = np.flip(_box_dots(self.weighted, self.windows[1][window]))
-            mass = square + b[spots]
-            screened = mass - 2.0 * c[spots]
-            bound = self.gamma * mass + lost
-            low = (screened - bound) * grid.cell_volume
-            high = (screened + bound) * grid.cell_volume
-            sure = (
-                np.isfinite(screened) & np.isfinite(bound) & (low >= space._sum_floor)
-                & (np.maximum(screened + bound, high) <= _HALF_MAX)
-            )
-            yield (
-                np.where(sure, np.sqrt(low) * (1.0 - _ROOT_SLACK), -math.inf).tolist(),
-                np.where(sure, np.sqrt(high) * (1.0 + _ROOT_SLACK), math.inf).tolist(),
-            )
-
-
 class _PowerScreen:
-    """Enclosures, at p = 1.5, of the norms the exact kernel computes, for a
-    whole ring of shifts of one member at a time: the bounds ``_select_level``
-    decides from at that p.  Each shift is screened in float32.
+    """Enclosures of the norms the exact kernel computes, for a whole ring
+    of shifts of one member at a time: the bounds ``_select_level`` decides
+    from.  Each shift is screened in float32, the same way at every p >= 1.
 
-    N(g) = (sum_x w(x) |g(x)|**1.5)**(2/3) is the weighted norm, a norm at
-    p = 1.5, and N_1 the unweighted one.  Member j is scaled by 2**-t (t even,
-    max|f| 2**-t in [2**32, 2**34)) and the weight by 2**-s (max w 2**-s in
-    [2**48, 2**49)); a scaled value or weight below 2**-126 is flushed to 0,
-    so that float32 never runs on a subnormal input, and the rest are
-    rounded to float32 once.  All that follows is in these scaled units,
-    and a sum goes back by the exact factor 2**(1.5 t + s).  The window at
-    room - k of the zero-padded member holds f(x - k), and each shift takes
-    five float32 passes: the difference d', |d'|, its root, their product,
-    and a dot with the weight in blocks of ``_DOT_BLOCK`` cells (one
-    ``vecdot``), whose sums are added in float64.
+    N(g) = (sum_x w(x) |g(x)|**p)**(1/p) is the weighted norm, a norm at
+    p >= 1, and N_1 the unweighted one.  The weight is scaled by 2**-s (max w
+    2**-s in [2**48, 2**49)), and member j by 2**-t: t is the least multiple
+    of q that puts max|f| 2**-t below 2**m, m = floor(52.5 / p) - 1, where q
+    is the denominator of p if that is at most 8 (p t is then an integer) and
+    1 otherwise.  So a scaled difference's power is at most 2**52.5
+    (``_TERM_EXP``).  A scaled value or weight below 2**-126 is flushed to 0,
+    so that float32 never runs on a subnormal input (a member is checked for
+    such values once), and the rest are rounded to float32 once.  All that
+    follows is in these scaled units; a sum goes back by the factor 2**(p t
+    + s), exactly where p t + s is an integer and otherwise as a power of two
+    times a float within 2**-51 of 2**frac(p t + s).  The window at room - k
+    of the zero-padded member holds f(x - k).  Each pair of shifts k and -k
+    takes the difference d' of the windows at k and 0 over the grid and the
+    grid moved by k, and its power (|d'| at p = 1, d' d' at 2, |d'| sqrt|d'|
+    at 1.5, d' d' |d'| at 3, float32 np.power at any other p); since
+    d'_-k(x) = -d'_k(x + k) in float32 too, k reads its terms over the grid
+    and -k over the grid moved by k (``windows``).  Each shift's sum is a dot
+    with the weight in blocks of the last axis (one ``vecdot``), whose sums
+    ``math.fsum`` adds with one rounding.
 
     - Minkowski.  The member's rounding e_j = fl32(f) - f (flushes included)
       is exact in float64, and d' - d, against the kernel's float64
       difference d, is e_j(x - k) - e_j(x), plus the roundings of the two
       subtractions (u32 = 2**-24 of |d'|, u of |d|) and, should a
       flush-to-zero mode take a subnormal d' to 0, 2**-126.  N(e_j) and
-      N(e_j(. - k)) are at most (max w)**(2/3) N_1(e_j), so |N(d') - N(d)|
+      N(e_j(. - k)) are at most (max w)**(1/p) N_1(e_j), so |N(d') - N(d)|
       <= N(d' - d) <= 2 u32 N(d') + rho_j, with one number per member rho_j
-      = 2 (max w)**(2/3) N_1(e_j) + 2**-126 (N max w)**(2/3) over the N
+      = 2 (max w)**(1/p) N_1(e_j) + 2**-126 (N max w)**(1/p) over the N
       cells, with N_1(e_j) bounded from above as np.power's slack allows.
       Cancellation in d costs nothing: rho_j does not depend on the shift.
-    - The float32 sum S.  The roundings of the weight, the root, the
-      product and a block's dot (any order), and the float64 sum of the
-      blocks, put the real sum of w |d'|**1.5 within ``spread`` S of S
-      (Higham, Accuracy and Stability, 3.1), up to ``underflow``: a float32
-      result that underflows, even to 0, is off by at most 2**-126, and a
-      weight flushed to 0 drops a term below 2**-126 |d'|**1.5 <= 2**-73.
+    - The float32 sum S.  The roundings of the weight, the power (at most
+      two IEEE operations, or np.power within ``_FLOAT32_LOOP_SLACK`` of
+      x**p32 for p rounded to float32, p32, and x**p32 within 2**(150 |p32 -
+      p|) - 1 of x**p over the float32 range) and a block's dot (any order),
+      and the rounding of the sum of the blocks (within Higham's bound for a
+      float64 sum of them), put the real sum of w |d'|**p within
+      ``spread`` S of S (Higham, Accuracy and Stability, 3.1), up to
+      ``underflow``: a float32 result that underflows, even to 0, is off by
+      at most 2**-126, and a weight flushed to 0 drops a term below 2**-126
+      |d'|**p <= 2**-73.5.
     - The kernel.  np.power is taken to be within ``_POWER_SLACK`` (eta) of
-      |d|**1.5 plus ``_TINY`` per term, and the kernel rounds each power
-      times w once and sums pairwise: within ``gamma`` = 2 eta + 8 (N + 4) u /
-      (1 - (N + 4) u) of the real sum N(d)**1.5, which also covers the
-      roundings of the bound itself, up to ``lost``, four times the
-      underflow of N cells.
+      |d|**p plus ``_TINY`` per term, and the kernel rounds each power times
+      w once and sums pairwise: within ``gamma`` = 2 eta + 8 (N + 4) u / (1 -
+      (N + 4) u) of the real sum N(d)**p, which also covers the roundings of
+      the bound itself, up to ``lost``, four times the underflow of N cells.
 
     So N(d) lies in [n_lo, n_hi] (``_norm_bounds``), n_lo = ((S - underflow)
-    (1 - spread))**(2/3) (1 - 3 u32) - rho_j and n_hi = ((S + underflow)
-    (1 + 2 spread))**(2/3) (1 + 3 u32) + rho_j, and the kernel's sum within
-    gamma of [max(n_lo, 0)**1.5, n_hi**1.5], up to lost.  The screen
-    vouches for a shift when that enclosure lies in [``space._sum_floor``,
-    max / 2]: there the kernel takes its plain pass and ``_sum_root`` raises
-    that sum to the rounded 1 / p, and the bounds are the enclosure raised
-    to that same exponent by the same pow, each moved by ``_ROOT_SLACK``.
-    Where the allowances are far below the sum, the bounds on the norm are
-    within 2 rho_j (cell_volume 2**(1.5 t + s))**(2/3) + 3 spread hi of
-    each other.  A member with max|f| above 2**680 could overflow a power in
-    the kernel, so it gets the bounds -inf and inf at every shift, as does
-    any shift not vouched for.  Used under ``np.errstate(over="ignore",
+    (1 - spread))**(1/p) (1 - 3 u32) - rho_j and n_hi = ((S + underflow)
+    (1 + 2 spread))**(1/p) (1 + 3 u32) + rho_j, and the kernel's sum within
+    gamma of [max(n_lo, 0)**p, n_hi**p], up to lost.  The screen vouches for
+    a shift when that enclosure lies in [``space._sum_floor``, max / 2]:
+    there the kernel takes its plain pass and ``_sum_root`` raises that sum
+    to the rounded 1 / p, and the bounds are the enclosure raised to that
+    same exponent by the same pow, each moved by ``_ROOT_SLACK``.  Where the
+    allowances are far below the sum, the bounds on the norm are within
+    2 rho_j (cell_volume 2**(p t + s))**(1/p) + (3 / p + 1) spread hi of
+    each other.
+
+    A member with max|f| above 2**(1021.5 / p - 1) (2**680 at p = 1.5) could
+    take a power past 2**1021.5 (``_KERNEL_EXP``) in the kernel, so it gets
+    the bounds -inf and inf at every shift.  So does every member at p < 1,
+    where N is no norm, and wherever p (m - q) < -126 (at every p above 63),
+    where a member's scaled powers may all fall below float32's range; and
+    so does any shift not vouched for.  Used under ``np.errstate(over="ignore",
     invalid="ignore")``.
     """
 
     def __init__(self, family: Family, space: WeightedSpace, reach: int, diff: np.ndarray):
-        grid = family.grid
+        grid, p = family.grid, space.p
         cells = grid.n_cells
         self.family, self.space, self.room = family, space, max(reach, min(grid.shape) // 16)
-        self.pad = np.zeros(tuple(size + 2 * self.room for size in grid.shape), dtype=np.float32)
+        # the kernel's buffer, free whenever the screen loads a member
+        self.scaled = diff
+        # per member, t, whether its scaled values need flushing, the whole
+        # and the fractional part of p t + s, and rho_j; None for a member
+        # the screen does not serve
+        self.members = [None] * len(family)
+        numerator, denominator = p.as_integer_ratio()
+        step = denominator if denominator <= 8 else 1
+        m = math.floor(_TERM_EXP / p) - 1
+        if p < 1.0 or p * (m - step) < -126:
+            return
+        padded = tuple(size + 2 * self.room for size in grid.shape)
+        self.pad = np.zeros(padded, dtype=np.float32)
         self.interior = tuple(slice(self.room, self.room + size) for size in grid.shape)
-        # the terms and the roots in the two halves of ``diff`` (grid-shaped,
-        # left to the screen between the yields of ``enclosures``)
-        self.terms, self.roots = np.split(diff.reshape(-1).view(np.float32), 2)
+        # the powers |d'|**p and the roots, laid out as the padded member
+        self.terms, self.roots = np.empty((2, *padded), dtype=np.float32)
         # the weight times 2**-s, flushed and rounded
         top = float(np.max(space.weight.values))
         s = math.frexp(top)[1] - 49
         top = math.ldexp(top, -s)
         weight = np.ldexp(space.weight.values, -s, out=np.empty(grid.shape, np.float32))
         weight[weight < _FLOAT32_TINY] = 0.0
-        block = math.gcd(cells, _DOT_BLOCK)
-        self.weight = weight.reshape(-1, block)
+        # the blocks split the last axis
+        block = math.gcd(grid.shape[-1], _DOT_BLOCK)
+        self.weight = weight.reshape(*grid.shape[:-1], -1, block)
+        # np.power's error at p outside the four IEEE forms, p32 - p included
+        power32 = 0.0
+        if p not in (1.0, 1.5, 2.0, 3.0):
+            power32 = _float32_power_slack(p)
         self.spread = (
-            _gamma(block + 4, _FLOAT32_ROUNDOFF) + 2.0 * _gamma(cells // block + 4, _UNIT_ROUNDOFF)
+            _gamma(block + 4, _FLOAT32_ROUNDOFF) + 2.0 * power32
+            + 2.0 * _gamma(cells // block + 4, _UNIT_ROUNDOFF)
         )
         self.underflow = math.ldexp(cells, -72)
         self.gamma = 2.0 * _POWER_SLACK + 8.0 * _gamma(cells + 4, _UNIT_ROUNDOFF)
         self.lost = math.ldexp(cells, -1019) * (float(np.max(space.weight.values)) + 1.0)
-        # (max w)**(2/3), the flush allowance 2**-126 (N max w)**(2/3), and
+        # (max w)**(1/p), the flush allowance 2**-126 (N max w)**(1/p), and
         # what lifts a sum of N np.power terms above their real sum
-        lift = top**_TWO_THIRDS * (1.0 + _NORM_SLACK)
-        flush = _FLOAT32_TINY * (cells * top) ** _TWO_THIRDS * (1.0 + _NORM_SLACK)
+        root = 1.0 / p
+        lift = top**root * (1.0 + _NORM_SLACK)
+        flush = _FLOAT32_TINY * (cells * top) ** root * (1.0 + _NORM_SLACK)
         above = 1.0 + 2.0 * _POWER_SLACK + _gamma(cells, _UNIT_ROUNDOFF)
-        # per member, t, the power of two of its sums (1.5 t + s) and rho_j;
-        # None for a member past 2**680
-        self.members = []
-        for f in family.members:
-            big = max(float(np.max(f.values)), -float(np.min(f.values)))
-            if big > 2.0**680:
-                self.members.append(None)
+        cap = 2.0 ** (_KERNEL_EXP / p - 1.0)
+        for j, f in enumerate(family.members):
+            size = np.abs(f.values, out=diff)
+            big = float(np.max(size))
+            if big > cap:
                 continue
-            t = 2 * math.ceil((math.frexp(big)[1] - 34) / 2)
-            # _load uses ``diff`` as scratch, so it goes first
-            rounded = self._load(f.values, t)
-            error = np.ldexp(f.values, -t, out=diff)
-            np.subtract(rounded, error, out=error)
+            t = step * math.ceil((math.frexp(big)[1] - m) / step)
+            flushes = bool(np.any(f.values[size < math.ldexp(_FLOAT32_TINY, t)]))
+            # the rounding, against the scaled values _load leaves in ``diff``
+            error = np.subtract(self._load(f.values, t, flushes), diff, out=diff)
             np.abs(error, out=error)
-            np.power(error, 1.5, out=error)
-            plain = ((float(np.sum(error)) + cells * _TINY) * above) ** _TWO_THIRDS
+            np.power(error, p, out=error)
+            plain = ((float(np.sum(error)) + cells * _TINY) * above) ** root
             rho = 2.0 * lift * plain * (1.0 + _NORM_SLACK) + flush
-            self.members.append((t, 3 * t // 2 + s, rho * (1.0 + _NORM_SLACK)))
+            whole, part = divmod(numerator * t + s * denominator, denominator)
+            self.members[j] = (t, flushes, whole, part / denominator, rho * (1.0 + _NORM_SLACK))
 
-    def _load(self, values: np.ndarray, t: int) -> np.ndarray:
-        """Put ``values`` times 2**-t, flushed and rounded, into the padded
-        buffer; return its interior."""
+    def _load(self, values: np.ndarray, t: int, flushes: bool) -> np.ndarray:
+        """Put ``values`` times 2**-t, rounded, into the padded buffer, with
+        the values below 2**-126 flushed to 0 where ``flushes``; return its
+        interior.  The scaled values are left in ``scaled``, in float64, and
+        their cast has the bits of np.ldexp rounding to float32 itself."""
         rounded = self.pad[self.interior]
-        np.ldexp(values, -t, out=rounded)
-        scratch = self.terms.reshape(rounded.shape)
-        np.copyto(rounded, 0.0, where=np.abs(rounded, out=scratch) < _FLOAT32_TINY)
+        np.copyto(rounded, np.ldexp(values, -t, out=self.scaled), casting="same_kind")
+        if flushes:
+            scratch = self.terms[self.interior]
+            np.copyto(rounded, 0.0, where=np.abs(rounded, out=scratch) < _FLOAT32_TINY)
         return rounded
 
-    def _norm_bounds(self, j: int, offsets):
-        """Bounds on N(d), in scaled units, for member j at ``offsets``."""
-        values = self._load(self.family.members[j].values, self.members[j][0])
-        terms, roots, room = self.terms, self.roots, self.room
-        rho, underflow, spread = self.members[j][2], self.underflow, self.spread
-        for k in offsets:
-            window = tuple(slice(room - a, room - a + size) for a, size in zip(k, values.shape))
-            np.subtract(self.pad[window], values, out=terms.reshape(values.shape))
-            np.abs(terms, out=terms)
+    def _powers(self, terms: np.ndarray, roots: np.ndarray) -> None:
+        """Replace the float32 differences ``terms`` by |terms|**p, with
+        ``roots`` (of their shape) as scratch."""
+        p = self.space.p
+        if p == 2.0:
+            np.multiply(terms, terms, out=terms)
+            return
+        np.abs(terms, out=terms)
+        if p == 1.5:
             np.sqrt(terms, out=roots)
             np.multiply(terms, roots, out=terms)
-            blocks = np.vecdot(self.weight, terms.reshape(self.weight.shape))
-            screened = float(blocks.sum(dtype=np.float64))
+        elif p == 3.0:
+            np.multiply(terms, terms, out=roots)
+            np.multiply(terms, roots, out=terms)
+        elif p != 1.0:
+            np.power(terms, p, out=terms)
+
+    def windows(self, offsets) -> list:
+        """Per shift k of ``offsets``, None where -k came first, and
+        otherwise the views that form |d'_k|**p once for k and -k: the
+        padded member at x - k and at x, and the powers and roots, over the
+        union of the grid and the grid moved by k; and the powers over each
+        of the two, in the weight's blocks."""
+        room, shape = self.room, self.family.grid.shape
+        views, seen = [], set()
+
+        def blocks(k):
+            window = self.terms[tuple(slice(room + a, room + a + n) for a, n in zip(k, shape))]
+            return window.reshape(self.weight.shape, copy=False)
+
+        here = blocks((0,) * len(shape))
+        for k in offsets:
+            if tuple(-a for a in k) in seen:
+                views.append(None)
+                continue
+            seen.add(k)
+            union = tuple(slice(room + min(a, 0), room + n + max(a, 0)) for a, n in zip(k, shape))
+            moved = tuple(slice(u.start - a, u.stop - a) for u, a in zip(union, k))
+            views.append((
+                self.pad[moved], self.pad[union], self.terms[union], self.roots[union],
+                here, blocks(k),
+            ))
+        return views
+
+    def _norm_bounds(self, j: int, offsets, windows):
+        """Bounds on N(d), in scaled units, for member j at each of
+        ``offsets``, through their ``windows``."""
+        t, flushes, _, _, rho = self.members[j]
+        self._load(self.family.members[j].values, t, flushes)
+        root, underflow, spread = 1.0 / self.space.p, self.underflow, self.spread
+
+        def bounds(terms):
+            screened = math.fsum(np.vecdot(self.weight, terms).ravel().tolist())
             low = (screened - underflow) * (1.0 - spread)
             high = (screened + underflow) * (1.0 + 2.0 * spread)
-            low = low**_TWO_THIRDS * (1.0 - 3.0 * _FLOAT32_ROUNDOFF) if low > 0.0 else 0.0
-            yield low - rho, high**_TWO_THIRDS * (1.0 + 3.0 * _FLOAT32_ROUNDOFF) + rho
+            low = low**root * (1.0 - 3.0 * _FLOAT32_ROUNDOFF) if low > 0.0 else 0.0
+            return low - rho, high**root * (1.0 + 3.0 * _FLOAT32_ROUNDOFF) + rho
 
-    def enclosures(self, inner: int, reach: int, ring: np.ndarray):
-        """Each member's lower and upper bounds on the kernel's norm at the
-        shifts of ``ring``, those with inner < max|k| <= reach (cells), as two
-        lists."""
-        cell_volume, floor = self.family.grid.cell_volume, self.space._sum_floor
-        offsets = ring.tolist()
-        exponent = 1.0 / self.space.p
+        later = {}
+        for k, views in zip(offsets, windows):
+            if views is None:
+                yield later.pop(k)
+                continue
+            moved, values, terms, roots, here, there = views
+            np.subtract(moved, values, out=terms)
+            self._powers(terms, roots)
+            later[tuple(-a for a in k)] = bounds(there)
+            yield bounds(here)
+
+    def enclosures(self, offsets):
+        """Per member, the lower and upper bounds on the kernel's norm at
+        each of ``offsets`` as pairs, each computed as it is taken."""
+        windows = None
         for j, member in enumerate(self.members):
             if member is None:
-                yield [-math.inf] * len(offsets), [math.inf] * len(offsets)
+                yield itertools.repeat((-math.inf, math.inf), len(offsets))
                 continue
-            low, high = [], []
-            for n_lo, n_hi in self._norm_bounds(j, offsets):
-                try:
-                    e_lo = math.ldexp(max(n_lo, 0.0) ** 1.5 * (1.0 - _ROOT_SLACK), member[1])
-                    e_hi = math.ldexp(n_hi**1.5 * (1.0 + _ROOT_SLACK), member[1])
-                except OverflowError:
-                    e_lo, e_hi = 0.0, math.inf
-                lo = (e_lo - self.gamma * e_lo - self.lost) * cell_volume
-                top = e_hi + self.gamma * e_hi + self.lost
-                hi = top * cell_volume
-                if floor <= lo and max(top, hi) <= _HALF_MAX:
-                    low.append(lo**exponent * (1.0 - _ROOT_SLACK))
-                    high.append(hi**exponent * (1.0 + _ROOT_SLACK))
-                else:
-                    low.append(-math.inf)
-                    high.append(math.inf)
-            yield low, high
+            windows = windows or self.windows(offsets)
+            yield self._enclose(j, offsets, windows)
+
+    def _enclose(self, j: int, offsets, windows):
+        cell_volume, floor, p = self.family.grid.cell_volume, self.space._sum_floor, self.space.p
+        exponent = 1.0 / p
+        _, _, whole, part, _ = self.members[j]
+        # 2**part, as a float within 2**-51 of it
+        fraction = 2.0**part
+        slack = 4.0 * _ROOT_SLACK if part else _ROOT_SLACK
+        for n_lo, n_hi in self._norm_bounds(j, offsets, windows):
+            try:
+                e_lo = math.ldexp(max(n_lo, 0.0) ** p * (fraction * (1.0 - slack)), whole)
+                e_hi = math.ldexp(n_hi**p * (fraction * (1.0 + slack)), whole)
+            except OverflowError:
+                e_lo, e_hi = 0.0, math.inf
+            lo = (e_lo - self.gamma * e_lo - self.lost) * cell_volume
+            top = e_hi + self.gamma * e_hi + self.lost
+            hi = top * cell_volume
+            if floor <= lo and max(top, hi) <= _HALF_MAX:
+                yield lo**exponent * (1.0 - _ROOT_SLACK), hi**exponent * (1.0 + _ROOT_SLACK)
+            else:
+                yield -math.inf, math.inf
+
+
+def _float32_power_slack(p: float) -> float:
+    """The relative error the screen allows float32 np.power(x, p) over the
+    float32 range, |log2 x| <= 150: numpy rounds p to float32, p32, which
+    moves x**p by at most 2**(150 |p32 - p|) - 1, and its loop is within
+    ``_FLOAT32_LOOP_SLACK`` of x**p32."""
+    return math.expm1(150.0 * math.log(2.0) * abs(float(np.float32(p)) - p)) + _FLOAT32_LOOP_SLACK
 
 
 def _gamma(n: int, unit: float) -> float:
@@ -563,25 +562,6 @@ def _box_ring(inner: int, reach: int, dim: int) -> np.ndarray:
     stencil order."""
     cube = np.indices((2 * reach + 1,) * dim) - reach
     return np.argwhere(np.max(np.abs(cube), axis=0) > inner) - reach
-
-
-def _ring_boxes(inner: int, reach: int, dim: int):
-    """The offsets k with inner < max|k| <= reach as 2 * dim boxes, each a
-    tuple of inclusive per-axis ranges (lo, hi)."""
-    for axis in range(dim):
-        for side in ((-reach, -inner - 1), (inner + 1, reach)):
-            yield ((-inner, inner),) * axis + (side,) + ((-reach, reach),) * (dim - axis - 1)
-
-
-def _box_dots(factor: np.ndarray, windows: np.ndarray) -> np.ndarray:
-    """The dot product of ``factor``, flattened, with each of ``windows``
-    (flat windows on their last axis).  That axis is viewed, without a copy,
-    as blocks of at most ``_DOT_BLOCK`` cells, one dot each, so that no dot
-    leaves this thread."""
-    cells = windows.shape[-1]
-    block = math.gcd(cells, _DOT_BLOCK)
-    windows = windows.reshape(*windows.shape[:-1], cells // block, block, copy=False)
-    return np.vecdot(factor.reshape(cells // block, block), windows).sum(axis=-1)
 
 
 def averaged_modulus(family: Family, space: WeightedSpace, radius: float) -> float:

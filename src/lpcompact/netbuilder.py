@@ -193,9 +193,9 @@ def select_mesh(
     The translation modulus is nondecreasing in the radius (stencils nest), so
     one walker (``moduli._select_level``) goes up from the cell scale and stops
     at the first failure; past the first level it stops at the first shift
-    that reaches the threshold.  At p = 2 and p = 1.5 an enclosure of each
+    that reaches the threshold.  At every p >= 1 a float32 enclosure of each
     shifted norm decides most shifts, and exact norms are taken only where it
-    cannot; at any other p every shift is measured.  Either way the result is
+    cannot; below p = 1 every shift is measured.  Either way the result is
     that of the exact scan, bit for bit.
     """
     _check_epsilon(epsilon)

@@ -355,14 +355,14 @@ def test_early_stopping_scan_matches_full_scan(seed, dim, p, data):
 @given(
     seed=st.integers(min_value=0, max_value=9999),
     dim=st.sampled_from([1, 2]),
-    p=st.sampled_from([1.5, 2.0]),
+    p=st.sampled_from([1.0, 1.5, 2.0, 3.0]),
     data=st.data(),
 )
 def test_select_level_trusts_enclosures_only_as_bounds(seed, dim, p, data):
-    # with loose random enclosures in place of the screen's at p = 2 or 1.5,
-    # which overlap and misorder the shifts or meet the threshold exactly,
-    # the walker still returns what the full scan selects: the shifts it
-    # drops can never hold a member's maximum
+    # with loose random enclosures in place of the screen's, which overlap
+    # and misorder the shifts or meet the threshold exactly, the walker
+    # still returns what the full scan selects: the shifts it drops can
+    # never hold a member's maximum
     grid = Grid(dim=dim, box_level=0, cell_exp=-4 if dim == 1 else -2)
     rng = np.random.default_rng(seed)
     sp = WeightedSpace(p, _weights_with_zeros(grid, rng))
@@ -371,16 +371,15 @@ def test_select_level_trusts_enclosures_only_as_bounds(seed, dim, p, data):
     threshold = _drawn_threshold(fam, sp, levels, data)
     diff = np.empty(grid.shape)
 
-    def loose(screen, inner, reach, ring):
+    def loose(screen, offsets):
         for f in fam.members:
-            norms = np.array([moduli._shift_norm(f.values, tuple(k), sp, diff, {}) for k in ring])
+            norms = np.array([moduli._shift_norm(f.values, k, sp, diff, {}) for k in offsets])
             # a third of the bounds are the exact norm itself
-            slack = rng.uniform(0.0, 0.5, (2, len(ring))) * (rng.random((2, len(ring))) < 2 / 3)
-            yield norms * (1.0 - slack[0]), norms * (1.0 + slack[1])
+            slack = rng.uniform(0.0, 0.5, (2, len(offsets))) * (rng.random((2, len(offsets))) < 2 / 3)
+            yield zip(norms * (1.0 - slack[0]), norms * (1.0 + slack[1]))
 
     expected = _full_scan_selection(fam, sp, levels, threshold)
-    screen = moduli._ShiftScreen if p == 2.0 else moduli._PowerScreen
-    with mock.patch.object(screen, "enclosures", loose):
+    with mock.patch.object(moduli._PowerScreen, "enclosures", loose):
         assert _select_level(fam, sp, levels, threshold) == expected
 
 
@@ -498,24 +497,63 @@ def test_scan_allocates_one_grid_sized_buffer(p):
 
 
 def test_power_slack_covers_numpy_power():
-    # the p = 1.5 screen allows np.power(x, 1.5) an error of _POWER_SLACK
-    # times x**1.5 plus _TINY per term; pin that on x log-uniform over the
+    # the screen allows the kernel's np.power(x, p) an error of _POWER_SLACK
+    # times x**p plus _TINY per term; pin that on x log-uniform over the
     # whole float range, subnormals included, through the kernel's own
-    # in-place call.  Half the slack is asserted, so that the rounding of the
-    # reference x * sqrt(x) cannot hide a loop that uses all of it
+    # in-place call, at p = 1.5 and at the other exponents the screen and
+    # the power transfer's companion exponents (0.4 -> 1.2000000000000002,
+    # 0.7 -> 1.4) meet.  Half the slack is asserted, so that the rounding
+    # of the reference cannot hide a loop that uses all of it: x * sqrt(x)
+    # at p = 1.5, and an 80-bit long double pow at the others
     rng = np.random.default_rng(15)
     x = np.ldexp(rng.uniform(0.5, 1.0, 200_000), rng.integers(-1073, 1025, 200_000))
     top = np.finfo(np.float64).max
     edges = [5e-324, 2.0**-1030, np.finfo(np.float64).tiny, 2.0**-681, 1.0, 2.0**682, top]
     x = np.concatenate([x, edges, np.nextafter(edges, 0.0), np.nextafter(edges[:-1], np.inf)])
-    got = np.abs(x)
-    with np.errstate(over="ignore"):
-        np.power(got, 1.5, out=got)
-        reference = x * np.sqrt(x)
-    finite = reference <= top / 2.0
-    assert finite.sum() > 100_000
-    error = np.abs(got[finite] - reference[finite])
-    assert np.all(error <= 0.5 * moduli._POWER_SLACK * reference[finite] + moduli._TINY)
+    assert np.finfo(np.longdouble).nmant >= 63
+    for p in (1.5, 1.0, 3.0, 1.4, 1.2000000000000002, 40.0):
+        got = np.abs(x)
+        with np.errstate(over="ignore", under="ignore"):
+            np.power(got, p, out=got)
+            if p == 1.5:
+                reference = x * np.sqrt(x)
+            else:
+                reference = np.power(x.astype(np.longdouble), np.longdouble(p))
+        finite = reference <= top / 2.0
+        assert finite.sum() > 100_000, p
+        error = np.abs(got[finite] - reference[finite])
+        assert np.all(error <= 0.5 * moduli._POWER_SLACK * reference[finite] + moduli._TINY), p
     # a power past the range overflows: the screen gives no bounds to a
     # member past 2**680, whose differences could reach it
-    assert np.all(np.isinf(got[x >= 2.0**683]))
+    with np.errstate(over="ignore"):
+        assert np.all(np.isinf(np.power(x[x >= 2.0**683], 1.5)))
+
+
+def test_float32_power_slack_covers_numpy_power():
+    # the screen's float32 np.power(x, p), at a p outside its four IEEE
+    # forms, rounds p to float32 (p32) and so is off x**p by up to a factor
+    # 2**(|p32 - p| |log2 x|), within the 2**(150 |p32 - p|) of
+    # _float32_power_slack over the float32 range; past that factor the loop
+    # must stay within half of _FLOAT32_LOOP_SLACK, plus 2**-126 absolute
+    # (an underflowed result).  x is log-uniform over the float32 values the
+    # screen's scaled differences take, subnormals included.  Measured: 58
+    # u32 in all at p = 1.2000000000000002 and 26 at 1.4, 2 u32 at the
+    # float32 exponents
+    rng = np.random.default_rng(16)
+    x = np.ldexp(rng.uniform(0.5, 1.0, 200_000), rng.integers(-148, 54, 200_000)).astype(np.float32)
+    x = np.concatenate([x, np.float32([2.0**-149, 2.0**-126, 1.0, 2.0**52])])
+    for p in (1.2000000000000002, 1.4, 1.5, 2.5, 3.0, 4.0, 7.0, 40.0):
+        drift = float(np.float32(p)) - p
+        with np.errstate(over="ignore", under="ignore"):
+            got = np.power(x, p)
+            exact = np.power(x.astype(np.longdouble), np.longdouble(p))
+        assert got.dtype == np.float32
+        finite = exact <= 2.0**127
+        assert finite.sum() > 5_000, p
+        exact = exact[finite]
+        # x**p32 against x**p, at most the screen's allowance
+        moved = np.abs(np.exp2(drift * np.log2(x[finite].astype(np.longdouble))) - 1.0)
+        assert np.all(moved <= moduli._float32_power_slack(p) - moduli._FLOAT32_LOOP_SLACK), p
+        error = np.abs(got[finite] - exact)
+        allowed = (moved + 0.5 * moduli._FLOAT32_LOOP_SLACK) * exact + moduli._FLOAT32_TINY
+        assert np.all(error <= allowed * (1.0 + 2.0**-40)), p

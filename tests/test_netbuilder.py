@@ -1,6 +1,7 @@
 import json
 import math
 import sys
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -313,6 +314,81 @@ def _screen_family(grid, rng, scale, smooth):
     return Family(grid, tuple(GridFunction(grid, v) for v in members), ("a", "b", "c"))
 
 
+def _check_screen(fam, sp, reaches=(1, 2, 4)):
+    """Check the screen's enclosures over the box rings up to each of
+    ``reaches`` (cells); return how many shifts it vouched for.
+
+    The kernel's N(d) lies in the screen's bounds in norm space, within
+    rho_j of the float32 N(d') up to the float32 sum's roundings, at every
+    shift; wherever the screen vouches for a shift the kernel takes its plain
+    pass and its norm lies inside the screened bounds, no further apart than
+    the docstring's width; where the kernel's sum is well inside [floor,
+    max / 2] and the norm well above the allowances, the screen vouches.
+    Members past 2**(1021.5 / p - 1) get (-inf, inf) throughout."""
+    p, grid = sp.p, fam.grid
+    cell_volume, top = grid.cell_volume, sys.float_info.max
+    diff, scratch = np.empty((2, *grid.shape))
+    inner, screen, vouched = 0, None, 0
+    for reach in reaches:
+        if screen is None or screen.room < reach:
+            screen = moduli._PowerScreen(fam, sp, reach, scratch)
+        ring = moduli._box_ring(inner, reach, grid.dim)
+        offsets = list(map(tuple, ring.tolist()))
+        assert offsets == [
+            k for k in shift_stencil(grid, reach * grid.cell_side, "box") if max(map(abs, k)) > inner
+        ]
+        enclosures = screen.enclosures(offsets)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j, (f, pairs) in enumerate(zip(fam.members, enclosures)):
+                pairs = list(pairs)
+                assert len(pairs) == len(offsets)
+                member = screen.members[j]
+                assert (member is None) == (np.max(np.abs(f.values)) > 2.0 ** (1021.5 / p - 1.0))
+                if member is None:
+                    assert pairs == [(-math.inf, math.inf)] * len(offsets)
+                    continue
+                # the sums' power of two p t + s is whole + part; a member
+                # is flushed just when a scaled nonzero value is subnormal
+                t, flushes, whole, part, rho = member
+                magnitudes = np.abs(np.ldexp(f.values, -t))
+                assert flushes == bool(np.any((f.values != 0.0) & (magnitudes < 2.0**-126)))
+                loaded = screen._load(f.values, t, flushes)
+                assert np.all((loaded == 0.0) | (np.abs(loaded) >= 2.0**-126))
+                s = round(whole + part - p * t)
+                assert Fraction(p) * t + s == whole + Fraction(part)
+                bounds = screen._norm_bounds(j, offsets, screen.windows(offsets))
+                for k, (lo, hi), (n_lo, n_hi) in zip(offsets, pairs, bounds):
+                    moduli._shifted_difference(f.values, k, diff)
+                    scaled = _scaled_norm(diff, t, sp.weight.values, s, p)
+                    assert n_lo <= scaled * (1.0 + 1e-12) and scaled * (1.0 - 1e-12) <= n_hi
+                    total = _weighted_power_sum(diff, sp, diff)
+                    sure = math.isfinite(lo)
+                    assert sure == math.isfinite(hi)
+                    if not sure:
+                        # past 8 (rho + underflow**(1/p)), n_lo >= 5/8 N(d)
+                        # and n_hi <= 11/8 N(d): with the plain pass well
+                        # inside the range, the screen must vouch
+                        assert not (
+                            8.0 * sp._sum_floor <= total * 0.625**p
+                            and max(total, total / cell_volume) * 1.375**p <= top / 2.5
+                            and scaled >= 8.0 * (rho + screen.underflow ** (1.0 / p))
+                        )
+                        continue
+                    vouched += 1
+                    assert sp._sum_floor <= total <= top / 2.0
+                    norm = moduli._shift_norm(f.values, k, sp, diff, {})
+                    assert lo <= norm <= hi
+                    # the width the docstring gives, where the allowances are
+                    # far below the sum
+                    if screen.lost * cell_volume <= 1e-12 * total and screen.underflow <= 1e-9 * scaled**p:
+                        # rho_j is in scaled units: 2 rho_j (cell_volume 2**(p t + s))**(1/p)
+                        unit = (math.log2(cell_volume) + whole + part) / p
+                        width = math.ldexp(2.0 * rho * 2.0 ** float(unit % 1), math.floor(unit))
+                        assert hi - lo <= width + (3.0 / p + 1.0) * screen.spread * hi
+        inner = reach
+    return vouched
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=99999),
@@ -322,64 +398,26 @@ def _screen_family(grid, rng, scale, smooth):
     frame=st.integers(min_value=0, max_value=2),
 )
 def test_shift_screen_encloses_the_kernel(seed, dim, scale, smooth, frame):
-    # wherever the screen vouches for a shift, the exact kernel takes its
-    # plain pass and its norm lies inside the screened bounds
+    # the screen's enclosure property (``_check_screen``) at p = 2, on
+    # members from 2e-160 to 2e154 under weights near 1: their squares
+    # reach from the subnormal range to past the float range
     grid = Grid(dim=dim, box_level=0, cell_exp=-5 if dim == 1 else -3)
     rng = np.random.default_rng(seed)
     sp = _screen_space(grid, rng, 1.0, frame)
     fam = _screen_family(grid, rng, scale, smooth)
-    diff = np.empty(grid.shape)
-    inner = 0
-    screen = None
-    squares = []
-    for reach in (1, 2, 4):
-        if screen is None or screen.room < reach:
-            screen = moduli._ShiftScreen(fam, sp, reach, squares)
-        ring = moduli._box_ring(inner, reach, grid.dim)
-        enclosures = screen.enclosures(inner, reach, ring)
-        assert [tuple(k) for k in ring] == [
-            k for k in shift_stencil(grid, reach * grid.cell_side, "box")
-            if max(map(abs, k)) > inner
-        ]
-        with np.errstate(over="ignore", invalid="ignore"):
-            for f, (low, high) in zip(fam.members, enclosures):
-                for k, lo, hi in zip(ring, low, high):
-                    sure = math.isfinite(lo)
-                    assert sure == math.isfinite(hi)
-                    if not sure:
-                        continue
-                    moduli._shifted_difference(f.values, tuple(k), diff)
-                    total = _weighted_power_sum(diff, sp, diff)
-                    assert sp._sum_floor <= total < math.inf
-                    norm = moduli._shift_norm(f.values, tuple(k), sp, diff, {})
-                    assert lo <= norm <= hi
-                    # tight enough to decide all but near-ties
-                    assert hi - lo <= 1e-6 * hi
-        inner = reach
+    _check_screen(fam, sp)
 
 
 def test_shift_screen_vouches_at_huge_weights():
-    # members of about 1e-3 on 64 cells under a constant weight of 1e306:
-    # every power sum is near 1e300, well inside the range, so the screen
-    # vouches for all 4 ring shifts.  Its underflow allowance takes the
-    # power of two first; cells * 5 * max w overflowed before, and the
-    # screen vouched for none
+    # members of about 1e-3 on 64 cells under a constant weight of 1e306, at
+    # p = 2: every power sum is near 1e300, well inside the range, so the
+    # screen vouches for all 4 ring shifts
     grid = Grid(dim=1, box_level=0, cell_exp=-5)
     rng = np.random.default_rng(0)
     members = tuple(GridFunction(grid, 1e-3 * rng.uniform(-1.0, 1.0, grid.shape)) for _ in range(2))
     fam = Family(grid, members, ("a", "b"))
     sp = WeightedSpace(2.0, GridFunction(grid, np.full(grid.shape, 1e306)))
-    ring = moduli._box_ring(0, 1, grid.dim)
-    screen = moduli._ShiftScreen(fam, sp, 1, [])
-    diff = np.empty(grid.shape)
-    with np.errstate(over="ignore", invalid="ignore"):
-        bounds = [
-            (lo, moduli._shift_norm(f.values, tuple(k), sp, diff, {}), hi)
-            for f, (low, high) in zip(fam.members, screen.enclosures(0, 1, ring))
-            for k, lo, hi in zip(ring, low, high)
-        ]
-    assert len(bounds) == 4
-    assert all(math.isfinite(lo) and lo <= norm <= hi for lo, norm, hi in bounds)
+    assert _check_screen(fam, sp, reaches=(1,)) == 4
 
 
 # box levels of 64-cell (1-D) and 16 x 16 (2-D) grids: box volume 2 or 4,
@@ -389,9 +427,12 @@ def test_shift_screen_vouches_at_huge_weights():
 _SCREEN_BOXES = {1: {"unit": 0, "small": -5, "large": 6}, 2: {"unit": 0, "small": -3, "large": 4}}
 
 
-def _norm_at_one_and_a_half(values, weight):
-    """(sum weight |values|**1.5)**(2/3) in float64."""
-    return float(np.sum(np.abs(values) ** 1.5 * weight)) ** (2.0 / 3.0)
+def _scaled_norm(diff, t, weight, s, p):
+    """(sum weight 2**-s |diff 2**-t|**p)**(1/p) in 80-bit long double, clear
+    of float64's underflow and overflow."""
+    values = np.ldexp(diff.astype(np.longdouble), -t)
+    scaled = np.ldexp(weight.astype(np.longdouble), -s)
+    return float(np.sum(np.abs(values) ** p * scaled) ** (1.0 / np.longdouble(p)))
 
 
 @settings(max_examples=100, deadline=None)
@@ -404,40 +445,46 @@ def _norm_at_one_and_a_half(values, weight):
     smooth=st.booleans(),
     frame=st.integers(min_value=0, max_value=2),
     kind=st.sampled_from(["plain", "cancel", "wide"]),
+    p=st.sampled_from([1.0, 1.5, 2.0, 3.0, 1.2000000000000002, 40.0]),
 )
-@example(seed=0, dim=1, box="unit", scale_exp=0, sum_exp=0, smooth=False, frame=0, kind="plain")
-@example(seed=1, dim=2, box="unit", scale_exp=-700, sum_exp=-1060, smooth=True, frame=1, kind="plain")
-@example(seed=3, dim=1, box="unit", scale_exp=680, sum_exp=1010, smooth=False, frame=2, kind="plain")
-@example(seed=2, dim=1, box="small", scale_exp=-36, sum_exp=-1018, smooth=False, frame=2, kind="plain")
-@example(seed=88, dim=2, box="small", scale_exp=-127, sum_exp=-1013, smooth=True, frame=2, kind="plain")
-@example(seed=84, dim=1, box="large", scale_exp=102, sum_exp=1027, smooth=True, frame=0, kind="plain")
-@example(seed=68, dim=2, box="large", scale_exp=615, sum_exp=1016, smooth=True, frame=1, kind="plain")
+@example(seed=0, dim=1, box="unit", scale_exp=0, sum_exp=0, smooth=False, frame=0, kind="plain", p=1.5)
+@example(seed=1, dim=2, box="unit", scale_exp=-700, sum_exp=-1060, smooth=True, frame=1, kind="plain", p=1.5)
+@example(seed=3, dim=1, box="unit", scale_exp=680, sum_exp=1010, smooth=False, frame=2, kind="plain", p=1.5)
+@example(seed=2, dim=1, box="small", scale_exp=-36, sum_exp=-1018, smooth=False, frame=2, kind="plain", p=1.5)
+@example(seed=88, dim=2, box="small", scale_exp=-127, sum_exp=-1013, smooth=True, frame=2, kind="plain", p=1.5)
+@example(seed=84, dim=1, box="large", scale_exp=102, sum_exp=1027, smooth=True, frame=0, kind="plain", p=1.5)
+@example(seed=68, dim=2, box="large", scale_exp=615, sum_exp=1016, smooth=True, frame=1, kind="plain", p=1.5)
 # float32 rounds f = 1 + 2**-30 g to a constant: only rho_j holds d
-@example(seed=5, dim=1, box="unit", scale_exp=0, sum_exp=-40, smooth=True, frame=2, kind="cancel")
-@example(seed=6, dim=2, box="unit", scale_exp=-300, sum_exp=-500, smooth=False, frame=2, kind="cancel")
+@example(seed=5, dim=1, box="unit", scale_exp=0, sum_exp=-40, smooth=True, frame=2, kind="cancel", p=1.5)
+@example(seed=6, dim=2, box="unit", scale_exp=-300, sum_exp=-500, smooth=False, frame=2, kind="cancel", p=1.5)
+@example(seed=12, dim=1, box="unit", scale_exp=0, sum_exp=0, smooth=True, frame=0, kind="cancel", p=1.0)
+@example(seed=13, dim=2, box="unit", scale_exp=40, sum_exp=100, smooth=True, frame=1, kind="cancel", p=3.0)
 # values and weights spread over 2**300 each, past float32's range
-@example(seed=7, dim=1, box="unit", scale_exp=0, sum_exp=0, smooth=False, frame=0, kind="wide")
-@example(seed=8, dim=2, box="large", scale_exp=200, sum_exp=700, smooth=True, frame=1, kind="wide")
-# members of max|f| just below, at and above the 2**680 cap
-@example(seed=9, dim=1, box="unit", scale_exp=678, sum_exp=1015, smooth=False, frame=0, kind="plain")
-@example(seed=10, dim=1, box="unit", scale_exp=679, sum_exp=1017, smooth=False, frame=1, kind="plain")
-@example(seed=11, dim=2, box="unit", scale_exp=680, sum_exp=1018, smooth=False, frame=0, kind="wide")
-def test_power_screen_encloses_the_kernel(seed, dim, box, scale_exp, sum_exp, smooth, frame, kind):
-    # at p = 1.5 the kernel's N(d) lies in the screen's bounds in norm space,
-    # within rho_j of the float32 N(d') up to the float32 sum's roundings,
-    # at every shift; wherever the screen vouches for a shift the kernel
-    # takes its plain pass and its norm lies inside the screened bounds, no
-    # further apart than the docstring's width.  The weight is scaled so
-    # that the sums land near 2**sum_exp, from subnormal to past the float
-    # range; the screen gives (-inf, inf) wherever the kernel's sum leaves
-    # [floor, max / 2], and to members past 2**680.  "cancel" lifts the
-    # members to scale (1 + 2**-30 g), which float32 rounds to a constant;
-    # "wide" spreads values and weights over 2**300 each
+@example(seed=7, dim=1, box="unit", scale_exp=0, sum_exp=0, smooth=False, frame=0, kind="wide", p=1.5)
+@example(seed=8, dim=2, box="large", scale_exp=200, sum_exp=700, smooth=True, frame=1, kind="wide", p=1.5)
+@example(seed=14, dim=1, box="unit", scale_exp=0, sum_exp=0, smooth=False, frame=0, kind="wide", p=1.2000000000000002)
+@example(seed=15, dim=2, box="unit", scale_exp=-20, sum_exp=-200, smooth=False, frame=0, kind="wide", p=2.0)
+# members of max|f| just below, at and above the cap 2**(1021.5 / p - 1)
+@example(seed=9, dim=1, box="unit", scale_exp=678, sum_exp=1015, smooth=False, frame=0, kind="plain", p=1.5)
+@example(seed=10, dim=1, box="unit", scale_exp=679, sum_exp=1017, smooth=False, frame=1, kind="plain", p=1.5)
+@example(seed=11, dim=2, box="unit", scale_exp=680, sum_exp=1018, smooth=False, frame=0, kind="wide", p=1.5)
+@example(seed=16, dim=1, box="unit", scale_exp=508, sum_exp=1015, smooth=False, frame=0, kind="plain", p=2.0)
+@example(seed=17, dim=1, box="unit", scale_exp=509, sum_exp=1017, smooth=False, frame=1, kind="plain", p=2.0)
+@example(seed=18, dim=1, box="unit", scale_exp=23, sum_exp=900, smooth=False, frame=0, kind="plain", p=40.0)
+@example(seed=19, dim=1, box="unit", scale_exp=0, sum_exp=0, smooth=True, frame=0, kind="plain", p=40.0)
+def test_power_screen_encloses_the_kernel(seed, dim, box, scale_exp, sum_exp, smooth, frame, kind, p):
+    # the screen's enclosure property (``_check_screen``) at each p it
+    # meets: 1, 1.5, 2 and 3 take IEEE forms of the float32 power, and
+    # 1.2000000000000002 (p = 0.4's companion exponent) and 40 take float32
+    # np.power.  The weight is scaled so that the sums land near 2**sum_exp,
+    # from subnormal to past the float range.  "cancel" lifts the members to
+    # scale (1 + 2**-30 g), which float32 rounds to a constant; "wide"
+    # spreads values and weights over 2**300 each
     box_level = _SCREEN_BOXES[dim][box]
     grid = Grid(dim=dim, box_level=box_level, cell_exp=box_level - (5 if dim == 1 else 3))
     rng = np.random.default_rng(seed)
-    weight_exp = min(max(sum_exp - round(1.5 * scale_exp), -1074), 1022)
-    sp = _screen_space(grid, rng, math.ldexp(1.0, weight_exp), frame, 1.5)
+    weight_exp = min(max(sum_exp - round(p * scale_exp), -1074), 1022)
+    sp = _screen_space(grid, rng, math.ldexp(1.0, weight_exp), frame, p)
     fam = _screen_family(grid, rng, math.ldexp(1.0, scale_exp), smooth)
     if kind != "plain":
         if kind == "cancel":
@@ -445,54 +492,9 @@ def test_power_screen_encloses_the_kernel(seed, dim, box, scale_exp, sum_exp, sm
         else:
             lifted = [np.ldexp(f.values, rng.integers(-300, 1, grid.shape)) for f in fam.members]
             weight = np.ldexp(sp.weight.values, rng.integers(-300, 1, grid.shape))
-            sp = WeightedSpace(1.5, GridFunction(grid, weight))
+            sp = WeightedSpace(p, GridFunction(grid, weight))
         fam = Family(grid, tuple(GridFunction(grid, v) for v in lifted), fam.labels)
-    cell_volume, top = grid.cell_volume, sys.float_info.max
-    diff, scratch = np.empty((2, *grid.shape))
-    inner, screen = 0, None
-    for reach in (1, 2, 4):
-        if screen is None or screen.room < reach:
-            screen = moduli._PowerScreen(fam, sp, reach, scratch)
-        ring = moduli._box_ring(inner, reach, grid.dim)
-        offsets = ring.tolist()
-        enclosures = screen.enclosures(inner, reach, ring)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for j, (f, (low, high)) in enumerate(zip(fam.members, enclosures)):
-                member = screen.members[j]
-                assert (member is None) == (np.max(np.abs(f.values)) > 2.0**680)
-                if member is None:
-                    assert (low, high) == ([-math.inf] * len(ring), [math.inf] * len(ring))
-                    continue
-                t, power, rho = member
-                weight = np.ldexp(sp.weight.values, 3 * t // 2 - power)
-                bounds = screen._norm_bounds(j, offsets)
-                for k, lo, hi, (n_lo, n_hi) in zip(offsets, low, high, bounds):
-                    moduli._shifted_difference(f.values, tuple(k), diff)
-                    scaled = _norm_at_one_and_a_half(np.ldexp(diff, -t), weight)
-                    assert n_lo <= scaled * (1.0 + 1e-12) and scaled * (1.0 - 1e-12) <= n_hi
-                    total = _weighted_power_sum(diff, sp, diff)
-                    sure = math.isfinite(lo)
-                    assert sure == math.isfinite(hi)
-                    if not sure:
-                        # the plain pass is well inside the range and the
-                        # norm well above the allowances: vouch
-                        assert not (
-                            16.0 * sp._sum_floor <= total
-                            and max(total, total / cell_volume) <= top / 4.0
-                            and scaled >= 8.0 * (rho + screen.underflow ** (2.0 / 3.0))
-                        )
-                        continue
-                    assert sp._sum_floor <= total <= top / 2.0
-                    norm = moduli._shift_norm(f.values, tuple(k), sp, diff, {})
-                    assert lo <= norm <= hi
-                    # the width the docstring gives, where the allowances are
-                    # far below the sum
-                    if screen.lost * cell_volume <= 1e-12 * total and screen.underflow <= 1e-9 * scaled**1.5:
-                        # rho_j is in scaled units: 2 rho_j (cell_volume 2**(1.5 t + s))**(2/3)
-                        unit = (math.log2(cell_volume) + power) * 2.0 / 3.0
-                        width = math.ldexp(2.0 * rho * 2.0 ** (unit % 1.0), math.floor(unit))
-                        assert hi - lo <= width + 3.0 * screen.spread * hi
-        inner = reach
+    _check_screen(fam, sp)
 
 
 @settings(max_examples=150, deadline=None)
@@ -503,16 +505,15 @@ def test_power_screen_encloses_the_kernel(seed, dim, box, scale_exp, sum_exp, sm
     weight_scale=st.sampled_from([1.0, 1e-200, 1e200]),
     smooth=st.booleans(),
     frame=st.integers(min_value=0, max_value=2),
-    p=st.sampled_from([1.0, 1.5, 2.0, 3.0]),
+    p=st.sampled_from([1.0, 1.5, 2.0, 3.0, 1.2000000000000002]),
     data=st.data(),
 )
 def test_screened_select_mesh_is_the_exact_scan(
     seed, dim, scale, weight_scale, smooth, frame, p, data
 ):
-    # at p = 2 and 1.5 select_mesh screens its shifts; whatever the
+    # select_mesh screens its shifts at every p >= 1; whatever the
     # threshold, it returns or raises exactly what the exact scan does, and
-    # the exact kernel only meets shifts that scan measures: all of them at
-    # any other p
+    # the exact kernel only meets shifts that scan measures
     grid = Grid(dim=dim, box_level=0, cell_exp=-5 if dim == 1 else -3)
     rng = np.random.default_rng(seed)
     sp = _screen_space(grid, rng, weight_scale, frame, p)
@@ -534,7 +535,7 @@ def test_screened_select_mesh_is_the_exact_scan(
     expected, measured = _measured_outcome(_select_mesh_reference, fam, sp, epsilon, max_exp)
     got, screened = _measured_outcome(select_mesh, fam, sp, epsilon, max_exp)
     assert got == expected
-    assert screened <= measured if p in (1.5, 2.0) else screened == measured
+    assert screened <= measured
 
 
 def test_screened_select_mesh_confirms_a_threshold_on_a_modulus():
@@ -550,6 +551,36 @@ def test_screened_select_mesh_confirms_a_threshold_on_a_modulus():
     assert select_mesh(fam, sp, epsilon) == _select_mesh_reference(fam, sp, epsilon)
     above = float(np.nextafter(epsilon, math.inf))
     assert select_mesh(fam, sp, above) == _select_mesh_reference(fam, sp, above)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+def test_select_mesh_screens_no_shift_past_the_first_failure(p):
+    # the threshold lies between the box moduli of the second and third
+    # levels, so the walk fails in the third ring; the screen forms the
+    # float32 powers once for each pair of shifts k and -k, and just for the
+    # shifts the exact scan measures: whole rings up to the failing one, and
+    # that ring up to its first shift over the threshold
+    grid = Grid(dim=1, box_level=1, cell_exp=-6)
+    sp = WeightedSpace(p, sample(PowerLaw(0.5), grid))
+    fam = Family.from_profiles(grid, [Gaussian(center=c, sigma=0.3) for c in (-0.4, 0.0, 0.3)])
+    radii = [2.0**i for i in range(grid.cell_exp, grid.cell_exp + 3)]
+    levels = [max(level) for level in _translation_levels(fam, sp, radii, "box")]
+    epsilon = 3.0 * 2.0**grid.dim * 0.5 * (levels[1] + levels[2])
+    expected, measured = _measured_outcome(_select_mesh_reference, fam, sp, epsilon, None)
+    assert expected == ("ok", (grid.cell_exp + 1, expected[1][1]))
+    # the exact scan leaves the third ring (12 shifts per member) early
+    assert len(measured) < 3 * (4 + 8 + 12)
+    pairs = {(j, frozenset({k, tuple(-a for a in k)})) for j, k in measured}
+    screened = []
+    powers = moduli._PowerScreen._powers
+
+    def counted(screen, terms, roots):
+        screened.append(1)
+        powers(screen, terms, roots)
+
+    with mock.patch.object(moduli._PowerScreen, "_powers", counted):
+        assert select_mesh(fam, sp, epsilon) == expected[1]
+    assert len(screened) == len(pairs)
 
 
 def _null_cube_mask_loop(part, space):
