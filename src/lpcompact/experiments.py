@@ -62,7 +62,7 @@ def blowup_ratio(p: float, grid: Grid, n_value: int, weight_exponent: float | No
     1/N must be an exact multiple of the cell side so the discrete indicator
     is the true ball and the numerator is exact.
     """
-    if p <= 0:
+    if not p > 0:
         raise ModelError("p must be positive")
     radius = _resolvable_radius(grid, n_value)
     a = grid.dim * (p - 1.0) + 1.0 if weight_exponent is None else weight_exponent
@@ -147,7 +147,7 @@ def completeness_run(
         raise ModelError("the completeness bounds rely on p >= 1")
     if steps < 2:
         raise ModelError("need at least two steps to exhibit the geometric ladder")
-    if scale < 0:
+    if not scale >= 0:
         raise ModelError("scale must be nonnegative")
     if seed.grid != space.grid:
         raise ModelError("seed and space live on different grids")

@@ -28,8 +28,6 @@ __all__ = [
     "Grid",
     "GridFunction",
     "DyadicPartition",
-    "restrict_outside",
-    "restrict_inside",
     "inside_mask",
     "outside_mask",
     "all_cube_averages",
@@ -166,7 +164,7 @@ def _shift_slices(shape: tuple[int, ...], offsets: tuple[int, ...]):
 
 def inside_mask(grid: Grid, radius: float, region: str = "ball") -> np.ndarray:
     """Cells whose center lies in the open ball or box of the given radius."""
-    if radius <= 0:
+    if not radius > 0:
         raise ModelError(f"region radius must be positive, got {radius}")
     if region == "ball":
         return grid.center_radii() < radius
@@ -177,18 +175,6 @@ def inside_mask(grid: Grid, radius: float, region: str = "ball") -> np.ndarray:
 
 def outside_mask(grid: Grid, radius: float, region: str = "ball") -> np.ndarray:
     return ~inside_mask(grid, radius, region)
-
-
-def restrict_outside(f: GridFunction, radius: float, region: str = "ball") -> GridFunction:
-    """Zero out every cell whose center lies in the open region of given radius."""
-    mask = outside_mask(f.grid, radius, region)
-    return GridFunction(f.grid, np.where(mask, f.values, 0.0))
-
-
-def restrict_inside(f: GridFunction, radius: float, region: str = "ball") -> GridFunction:
-    """Complementary restriction; restrict_inside + restrict_outside == f exactly."""
-    mask = inside_mask(f.grid, radius, region)
-    return GridFunction(f.grid, np.where(mask, f.values, 0.0))
 
 
 @dataclass(frozen=True)

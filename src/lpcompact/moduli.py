@@ -388,9 +388,9 @@ class _PowerScreen:
         # the powers |d'|**p and the roots, laid out as the padded member
         self.terms, self.roots = np.empty((2, *padded), dtype=np.float32)
         # the weight times 2**-s, flushed and rounded
-        top = float(np.max(space.weight.values))
-        s = math.frexp(top)[1] - 49
-        top = math.ldexp(top, -s)
+        heaviest = float(np.max(space.weight.values))
+        s = math.frexp(heaviest)[1] - 49
+        top = math.ldexp(heaviest, -s)
         weight = np.ldexp(space.weight.values, -s, out=np.empty(grid.shape, np.float32))
         weight[weight < _FLOAT32_TINY] = 0.0
         # the blocks split the last axis
@@ -406,7 +406,7 @@ class _PowerScreen:
         )
         self.underflow = math.ldexp(cells, -72)
         self.gamma = 2.0 * _POWER_SLACK + 8.0 * _gamma(cells + 4, _UNIT_ROUNDOFF)
-        self.lost = math.ldexp(cells, -1019) * (float(np.max(space.weight.values)) + 1.0)
+        self.lost = math.ldexp(cells, -1019) * (heaviest + 1.0)
         # (max w)**(1/p), the flush allowance 2**-126 (N max w)**(1/p), and
         # what lifts a sum of N np.power terms above their real sum
         root = 1.0 / p
@@ -460,24 +460,20 @@ class _PowerScreen:
             np.power(terms, p, out=terms)
 
     def windows(self, offsets) -> list:
-        """Per shift k of ``offsets``, None where -k came first, and
-        otherwise the views that form |d'_k|**p once for k and -k: the
-        padded member at x - k and at x, and the powers and roots, over the
-        union of the grid and the grid moved by k; and the powers over each
-        of the two, in the weight's blocks."""
+        """Per shift k of the first half of ``offsets``, a ring in the layout
+        of ``_box_ring``, the views that form |d'_k|**p once for k and -k:
+        the padded member at x - k and at x, and the powers and roots, over
+        the union of the grid and the grid moved by k; and the powers over
+        each of the two, in the weight's blocks."""
         room, shape = self.room, self.family.grid.shape
-        views, seen = [], set()
 
         def blocks(k):
             window = self.terms[tuple(slice(room + a, room + a + n) for a, n in zip(k, shape))]
             return window.reshape(self.weight.shape, copy=False)
 
         here = blocks((0,) * len(shape))
-        for k in offsets:
-            if tuple(-a for a in k) in seen:
-                views.append(None)
-                continue
-            seen.add(k)
+        views = []
+        for k in offsets[: len(offsets) // 2]:
             union = tuple(slice(room + min(a, 0), room + n + max(a, 0)) for a, n in zip(k, shape))
             moved = tuple(slice(u.start - a, u.stop - a) for u, a in zip(union, k))
             views.append((
@@ -486,9 +482,10 @@ class _PowerScreen:
             ))
         return views
 
-    def _norm_bounds(self, j: int, offsets, windows):
-        """Bounds on N(d), in scaled units, for member j at each of
-        ``offsets``, through their ``windows``."""
+    def _norm_bounds(self, j: int, windows):
+        """Bounds on N(d), in scaled units, for member j at each shift of the
+        ring whose first half gave ``windows``: the first half's shifts in
+        order, then their negations in reverse, as ``_box_ring`` lays out."""
         t, flushes, _, _, rho = self.members[j]
         self._load(self.family.members[j].values, t, flushes)
         root, underflow, spread = 1.0 / self.space.p, self.underflow, self.spread
@@ -500,36 +497,33 @@ class _PowerScreen:
             low = low**root * (1.0 - 3.0 * _FLOAT32_ROUNDOFF) if low > 0.0 else 0.0
             return low - rho, high**root * (1.0 + 3.0 * _FLOAT32_ROUNDOFF) + rho
 
-        later = {}
-        for k, views in zip(offsets, windows):
-            if views is None:
-                yield later.pop(k)
-                continue
-            moved, values, terms, roots, here, there = views
+        negated = []
+        for moved, values, terms, roots, here, there in windows:
             np.subtract(moved, values, out=terms)
             self._powers(terms, roots)
-            later[tuple(-a for a in k)] = bounds(there)
+            negated.append(bounds(there))
             yield bounds(here)
+        yield from reversed(negated)
 
     def enclosures(self, offsets):
         """Per member, the lower and upper bounds on the kernel's norm at
-        each of ``offsets`` as pairs, each computed as it is taken."""
+        each shift of the ring ``offsets`` as pairs, each computed as taken."""
         windows = None
         for j, member in enumerate(self.members):
             if member is None:
                 yield itertools.repeat((-math.inf, math.inf), len(offsets))
                 continue
             windows = windows or self.windows(offsets)
-            yield self._enclose(j, offsets, windows)
+            yield self._enclose(j, windows)
 
-    def _enclose(self, j: int, offsets, windows):
+    def _enclose(self, j: int, windows):
         cell_volume, floor, p = self.family.grid.cell_volume, self.space._sum_floor, self.space.p
         exponent = 1.0 / p
         _, _, whole, part, _ = self.members[j]
         # 2**part, as a float within 2**-51 of it
         fraction = 2.0**part
         slack = 4.0 * _ROOT_SLACK if part else _ROOT_SLACK
-        for n_lo, n_hi in self._norm_bounds(j, offsets, windows):
+        for n_lo, n_hi in self._norm_bounds(j, windows):
             try:
                 e_lo = math.ldexp(max(n_lo, 0.0) ** p * (fraction * (1.0 - slack)), whole)
                 e_hi = math.ldexp(n_hi**p * (fraction * (1.0 + slack)), whole)
@@ -559,7 +553,8 @@ def _gamma(n: int, unit: float) -> float:
 
 def _box_ring(inner: int, reach: int, dim: int) -> np.ndarray:
     """The shifts k with inner < max|k| <= reach (cells), one per row, in
-    stencil order."""
+    stencil order: a first half, then that half negated in reverse (rows i
+    and n - 1 - i are k and -k), the layout ``_PowerScreen`` pairs shifts by."""
     cube = np.indices((2 * reach + 1,) * dim) - reach
     return np.argwhere(np.max(np.abs(cube), axis=0) > inner) - reach
 

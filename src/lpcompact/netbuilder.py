@@ -292,14 +292,15 @@ def projection_error(
     radius (c-1) cells, and there are at most ``(2c-1)**dim`` of them against
     ``c**dim`` cube cells, a ratio strictly below ``2**dim``.
     With ``check=True`` a violation beyond ``1e-10 * ||f||`` (possible only
-    through arithmetic error for p >= 1) raises.
+    through arithmetic error for p >= 1) raises; ||f|| is measured only once
+    the error exceeds the guarantee.
     """
     # zero outside the partition box, f minus its cube's coefficient inside
     diff = _write_cubes(np.zeros(f.grid.shape), coeffs, part, f.values)
     scratch = np.empty(f.grid.shape)
     measured = _array_norm(diff, space, scratch)
     guarantee = 2.0 ** f.grid.dim * modulus
-    if check:
+    if check and measured > guarantee:
         slack = 1e-10 * _array_norm(f.values, space, scratch)
         if measured > guarantee + slack:
             raise ModelError(
@@ -335,7 +336,7 @@ def quantize_net(
     coeffs = np.asarray(coeff_vectors, dtype=np.float64)
     if coeffs.ndim != 2 or coeffs.shape[1] != part.n_cubes:
         raise ModelError("coefficient vectors must be (members, cubes)")
-    if quant_step <= 0:
+    if not quant_step > 0:
         raise ModelError("quantization step must be positive")
     if np.any(np.abs(coeffs) > coeff_bound):
         raise ModelError("coefficient outside the declared bound")

@@ -55,7 +55,7 @@ class Gaussian:
     amplitude: float = 1.0
 
     def __post_init__(self):
-        if self.sigma <= 0:
+        if not self.sigma > 0:
             raise ModelError("gaussian sigma must be positive")
 
     def evaluate(self, mesh: tuple[np.ndarray, ...]) -> np.ndarray:
@@ -82,7 +82,7 @@ class Bump:
     amplitude: float = 1.0
 
     def __post_init__(self):
-        if self.radius <= 0:
+        if not self.radius > 0:
             raise ModelError("bump radius must be positive")
 
     def evaluate(self, mesh: tuple[np.ndarray, ...]) -> np.ndarray:
@@ -103,7 +103,7 @@ class Indicator:
     radius: float = 1.0
 
     def __post_init__(self):
-        if self.radius <= 0:
+        if not self.radius > 0:
             raise ModelError("indicator radius must be positive")
 
     def evaluate(self, mesh: tuple[np.ndarray, ...]) -> np.ndarray:
@@ -125,7 +125,7 @@ class PowerLaw:
         r = np.sqrt(sum(c * c for c in mesh))
         out = r ** self.exponent
         if self.support is not None:
-            if self.support <= 0:
+            if not self.support > 0:
                 raise ModelError("power-law support must be positive")
             maxnorm = np.maximum.reduce([np.abs(c) for c in mesh])
             out = np.where(maxnorm < self.support, out, 0.0)

@@ -249,11 +249,11 @@ def check_lattice_axioms(space, probes, chains=()) -> AxiomReport:
     """
     null = space.weight.values == 0
     checks = []
+    norms = [weighted_norm(f, space) for f in probes]
 
     failed = None
     noted = ""
-    for idx, f in enumerate(probes):
-        nrm = weighted_norm(f, space)
+    for idx, (f, nrm) in enumerate(zip(probes, norms)):
         ae_zero = bool(np.all(f.values[~null] == 0))
         if (nrm == 0.0) != ae_zero:
             failed = f"probe {idx}: norm {nrm!r} vs a.e.-zero {ae_zero}"
@@ -263,8 +263,8 @@ def check_lattice_axioms(space, probes, chains=()) -> AxiomReport:
     checks.append(AxiomCheck("definiteness", failed is None, failed or noted))
 
     failed = None
-    for idx, f in enumerate(probes):
-        if weighted_norm(abs(f), space) != weighted_norm(f, space):
+    for idx, (f, nrm) in enumerate(zip(probes, norms)):
+        if weighted_norm(abs(f), space) != nrm:
             failed = f"probe {idx}: norm changed under absolute value"
             break
     checks.append(AxiomCheck("absolute_value", failed is None, failed or ""))
@@ -278,7 +278,7 @@ def check_lattice_axioms(space, probes, chains=()) -> AxiomReport:
             if i == j or not np.all(g.values <= f.values):
                 continue
             n_pairs += 1
-            if weighted_norm(g, space) > weighted_norm(f, space):
+            if norms[i] > norms[j]:
                 failed = f"probes {i} <= {j} but norms are not ordered"
                 break
         if failed:

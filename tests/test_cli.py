@@ -573,6 +573,44 @@ def _runs_without_and_with_warnings_as_errors(*args):
     ]
 
 
+@pytest.mark.parametrize(
+    "weight, member, message",
+    [
+        (
+            {"kind": "power", "exponent": 0.5, "support": math.nan}, None,
+            "model violation: power-law support must be positive\n",
+        ),
+        (
+            None, {"kind": "bump", "center": 0.0, "radius": math.nan},
+            "model violation: bump radius must be positive\n",
+        ),
+    ],
+)
+def test_net_nan_size_in_spec_exit_3(tmp_path, weight, member, message):
+    # a NaN support or radius passes no `x <= 0` test; it would give an
+    # all-zero weight or member and a certificate
+    spec = write_spec(tmp_path / "spec.json", weight=weight, members=member and [member])
+    out = tmp_path / "cert.json"
+    runs = _runs_without_and_with_warnings_as_errors(
+        "net", "--spec", spec, "--epsilon", 0.1, "--out", out
+    )
+    assert [r.returncode for r in runs] == [3, 3]
+    assert [r.stderr for r in runs] == [message] * 2
+    assert not out.exists()
+
+
+def test_moduli_nan_tail_radius_exit_3(tmp_path, spec_path):
+    # inside_mask(grid, nan) held no cell, so the tail was the whole bound
+    runs = _runs_without_and_with_warnings_as_errors(
+        "moduli", "--spec", spec_path, "--r-list", "0.0625", "--n-list", "nan",
+        "--out", tmp_path / "mod",
+    )
+    assert [r.returncode for r in runs] == [3, 3]
+    message = "model violation: region radius must be positive, got nan\n"
+    assert [r.stderr for r in runs] == [message] * 2
+    assert not (tmp_path / "mod.csv").exists()
+
+
 def _tampered_net_certificate(tmp_path, p):
     """Build a certificate through the CLI, then set its first net entry to 1e300."""
     spec = write_spec(tmp_path / "spec.json", p=p)

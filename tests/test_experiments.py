@@ -77,6 +77,8 @@ def test_blowup_ratio_unresolvable():
         blowup_ratio(2.0, grid, 0)
     with pytest.raises(ModelError):
         blowup_ratio(-1.0, grid, 8)
+    with pytest.raises(ModelError, match="p must be positive"):
+        blowup_ratio(math.nan, grid, 8)
 
 
 def test_blowup_fit_slopes():
@@ -152,6 +154,8 @@ def test_completeness_run_rejections(completeness_space, rng):
         completeness_run(sp, seed, steps=1)
     with pytest.raises(ModelError):
         completeness_run(sp, seed, steps=5, scale=-1.0)
+    with pytest.raises(ModelError, match="scale must be nonnegative"):
+        completeness_run(sp, seed, steps=5, scale=math.nan)
     quasi = WeightedSpace(0.5, sp.weight)
     with pytest.raises(ModelError, match="p >= 1"):
         completeness_run(quasi, seed, steps=5)

@@ -28,13 +28,13 @@ def test_package_exports_the_module_lists_and_the_errors():
         for name in getattr(module, "__all__", ())
     }
     assert set(lpcompact.__all__) == declared | {"HypothesisError", "ModelError", "SpecFileError"}
-    assert len(lpcompact.__all__) == len(set(lpcompact.__all__)) == 76
+    assert len(lpcompact.__all__) == len(set(lpcompact.__all__)) == 74
     for name in lpcompact.__all__:
         assert hasattr(lpcompact, name)
 
 
 def test_retired_names_are_gone():
-    for name in ("cube_average", "dyadic_cube_family"):
+    for name in ("cube_average", "dyadic_cube_family", "restrict_inside", "restrict_outside"):
         assert name not in lpcompact.__all__
         assert not hasattr(lpcompact, name)
     assert not hasattr(lpcompact.DyadicPartition, "cube_multi_index")

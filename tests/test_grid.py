@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,8 +14,6 @@ from lpcompact import (
     ball_average_field,
     inside_mask,
     outside_mask,
-    restrict_inside,
-    restrict_outside,
     shift_stencil,
 )
 
@@ -75,9 +75,18 @@ def test_masks_by_center(grid1d):
     m = inside_mask(grid1d, 0.5)
     np.testing.assert_array_equal(m, [0, 0, 1, 1, 1, 1, 0, 0])
     np.testing.assert_array_equal(outside_mask(grid1d, 0.5), ~m)
-    f = GridFunction(grid1d, np.ones(8))
-    np.testing.assert_array_equal(restrict_outside(f, 0.5).values, ~m * 1.0)
-    np.testing.assert_array_equal(restrict_inside(f, 0.5).values, m * 1.0)
+
+
+@pytest.mark.parametrize("radius", [0.0, -1.0, math.nan])
+def test_masks_reject_a_radius_that_is_not_positive(grid1d, radius):
+    with pytest.raises(ModelError, match=f"region radius must be positive, got {radius}"):
+        inside_mask(grid1d, radius)
+
+
+def test_masks_at_infinite_radius(grid1d):
+    # a region of infinite radius holds every cell
+    assert np.all(inside_mask(grid1d, math.inf, "ball"))
+    assert not np.any(outside_mask(grid1d, math.inf, "box"))
 
 
 def test_masks_box_vs_ball(grid2d):

@@ -28,11 +28,11 @@ from lpcompact import (
     certificate_to_dict,
     cube_projection,
     expand_coefficients,
+    inside_mask,
     load_certificate,
     projection_error,
     quantize_net,
     quasi_certificate,
-    restrict_inside,
     sample,
     save_certificate,
     select_mesh,
@@ -46,10 +46,10 @@ from lpcompact import (
 )
 
 from conftest import random_family
-from lpcompact import moduli
+from lpcompact import moduli, netbuilder
 from lpcompact.moduli import _translation_levels
 from lpcompact.netbuilder import _net_distances, _remeasure, cube_witnesses, null_cube_mask
-from lpcompact.spaces import _weighted_power_sum
+from lpcompact.spaces import _array_norm, _weighted_power_sum
 
 
 @pytest.fixture(scope="module")
@@ -314,6 +314,18 @@ def _screen_family(grid, rng, scale, smooth):
     return Family(grid, tuple(GridFunction(grid, v) for v in members), ("a", "b", "c"))
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("inner, reach", [(0, 1), (1, 2), (2, 4), (4, 8), (8, 16), (16, 32)])
+def test_screen_ring_layout_pairs_each_shift_with_its_negation(dim, inner, reach):
+    # the screen forms k and -k from one window and reads -k's bounds back
+    # in reverse, so each ring must be its first half, then that half
+    # negated in reverse
+    ring = moduli._box_ring(inner, reach, dim)
+    half = len(ring) // 2
+    assert len(ring) == 2 * half > 0
+    np.testing.assert_array_equal(ring[half:], -ring[:half][::-1])
+
+
 def _check_screen(fam, sp, reaches=(1, 2, 4)):
     """Check the screen's enclosures over the box rings up to each of
     ``reaches`` (cells); return how many shifts it vouched for.
@@ -356,7 +368,7 @@ def _check_screen(fam, sp, reaches=(1, 2, 4)):
                 assert np.all((loaded == 0.0) | (np.abs(loaded) >= 2.0**-126))
                 s = round(whole + part - p * t)
                 assert Fraction(p) * t + s == whole + Fraction(part)
-                bounds = screen._norm_bounds(j, offsets, screen.windows(offsets))
+                bounds = screen._norm_bounds(j, screen.windows(offsets))
                 for k, (lo, hi), (n_lo, n_hi) in zip(offsets, pairs, bounds):
                     moduli._shifted_difference(f.values, k, diff)
                     scaled = _scaled_norm(diff, t, sp.weight.values, s, p)
@@ -665,6 +677,49 @@ def test_projection_error_guarantee(grid1d, rng):
         )
 
 
+def _projection_case(grid1d, rng):
+    """A non-constant member, its cube averages and its measured error."""
+    sp = WeightedSpace(2.0, GridFunction(grid1d, rng.uniform(0.1, 1.0, grid1d.shape)))
+    f = GridFunction(grid1d, rng.normal(size=grid1d.shape))
+    part = DyadicPartition(grid1d, 0, -1)
+    coeffs = all_cube_averages(f, part)
+    measured = projection_error(f, coeffs, part, sp, 0.0)[0]
+    assert measured > 0.0
+    return f, coeffs, part, sp, measured
+
+
+def test_projection_check_raises_past_its_guarantee(grid1d, rng):
+    f, coeffs, part, sp, _ = _projection_case(grid1d, rng)
+    with pytest.raises(ModelError, match="exceeds its guarantee"):
+        projection_error(f, coeffs, part, sp, 0.0, check=True)
+
+
+def test_projection_check_forgives_rounding_within_its_slack(grid1d, rng):
+    # past the guarantee by far less than 1e-10 ||f|| passes; by 2e-10 ||f||
+    # it raises
+    f, coeffs, part, sp, measured = _projection_case(grid1d, rng)
+    assert projection_error(f, coeffs, part, sp, measured * (0.5 - 1e-13), check=True) == (
+        measured,
+        2.0 * (measured * (0.5 - 1e-13)),
+    )
+    norm = weighted_norm(f, sp)
+    with pytest.raises(ModelError, match="exceeds its guarantee"):
+        projection_error(f, coeffs, part, sp, (measured - 2e-10 * norm) / 2.0, check=True)
+
+
+def test_projection_check_within_its_guarantee_takes_one_norm(grid1d, rng, monkeypatch):
+    f, coeffs, part, sp, measured = _projection_case(grid1d, rng)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _array_norm(*args)
+
+    monkeypatch.setattr(netbuilder, "_array_norm", counted)
+    assert projection_error(f, coeffs, part, sp, measured, check=True)[0] == measured
+    assert len(calls) == 1
+
+
 def test_quantize_net_lattice_and_dedup(grid1d, flat_space):
     part = DyadicPartition(grid1d, 0, -1)
     coeffs = np.array(
@@ -685,6 +740,9 @@ def test_quantize_net_lattice_and_dedup(grid1d, flat_space):
     ) * (1 + 1e-12)
     assert qn.assignment[0] == qn.assignment[1] == 0
     assert qn.assignment[2] == 1
+    for step in (0.0, math.nan):
+        with pytest.raises(ModelError, match="quantization step must be positive"):
+            quantize_net(coeffs, step, 1.0, part, flat_space)
 
 
 def test_build_certificate_end_to_end(gauss_problem):
@@ -805,10 +863,10 @@ def test_projection_error_zero_coeffs_is_truncated_norm(grid1d, flat_space, rng)
     zeros = np.zeros(part.n_cubes)
     modulus = translation_modulus(Family(grid1d, (f,), ("f",)), flat_space, 0.25, "box")
     measured, _ = projection_error(f, zeros, part, flat_space, modulus)
-    from lpcompact import restrict_inside
 
     assert measured == pytest.approx(
-        weighted_norm(restrict_inside(f, 0.5, region="box"), flat_space), rel=1e-12
+        weighted_norm(GridFunction(grid1d, f.values * inside_mask(grid1d, 0.5, "box")), flat_space),
+        rel=1e-12,
     )
 
 
@@ -969,7 +1027,9 @@ def test_cube_kernel_equals_expanded_reference(dim):
                 expand_coefficients(c, part).values, _expand_by_repeat(c, part).values
             )
             assert projection_error(f, c, part, space, 0.0)[0] == weighted_norm(
-                restrict_inside(f, radius, "box") - expand_coefficients(c, part), space
+                GridFunction(f.grid, f.values * inside_mask(f.grid, radius, "box"))
+                - expand_coefficients(c, part),
+                space,
             )
         qn = quantize_net(coeffs, 0.5, 0.5 * math.ceil(np.max(np.abs(coeffs)) / 0.5), part, space)
         assert qn.distances == tuple(

@@ -25,6 +25,24 @@ def test_gaussian_rejects_bad_sigma():
         Gaussian(center=0.0, sigma=0.0)
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: Gaussian(center=0.0, sigma=math.nan), "gaussian sigma must be positive"),
+        (lambda: Bump(center=0.0, radius=math.nan), "bump radius must be positive"),
+        (lambda: Indicator(center=0.0, radius=math.nan), "indicator radius must be positive"),
+        (
+            lambda: sample(PowerLaw(1.0, support=math.nan), Grid(1, 0, -2)),
+            "power-law support must be positive",
+        ),
+    ],
+)
+def test_profiles_reject_a_nan_size(make, message):
+    # a NaN fails no `x <= 0` test; it would sample an all-zero member
+    with pytest.raises(ModelError, match=message):
+        make()
+
+
 def test_bump_support(grid1d):
     f = sample(Bump(center=0.125, radius=0.5), grid1d)
     # open ball support: centers at distance exactly 0.5 stay outside

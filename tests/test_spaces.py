@@ -352,6 +352,28 @@ def test_lattice_axioms_pass(grid1d, rng):
     assert report["absolute_value"].passed
 
 
+def test_lattice_axioms_take_each_probe_norm_once(grid1d, rng, monkeypatch):
+    # five nonnegative multiples of one probe: every pair is ordered one
+    # way, and the monotonicity scan reuses the probes' norms
+    from lpcompact import spaces
+
+    sp = WeightedSpace(2.0, GridFunction(grid1d, rng.uniform(0.1, 2.0, grid1d.shape)))
+    base = GridFunction(grid1d, np.abs(rng.standard_normal(grid1d.shape)))
+    probes = [base * k for k in range(5)]
+    calls = []
+
+    def counted(f, space):
+        calls.append(f)
+        return weighted_norm(f, space)
+
+    monkeypatch.setattr(spaces, "weighted_norm", counted)
+    report = check_lattice_axioms(sp, probes)
+    assert report.passed
+    assert report["monotonicity"].detail == "10 ordered pairs checked"
+    # one norm per probe, and one of its absolute value
+    assert len(calls) == 2 * len(probes)
+
+
 def test_definiteness_notes_null_cells(grid1d):
     w = np.ones(grid1d.shape)
     w[:2] = 0.0
