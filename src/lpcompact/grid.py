@@ -109,14 +109,13 @@ class GridFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.values, dtype=np.float64)
+        arr = np.array(self.values, dtype=np.float64)
         if arr.shape != self.grid.shape:
             raise ModelError(
                 f"values shape {arr.shape} does not match grid shape {self.grid.shape}"
             )
         if not np.all(np.isfinite(arr)):
             raise ModelError("grid function values must be finite")
-        arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
 

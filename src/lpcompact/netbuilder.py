@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+import zlib
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -133,8 +134,7 @@ class NetCertificate:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ModelError(f"unknown projector variant {self.variant!r}")
-        arr = np.asarray(self.net_elements, dtype=np.float64)
-        arr = arr.copy()
+        arr = np.array(self.net_elements, dtype=np.float64)
         arr.flags.writeable = False
         object.__setattr__(self, "net_elements", arr)
 
@@ -316,6 +316,12 @@ class QuantizedNet:
     distances: tuple[float, ...]
 
 
+def _row_key(point: np.ndarray) -> int:
+    """Bucket key of a lattice point in ``quantize_net``: the CRC-32 of its
+    bytes.  Points that share a bucket are told apart by comparing them."""
+    return zlib.crc32(point)
+
+
 def quantize_net(
     coeff_vectors: np.ndarray,
     quant_step: float,
@@ -328,39 +334,58 @@ def quantize_net(
     Each coefficient moves by at most half a step, so the rounding error is
     dominated pointwise by (step/2) * indicator of the partition box; lattice
     monotonicity then bounds the norm error by (step/2) * that indicator's
-    norm, for every exponent p > 0.  Deduplication happens on the integer
-    lattice coordinates, so equality of net elements is exact.  Inputs must
-    already lie in [-coeff_bound, coeff_bound]; with coeff_bound a lattice
-    multiple the rounded values stay inside the same interval.
+    norm, for every exponent p > 0.  Deduplication happens on the exact float
+    lattice rows rint(c / step), with -0.0 made 0.0, not on integer
+    coordinates, so equality of net elements is exact and no cast can
+    overflow however small the step.  Inputs must already lie in
+    [-coeff_bound, coeff_bound]; with coeff_bound a lattice multiple the
+    rounded values stay inside the same interval.  Every stage goes one row
+    at a time, through row buffers and one (members, cubes) array whose
+    leading rows become the net.
     """
     coeffs = np.asarray(coeff_vectors, dtype=np.float64)
     if coeffs.ndim != 2 or coeffs.shape[1] != part.n_cubes:
         raise ModelError("coefficient vectors must be (members, cubes)")
     if not quant_step > 0:
         raise ModelError("quantization step must be positive")
-    if np.any(np.abs(coeffs) > coeff_bound):
+    row = np.empty(part.n_cubes)
+    if any(np.any(np.abs(c, out=row) > coeff_bound) for c in coeffs):
         raise ModelError("coefficient outside the declared bound")
-    lattice = np.rint(coeffs / quant_step)
-    rounded = lattice * quant_step
     # float rounding may overshoot step/2 by an ulp, never more
-    if np.any(np.abs(coeffs - rounded) > 0.5 * quant_step * (1 + 1e-12)):
-        raise ModelError("lattice rounding moved a coefficient beyond half a step")
-    # each row names the first row on its lattice point, keyed by the point's
-    # bytes (an int64 holds no -0.0); those first rows, in order, are the net
-    points = lattice.astype(np.int64)
-    first: dict[bytes, int] = {}
-    heads = [first.setdefault(row.tobytes(), i) for i, row in enumerate(points)]
-    rows, assignment = np.unique(np.array(heads, dtype=np.intp), return_inverse=True)
-    elements = points[rows] * quant_step
+    half = 0.5 * quant_step * (1 + 1e-12)
+    lattice = np.empty(coeffs.shape)
+    for c, point in zip(coeffs, lattice):
+        np.rint(np.divide(c, quant_step, out=point), out=point)
+        point += 0.0  # -0.0 becomes 0.0, so equal points have equal bytes
+        np.subtract(c, np.multiply(point, quant_step, out=row), out=row)
+        if np.any(np.abs(row, out=row) > half):
+            raise ModelError("lattice rounding moved a coefficient beyond half a step")
+    # a row equal to a net point in its key's bucket joins it; any other row
+    # is the next net point and moves down to the first row not yet taken
+    buckets: dict[int, list[int]] = {}
+    assignment = []
+    n_net = 0
+    for i, point in enumerate(lattice):
+        bucket = buckets.setdefault(_row_key(point), [])
+        j = next((j for j in bucket if np.array_equal(lattice[j], point)), None)
+        if j is None:
+            j = n_net
+            n_net += 1
+            if j != i:
+                lattice[j] = point
+            bucket.append(j)
+        assignment.append(j)
+    elements = lattice[:n_net]
+    elements *= quant_step
     buf = np.zeros(part.grid.shape)
     scratch = np.empty(part.grid.shape)
     distances = tuple(
-        _array_norm(_write_cubes(buf, c - elements[j], part), space, scratch)
+        _array_norm(
+            _write_cubes(buf, np.subtract(c, elements[j], out=row), part), space, scratch
+        )
         for c, j in zip(coeffs, assignment)
     )
-    return QuantizedNet(
-        net_elements=elements, assignment=tuple(assignment.tolist()), distances=distances
-    )
+    return QuantizedNet(net_elements=elements, assignment=tuple(assignment), distances=distances)
 
 
 def _net_distances(
@@ -440,6 +465,7 @@ def build_certificate(
         coeff_bound += step
 
     quant = quantize_net(coeffs, step, coeff_bound, part, space)
+    del coeffs  # not live while the certificate copies the net
 
     distances = _net_distances(
         family, quant.net_elements, quant.assignment, part, space, epsilon
@@ -626,14 +652,23 @@ def validate_certificate(
     failures.extend(_check_cube_claims(certificate, part, space))
 
     # every element must be its own nearest lattice point; a NaN, a step so
-    # small that e / step overflows, or one so large that e rounds to 0 fails
+    # small that e / step overflows, or one so large that e rounds to 0 fails.
+    # One element at a time, in two row buffers
+    step, bound = plan.quant_step, plan.coeff_bound * (1 + 1e-12)
+    snapped, size = np.empty(part.n_cubes), np.empty(part.n_cubes)
+    off_lattice, beyond = None, False
     with np.errstate(all="ignore"):
-        snapped = np.rint(elements / plan.quant_step) * plan.quant_step
-        on_lattice = np.abs(elements - snapped) <= 1e-9 * np.abs(elements)
-    if not np.all(on_lattice):
-        row = int(np.argmin(on_lattice.all(axis=1)))
-        failures.append(f"net element {row} leaves the quantization lattice")
-    if np.any(np.abs(elements) > plan.coeff_bound * (1 + 1e-12)):
+        for i, e in enumerate(elements):
+            np.abs(e, out=size)
+            beyond = beyond or bool(np.any(size > bound))
+            if off_lattice is None:
+                np.rint(np.divide(e, step, out=snapped), out=snapped)
+                np.subtract(e, np.multiply(snapped, step, out=snapped), out=snapped)
+                if not np.all(np.abs(snapped, out=snapped) <= np.multiply(size, 1e-9, out=size)):
+                    off_lattice = i
+    if off_lattice is not None:
+        failures.append(f"net element {off_lattice} leaves the quantization lattice")
+    if beyond:
         failures.append("a net coefficient exceeds the declared bound")
 
     distances, remeasured = _remeasure(
@@ -728,7 +763,7 @@ def certificate_from_dict(doc: dict) -> NetCertificate:
             grid=grid,
             space_p=_number(doc, "space_p", "certificate"),
             variant=str(doc["variant"]),
-            net_elements=np.asarray(rows, dtype=np.float64),
+            net_elements=rows,  # the certificate makes the one array
             assignment=tuple(_entries(doc["assignment"], (int,), "assignment")),
             distances=tuple(map(float, distances)),
             labels=tuple(_entries(doc["labels"], (str,), "labels")),
@@ -753,25 +788,39 @@ def _flat_list_text(values, depth: int) -> str:
 
 def _lattice_texts(net: np.ndarray, step: float):
     """When every entry of the 2-D ``net`` is, bit for bit, ``j * step`` for
-    integers j spanning at most ``net.size`` values, return each entry's index
-    into a table of the distinct texts, and that table; else None.  A net
-    built by ``quantize_net`` qualifies, so each of its few distinct values
-    is formatted once.  ``-0.0`` fails the bitwise check."""
+    integers j spanning at most ``net.size`` values, return the least such
+    j and a table of the texts of ``j * step`` from there on; else None.  A
+    net built by ``quantize_net`` qualifies, so each of its few distinct
+    values is formatted once.  ``-0.0`` fails the bitwise check.  Two passes
+    over the rows, in row buffers: the span of j, then the bits."""
+    k = np.empty(net.shape[1])
+    lo, hi = math.inf, -math.inf
     with np.errstate(over="ignore"):
-        k = np.rint(net / step)
-        if not np.isfinite(k).all():
-            return None
-        lo, hi = k.min(), k.max()
+        for row in net:
+            np.rint(np.divide(row, step, out=k), out=k)
+            if not np.isfinite(k).all():
+                return None
+            lo, hi = min(lo, k.min()), max(hi, k.max())
         if not hi - lo <= net.size:
             return None
-        k -= lo
-        index = k.astype(np.intp)
-        del k
-        table = (lo + np.arange(index.max() + 1)) * step
+        table = (lo + np.arange(int(hi - lo) + 1)) * step
     bits = table.view(np.int64)
-    if not all(map(np.array_equal, (bits[i] for i in index), net.view(np.int64))):
-        return None
-    return index, np.array([float.__repr__(v) for v in table.tolist()], dtype=object)
+    index = np.empty(net.shape[1], dtype=np.intp)
+    got = np.empty(net.shape[1], dtype=np.int64)
+    for row in net:
+        np.take(bits, _lattice_index(row, step, lo, k, index), out=got)
+        if not np.array_equal(got, row.view(np.int64)):
+            return None
+    return lo, np.array([float.__repr__(v) for v in table.tolist()], dtype=object)
+
+
+def _lattice_index(row: np.ndarray, step: float, lo, k: np.ndarray, index: np.ndarray):
+    """Each entry's place ``rint(e / step) - lo`` in the table of
+    ``_lattice_texts``, written to ``index`` through the float buffer ``k``."""
+    np.rint(np.divide(row, step, out=k), out=k)
+    k -= lo
+    np.copyto(index, k, casting="unsafe")
+    return index
 
 
 def _write_net(fh, net: np.ndarray, step: float) -> None:
@@ -782,14 +831,17 @@ def _write_net(fh, net: np.ndarray, step: float) -> None:
         fh.write(json.dumps(net.tolist(), indent=2).replace("\n", "\n  "))
         return
     lattice = _lattice_texts(net, step)
+    k, index = np.empty(net.shape[1]), np.empty(net.shape[1], dtype=np.intp)
     fh.write("[")
     for i, row in enumerate(net):
         fh.write(",\n    " if i else "\n    ")
         if lattice is None:
             fh.write(_flat_list_text(row.tolist(), 2))
         else:
-            index, texts = lattice
-            fh.write("[\n      " + ",\n      ".join(texts[index[i]].tolist()) + "\n    ]")
+            lo, texts = lattice
+            fh.write("[\n      ")
+            fh.write(",\n      ".join(texts[_lattice_index(row, step, lo, k, index)].tolist()))
+            fh.write("\n    ]")
     fh.write("\n  ]")
 
 

@@ -181,6 +181,23 @@ def test_saved_certificate_is_the_reference_text(tmp_path):
     assert "-0.0" in path.read_text() and "5e-324" in path.read_text()
 
 
+def test_certificate_owns_one_copy_of_its_net():
+    net = np.array([[0.25, -0.5, 1.0]])
+    cert = _with_net(_edge_certificate(quasi=False), net, 0.25)
+    net[0, 0] = 7.0
+    assert cert.net_elements[0, 0] == 0.25
+    assert not cert.net_elements.flags.writeable
+    # a document's net becomes one float64 array, not an array and its copy
+    doc = certificate_to_dict(_with_net(cert, np.ones((8, 65536)), 0.25))
+    tracemalloc.start()
+    try:
+        loaded = certificate_from_dict(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * loaded.net_elements.nbytes
+
+
 def _saved_text(cert, tmp_path):
     path = tmp_path / "cert.json"
     save_certificate(cert, path)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -56,6 +57,24 @@ def test_gridfunction_validation(grid1d):
     f = GridFunction(grid1d, np.arange(8.0))
     with pytest.raises(ValueError):
         f.values[0] = 5.0  # frozen buffer
+
+
+def test_gridfunction_owns_one_copy_of_its_values(grid1d):
+    values = np.arange(8.0)
+    f = GridFunction(grid1d, values)
+    values[0] = 5.0
+    assert f.values[0] == 0.0
+    assert not f.values.flags.writeable
+    # from a list the float64 array is built once, not built and copied
+    wide = Grid(dim=2, box_level=1, cell_exp=-6)
+    rows = np.ones(wide.shape).tolist()
+    tracemalloc.start()
+    try:
+        g = GridFunction(wide, rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * g.values.nbytes
 
 
 def test_gridfunction_arithmetic(grid1d):

@@ -1,6 +1,8 @@
 import json
 import math
 import sys
+import tracemalloc
+import warnings
 from fractions import Fraction
 from unittest import mock
 
@@ -1078,24 +1080,180 @@ def _quantize_by_tuple_keys(coeffs, step):
     return elements, tuple(assignment)
 
 
-def test_quantize_net_matches_tuple_key_reference(grid1d, flat_space):
-    part = DyadicPartition(grid1d, 0, -1)
-    rng = np.random.default_rng(3)
-    coeffs = np.vstack(
-        [
-            [-0.1, 0.3, 0.6, -0.6],  # rounds to the lattice point (-0.0, 1, 2, -2)
-            [0.1, 0.3, 0.6, -0.6],  # rounds to (0, 1, 2, -2): the same point
-            rng.uniform(-1.0, 1.0, (6, part.n_cubes)),
-        ]
+@st.composite
+def _quantizer_cases(draw):
+    """Coefficient rows on 2, 4 or 8 cubes at a step from 2**-60 to 1, with
+    repeated rows and entries that round to -0.0."""
+    cube_exp = draw(st.integers(-2, 0))
+    n_cubes = 2 ** (1 - cube_exp)
+    step = draw(st.floats(1.0, 2.0, exclude_max=True)) * 2.0 ** draw(st.integers(-60, -1))
+    entry = st.one_of(
+        st.floats(-1.0, 1.0),
+        st.sampled_from([-0.4, -0.1, 0.0, -0.0, 0.3, -1.0, 1.0]).map(lambda t: t * step),
     )
-    assert np.signbit(np.rint(coeffs[0, 0] / 0.25))
-    qn = quantize_net(coeffs, 0.25, 1.0, part, flat_space)
-    elements, assignment = _quantize_by_tuple_keys(coeffs, 0.25)
+    pool = draw(st.lists(st.lists(entry, min_size=n_cubes, max_size=n_cubes), min_size=1, max_size=4))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=8))
+    return cube_exp, np.array([pool[i] for i in picks]), step
+
+
+@settings(max_examples=80, deadline=None)
+@given(_quantizer_cases())
+# rows 0 and 1 round to the same point, (-0.0, 1, 2, -2) and (0, 1, 2, -2)
+@example((-1, np.array([[-0.1, 0.3, 0.6, -0.6], [0.1, 0.3, 0.6, -0.6]] * 2), 0.25))
+@example((0, np.array([[0.0, 1.0]]), 3.3306690738754696e-16))
+def test_quantize_net_matches_tuple_key_reference(case):
+    cube_exp, coeffs, step = case
+    grid = Grid(dim=1, box_level=0, cell_exp=-3)
+    part = DyadicPartition(grid, 0, cube_exp)
+    space = WeightedSpace(2.0, sample(Constant(1.0), grid))
+    # at a step that is not a power of two, j * step can miss c by more than
+    # step/2 once step is near an ulp of c; both must then refuse
+    moved = np.abs(coeffs - np.rint(coeffs / step) * step)
+    if np.any(moved > 0.5 * step * (1 + 1e-12)):
+        with pytest.raises(ModelError, match="beyond half a step"):
+            quantize_net(coeffs, step, 1.0, part, space)
+        return
+    qn = quantize_net(coeffs, step, 1.0, part, space)
+    elements, assignment = _quantize_by_tuple_keys(coeffs, step)
     assert qn.assignment == assignment
-    assert qn.assignment[0] == qn.assignment[1]
-    np.testing.assert_array_equal(qn.net_elements, elements)
-    np.testing.assert_array_equal(np.signbit(qn.net_elements), np.signbit(elements))
-    assert not np.signbit(qn.net_elements[0, 0])
+    assert qn.net_elements.tobytes() == elements.tobytes()
+    assert qn.distances == tuple(
+        weighted_norm(expand_coefficients(c - elements[j], part), space)
+        for c, j in zip(coeffs, assignment)
+    )
+
+
+def test_quantize_net_keeps_points_past_the_int64_range(grid1d, flat_space):
+    # 0.5 / 1e-20 = 5e19 lies past 2**63: cast to int64 the two lattice
+    # points became one, with the distances breaking the step/2 promise
+    part = DyadicPartition(grid1d, 0, -1)
+    coeffs = np.array([[0.5, 0.5, 0.5, 0.5], [0.5, 0.5, 0.5, 0.75]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        qn = quantize_net(coeffs, 1e-20, 1.0, part, flat_space)
+    np.testing.assert_array_equal(qn.net_elements, coeffs)
+    assert qn.assignment == (0, 1)
+    assert qn.distances == (0.0, 0.0)
+
+
+def test_quantize_net_tells_apart_rows_that_share_a_bucket(grid1d, flat_space, monkeypatch):
+    part = DyadicPartition(grid1d, 0, -1)
+    rng = np.random.default_rng(5)
+    pool = rng.uniform(-1.0, 1.0, (3, part.n_cubes))
+    coeffs = pool[[0, 1, 0, 2, 1, 2, 0]]
+    expected = quantize_net(coeffs, 0.125, 1.0, part, flat_space)
+    monkeypatch.setattr(netbuilder, "_row_key", lambda point: 0)
+    qn = quantize_net(coeffs, 0.125, 1.0, part, flat_space)
+    assert qn.assignment == expected.assignment == (0, 1, 0, 2, 1, 2, 0)
+    np.testing.assert_array_equal(qn.net_elements, expected.net_elements)
+    assert qn.distances == expected.distances
+
+
+@pytest.fixture(scope="module")
+def wide_net():
+    """Eight members on 65,536 one-cell cubes, the shape of the benchmark's
+    per-cube workload, their quantized net and its certificate."""
+    grid = Grid(dim=2, box_level=1, cell_exp=-6)
+    part = DyadicPartition(grid, 1, -6)
+    space = WeightedSpace(2.0, sample(Constant(1.0), grid))
+    coeffs = np.random.default_rng(0).uniform(-1.0, 1.0, (8, part.n_cubes))
+    fam = Family(
+        grid,
+        tuple(GridFunction(grid, c.reshape(grid.shape)) for c in coeffs),
+        tuple(f"m{i}" for i in range(8)),
+    )
+    qn = quantize_net(coeffs, 0.1, 1.0, part, space)
+    plan = netbuilder.NetPlan(
+        epsilon=10.0, box_level=1, cube_exp=-6, quant_step=0.1, coeff_bound=1.0,
+        budget=netbuilder.EpsilonBudget(0.0, 0.0, max(qn.distances)),
+    )
+    cert = netbuilder.NetCertificate(
+        plan=plan, grid=grid, space_p=2.0, variant="banach", net_elements=qn.net_elements,
+        assignment=qn.assignment, distances=qn.distances, labels=fam.labels,
+    )
+    assert cert.n_net == 8
+    return coeffs, part, space, fam, cert
+
+
+def _peak_share(call, nbytes):
+    """Peak traced allocation of ``call()`` over ``nbytes``."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / nbytes
+    finally:
+        tracemalloc.stop()
+
+
+def test_quantize_net_peaks_at_the_net_and_a_few_rows(wide_net):
+    coeffs, part, space, _, _ = wide_net
+    assert _peak_share(lambda: quantize_net(coeffs, 0.1, 1.0, part, space), coeffs.nbytes) <= 1.5
+
+
+def test_validate_certificate_peaks_below_the_net(wide_net):
+    _, _, space, fam, cert = wide_net
+    assert validate_certificate(fam, cert, space).passed
+    share = _peak_share(lambda: validate_certificate(fam, cert, space), cert.net_elements.nbytes)
+    assert share <= 1.0
+
+
+def test_save_certificate_peaks_below_the_net(wide_net, tmp_path):
+    cert = wide_net[4]
+    path = tmp_path / "cert.json"
+    share = _peak_share(lambda: save_certificate(cert, path), cert.net_elements.nbytes)
+    assert share <= 1.0
+    assert path.read_text() == json.dumps(certificate_to_dict(cert), indent=2, sort_keys=True) + "\n"
+
+
+def _whole_net_lattice_failures(elements, step, bound):
+    """Reference: the whole-net lattice and bound checks of the validator."""
+    failures = []
+    with np.errstate(all="ignore"):
+        snapped = np.rint(elements / step) * step
+        on_lattice = np.abs(elements - snapped) <= 1e-9 * np.abs(elements)
+    if not np.all(on_lattice):
+        row = int(np.argmin(on_lattice.all(axis=1)))
+        failures.append(f"net element {row} leaves the quantization lattice")
+    if np.any(np.abs(elements) > bound * (1 + 1e-12)):
+        failures.append("a net coefficient exceeds the declared bound")
+    return failures
+
+
+@pytest.fixture(scope="module")
+def gauss_certificate(gauss_problem):
+    _, fam, space, bound = gauss_problem
+    return fam, space, build_certificate(fam, space, 0.1 * bound)
+
+
+_EDITS = st.lists(
+    st.tuples(
+        st.sampled_from(["off", "beyond", "-0.0"]),
+        st.integers(0, 10**6),
+        st.integers(0, 10**6),
+    ),
+    max_size=4,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_EDITS)
+@example([("beyond", 7, 0), ("off", 3, 1)])
+def test_validator_lattice_checks_match_the_whole_net_reference(gauss_certificate, edits):
+    from dataclasses import replace
+
+    fam, space, cert = gauss_certificate
+    plan = cert.plan
+    net = np.array(cert.net_elements)
+    for kind, row, col in edits:
+        row, col = row % net.shape[0], col % net.shape[1]
+        net[row, col] = {
+            "off": net[row, col] + plan.quant_step / 3.0,
+            "beyond": plan.quant_step * math.ceil(2.0 * plan.coeff_bound / plan.quant_step),
+            "-0.0": -0.0,
+        }[kind]
+    report = validate_certificate(fam, replace(cert, net_elements=net), space)
+    found = [f for f in report.failures if "lattice" in f or "declared bound" in f]
+    assert found == _whole_net_lattice_failures(net, plan.quant_step, plan.coeff_bound)
 
 
 def test_build_computes_the_null_cube_mask_once(gauss_problem, monkeypatch):
