@@ -775,15 +775,25 @@ def certificate_from_dict(doc: dict) -> NetCertificate:
         raise ModelError(f"malformed certificate document: {exc}") from exc
 
 
-def _flat_list_text(values, depth: int) -> str:
-    """``json.dumps(values, indent=2)`` for a flat list of numbers nested
-    ``depth`` levels deep.  json's C encoder formats the entries exactly as
-    its indenting encoder does; the newline and indent go in as separator."""
+# entries per json.dumps call in _write_flat_list: the writer holds one
+# chunk's text, not the whole list's
+_WRITE_CHUNK = 4096
+
+
+def _write_flat_list(fh, values, depth: int) -> None:
+    """Write ``json.dumps(values, indent=2)`` for a flat list or tuple of
+    numbers nested ``depth`` levels deep, ``_WRITE_CHUNK`` entries at a
+    time.  json's C encoder formats the entries exactly as its indenting
+    encoder does; the newline and indent go in as separator."""
     if len(values) == 0:
-        return "[]"
+        fh.write("[]")
+        return
     pad = "\n" + "  " * (depth + 1)
-    inner = json.dumps(values, separators=("," + pad, ": "))[1:-1]
-    return "[" + pad + inner + "\n" + "  " * depth + "]"
+    sep = "," + pad
+    for i in range(0, len(values), _WRITE_CHUNK):
+        fh.write(sep if i else "[" + pad)
+        fh.write(json.dumps(values[i:i + _WRITE_CHUNK], separators=(sep, ": "))[1:-1])
+    fh.write("\n" + "  " * depth + "]")
 
 
 def _lattice_texts(net: np.ndarray, step: float):
@@ -836,7 +846,7 @@ def _write_net(fh, net: np.ndarray, step: float) -> None:
     for i, row in enumerate(net):
         fh.write(",\n    " if i else "\n    ")
         if lattice is None:
-            fh.write(_flat_list_text(row.tolist(), 2))
+            _write_flat_list(fh, row.tolist(), 2)
         else:
             lo, texts = lattice
             fh.write("[\n      ")
@@ -849,7 +859,7 @@ def save_certificate(cert: NetCertificate, path) -> None:
     """Write exactly ``json.dumps(certificate_to_dict(cert), indent=2,
     sort_keys=True)`` and a newline, without building that text or the net
     as Python floats.  The short fields go through ``json.dumps``, the
-    per-cube lists are spliced in as text and the net is streamed by row."""
+    per-cube lists go out in chunks and the net is streamed by row."""
     fields = _short_fields(cert)
     with open(path, "w") as fh:
         keys = sorted([*fields, "net_elements", "null_cubes", "witness_cells"])
@@ -860,16 +870,36 @@ def save_certificate(cert: NetCertificate, path) -> None:
             elif key in fields:
                 fh.write(json.dumps(fields[key], indent=2, sort_keys=True).replace("\n", "\n  "))
             else:
-                fh.write(_flat_list_text(getattr(cert, key), 1))
+                _write_flat_list(fh, getattr(cert, key), 1)
         fh.write("\n}\n")
 
 
+# distinct float texts one load_certificate call keeps; a built net has tens
+_FLOAT_TABLE_CAP = 4096
+
+
+class _FloatTable(dict):
+    """``float`` of each token text, for ``json.load``'s ``parse_float``: the
+    first ``_FLOAT_TABLE_CAP`` distinct texts are parsed once and every
+    repeat shares that float.  The values are json's own bit for bit, since
+    its default ``parse_float`` is ``float`` of the same text."""
+
+    def __missing__(self, text):
+        value = float(text)
+        if len(self) < _FLOAT_TABLE_CAP:
+            self[text] = value
+        return value
+
+
 def load_certificate(path) -> NetCertificate:
+    """Read a certificate file.  A quantized net holds few distinct numbers,
+    so its floats are parsed once each through a per-call ``_FloatTable``."""
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_float=_FloatTable().__getitem__)
     except OSError as exc:
         raise ModelError(f"cannot read certificate {path}: {exc.strerror or exc}") from exc
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
+        # bad JSON or UTF-8, or arrays or objects nested past the recursion limit
         raise ModelError(f"malformed certificate document: {exc}") from exc
     return certificate_from_dict(doc)

@@ -206,7 +206,8 @@ def load_problem(path) -> Problem:
             doc = json.load(fh)
     except OSError as exc:
         raise SpecFileError(f"cannot read spec {path}: {exc}") from exc
-    except ValueError as exc:
-        # bad JSON, bad UTF-8, or an integer literal past Python's digit limit
+    except (ValueError, RecursionError) as exc:
+        # bad JSON, bad UTF-8, an integer literal past Python's digit limit,
+        # or arrays or objects nested past the recursion limit
         raise SpecFileError(f"spec {path} is not valid JSON: {exc}") from exc
     return parse_problem(doc, base_dir=path.parent)

@@ -26,6 +26,7 @@ from lpcompact import (
     PowerTransferRecord,
     certificate_from_dict,
     certificate_to_dict,
+    load_certificate,
     save_certificate,
 )
 from lpcompact.netbuilder import _lattice_texts
@@ -196,6 +197,54 @@ def test_certificate_owns_one_copy_of_its_net():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * loaded.net_elements.nbytes
+
+
+# number tokens as a certificate file may spell them: both zeros, ints, the
+# smallest subnormal, a normal boundary, 1e400 (read as inf), json's
+# constants and 17-digit reprs
+_TOKENS = [
+    "0.0", "-0.0", "0", "-0", "7", "-3", "5e-324", "-5e-324", "2.2250738585072014e-308",
+    "1e400", "-1e400", "0.1", "0.30000000000000004", "1.0000000000000002", "1E5",
+    "NaN", "Infinity", "-Infinity",
+]
+
+
+@st.composite
+def net_tokens(draw):
+    """Net rows and distances drawn from a small pool of tokens, so that
+    texts repeat within and across fields as in a quantized net."""
+    token = st.one_of(
+        st.sampled_from(_TOKENS), _finite.map(repr), st.integers(-(2 ** 70), 2 ** 70).map(str)
+    )
+    pool = draw(st.lists(token, min_size=1, max_size=6))
+    n_cubes = draw(st.integers(1, 6))
+    rows = draw(st.lists(
+        st.lists(st.sampled_from(pool), min_size=n_cubes, max_size=n_cubes), min_size=1, max_size=4
+    ))
+    return rows, draw(st.lists(st.sampled_from(pool), min_size=3, max_size=3))
+
+
+def _json_array(tokens):
+    if tokens and isinstance(tokens[0], list):
+        return "[" + ", ".join(map(_json_array, tokens)) + "]"
+    return "[" + ", ".join(tokens) + "]"
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.booleans(), net_tokens())
+@example(False, ([["0.0", "-0.0", "0.0"], ["1e400", "5e-324", "0"]], ["-0.0", "0.0", "NaN"]))
+def test_load_certificate_matches_the_default_parse(tmp_path_factory, quasi, tokens):
+    rows, distances = tokens
+    doc = certificate_to_dict(_edge_certificate(quasi))
+    doc.update(net_elements="@net@", distances="@distances@")
+    text = (
+        json.dumps(doc, indent=2)
+        .replace('"@net@"', _json_array(rows))
+        .replace('"@distances@"', _json_array(distances))
+    )
+    path = tmp_path_factory.mktemp("cert") / "cert.json"
+    path.write_text(text)
+    assert _exact(load_certificate(path)) == _exact(certificate_from_dict(json.loads(text)))
 
 
 def _saved_text(cert, tmp_path):

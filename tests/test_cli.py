@@ -611,6 +611,38 @@ def test_moduli_nan_tail_radius_exit_3(tmp_path, spec_path):
     assert not (tmp_path / "mod.csv").exists()
 
 
+# json's decoder raises RecursionError past the recursion limit
+_DEEP_OPENERS = ["[", '{"a": ']
+
+
+@pytest.mark.parametrize("opener", _DEEP_OPENERS, ids=["arrays", "objects"])
+def test_validate_deeply_nested_certificate_exit_3(tmp_path, spec_path, opener):
+    cert = tmp_path / "cert.json"
+    cert.write_text(opener * 200_000)
+    runs = _runs_without_and_with_warnings_as_errors(
+        "validate", "--spec", spec_path, "--certificate", cert
+    )
+    assert [r.returncode for r in runs] == [3, 3]
+    for r in runs:
+        assert r.stderr.startswith("model violation: malformed certificate document: maximum recursion")
+        assert r.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("opener", _DEEP_OPENERS, ids=["arrays", "objects"])
+def test_net_deeply_nested_spec_exit_2(tmp_path, opener):
+    spec = tmp_path / "spec.json"
+    spec.write_text(opener * 200_000)
+    out = tmp_path / "cert.json"
+    runs = _runs_without_and_with_warnings_as_errors(
+        "net", "--spec", spec, "--epsilon", 0.1, "--out", out
+    )
+    assert [r.returncode for r in runs] == [2, 2]
+    for r in runs:
+        assert r.stderr.startswith(f"spec error: spec {spec} is not valid JSON: maximum recursion")
+        assert r.stderr.count("\n") == 1
+    assert not out.exists()
+
+
 def _tampered_net_certificate(tmp_path, p):
     """Build a certificate through the CLI, then set its first net entry to 1e300."""
     spec = write_spec(tmp_path / "spec.json", p=p)
