@@ -16,7 +16,6 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -277,24 +276,33 @@ def shift_stencil(
     with the closed inequality the box stencil at radius 2**i realises the
     whole dyadic box of level i.  Deterministic lexicographic order.
     """
+    return _shift_ring(grid, -1.0 if include_zero else 0.0, radius, kind)
+
+
+def _shift_ring(grid: Grid, inner: float, radius: float, kind: str) -> list[tuple[int, ...]]:
+    """The shifts k (in cells, as tuples of ints) with inner < |k*h| <=
+    radius, in lexicographic order: the one source of stencils and rings.
+
+    |k*h| is the sup norm for ``kind="box"``; for ``"ball"`` the squared
+    Euclidean norm, a sum of (k_i h)**2, is compared with the squared radii.
+    A ring with inner >= 0 is symmetric and omits zero, so its order lists a
+    first half, then that half negated in reverse (entries i and n - 1 - i
+    are k and -k): the layout the mesh screen pairs shifts by.
+    """
     if kind not in ("ball", "box"):
         raise ModelError(f"unknown stencil kind {kind!r}")
     if not math.isfinite(radius):
         raise ModelError(f"shift radius {radius} is not finite")
     h = grid.cell_side
-    kmax = int(np.floor(radius / h + 1e-12))
-    offsets = []
-    for k in itertools.product(range(-kmax, kmax + 1), repeat=grid.dim):
-        if not include_zero and all(c == 0 for c in k):
-            continue
-        if kind == "ball":
-            if sum((c * h) ** 2 for c in k) > radius * radius:
-                continue
-        else:
-            if max(abs(c) for c in k) * h > radius:
-                continue
-        offsets.append(k)
-    return offsets
+    kmax = math.floor(radius / h + 1e-12)
+    if kmax < 0:
+        return []
+    cube = np.indices((2 * kmax + 1,) * grid.dim).reshape(grid.dim, -1).T - kmax
+    if kind == "ball":
+        size, low, high = np.sum((cube * h) ** 2, axis=1), inner * abs(inner), radius * radius
+    else:
+        size, low, high = np.max(np.abs(cube), axis=1) * h, inner, radius
+    return list(map(tuple, cube[(low < size) & (size <= high)].tolist()))
 
 
 def ball_average_field(f: GridFunction, radius: float) -> GridFunction:

@@ -21,10 +21,10 @@ from .errors import ModelError
 from .grid import (
     Grid,
     GridFunction,
+    _shift_ring,
     _shift_slices,
     ball_average_field,
     outside_mask,
-    shift_stencil,
 )
 from .profiles import _sample_all
 from .spaces import (
@@ -155,28 +155,27 @@ def _translation_levels(family: Family, space: WeightedSpace, radii, stencil: st
     translation modulus at that radius: the full scan behind
     ``translation_modulus`` and ``measure_moduli``.
 
-    Closed stencils nest, so a radius only measures the shifts the smaller
-    radii lacked, and a running maximum per member carries the rest.  Every
-    shift goes through ``_shift_norm`` with one buffer reused for the whole
-    scan, so every value equals ``_array_norm`` of the shifted difference bit
-    for bit.  A consumer that stops iterating stops the scan after the last
-    radius it received.
+    Closed stencils nest, so a radius only measures the ring of shifts the
+    smaller radii lacked (``_shift_ring``), and a running maximum per member
+    carries the rest.  Every shift goes through ``_shift_norm`` with one
+    buffer reused for the whole scan, so every value equals ``_array_norm``
+    of the shifted difference bit for bit.  A consumer that stops iterating
+    stops the scan after the last radius it received.
     """
     _check_space(family, space)
     grid = family.grid
     diff = np.empty(grid.shape)
     moduli = [0.0] * len(family)
-    seen = set()
     errors = np.geterr()
+    inner = 0.0
     for radius in radii:
-        offsets = shift_stencil(grid, radius, kind=stencil)
-        if not offsets:
+        ring = _shift_ring(grid, inner, radius, stencil)
+        if not ring and not inner:
             raise ModelError(
                 f"translation radius {radius} admits no nonzero grid shift "
                 f"(cell side {grid.cell_side})"
             )
-        ring = [k for k in offsets if k not in seen]
-        seen.update(ring)
+        inner = radius
         # the difference and its power sum may overflow, or meet inf * 0
         with np.errstate(over="ignore", invalid="ignore"):
             for j, k in itertools.product(range(len(family)), ring):
@@ -228,8 +227,8 @@ def _select_level(family: Family, space: WeightedSpace, levels: range, threshold
     Returns the last level below the threshold with each member's modulus
     there, or None with the first level's moduli when even that level fails
     (and ``()`` when ``levels`` is empty).  Each level adds the ring of
-    shifts the smaller boxes lacked (``_box_ring``), each shift with bounds on
-    its exact norm from ``_PowerScreen``, taken shift by shift as the walk
+    shifts the smaller boxes lacked (``_shift_ring``), each shift with bounds
+    on its exact norm from ``_PowerScreen``, taken shift by shift as the walk
     goes.  Levels, then members, then shifts go in stencil order.  A shift
     surely below the threshold passes, one surely at or above it fails, and
     ``_shift_norm`` measures any other.  The first level is gone through in
@@ -254,14 +253,14 @@ def _select_level(family: Family, space: WeightedSpace, levels: range, threshold
     # per member, the largest lower bound so far and the kept shifts, each
     # as (shift, lower bound, upper bound)
     top, kept = [-math.inf] * len(family), [[] for _ in family.members]
-    screen, inner = None, 0
+    screen, inner = None, 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         for n, i in enumerate(levels):
             reach = round(2.0 ** (i - grid.cell_exp))
-            offsets = list(map(tuple, _box_ring(inner, reach, grid.dim).tolist()))
+            offsets = _shift_ring(grid, inner, 2.0**i, "box")
             if screen is None or screen.room < reach:
-                # the screen loads members through the kernel's buffer, which
-                # is free between the kernel's calls
+                # the screen measures its roundings in the kernel's buffer,
+                # which is free between the kernel's calls
                 screen = _PowerScreen(family, space, reach, diff)
             rings, fails = [], False
             for j, enclosures in enumerate(screen.enclosures(offsets)):
@@ -280,7 +279,7 @@ def _select_level(family: Family, space: WeightedSpace, levels: range, threshold
                 kept[j] = [s for s in (*kept[j], *ring) if s[2] >= top[j]]
             if fails:
                 return None, _confirmed_moduli(kept, exact)
-            inner = reach
+            inner = 2.0**i
         return levels[-1], _confirmed_moduli(kept, exact)
 
 
@@ -371,8 +370,6 @@ class _PowerScreen:
         grid, p = family.grid, space.p
         cells = grid.n_cells
         self.family, self.space, self.room = family, space, max(reach, min(grid.shape) // 16)
-        # the kernel's buffer, free whenever the screen loads a member
-        self.scaled = diff
         # per member, t, whether its scaled values need flushing, the whole
         # and the fractional part of p t + s, and rho_j; None for a member
         # the screen does not serve
@@ -421,8 +418,9 @@ class _PowerScreen:
                 continue
             t = step * math.ceil((math.frexp(big)[1] - m) / step)
             flushes = bool(np.any(f.values[size < math.ldexp(_FLOAT32_TINY, t)]))
-            # the rounding, against the scaled values _load leaves in ``diff``
-            error = np.subtract(self._load(f.values, t, flushes), diff, out=diff)
+            # the rounding, against the scaled values in float64
+            rounded = self._load(f.values, t, flushes)
+            error = np.subtract(rounded, np.ldexp(f.values, -t, out=diff), out=diff)
             np.abs(error, out=error)
             np.power(error, p, out=error)
             plain = ((float(np.sum(error)) + cells * _TINY) * above) ** root
@@ -433,10 +431,9 @@ class _PowerScreen:
     def _load(self, values: np.ndarray, t: int, flushes: bool) -> np.ndarray:
         """Put ``values`` times 2**-t, rounded, into the padded buffer, with
         the values below 2**-126 flushed to 0 where ``flushes``; return its
-        interior.  The scaled values are left in ``scaled``, in float64, and
-        their cast has the bits of np.ldexp rounding to float32 itself."""
-        rounded = self.pad[self.interior]
-        np.copyto(rounded, np.ldexp(values, -t, out=self.scaled), casting="same_kind")
+        interior.  np.ldexp scales in float64 and casts into the float32 pad,
+        rounding each scaled value once."""
+        rounded = np.ldexp(values, -t, out=self.pad[self.interior], casting="same_kind")
         if flushes:
             scratch = self.terms[self.interior]
             np.copyto(rounded, 0.0, where=np.abs(rounded, out=scratch) < _FLOAT32_TINY)
@@ -461,7 +458,7 @@ class _PowerScreen:
 
     def windows(self, offsets) -> list:
         """Per shift k of the first half of ``offsets``, a ring in the layout
-        of ``_box_ring``, the views that form |d'_k|**p once for k and -k:
+        of ``_shift_ring``, the views that form |d'_k|**p once for k and -k:
         the padded member at x - k and at x, and the powers and roots, over
         the union of the grid and the grid moved by k; and the powers over
         each of the two, in the weight's blocks."""
@@ -485,7 +482,7 @@ class _PowerScreen:
     def _norm_bounds(self, j: int, windows):
         """Bounds on N(d), in scaled units, for member j at each shift of the
         ring whose first half gave ``windows``: the first half's shifts in
-        order, then their negations in reverse, as ``_box_ring`` lays out."""
+        order, then their negations in reverse, as ``_shift_ring`` lays out."""
         t, flushes, _, _, rho = self.members[j]
         self._load(self.family.members[j].values, t, flushes)
         root, underflow, spread = 1.0 / self.space.p, self.underflow, self.spread
@@ -549,14 +546,6 @@ def _float32_power_slack(p: float) -> float:
 def _gamma(n: int, unit: float) -> float:
     """Higham's gamma_n at the unit roundoff ``unit``."""
     return n * unit / (1.0 - n * unit)
-
-
-def _box_ring(inner: int, reach: int, dim: int) -> np.ndarray:
-    """The shifts k with inner < max|k| <= reach (cells), one per row, in
-    stencil order: a first half, then that half negated in reverse (rows i
-    and n - 1 - i are k and -k), the layout ``_PowerScreen`` pairs shifts by."""
-    cube = np.indices((2 * reach + 1,) * dim) - reach
-    return np.argwhere(np.max(np.abs(cube), axis=0) > inner) - reach
 
 
 def averaged_modulus(family: Family, space: WeightedSpace, radius: float) -> float:

@@ -780,29 +780,34 @@ def certificate_from_dict(doc: dict) -> NetCertificate:
 _WRITE_CHUNK = 4096
 
 
-def _write_flat_list(fh, values, depth: int) -> None:
+def _write_flat_list(fh, values, depth: int, texts=None) -> None:
     """Write ``json.dumps(values, indent=2)`` for a flat list or tuple of
     numbers nested ``depth`` levels deep, ``_WRITE_CHUNK`` entries at a
     time.  json's C encoder formats the entries exactly as its indenting
-    encoder does; the newline and indent go in as separator."""
+    encoder does; the newline and indent go in as separator.  With
+    ``texts``, ``values`` is an index array into that table of entry texts."""
     if len(values) == 0:
         fh.write("[]")
         return
     pad = "\n" + "  " * (depth + 1)
     sep = "," + pad
     for i in range(0, len(values), _WRITE_CHUNK):
+        chunk = values[i:i + _WRITE_CHUNK]
         fh.write(sep if i else "[" + pad)
-        fh.write(json.dumps(values[i:i + _WRITE_CHUNK], separators=(sep, ": "))[1:-1])
+        if texts is None:
+            fh.write(json.dumps(chunk, separators=(sep, ": "))[1:-1])
+        else:
+            fh.write(sep.join(texts[chunk].tolist()))
     fh.write("\n" + "  " * depth + "]")
 
 
 def _lattice_texts(net: np.ndarray, step: float):
-    """When every entry of the 2-D ``net`` is, bit for bit, ``j * step`` for
-    integers j spanning at most ``net.size`` values, return the least such
-    j and a table of the texts of ``j * step`` from there on; else None.  A
-    net built by ``quantize_net`` qualifies, so each of its few distinct
-    values is formatted once.  ``-0.0`` fails the bitwise check.  Two passes
-    over the rows, in row buffers: the span of j, then the bits."""
+    """When each entry of the 2-D ``net`` rounds, as ``rint(e / step)``, to
+    an integer j and those j span at most ``net.size`` values, return the
+    least j, the bits of ``j * step`` from there on and their texts; else
+    None.  A net built by ``quantize_net`` holds only such values, so each of
+    its few distinct values is formatted once.  One pass over the rows, in a
+    row buffer; the writer checks each row's bits against the table."""
     k = np.empty(net.shape[1])
     lo, hi = math.inf, -math.inf
     with np.errstate(over="ignore"):
@@ -814,28 +819,15 @@ def _lattice_texts(net: np.ndarray, step: float):
         if not hi - lo <= net.size:
             return None
         table = (lo + np.arange(int(hi - lo) + 1)) * step
-    bits = table.view(np.int64)
-    index = np.empty(net.shape[1], dtype=np.intp)
-    got = np.empty(net.shape[1], dtype=np.int64)
-    for row in net:
-        np.take(bits, _lattice_index(row, step, lo, k, index), out=got)
-        if not np.array_equal(got, row.view(np.int64)):
-            return None
-    return lo, np.array([float.__repr__(v) for v in table.tolist()], dtype=object)
-
-
-def _lattice_index(row: np.ndarray, step: float, lo, k: np.ndarray, index: np.ndarray):
-    """Each entry's place ``rint(e / step) - lo`` in the table of
-    ``_lattice_texts``, written to ``index`` through the float buffer ``k``."""
-    np.rint(np.divide(row, step, out=k), out=k)
-    k -= lo
-    np.copyto(index, k, casting="unsafe")
-    return index
+    texts = np.array([float.__repr__(v) for v in table.tolist()], dtype=object)
+    return lo, table.view(np.int64), texts
 
 
 def _write_net(fh, net: np.ndarray, step: float) -> None:
     """Write ``net.tolist()`` as ``json.dump(indent=2)`` nests it one level
-    deep, one row at a time."""
+    deep, one row at a time: a row whose entries are, bit for bit, the
+    lattice table's values from its texts, any other value by value (a
+    ``-0.0``, say, fails the bit check)."""
     if net.ndim != 2 or net.size == 0:
         # no build makes these shapes; json writes them whole
         fh.write(json.dumps(net.tolist(), indent=2).replace("\n", "\n  "))
@@ -845,13 +837,17 @@ def _write_net(fh, net: np.ndarray, step: float) -> None:
     fh.write("[")
     for i, row in enumerate(net):
         fh.write(",\n    " if i else "\n    ")
-        if lattice is None:
-            _write_flat_list(fh, row.tolist(), 2)
-        else:
-            lo, texts = lattice
-            fh.write("[\n      ")
-            fh.write(",\n      ".join(texts[_lattice_index(row, step, lo, k, index)].tolist()))
-            fh.write("\n    ]")
+        if lattice is not None:
+            lo, bits, texts = lattice
+            # each entry's place rint(e / step) - lo in the table; k is free
+            # once index holds it, and takes the table's bits
+            np.rint(np.divide(row, step, out=k), out=k)
+            k -= lo
+            np.copyto(index, k, casting="unsafe")
+            if np.array_equal(np.take(bits, index, out=k.view(np.int64)), row.view(np.int64)):
+                _write_flat_list(fh, index, 2, texts)
+                continue
+        _write_flat_list(fh, row.tolist(), 2)
     fh.write("\n  ]")
 
 

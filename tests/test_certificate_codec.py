@@ -304,13 +304,36 @@ def test_saved_lattice_net_is_json_dumps(tmp_path_factory, cert):
     assert text == _text(certificate_to_dict(cert)) + "\n"
 
 
+def _rows_on_the_table(net, step):
+    """Per row, whether the writer takes it from the lattice table: there is
+    a table, and the row's entries are its values bit for bit."""
+    lattice = _lattice_texts(net, step)
+    if lattice is None:
+        return [False] * len(net)
+    lo, bits, _ = lattice
+    index = (np.rint(net / step) - lo).astype(np.intp)
+    return [np.array_equal(bits[i], row.view(np.int64)) for i, row in zip(index, net)]
+
+
 @settings(max_examples=60, deadline=None)
 @given(fallback_certificates())
 @example(_with_net(_edge_certificate(quasi=False), np.array([[0.1, -0.0, 0.2]]), 0.1))
 def test_saved_fallback_net_is_json_dumps(tmp_path_factory, cert):
-    assert _lattice_texts(cert.net_elements, cert.plan.quant_step) is None
+    assert not all(_rows_on_the_table(cert.net_elements, cert.plan.quant_step))
     text = _saved_text(cert, tmp_path_factory.mktemp("cert"))
     assert text == _text(certificate_to_dict(cert)) + "\n"
+
+
+def test_saved_net_falls_back_row_by_row(tmp_path):
+    # one table for the net, decided per row: the first row is on the
+    # lattice, the second holds -0.0 and the third 0.3, not 3 * 0.1
+    net = np.array([[0.1, 0.2, 3 * 0.1], [0.1, -0.0, 0.2], [0.3, 0.2, 0.1]])
+    cert = _with_net(_edge_certificate(quasi=False), net, 0.1)
+    assert _rows_on_the_table(net, 0.1) == [True, False, False]
+    text = _saved_text(cert, tmp_path)
+    assert text == _text(certificate_to_dict(cert)) + "\n"
+    saved = np.array(json.loads(text)["net_elements"])
+    np.testing.assert_array_equal(saved.view(np.int64), net.view(np.int64))
 
 
 def test_saved_text_streams_within_the_reference_memory(tmp_path):

@@ -1,9 +1,10 @@
+import itertools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lpcompact import (
@@ -162,6 +163,53 @@ def test_shift_stencil_small():
     assert (0, 0) in ball0 and len(ball0) == 5
     # deterministic lexicographic order
     assert ball == sorted(ball)
+
+
+def _itertools_stencil(grid, radius, kind, include_zero):
+    """The stencil by its definition: every k in the cube of side 2 kmax + 1,
+    lexicographically, kept when |k h| <= radius."""
+    h = grid.cell_side
+    kmax = int(np.floor(radius / h + 1e-12))
+    offsets = []
+    for k in itertools.product(range(-kmax, kmax + 1), repeat=grid.dim):
+        if not include_zero and all(c == 0 for c in k):
+            continue
+        if kind == "ball":
+            if sum((c * h) ** 2 for c in k) > radius * radius:
+                continue
+        elif max(abs(c) for c in k) * h > radius:
+            continue
+        offsets.append(k)
+    return offsets
+
+
+_radius_in_cells = st.one_of(
+    st.sampled_from([-3.0, -1.0, 0.0, 0.25, 1.0 - 1e-13, 1.0 + 1e-13, 2.0 - 1e-13, 5.0 + 1e-13]),
+    st.floats(min_value=0.0, max_value=6.0),
+    st.sampled_from([math.sqrt(2), math.sqrt(5), math.pi, 2.5, 13 / 3]),
+    st.integers(min_value=-2, max_value=3).map(lambda i: 2.0**i),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    dim=st.sampled_from([1, 2]),
+    cell_exp=st.integers(min_value=-8, max_value=0),
+    cells=_radius_in_cells,
+    kind=st.sampled_from(["ball", "box"]),
+    include_zero=st.booleans(),
+)
+@example(dim=2, cell_exp=-3, cells=1.0 - 1e-13, kind="box", include_zero=False)
+@example(dim=2, cell_exp=-3, cells=math.sqrt(2), kind="ball", include_zero=True)
+@example(dim=1, cell_exp=0, cells=-1.0, kind="ball", include_zero=True)
+def test_shift_stencil_is_its_definition(dim, cell_exp, cells, kind, include_zero):
+    # the numpy ring source lists exactly the definition's shifts, in its
+    # order, each coordinate a Python int
+    grid = Grid(dim=dim, box_level=1, cell_exp=cell_exp)
+    radius = cells * grid.cell_side
+    stencil = shift_stencil(grid, radius, kind, include_zero=include_zero)
+    assert stencil == _itertools_stencil(grid, radius, kind, include_zero)
+    assert all(type(c) is int for k in stencil for c in k)
 
 
 def test_shift_stencil_radius_too_small(grid1d):

@@ -473,7 +473,7 @@ def test_scan_value_is_array_norm_of_the_shifted_difference(p, dim, scale, seed,
     fam = Family(grid, (GridFunction(grid, values),), ("f",))
     offsets = offsets[:dim]
     expected = _norm_or_error(lambda: _array_norm(_shift_cells(values, offsets) - values, sp))
-    with mock.patch("lpcompact.moduli.shift_stencil", lambda grid, radius, kind: [offsets]):
+    with mock.patch("lpcompact.moduli._shift_ring", lambda grid, inner, radius, kind: [offsets]):
         scanned = _norm_or_error(
             lambda: next(_translation_levels(fam, sp, [grid.cell_side], "box"))[0]
         )

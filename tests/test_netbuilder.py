@@ -50,6 +50,7 @@ from lpcompact import (
 
 from conftest import random_family
 from lpcompact import moduli, netbuilder
+from lpcompact.grid import _shift_ring
 from lpcompact.moduli import _translation_levels
 from lpcompact.netbuilder import _net_distances, _remeasure, cube_witnesses, null_cube_mask
 from lpcompact.spaces import _array_norm, _weighted_power_sum
@@ -317,13 +318,30 @@ def _screen_family(grid, rng, scale, smooth):
     return Family(grid, tuple(GridFunction(grid, v) for v in members), ("a", "b", "c"))
 
 
+# (inner, reach) of rings in cells: the mesh walker's box levels, then radii
+# that are not dyadic
+_RING_RADII = [
+    (0, 1), (1, 2), (2, 4), (4, 8), (8, 16), (16, 32),
+    (0, 1.5), (1.5, 2.3), (math.sqrt(2), 3.7), (2.9, 6.1),
+]
+
+
 @pytest.mark.parametrize("dim", [1, 2])
-@pytest.mark.parametrize("inner, reach", [(0, 1), (1, 2), (2, 4), (4, 8), (8, 16), (16, 32)])
-def test_screen_ring_layout_pairs_each_shift_with_its_negation(dim, inner, reach):
+@pytest.mark.parametrize(
+    "kind, inner, reach",
+    [
+        pytest.param(kind, inner, reach, id=("" if kind == "box" else "ball-") + f"{inner:g}-{reach:g}")
+        for kind in ("box", "ball")
+        for inner, reach in _RING_RADII
+    ],
+)
+def test_screen_ring_layout_pairs_each_shift_with_its_negation(kind, inner, reach, dim):
     # the screen forms k and -k from one window and reads -k's bounds back
     # in reverse, so each ring must be its first half, then that half
-    # negated in reverse
-    ring = moduli._box_ring(inner, reach, dim)
+    # negated in reverse; radii in cells, dyadic or not
+    grid = Grid(dim=dim, box_level=0, cell_exp=-6)
+    h = grid.cell_side
+    ring = np.array(_shift_ring(grid, inner * h, reach * h, kind))
     half = len(ring) // 2
     assert len(ring) == 2 * half > 0
     np.testing.assert_array_equal(ring[half:], -ring[:half][::-1])
@@ -347,11 +365,7 @@ def _check_screen(fam, sp, reaches=(1, 2, 4)):
     for reach in reaches:
         if screen is None or screen.room < reach:
             screen = moduli._PowerScreen(fam, sp, reach, scratch)
-        ring = moduli._box_ring(inner, reach, grid.dim)
-        offsets = list(map(tuple, ring.tolist()))
-        assert offsets == [
-            k for k in shift_stencil(grid, reach * grid.cell_side, "box") if max(map(abs, k)) > inner
-        ]
+        offsets = _shift_ring(grid, inner * grid.cell_side, reach * grid.cell_side, "box")
         enclosures = screen.enclosures(offsets)
         with np.errstate(over="ignore", invalid="ignore"):
             for j, (f, pairs) in enumerate(zip(fam.members, enclosures)):
@@ -433,6 +447,44 @@ def test_shift_screen_vouches_at_huge_weights():
     fam = Family(grid, members, ("a", "b"))
     sp = WeightedSpace(2.0, GridFunction(grid, np.full(grid.shape, 1e306)))
     assert _check_screen(fam, sp, reaches=(1,)) == 4
+
+
+def _loaded_screen(diff):
+    """A p = 2 screen of three random members on a 16 x 16 grid."""
+    grid = Grid(dim=2, box_level=0, cell_exp=-3)
+    rng = np.random.default_rng(0)
+    fam = _screen_family(grid, rng, 1.0, smooth=False)
+    return moduli._PowerScreen(fam, _screen_space(grid, rng, 1.0, frame=0), 1, diff)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 99999), t=st.integers(-1100, 1100), flushes=st.booleans())
+def test_screen_load_rounds_each_scaled_value_once(seed, t, flushes):
+    # the float32 image in the pad is np.ldexp's float64 scaling rounded to
+    # float32, bit for bit, with the images below 2**-126 made +0 where
+    # ``flushes``: values from subnormal to 1.7e308, and both zeros
+    screen = _loaded_screen(np.empty((16, 16)))
+    rng = np.random.default_rng(seed)
+    mantissas = rng.choice([-1.0, 1.0], (16, 16)) * rng.uniform(1.0, 2.0, (16, 16))
+    values = np.ldexp(mantissas, rng.integers(-1075, 1024, (16, 16)))
+    values.flat[:5] = [0.0, -0.0, 5e-324, -2.5e-310, 1.7e308]
+    with np.errstate(over="ignore"):
+        expected = np.float32(np.ldexp(values, -t))
+        loaded = screen._load(values, t, flushes)
+    if flushes:
+        expected[np.abs(expected) < 2.0**-126] = 0.0
+    np.testing.assert_array_equal(loaded.view(np.int32), expected.view(np.int32))
+
+
+def test_screen_keeps_no_handle_on_the_kernel_buffer():
+    # the walker's buffer serves the screen's construction only: the screen
+    # owns its float32 image
+    diff = np.empty((16, 16))
+    screen = _loaded_screen(diff)
+    assert any(member is not None for member in screen.members)
+    for name, value in vars(screen).items():
+        assert value is not diff, name
+        assert not (isinstance(value, np.ndarray) and np.shares_memory(value, diff)), name
 
 
 # box levels of 64-cell (1-D) and 16 x 16 (2-D) grids: box volume 2 or 4,
@@ -1194,7 +1246,8 @@ def test_validate_certificate_peaks_below_the_net(wide_net):
 
 def test_save_certificate_peaks_below_the_net(wide_net, tmp_path):
     # a vanishing certificate with a witness for each of its 65,536 cubes:
-    # the per-cube lists go out a chunk at a time, so the net rows set the peak
+    # the per-cube lists and each net row's texts go out a chunk at a time,
+    # so the writer's row buffers set the peak
     cert = wide_net[4]
     cert = replace(
         cert, variant="vanishing", null_cubes=tuple(range(0, cert.partition.n_cubes, 3)),
@@ -1202,7 +1255,7 @@ def test_save_certificate_peaks_below_the_net(wide_net, tmp_path):
     )
     path = tmp_path / "cert.json"
     share = _peak_share(lambda: save_certificate(cert, path), cert.net_elements.nbytes)
-    assert share <= 0.8
+    assert share <= 0.6
     assert path.read_text() == json.dumps(certificate_to_dict(cert), indent=2, sort_keys=True) + "\n"
 
 
