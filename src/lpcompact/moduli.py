@@ -147,41 +147,8 @@ def translation_modulus(
     box stencil at radius 2**i realises the whole dyadic shift box of level i.
     Radii below one cell admit no shift at all and are rejected.
     """
-    return max(next(_translation_levels(family, space, [radius], stencil)))
-
-
-def _translation_levels(family: Family, space: WeightedSpace, radii, stencil: str):
-    """Yield, for each of the nondecreasing ``radii``, every member's
-    translation modulus at that radius: the full scan behind
-    ``translation_modulus`` and ``measure_moduli``.
-
-    Closed stencils nest, so a radius only measures the ring of shifts the
-    smaller radii lacked (``_shift_ring``), and a running maximum per member
-    carries the rest.  Every shift goes through ``_shift_norm`` with one
-    buffer reused for the whole scan, so every value equals ``_array_norm``
-    of the shifted difference bit for bit.  A consumer that stops iterating
-    stops the scan after the last radius it received.
-    """
-    _check_space(family, space)
-    grid = family.grid
-    diff = np.empty(grid.shape)
-    moduli = [0.0] * len(family)
-    errors = np.geterr()
-    inner = 0.0
-    for radius in radii:
-        ring = _shift_ring(grid, inner, radius, stencil)
-        if not ring and not inner:
-            raise ModelError(
-                f"translation radius {radius} admits no nonzero grid shift "
-                f"(cell side {grid.cell_side})"
-            )
-        inner = radius
-        # the difference and its power sum may overflow, or meet inf * 0
-        with np.errstate(over="ignore", invalid="ignore"):
-            for j, k in itertools.product(range(len(family)), ring):
-                norm = _shift_norm(family.members[j].values, k, space, diff, errors)
-                moduli[j] = max(moduli[j], norm)
-        yield tuple(moduli)
+    _, moduli = next(_translation_scan(family, space, [radius], stencil))
+    return max(moduli())
 
 
 # a shift's float32 dot goes in blocks of at most this many cells of the
@@ -219,29 +186,33 @@ _TERM_EXP = 52.5
 _KERNEL_EXP = 1021.5
 
 
-def _select_level(family: Family, space: WeightedSpace, levels: range, threshold: float):
-    """Walk up the consecutive box ``levels`` and stop at the first whose
-    box-shift modulus reaches ``threshold``: the mesh selection behind
-    ``select_mesh``.
+def _translation_scan(
+    family: Family, space: WeightedSpace, radii, stencil: str, threshold: float = math.inf
+):
+    """Walk up the nondecreasing ``radii`` and yield, after each, whether its
+    translation modulus reaches ``threshold``, and a function that returns
+    each member's modulus there, exactly, until the walk goes on: the one
+    translation scan.  ``translation_modulus`` and ``measure_moduli`` walk it
+    at threshold inf, where it never stops early, and ``select_mesh`` at its
+    mesh threshold over the box levels.
 
-    Returns the last level below the threshold with each member's modulus
-    there, or None with the first level's moduli when even that level fails
-    (and ``()`` when ``levels`` is empty).  Each level adds the ring of
-    shifts the smaller boxes lacked (``_shift_ring``), each shift with bounds
-    on its exact norm from ``_PowerScreen``, taken shift by shift as the walk
-    goes.  Levels, then members, then shifts go in stencil order.  A shift
-    surely below the threshold passes, one surely at or above it fails, and
-    ``_shift_norm`` measures any other.  The first level is gone through in
-    full; past it the first failing shift ends the walk, and the screen
-    forms no powers past that shift's pair of k and -k.
+    Each radius adds the ring of shifts the smaller radii lacked
+    (``_shift_ring``), each shift with bounds on its exact norm from
+    ``_PowerScreen``, taken shift by shift as the walk goes.  Radii, then
+    members, then shifts go in stencil order.  A shift surely below the
+    threshold passes, one surely at or above it fails, and ``_shift_norm``
+    measures any other.  The first radius is gone through in full; past it
+    the first failing shift ends the walk before that radius is yielded, and
+    the screen forms no powers past that shift's pair of k and -k.
 
-    At the end of a level each member keeps only the shifts whose upper bound
-    reaches its largest lower bound so far.  That bound only rises, so the
-    shift of the maximum stays, and ``_confirmed_moduli`` reads the kept
-    shifts alone.  The result is that of the exact scan, bit for bit.
+    At the end of a radius each member keeps only the shifts whose upper
+    bound reaches its largest lower bound so far.  That bound only rises, so
+    the shift of the maximum stays, and the moduli are the largest exact
+    norms among the kept shifts.  Reading them measures the kept shifts not
+    measured yet and keeps the shifts of the maximum, with their norm as
+    both bounds, so no (member, shift) is measured twice.  The result is that
+    of the exact scan, bit for bit.
     """
-    if not levels:
-        return None, ()
     _check_space(family, space)
     grid = family.grid
     errors = np.geterr()
@@ -250,53 +221,59 @@ def _select_level(family: Family, space: WeightedSpace, levels: range, threshold
     def exact(j, k):
         return _shift_norm(family.members[j].values, k, space, diff, errors)
 
+    def confirm() -> tuple[float, ...]:
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j, member in enumerate(kept):
+                norms = [low if low == high else exact(j, k) for k, low, high in member]
+                top[j] = max(norms)
+                kept[j] = [(s[0], norm, norm) for s, norm in zip(member, norms) if norm == top[j]]
+        return tuple(top)
+
     # per member, the largest lower bound so far and the kept shifts, each
-    # as (shift, lower bound, upper bound)
+    # as (shift, lower bound, upper bound); a measured shift carries its norm
+    # as both bounds
     top, kept = [-math.inf] * len(family), [[] for _ in family.members]
     screen, inner = None, 0.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n, i in enumerate(levels):
-            reach = round(2.0 ** (i - grid.cell_exp))
-            offsets = _shift_ring(grid, inner, 2.0**i, "box")
-            if screen is None or screen.room < reach:
-                # the screen measures its roundings in the kernel's buffer,
-                # which is free between the kernel's calls
-                screen = _PowerScreen(family, space, reach, diff)
-            rings, fails = [], False
-            for j, enclosures in enumerate(screen.enclosures(offsets)):
+    for n, radius in enumerate(radii):
+        offsets = _shift_ring(grid, inner, radius, stencil)
+        if not offsets and not n:
+            raise ModelError(
+                f"translation radius {radius} admits no nonzero grid shift "
+                f"(cell side {grid.cell_side})"
+            )
+        reach = max(map(abs, itertools.chain.from_iterable(offsets)), default=0)
+        if screen is None or screen.room < reach:
+            # the screen measures its roundings in the kernel's buffer,
+            # which is free between the kernel's calls
+            screen = _PowerScreen(family, space, reach, diff)
+        rings, fails = [], False
+        with np.errstate(over="ignore", invalid="ignore"):
+            # a radius that adds no shift loads no member into the screen
+            for j, enclosures in enumerate(screen.enclosures(offsets) if offsets else ()):
                 ring = []
-                for k, (low, high) in zip(offsets, enclosures):
+                for k, (low, high) in zip(offsets, enclosures, strict=True):
                     if not high < threshold and not low >= threshold:
                         low = high = exact(j, k)
                     if not high < threshold:
                         if n:
-                            return levels[n - 1], _confirmed_moduli(kept, exact)
+                            return
                         fails = True
                     ring.append((k, low, high))
                 rings.append(ring)
-            for j, ring in enumerate(rings):
-                top[j] = max(top[j], *(low for _, low, _ in ring))
-                kept[j] = [s for s in (*kept[j], *ring) if s[2] >= top[j]]
-            if fails:
-                return None, _confirmed_moduli(kept, exact)
-            inner = 2.0**i
-        return levels[-1], _confirmed_moduli(kept, exact)
-
-
-def _confirmed_moduli(kept, exact) -> tuple[float, ...]:
-    """Each member's exact modulus: the largest exact norm among its kept
-    shifts, which include the shift of the maximum.  Shifts measured already
-    carry their norm as both bounds."""
-    return tuple(
-        max(lo if lo == hi else exact(j, k) for k, lo, hi in member)
-        for j, member in enumerate(kept)
-    )
+        for j, ring in enumerate(rings):
+            top[j] = max((top[j], *(low for _, low, _ in ring)))
+            kept[j] = [s for s in (*kept[j], *ring) if s[2] >= top[j]]
+        yield fails, confirm
+        if fails:
+            return
+        inner = radius
 
 
 class _PowerScreen:
     """Enclosures of the norms the exact kernel computes, for a whole ring
-    of shifts of one member at a time: the bounds ``_select_level`` decides
-    from.  Each shift is screened in float32, the same way at every p >= 1.
+    of shifts of one member at a time: the bounds the translation scan
+    decides from.  Each shift is screened in float32, the same way at every
+    p >= 1.
 
     N(g) = (sum_x w(x) |g(x)|**p)**(1/p) is the weighted norm, a norm at
     p >= 1, and N_1 the unweighted one.  The weight is scaled by 2**-s (max w
@@ -626,7 +603,8 @@ def measure_moduli(
     tail = tuple((float(r), tail_modulus(family, space, r, region)) for r in tail_radii)
     radii = [float(r) for r in shift_radii]
     distinct = sorted(set(radii))
-    scan = dict(zip(distinct, map(max, _translation_levels(family, space, distinct, stencil))))
+    walk = _translation_scan(family, space, distinct, stencil)
+    scan = {r: max(moduli()) for r, (_, moduli) in zip(distinct, walk)}
     trans = tuple((r, scan[r]) for r in radii)
     averaged = {r: averaged_modulus(family, space, r) for r in distinct if with_averaged}
     avg = tuple((r, averaged[r]) for r in radii) if with_averaged else ()

@@ -35,7 +35,7 @@ from .grid import (
     all_cube_averages,
     inside_mask,
 )
-from .moduli import Family, _select_level, tail_modulus
+from .moduli import Family, _translation_scan, tail_modulus
 from .spaces import WeightedSpace, _array_norm, indicator_norm
 from .specfile import _integer, _number
 
@@ -191,26 +191,35 @@ def select_mesh(
     returned with each member's box-shift modulus at that exponent.
 
     The translation modulus is nondecreasing in the radius (stencils nest), so
-    one walker (``moduli._select_level``) goes up from the cell scale and stops
-    at the first failure; past the first level it stops at the first shift
-    that reaches the threshold.  At every p >= 1 a float32 enclosure of each
-    shifted norm decides most shifts, and exact norms are taken only where it
-    cannot; below p = 1 every shift is measured.  Either way the result is
-    that of the exact scan, bit for bit.
+    the translation scan (``moduli._translation_scan``) goes up from the cell
+    scale and stops at the first failure; past the first level it stops at
+    the first shift that reaches the threshold, and only the last level that
+    passed has its moduli confirmed.  At every p >= 1 a float32 enclosure of
+    each shifted norm decides most shifts, and exact norms are taken only
+    where it cannot; below p = 1 every shift is measured.  Either way the
+    result is that of the exact scan, bit for bit.
     """
     _check_epsilon(epsilon)
     grid = family.grid
     hi = grid.box_level if max_exp is None else max_exp
     threshold = 2.0 ** (-grid.dim) * epsilon / 3.0
-    level, moduli = _select_level(family, space, range(grid.cell_exp, hi + 1), threshold)
+    levels = range(grid.cell_exp, hi + 1)
+    walk = _translation_scan(family, space, [2.0**i for i in levels], "box", threshold)
+    level, moduli = None, tuple
+    for i, (fails, confirm) in zip(levels, walk):
+        moduli = confirm
+        if fails:
+            break
+        level = i
+    found = moduli()
     if level is None:
         raise HypothesisError(
             "equicontinuity",
-            f"select_mesh: translation modulus is {max(moduli, default=math.inf):.6g} "
+            f"select_mesh: translation modulus is {max(found, default=math.inf):.6g} "
             f"already at one cell (shift {grid.cell_side}), needs < {threshold:.6g}; "
             f"the family is not equicontinuous at this resolution",
         )
-    return level, moduli
+    return level, found
 
 
 def null_cube_mask(part: DyadicPartition, space: WeightedSpace) -> np.ndarray:

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from lpcompact import Constant, Family, Grid, GridFunction, WeightedSpace, sample
+from lpcompact.grid import shift_stencil
+from lpcompact.moduli import _shift_norm
 
 
 @pytest.fixture
@@ -28,3 +30,21 @@ def rng():
 def random_family(grid, rng, n=3):
     members = tuple(GridFunction(grid, rng.standard_normal(grid.shape)) for _ in range(n))
     return Family(grid, members, tuple(f"r{i}" for i in range(n)))
+
+
+def translation_reference(family, space, radii, stencil="box"):
+    """The exact translation scan: for each of the nondecreasing ``radii``,
+    every member's translation modulus.  It walks ``shift_stencil`` with a
+    seen set and measures each new shift once, through ``_shift_norm``."""
+    grid = family.grid
+    diff, errors = np.empty(grid.shape), np.geterr()
+    found, seen, levels = [0.0] * len(family), set(), []
+    for radius in radii:
+        ring = [k for k in shift_stencil(grid, radius, stencil) if k not in seen]
+        seen.update(ring)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j, f in enumerate(family.members):
+                for k in ring:
+                    found[j] = max(found[j], _shift_norm(f.values, k, space, diff, errors))
+        levels.append(tuple(found))
+    return levels

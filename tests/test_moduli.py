@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import json
 import math
@@ -7,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from lpcompact import (
@@ -33,10 +34,10 @@ from lpcompact import (
     weighted_norm,
 )
 
-from conftest import random_family
+from conftest import random_family, translation_reference
 from lpcompact import moduli
 from lpcompact.grid import shift_stencil
-from lpcompact.moduli import _select_level, _shifted_difference, _translation_levels
+from lpcompact.moduli import _shifted_difference, _translation_scan
 from lpcompact.spaces import _array_norm
 from test_benchmark_pins import WORKLOADS
 
@@ -261,16 +262,18 @@ def test_ball_average_field_matches_shift_cells(dim):
     "grid", [Grid(dim=1, box_level=0, cell_exp=-5), Grid(dim=2, box_level=0, cell_exp=-3)]
 )
 def test_ring_scan_equals_translation_modulus(grid, p):
-    # the scan's per-member curve equals, bit for bit, the modulus computed
-    # through GridFunction copies, at every radius of either stencil; the
-    # dyadic radii are select_mesh's, the others are not nested dyadically
+    # the scan's per-member curve equals, bit for bit, the reference scan's
+    # and the modulus computed through GridFunction copies, at every radius
+    # of either stencil; the dyadic radii are select_mesh's, the others are
+    # not nested dyadically
     rng = np.random.default_rng(int(10 * p) + grid.dim)
     sp = WeightedSpace(p, _weights_with_zeros(grid, rng))
     fam = random_family(grid, rng)
     h = grid.cell_side
     dyadic = [2.0**i for i in range(grid.cell_exp, grid.box_level + 1)]
     for stencil, radii in (("box", dyadic), ("ball", [h, 1.5 * h, 2.3 * h, 2.3 * h, 5.0 * h])):
-        levels = list(_translation_levels(fam, sp, radii, stencil))
+        levels = [moduli() for _, moduli in _translation_scan(fam, sp, radii, stencil)]
+        assert levels == translation_reference(fam, sp, radii, stencil)
         assert len(levels) == len(radii)
         for radius, moduli in zip(radii, levels):
             for f, value in zip(fam.members, moduli):
@@ -302,12 +305,12 @@ def test_measure_moduli_unsorted_repeated_radii(grid, stencil):
 
 
 def _full_scan_selection(family, space, levels, threshold):
-    """What the mesh walker must return: the last of the box ``levels`` the
-    full ``_translation_levels`` scan accepts, before the first whose largest
-    modulus reaches ``threshold``, with that scan's moduli there; or None with
-    its first-level moduli (``()`` for no levels)."""
+    """What the mesh walk must return: the last of the box ``levels`` the
+    reference scan accepts, before the first whose largest modulus reaches
+    ``threshold``, with that scan's moduli there; or None with its
+    first-level moduli (``()`` for no levels)."""
     best = None, ()
-    full = _translation_levels(family, space, [2.0**i for i in levels], "box")
+    full = translation_reference(family, space, [2.0**i for i in levels], "box")
     for n, (i, moduli) in enumerate(zip(levels, full)):
         if not max(moduli) < threshold:
             return best if n else (None, moduli)
@@ -318,7 +321,7 @@ def _full_scan_selection(family, space, levels, threshold):
 def _drawn_threshold(family, space, levels, data):
     """A threshold at one of the exact moduli, an ulp either side, or
     anywhere up to twice the largest."""
-    full = _translation_levels(family, space, [2.0**i for i in levels], "box")
+    full = translation_reference(family, space, [2.0**i for i in levels], "box")
     values = sorted({v for moduli in full for v in moduli}) or [1.0]
     threshold = data.draw(
         st.one_of(
@@ -328,6 +331,36 @@ def _drawn_threshold(family, space, levels, data):
     )
     toward = data.draw(st.sampled_from([-np.inf, threshold, np.inf]))
     return float(np.nextafter(threshold, toward))
+
+
+def _loose_enclosures(family, space, rng):
+    """A stand-in for ``_PowerScreen.enclosures``: per member, random bounds
+    on each shift's exact norm, which overlap and misorder the shifts or
+    meet a threshold exactly; a third of them are the exact norm itself."""
+    diff = np.empty(family.grid.shape)
+    norm = moduli._shift_norm
+
+    def loose(screen, offsets):
+        for f in family.members:
+            norms = np.array([norm(f.values, k, space, diff, {}) for k in offsets])
+            slack = rng.uniform(0.0, 0.5, (2, len(offsets))) * (rng.random((2, len(offsets))) < 2 / 3)
+            yield zip(norms * (1.0 - slack[0]), norms * (1.0 + slack[1]))
+
+    return loose
+
+
+def _walked_selection(family, space, levels, threshold):
+    """The mesh walk as ``select_mesh`` takes it: the last of the box
+    ``levels`` that passes, with its confirmed moduli, or None with the first
+    level's moduli (``()`` for no levels)."""
+    walk = _translation_scan(family, space, [2.0**i for i in levels], "box", threshold)
+    level, moduli = None, tuple
+    for i, (fails, confirm) in zip(levels, walk):
+        moduli = confirm
+        if fails:
+            break
+        level = i
+    return level, moduli()
 
 
 @settings(max_examples=80, deadline=None)
@@ -348,7 +381,7 @@ def test_early_stopping_scan_matches_full_scan(seed, dim, p, data):
     levels = range(grid.cell_exp, top + 1)
     threshold = _drawn_threshold(fam, sp, levels, data)
     expected = _full_scan_selection(fam, sp, levels, threshold)
-    assert _select_level(fam, sp, levels, threshold) == expected
+    assert _walked_selection(fam, sp, levels, threshold) == expected
 
 
 @settings(max_examples=60, deadline=None)
@@ -369,42 +402,98 @@ def test_select_level_trusts_enclosures_only_as_bounds(seed, dim, p, data):
     fam = random_family(grid, rng)
     levels = range(grid.cell_exp, grid.box_level + 1)
     threshold = _drawn_threshold(fam, sp, levels, data)
-    diff = np.empty(grid.shape)
-
-    def loose(screen, offsets):
-        for f in fam.members:
-            norms = np.array([moduli._shift_norm(f.values, k, sp, diff, {}) for k in offsets])
-            # a third of the bounds are the exact norm itself
-            slack = rng.uniform(0.0, 0.5, (2, len(offsets))) * (rng.random((2, len(offsets))) < 2 / 3)
-            yield zip(norms * (1.0 - slack[0]), norms * (1.0 + slack[1]))
-
     expected = _full_scan_selection(fam, sp, levels, threshold)
-    with mock.patch.object(moduli._PowerScreen, "enclosures", loose):
-        assert _select_level(fam, sp, levels, threshold) == expected
+    with mock.patch.object(moduli._PowerScreen, "enclosures", _loose_enclosures(fam, sp, rng)):
+        assert _walked_selection(fam, sp, levels, threshold) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=9999),
+    dim=st.sampled_from([1, 2]),
+    p=st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0]),
+    stencil=st.sampled_from(["box", "ball"]),
+    cells=st.lists(
+        st.sampled_from([1.0, 1.5, 2.0, 2.3, 3.7, 4.0, 6.1, 8.0]), min_size=1, max_size=6
+    ),
+    screened=st.booleans(),
+)
+def test_scan_confirms_each_radius_measuring_each_shift_once(seed, dim, p, stencil, cells, screened):
+    # at threshold inf, the moduli read after each of nondecreasing radii,
+    # repeats and non-dyadic multiples of the cell side included, are the
+    # reference scan's, bit for bit, from the screen's enclosures or from
+    # loose random ones; and the exact kernel meets no (member, shift) twice
+    grid = Grid(dim=dim, box_level=0, cell_exp=-4 if dim == 1 else -2)
+    rng = np.random.default_rng(seed)
+    sp = WeightedSpace(p, _weights_with_zeros(grid, rng))
+    fam = random_family(grid, rng)
+    radii = [c * grid.cell_side for c in sorted(cells)]
+    expected = translation_reference(fam, sp, radii, stencil)
+    names = {id(f.values): j for j, f in enumerate(fam.members)}
+    measured = []
+    norm = moduli._shift_norm
+
+    def counted(values, offsets, *args):
+        measured.append((names[id(values)], offsets))
+        return norm(values, offsets, *args)
+
+    enclosures = (
+        contextlib.nullcontext() if screened
+        else mock.patch.object(moduli._PowerScreen, "enclosures", _loose_enclosures(fam, sp, rng))
+    )
+    with enclosures, mock.patch.object(moduli, "_shift_norm", counted):
+        found = [confirm() for _, confirm in _translation_scan(fam, sp, radii, stencil)]
+    assert found == expected
+    assert len(measured) == len(set(measured))
+
+
+def test_scan_screens_nothing_at_a_radius_that_adds_no_shift():
+    # 1.2 and 1.6 cells add no box shift to one cell: the screen loads no
+    # member for them, and their moduli are those of one cell
+    grid = Grid(dim=1, box_level=0, cell_exp=-6)
+    rng = np.random.default_rng(5)
+    sp = WeightedSpace(2.0, _weights_with_zeros(grid, rng))
+    fam = random_family(grid, rng)
+    radii = [grid.cell_side * c for c in (1.0, 1.2, 1.6)]
+    loads = []
+    load = moduli._PowerScreen._load
+
+    def counted(screen, *args):
+        loads.append(1)
+        return load(screen, *args)
+
+    with mock.patch.object(moduli._PowerScreen, "_load", counted):
+        found = [confirm() for _, confirm in _translation_scan(fam, sp, radii, "box")]
+    # each member is loaded once to measure its rounding, once for the ring
+    assert len(loads) == 2 * len(fam)
+    assert found == translation_reference(fam, sp, radii, "box")
 
 
 def test_measure_moduli_measures_each_shift_once(tmp_path, monkeypatch):
     # bank1d at radii of 1, 2, 4 and 8 cells: the ball stencils hold 2 + 4 +
-    # 8 + 16 shifts, but only the 16 of the largest are distinct, so the 20
-    # members need 320 shifted differences, not 600
+    # 8 + 16 shifts, but only the 16 of the largest are distinct, so a full
+    # scan of the 20 members takes 320 shifted differences, not 600; the
+    # screened scan takes fewer, none of them twice, for the same moduli
     spec_path = tmp_path / "bank1d.json"
     spec_path.write_text(json.dumps(WORKLOADS.WORKLOADS["bank1d"].spec(WORKLOADS.DEFAULT_SEED)))
     problem = load_problem(spec_path)
+    h = problem.grid.cell_side
+    radii = [h, 2 * h, 4 * h, 8 * h]
+    expected = [max(m) for m in translation_reference(problem.family, problem.space, radii, "ball")]
+    names = {id(f.values): j for j, f in enumerate(problem.family.members)}
     calls = []
 
     def counted(values, offsets, out):
-        calls.append(offsets)
+        calls.append((names[id(values)], offsets))
         _shifted_difference(values, offsets, out)
 
     monkeypatch.setattr("lpcompact.moduli._shifted_difference", counted)
-    h = problem.grid.cell_side
     rep = measure_moduli(
-        problem.family, problem.space, shift_radii=[h, 2 * h, 4 * h, 8 * h],
-        tail_radii=[1.0], with_averaged=False,
+        problem.family, problem.space, shift_radii=radii, tail_radii=[1.0], with_averaged=False,
     )
-    assert len(rep.translation) == 4
-    assert len(calls) == 320
-    assert len(set(calls)) == 16
+    assert [value for _, value in rep.translation] == expected
+    assert len(calls) == len(set(calls)) < 320
+    assert {k for _, k in calls} <= set(shift_stencil(problem.grid, 8 * h, "ball"))
 
 
 @pytest.mark.parametrize("p", [0.5, 1.0, 2.0, 3.0])
@@ -441,7 +530,10 @@ def test_translation_modulus_rejects_non_finite_difference():
             with pytest.raises(ModelError, match="grid function values must be finite"):
                 translation_modulus(fam, sp, g.cell_side, stencil="box")
             with pytest.raises(ModelError, match="grid function values must be finite"):
-                next(_translation_levels(fam, sp, [g.cell_side], "box"))
+                measure_moduli(
+                    fam, sp, shift_radii=[g.cell_side], tail_radii=[], stencil="box",
+                    with_averaged=False,
+                )
 
 
 def _norm_or_error(measure):
@@ -463,40 +555,73 @@ def _norm_or_error(measure):
 @example(p=40.0, dim=1, scale=1e-200, seed=0, offsets=(3, 0))
 @example(p=2.0, dim=2, scale=1e200, seed=1, offsets=(-2, 5))
 def test_scan_value_is_array_norm_of_the_shifted_difference(p, dim, scale, seed, offsets):
-    # one shift per scan, through a one-offset stencil: the in-place value is
-    # _array_norm of the allocating shifted difference, bit for bit, or the
-    # same ModelError
+    # one pair of shifts k and -k per scan, through a ring laid out as
+    # _shift_ring lays it out: the scanned value is the larger _array_norm
+    # of the two allocating shifted differences, bit for bit, or the same
+    # ModelError
+    offsets = offsets[:dim]
+    assume(any(offsets))
     grid = Grid(dim=dim, box_level=0, cell_exp=-3 if dim == 1 else -2)
     rng = np.random.default_rng(seed)
     sp = WeightedSpace(p, _weights_with_zeros(grid, rng))
     values = scale * rng.standard_normal(grid.shape)
     fam = Family(grid, (GridFunction(grid, values),), ("f",))
-    offsets = offsets[:dim]
-    expected = _norm_or_error(lambda: _array_norm(_shift_cells(values, offsets) - values, sp))
-    with mock.patch("lpcompact.moduli._shift_ring", lambda grid, inner, radius, kind: [offsets]):
-        scanned = _norm_or_error(
-            lambda: next(_translation_levels(fam, sp, [grid.cell_side], "box"))[0]
-        )
-    assert scanned == expected
+    ring = [offsets, tuple(-a for a in offsets)]
+    references = [
+        _norm_or_error(lambda k=k: _array_norm(_shift_cells(values, k) - values, sp)) for k in ring
+    ]
+    errors = [r for r in references if not r.startswith("0x")]
+    expected = errors or [max(references, key=float.fromhex)]
+    with mock.patch("lpcompact.moduli._shift_ring", lambda grid, inner, radius, kind: ring):
+        scanned = _norm_or_error(lambda: translation_modulus(fam, sp, grid.cell_side, "box"))
+    assert scanned in expected
 
 
-@pytest.mark.parametrize("p", [1.5, 2.0])
+@pytest.mark.parametrize("p", [0.5, 1.5])
+def test_scan_rejects_an_unpaired_ring(p):
+    # the screen pairs a ring's shifts as k and -k; a ring it cannot pair
+    # raises rather than leave a shift without a value, while below p = 1,
+    # where the screen serves no member, every shift is measured
+    grid = Grid(dim=1, box_level=0, cell_exp=-3)
+    rng = np.random.default_rng(3)
+    sp = WeightedSpace(p, _weights_with_zeros(grid, rng))
+    fam = random_family(grid, rng)
+    unpaired = [(-1,), (2,), (1,)]
+    with mock.patch("lpcompact.moduli._shift_ring", lambda grid, inner, radius, kind: unpaired):
+        if p < 1.0:
+            expected = max(
+                _array_norm(_shift_cells(f.values, k) - f.values, sp)
+                for f in fam.members for k in unpaired
+            )
+            assert translation_modulus(fam, sp, grid.cell_side, "box") == expected
+        else:
+            with pytest.raises(ValueError, match="zip"):
+                translation_modulus(fam, sp, grid.cell_side, "box")
+
+
+@pytest.mark.parametrize("p", [0.5, 1.5, 2.0])
 def test_scan_allocates_one_grid_sized_buffer(p):
     # 64 shifts on 65,536 cells: every difference and its power sum share one
-    # buffer of 512 KiB
+    # buffer of 512 KiB; at p >= 1 the screen adds its float32 arrays, the
+    # padded member, its powers and their roots (4 bytes each per padded
+    # cell) and the weight (4 bytes per cell)
     grid = Grid(dim=1, box_level=2, cell_exp=-13)
     sp = WeightedSpace(p, sample(PowerLaw(0.5), grid))
     fam = Family.from_profiles(grid, [Gaussian(center=0.25, sigma=0.5)])
     radius = 32 * grid.cell_side
     assert len(shift_stencil(grid, radius, kind="box")) == 64
     grid_bytes = grid.n_cells * 8
+    screen_bytes = 0
+    if p >= 1.0:
+        room = moduli._PowerScreen(fam, sp, 32, np.empty(grid.shape)).room
+        screen_bytes = 3 * 4 * (grid.n_cells + 2 * room) + 4 * grid.n_cells
     tracemalloc.start()
     try:
-        next(_translation_levels(fam, sp, [radius], "box"))
+        translation_modulus(fam, sp, radius, "box")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert grid_bytes <= peak < 1.25 * grid_bytes
+    assert grid_bytes <= peak < grid_bytes + screen_bytes + 0.25 * grid_bytes
 
 
 def test_power_slack_covers_numpy_power():

@@ -48,10 +48,9 @@ from lpcompact import (
     weighted_norm,
 )
 
-from conftest import random_family
+from conftest import random_family, translation_reference
 from lpcompact import moduli, netbuilder
 from lpcompact.grid import _shift_ring
-from lpcompact.moduli import _translation_levels
 from lpcompact.netbuilder import _net_distances, _remeasure, cube_witnesses, null_cube_mask
 from lpcompact.spaces import _array_norm, _weighted_power_sum
 
@@ -589,7 +588,7 @@ def test_screened_select_mesh_is_the_exact_scan(
     # thresholds at the exact moduli, an ulp either side, and anywhere
     radii = [2.0**i for i in range(grid.cell_exp, grid.box_level + 1)]
     try:
-        values = sorted({v for level in _translation_levels(fam, sp, radii, "box") for v in level})
+        values = sorted({v for level in translation_reference(fam, sp, radii, "box") for v in level})
     except ModelError:
         values = [1.0]
     threshold = data.draw(
@@ -612,7 +611,7 @@ def test_screened_select_mesh_confirms_a_threshold_on_a_modulus():
     sp = WeightedSpace(2.0, sample(PowerLaw(0.5), grid))
     fam = Family.from_profiles(grid, [Gaussian(center=0.1, sigma=0.3), Gaussian(center=-0.2, sigma=0.4)])
     level, found = select_mesh(fam, sp, 1.0)
-    nxt = max(next(_translation_levels(fam, sp, [2.0 ** (level + 1)], "box")))
+    nxt = max(translation_reference(fam, sp, [2.0 ** (level + 1)], "box")[0])
     epsilon = _epsilon_at(nxt, 1)
     assert 0.5 * epsilon / 3.0 == nxt
     assert select_mesh(fam, sp, epsilon) == _select_mesh_reference(fam, sp, epsilon)
@@ -631,7 +630,7 @@ def test_select_mesh_screens_no_shift_past_the_first_failure(p):
     sp = WeightedSpace(p, sample(PowerLaw(0.5), grid))
     fam = Family.from_profiles(grid, [Gaussian(center=c, sigma=0.3) for c in (-0.4, 0.0, 0.3)])
     radii = [2.0**i for i in range(grid.cell_exp, grid.cell_exp + 3)]
-    levels = [max(level) for level in _translation_levels(fam, sp, radii, "box")]
+    levels = [max(level) for level in translation_reference(fam, sp, radii, "box")]
     epsilon = 3.0 * 2.0**grid.dim * 0.5 * (levels[1] + levels[2])
     expected, measured = _measured_outcome(_select_mesh_reference, fam, sp, epsilon, None)
     assert expected == ("ok", (grid.cell_exp + 1, expected[1][1]))
@@ -721,7 +720,7 @@ def test_projection_error_guarantee(grid1d, rng):
     fam = random_family(grid1d, rng)
     part = DyadicPartition(grid1d, 0, -1)
     # the moduli the build passes in: select_mesh's scan at the cube side
-    moduli = next(_translation_levels(fam, sp, [0.5], "box"))
+    moduli = translation_reference(fam, sp, [0.5], "box")[0]
     for f, modulus in zip(fam.members, moduli):
         coeffs = all_cube_averages(f, part)
         measured, guarantee = projection_error(f, coeffs, part, sp, modulus, check=True)
