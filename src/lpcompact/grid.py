@@ -50,6 +50,19 @@ class Grid:
             raise ModelError(
                 f"cell_exp={self.cell_exp} must not exceed box_level={self.box_level}"
             )
+        # checked before any power of two is formed, and named without the
+        # levels, which may have any number of digits
+        if (self.box_level - self.cell_exp + 1) * self.dim > 62:
+            raise ModelError(
+                "grid has more cells than numpy can index: "
+                "(box_level - cell_exp + 1) * dim must not exceed 62"
+            )
+        exponents = (self.box_level, self.cell_exp, self.cell_exp * self.dim)
+        if not all(-1074 <= e <= 1023 for e in exponents):
+            raise ModelError(
+                "grid lengths leave the float range: the half-width 2**box_level, "
+                "the cell side and the cell volume must be finite nonzero floats"
+            )
 
     @property
     def cell_side(self) -> float:

@@ -37,7 +37,7 @@ from .grid import (
 )
 from .moduli import Family, _translation_scan, tail_modulus
 from .spaces import WeightedSpace, _array_norm, indicator_norm
-from .specfile import _integer, _number
+from .specfile import _number, _record
 
 __all__ = [
     "EpsilonBudget",
@@ -726,41 +726,23 @@ def _entries(values, kinds: tuple[type, ...], what: str):
 
 
 def certificate_from_dict(doc: dict) -> NetCertificate:
-    """Rebuild a certificate from its JSON document.  As in a spec file, an
-    integer field takes only a JSON integer and a float field only a JSON
-    number; any other entry, and a ragged net, raises ``ModelError``."""
+    """Rebuild a certificate from its JSON document.  Its plan, budget, grid
+    and quasi records are read field by field from their dataclasses, as a
+    spec's are: an integer field takes only a JSON integer and a float field
+    only a JSON number.  Any other entry, and a ragged net, raises
+    ``ModelError``."""
     try:
-        plan_doc = doc["plan"]
-        budget = plan_doc["budget"]
-        plan = NetPlan(
-            epsilon=_number(plan_doc, "epsilon", "plan"),
-            box_level=_integer(plan_doc, "box_level", "plan"),
-            cube_exp=_integer(plan_doc, "cube_exp", "plan"),
-            quant_step=_number(plan_doc, "quant_step", "plan"),
-            coeff_bound=_number(plan_doc, "coeff_bound", "plan"),
-            budget=EpsilonBudget(
-                tail=_number(budget, "tail", "plan.budget"),
-                projection=_number(budget, "projection", "plan.budget"),
-                quantization=_number(budget, "quantization", "plan.budget"),
-            ),
-        )
-        grid = Grid(
-            dim=_integer(doc["grid"], "dim", "grid"),
-            box_level=_integer(doc["grid"], "box_level", "grid"),
-            cell_exp=_integer(doc["grid"], "cell_exp", "grid"),
-        )
+        plan = _record(NetPlan, doc["plan"], "plan", read={
+            "budget": lambda d, key, where: _record(EpsilonBudget, d[key], f"{where}.{key}"),
+        })
+        grid = _record(Grid, doc["grid"], "grid")
         quasi = None
         if "quasi" in doc:
-            q = doc["quasi"]
-            audits = _entries(q["audit_distances"], (int, float), "quasi.audit_distances")
-            quasi = PowerTransferRecord(
-                p=_number(q, "p", "quasi"),
-                n_power=_integer(q, "n_power", "quasi"),
-                epsilon=_number(q, "epsilon", "quasi"),
-                eps_prime=_number(q, "eps_prime", "quasi"),
-                c_max=_number(q, "c_max", "quasi"),
-                audit_distances=tuple(map(float, audits)),
-            )
+            quasi = _record(PowerTransferRecord, doc["quasi"], "quasi", read={
+                "audit_distances": lambda d, key, where: tuple(
+                    map(float, _entries(d[key], (int, float), f"{where}.{key}"))
+                ),
+            })
         rows = _entries(doc["net_elements"], (list,), "net_elements")
         for row in rows:
             _entries(row, (int, float), "a net element")

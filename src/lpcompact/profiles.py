@@ -68,7 +68,9 @@ class Gaussian:
             term = np.subtract(x, x0)
             np.add(out, np.square(term, out=term), out=out)
         np.negative(out, out=out)
-        np.divide(out, 2.0 * self.sigma ** 2, out=out)
+        # numpy's power is libm's pow, as Python's is, so every finite 2 sigma^2
+        # keeps its bits, while one past the float range is inf: a flat profile
+        np.divide(out, 2.0 * np.float64(self.sigma) ** 2, out=out)
         np.exp(out, out=out)
         return np.multiply(out, self.amplitude, out=out)
 
@@ -90,8 +92,7 @@ class Bump:
         t2 = (_radial_distance(mesh, c) / self.radius) ** 2
         out = np.zeros_like(mesh[0])
         inside = t2 < 1.0
-        with np.errstate(divide="ignore", over="ignore"):
-            out[inside] = self.amplitude * np.exp(1.0 - 1.0 / (1.0 - t2[inside]))
+        out[inside] = self.amplitude * np.exp(1.0 - 1.0 / (1.0 - t2[inside]))
         return out
 
 
@@ -158,7 +159,10 @@ def _sample_all(profiles, grid: Grid) -> tuple[GridFunction, ...]:
     mesh = grid.center_mesh()
     out = []
     for profile in profiles:
-        values = profile.evaluate(mesh)
+        # an overflow, a division by zero or an invalid operation shows as
+        # an inf or NaN sample, which the check below reports
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            values = profile.evaluate(mesh)
         if not np.all(np.isfinite(values)):
             raise ModelError(f"profile {profile!r} produced non-finite samples")
         out.append(GridFunction(grid, values))

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 from .errors import SpecFileError
@@ -82,81 +82,84 @@ def _table_values(doc: dict, base_dir: Path, where: str):
     return rows
 
 
-# per profile kind, the required keys besides "kind" and the optional ones
+def _record(cls, doc: dict, where: str, read=None):
+    """Build the dataclass ``cls`` from the JSON object ``doc``, one field at
+    a time in field order: a name in ``read`` through its own function, a
+    field annotated ``int`` through ``_integer`` and any other through
+    ``_number``, each called as ``(doc, name, where)``.  A field with a
+    default may be absent."""
+    values = {}
+    for f in fields(cls):
+        if f.name in doc or f.default is MISSING:
+            reader = (read or {}).get(f.name, _integer if f.type == "int" else _number)
+            values[f.name] = reader(doc, f.name, where)
+    return cls(**values)
+
+
+# per profile kind, its class, the required keys besides "kind" and the
+# optional ones
 _PROFILE_KEYS = {
-    "constant": (["value"], []),
-    "gaussian": (["center", "sigma"], ["amplitude"]),
-    "bump": (["center", "radius"], ["amplitude"]),
-    "indicator": (["center", "radius"], []),
-    "power": (["exponent"], ["support"]),
-    "table": ([], ["values", "path"]),
+    "constant": (Constant, ["value"], []),
+    "gaussian": (Gaussian, ["center", "sigma"], ["amplitude"]),
+    "bump": (Bump, ["center", "radius"], ["amplitude"]),
+    "indicator": (Indicator, ["center", "radius"], []),
+    "power": (PowerLaw, ["exponent"], ["support"]),
+    "table": (Table, [], ["values", "path"]),
 }
-_ALL_KEYS = sorted({k for keys in _PROFILE_KEYS.values() for k in keys[0] + keys[1]})
+_ALL_KEYS = sorted({k for _, req, opt in _PROFILE_KEYS.values() for k in req + opt})
 
 
 def _parse_profile(doc: dict, base_dir: Path, where: str):
     kind = doc.get("kind") if isinstance(doc, dict) else None
     # until it is reported, an unknown kind admits the keys of every kind
     known = isinstance(kind, str) and kind in _PROFILE_KEYS
-    required, optional = _PROFILE_KEYS[kind] if known else ([], _ALL_KEYS)
+    cls, required, optional = _PROFILE_KEYS[kind] if known else (None, [], _ALL_KEYS)
     # unknown keys are reported before missing ones
     _require_keys(doc, ["kind"], optional=[*required, *optional], where=where)
     _require_keys(doc, ["kind", *required], optional=optional, where=where)
-    if kind == "constant":
-        return Constant(value=_number(doc, "value", where))
-    if kind == "gaussian":
-        return Gaussian(
-            center=_vector(doc["center"], where),
-            sigma=_number(doc, "sigma", where),
-            amplitude=_number(doc, "amplitude", where) if "amplitude" in doc else 1.0,
-        )
-    if kind == "bump":
-        return Bump(
-            center=_vector(doc["center"], where),
-            radius=_number(doc, "radius", where),
-            amplitude=_number(doc, "amplitude", where) if "amplitude" in doc else 1.0,
-        )
-    if kind == "indicator":
-        return Indicator(center=_vector(doc["center"], where), radius=_number(doc, "radius", where))
-    if kind == "power":
-        return PowerLaw(
-            exponent=_number(doc, "exponent", where),
-            support=_number(doc, "support", where) if "support" in doc else None,
-        )
-    if kind == "table":
+    if not known:
+        raise SpecFileError(f"{where}: unknown profile kind {kind!r}")
+    if cls is Table:
         return Table(values=_freeze(_table_values(doc, base_dir, where), where))
-    raise SpecFileError(f"{where}: unknown profile kind {kind!r}")
+    return _record(cls, doc, where, read={"center": _vector})
 
 
-def _vector(v, where: str):
+def _vector(doc: dict, key: str, where: str):
+    v = doc[key]
     if isinstance(v, (int, float)) and not isinstance(v, bool):
-        return _float(v, f"{where}.center")
+        return _float(v, f"{where}.{key}")
     if isinstance(v, list) and v and all(
         isinstance(x, (int, float)) and not isinstance(x, bool) for x in v
     ):
-        return tuple(_float(x, f"{where}.center") for x in v)
-    raise SpecFileError(f"{where}: center must be a number or a list of numbers, got {v!r}")
+        return tuple(_float(x, f"{where}.{key}") for x in v)
+    raise SpecFileError(f"{where}: {key} must be a number or a list of numbers, got {v!r}")
 
 
-def _freeze(values, where: str):
-    if isinstance(values, list):
-        return tuple(_freeze(v, where) for v in values)
+def _freeze(values, where: str, depth: int = 0):
+    """A table's entries as floats in nested tuples: JSON numbers, not bools,
+    nested into a rectangle of at most two axes, as a grid has, or a
+    ``SpecFileError``."""
+    if isinstance(values, float):
+        return values
     if isinstance(values, int) and not isinstance(values, bool):
         return _float(values, f"{where}.values")
-    return values
+    if not isinstance(values, list):
+        raise SpecFileError(f"{where}.values may hold only numbers, got {values!r}")
+    if depth == 2:
+        raise SpecFileError(f"{where}.values nests lists deeper than a grid's two axes")
+    rows = tuple(_freeze(v, where, depth + 1) for v in values)
+    # rows of floats, or of one length
+    if len({len(r) if isinstance(r, tuple) else None for r in rows}) > 1:
+        raise SpecFileError(f"{where}.values has rows of different shapes")
+    return rows
 
 
 def parse_problem(doc: dict, base_dir: Path | str = ".") -> Problem:
     base_dir = Path(base_dir)
     _require_keys(doc, ["grid", "space", "members"], optional=["labels"], where="spec")
 
-    gdoc = doc["grid"]
-    _require_keys(gdoc, ["dim", "box_level", "cell_exp"], where="spec.grid")
-    grid = Grid(
-        dim=_integer(gdoc, "dim", "spec.grid"),
-        box_level=_integer(gdoc, "box_level", "spec.grid"),
-        cell_exp=_integer(gdoc, "cell_exp", "spec.grid"),
-    )
+    _require_keys(doc["grid"], ["dim", "box_level", "cell_exp"], where="spec.grid")
+    grid = _record(Grid, doc["grid"], "spec.grid")
 
     sdoc = doc["space"]
     _require_keys(sdoc, ["p", "weight"], where="spec.space")

@@ -1,3 +1,4 @@
+import copy
 import csv
 import json
 import math
@@ -867,3 +868,130 @@ def test_net_out_directory_exit_2_before_the_build(tmp_path):
     )
     assert [r.returncode for r in runs] == [4, 4]
     assert kept.read_text() == "kept"
+
+
+# a one-member spec on four cells, with its table entries or its profile
+# replaced; but for NaN and inf, which keep their exit 3, each of these used
+# to build, exit 3 on a numpy error, end in a traceback or print a warning
+_FOUR_CELLS = {"dim": 1, "box_level": 1, "cell_exp": 0}
+
+
+@pytest.mark.parametrize(
+    "grid, member, rc, stderr",
+    [
+        (_FOUR_CELLS, {"kind": "table", "values": [True, False, True, True]}, 2,
+         "spec error: spec.members[0].values may hold only numbers, got True\n"),
+        (_FOUR_CELLS, {"kind": "table", "values": ["1.5", "2", "0", "1"]}, 2,
+         "spec error: spec.members[0].values may hold only numbers, got '1.5'\n"),
+        (_FOUR_CELLS, {"kind": "table", "values": [None, 1, 2, 3]}, 2,
+         "spec error: spec.members[0].values may hold only numbers, got None\n"),
+        (_FOUR_CELLS, {"kind": "table", "values": [[1], 2, 3, 4]}, 2,
+         "spec error: spec.members[0].values has rows of different shapes\n"),
+        (_FOUR_CELLS, {"kind": "table", "values": [{"a": 1}, 2, 3, 4]}, 2,
+         "spec error: spec.members[0].values may hold only numbers, got {'a': 1}\n"),
+        (_FOUR_CELLS, {"kind": "table", "values": [math.nan, 1, 2, 3]}, 3,
+         "model violation: profile Table(values=(nan, 1.0, 2.0, 3.0)) produced non-finite samples\n"),
+        (_FOUR_CELLS, {"kind": "table", "values": [math.inf, 1, 2, 3]}, 3,
+         "model violation: profile Table(values=(inf, 1.0, 2.0, 3.0)) produced non-finite samples\n"),
+        (None, {"kind": "gaussian", "center": 0.0, "sigma": 1e308}, 0, ""),
+        (None, {"kind": "gaussian", "center": 1e200, "sigma": 0.4}, 0, ""),
+        (None, {"kind": "bump", "center": 0.0, "radius": 1e-320}, 0, ""),
+        ({"dim": 1, "box_level": 10 ** 400, "cell_exp": 0}, None, 3,
+         "model violation: grid has more cells than numpy can index: "
+         "(box_level - cell_exp + 1) * dim must not exceed 62\n"),
+        ({"dim": 1, "box_level": 1100, "cell_exp": 1099}, None, 3,
+         "model violation: grid lengths leave the float range: the half-width "
+         "2**box_level, the cell side and the cell volume must be finite nonzero floats\n"),
+    ],
+    ids=["table_bools", "table_strings", "table_null", "table_list", "table_object",
+         "table_nan", "table_inf", "sigma_huge", "center_huge", "radius_subnormal",
+         "box_level_huge", "levels_past_float_range"],
+)
+def test_net_spec_boundary_ends_in_one_line(tmp_path, grid, member, rc, stderr):
+    if member is None:
+        # in process first: a grid that is let through would have the child
+        # form 2**(10**400), which only ends when memory runs out
+        with pytest.raises(lpcompact.ModelError):
+            lpcompact.Grid(**grid)
+    spec = write_spec(tmp_path / "spec.json", grid=grid, members=member and [member])
+    out = tmp_path / "cert.json"
+    runs = _runs_without_and_with_warnings_as_errors(
+        "net", "--spec", spec, "--epsilon", 100.0, "--out", out
+    )
+    assert [r.returncode for r in runs] == [rc, rc]
+    assert [r.stderr for r in runs] == [stderr] * 2
+    assert out.exists() == (rc == 0)
+
+
+_NOT_INTEGERS = [1.5, True, "1"]
+
+
+@pytest.mark.parametrize("value", _NOT_INTEGERS, ids=["float", "bool", "string"])
+@pytest.mark.parametrize("key", ["dim", "box_level", "cell_exp"])
+def test_spec_integer_field_rejects_a_non_integer(tmp_path, capsys, key, value):
+    grid = {"dim": 1, "box_level": 1, "cell_exp": -6, key: value}
+    spec = write_spec(tmp_path / "spec.json", grid=grid)
+    rc = cli.main(["net", "--spec", str(spec), "--epsilon", "0.1", "--out", str(tmp_path / "c")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"spec error: spec.grid.{key} must be an integer, got {value!r}\n"
+
+
+@pytest.fixture(scope="module")
+def built_certificates(tmp_path_factory):
+    """Per p, a spec and the document of its certificate: p = 2 builds
+    directly, p = 0.5 through the power transfer."""
+    built = {}
+    for p in (2.0, 0.5):
+        tmp = tmp_path_factory.mktemp("built")
+        weight = {"kind": "constant", "value": 1.0} if p < 1 else None
+        spec = write_spec(tmp / "spec.json", p=p, weight=weight)
+        prob = load_problem(spec)
+        cert_path = tmp / "cert.json"
+        eps = 0.4 * bound_modulus(prob.family, prob.space)
+        assert cli.main(["net", "--spec", str(spec), "--epsilon", str(eps), "--out", str(cert_path)]) == 0
+        built[p] = spec, json.loads(cert_path.read_text())
+    return built
+
+
+@pytest.mark.parametrize("value", _NOT_INTEGERS, ids=["float", "bool", "string"])
+@pytest.mark.parametrize(
+    "p, field",
+    [(2.0, ("grid", "dim")), (2.0, ("grid", "box_level")), (2.0, ("grid", "cell_exp")),
+     (2.0, ("plan", "box_level")), (2.0, ("plan", "cube_exp")), (0.5, ("quasi", "n_power"))],
+    ids=["grid_dim", "grid_box_level", "grid_cell_exp", "plan_box_level", "plan_cube_exp",
+         "quasi_n_power"],
+)
+def test_certificate_integer_field_rejects_a_non_integer(
+    tmp_path, capsys, built_certificates, p, field, value
+):
+    spec, doc = built_certificates[p]
+    doc = copy.deepcopy(doc)
+    record, key = field
+    doc[record][key] = value
+    rc, err = _tamper_and_validate(tmp_path, capsys, spec, doc)
+    assert rc == 3
+    assert err == (
+        f"model violation: malformed certificate document: {record}.{key} must be an integer, "
+        f"got {value!r}\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "box_level, cell_exp, message",
+    [(10 ** 400, 0, "model violation: grid has more cells than numpy can index"),
+     (1100, 1099, "model violation: grid lengths leave the float range")],
+    ids=["box_level_huge", "levels_past_float_range"],
+)
+def test_certificate_naming_an_out_of_range_grid_exit_3(
+    tmp_path, capsys, built_certificates, box_level, cell_exp, message
+):
+    # in process first, as for a spec: a grid that is let through would
+    # have the validator form 2**(10**400)
+    with pytest.raises(lpcompact.ModelError):
+        lpcompact.Grid(1, box_level, cell_exp)
+    spec, doc = built_certificates[2.0]
+    doc = copy.deepcopy(doc)
+    doc["grid"].update(box_level=box_level, cell_exp=cell_exp)
+    rc, err = _tamper_and_validate(tmp_path, capsys, spec, doc)
+    assert rc == 3
+    assert err.startswith(message) and err.count("\n") == 1

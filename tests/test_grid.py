@@ -50,6 +50,42 @@ def test_grid_rejects_bad_levels():
         Grid(dim=0, box_level=0, cell_exp=-2)
 
 
+@pytest.mark.parametrize(
+    "dim, box_level, cell_exp",
+    [(1, 10 ** 400, 0), (1, 0, -(10 ** 400)), (1, 62, 0), (2, 31, 0), (2, 0, -31)],
+    ids=["huge_box", "huge_cells", "1d_63_levels", "2d_32_levels", "2d_32_cell_levels"],
+)
+def test_grid_rejects_more_cells_than_numpy_can_index(dim, box_level, cell_exp):
+    # the check comes before any power of two: 2**(10**400) is never formed
+    with pytest.raises(ModelError, match="more cells than numpy can index"):
+        Grid(dim=dim, box_level=box_level, cell_exp=cell_exp)
+
+
+@pytest.mark.parametrize(
+    "dim, box_level, cell_exp",
+    [(1, 1100, 1099), (1, 1024, 1000), (1, -1014, -1075), (2, 512, 512), (2, -537, -538),
+     (1, 10 ** 400, 10 ** 400)],
+    ids=["two_cells_past_range", "half_width", "cell_side", "volume_over", "volume_under",
+         "huge_levels"],
+)
+def test_grid_rejects_lengths_outside_the_float_range(dim, box_level, cell_exp):
+    with pytest.raises(ModelError, match="leave the float range"):
+        Grid(dim=dim, box_level=box_level, cell_exp=cell_exp)
+
+
+@pytest.mark.parametrize(
+    "dim, box_level, cell_exp",
+    [(1, 61, 0), (2, 30, 0), (1, 1023, 1000), (1, -1013, -1074), (2, 511, 511), (2, -537, -537)],
+)
+def test_grid_accepts_the_level_bounds(dim, box_level, cell_exp):
+    # the largest cell count and the extreme lengths that stay in range,
+    # checked on the grid's numbers alone: none of these is allocated
+    g = Grid(dim=dim, box_level=box_level, cell_exp=cell_exp)
+    assert g.n_cells <= 2 ** 62
+    assert g.cell_side == math.ldexp(1.0, cell_exp)
+    assert 0.0 < g.cell_volume < math.inf
+
+
 def test_gridfunction_validation(grid1d):
     with pytest.raises(ModelError):
         GridFunction(grid1d, np.zeros(7))

@@ -86,6 +86,43 @@ def test_sample_rejects_nonfinite(grid1d):
         sample(Table(values=(0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, float("inf"))), grid1d)
 
 
+def test_gaussian_divisor_is_the_pow_square(grid1d):
+    # at this sigma libm's pow(sigma, 2) and sigma * sigma differ by one ulp;
+    # certificates were pinned with the former
+    sigma = 0.503299
+    assert sigma ** 2 != sigma * sigma
+    x = grid1d.center_mesh()[0]
+    expected = np.exp(np.negative(np.square(x - 0.1)) / (2.0 * sigma ** 2))
+    got = sample(Gaussian(center=0.1, sigma=sigma), grid1d).values
+    assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("sigma", [1e155, 1e308])
+def test_gaussian_past_the_square_range_is_flat(grid1d, sigma):
+    # sigma ** 2 leaves the float range: the divisor is infinite, as it is at
+    # an infinite sigma
+    flat = sample(Gaussian(center=0.0, sigma=sigma, amplitude=3.0), grid1d)
+    assert flat.values.tobytes() == sample(Gaussian(0.0, math.inf, 3.0), grid1d).values.tobytes()
+    np.testing.assert_array_equal(flat.values, 3.0)
+
+
+@pytest.mark.parametrize(
+    "profile",
+    [Gaussian(center=1e200, sigma=0.5), Bump(center=0.0, radius=1e-320),
+     Indicator(center=1e308, radius=1e308)],
+    ids=["gaussian_far_center", "bump_tiny_radius", "indicator_huge"],
+)
+def test_sampling_that_overflows_warns_nothing(grid1d, profile):
+    # pytest turns a RuntimeWarning into an error: these used to print
+    # numpy's overflow warning, and all sample to zero
+    np.testing.assert_array_equal(sample(profile, grid1d).values, 0.0)
+
+
+def test_sampling_overflow_to_inf_is_the_non_finite_error(grid1d):
+    with pytest.raises(ModelError, match="produced non-finite samples"):
+        sample(PowerLaw(-1e308), grid1d)
+
+
 def test_powerlaw_negative_exponent_finite(grid1d):
     # centers never hit zero, so negative exponents stay finite
     f = sample(PowerLaw(-0.5), grid1d)
