@@ -215,59 +215,76 @@ def cmd_experiments(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+_COMMANDS = ("moduli", "net", "validate", "weight", "experiments")
+
+
+def build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The command line parser; with ``only``, one of the commands, it holds
+    that command's subparser alone, which parses and reports alike."""
     parser = argparse.ArgumentParser(
         prog="lpcompact",
         description="Compactness moduli and epsilon-net certificates for weighted Lp grids",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # a parser for one command names them all in its usage, as the whole one does
+    metavar = None if only is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    wanted = _COMMANDS if only is None else (only,)
 
-    p_mod = sub.add_parser("moduli", help="measure moduli curves of a family")
-    p_mod.add_argument("--spec", required=True)
-    p_mod.add_argument("--r-list", required=True, help="comma-separated shift radii")
-    p_mod.add_argument("--n-list", required=True, help="comma-separated tail region sizes")
-    p_mod.add_argument("--region", choices=["ball", "box"], default="ball")
-    p_mod.add_argument("--stencil", choices=["ball", "box"], default="ball")
-    p_mod.add_argument("--no-averaged", action="store_true")
-    p_mod.add_argument("--out", required=True, help="output prefix (.csv and .json)")
-    p_mod.set_defaults(func=cmd_moduli)
+    if "moduli" in wanted:
+        p_mod = sub.add_parser("moduli", help="measure moduli curves of a family")
+        p_mod.add_argument("--spec", required=True)
+        p_mod.add_argument("--r-list", required=True, help="comma-separated shift radii")
+        p_mod.add_argument("--n-list", required=True, help="comma-separated tail region sizes")
+        p_mod.add_argument("--region", choices=["ball", "box"], default="ball")
+        p_mod.add_argument("--stencil", choices=["ball", "box"], default="ball")
+        p_mod.add_argument("--no-averaged", action="store_true")
+        p_mod.add_argument("--out", required=True, help="output prefix (.csv and .json)")
+        p_mod.set_defaults(func=cmd_moduli)
 
-    p_net = sub.add_parser("net", help="build and validate an epsilon-net certificate")
-    p_net.add_argument("--spec", required=True)
-    p_net.add_argument("--epsilon", type=float, required=True)
-    p_net.add_argument("--variant", choices=["banach", "vanishing"], default="banach")
-    p_net.add_argument("--out", required=True)
-    p_net.set_defaults(func=cmd_net)
+    if "net" in wanted:
+        p_net = sub.add_parser("net", help="build and validate an epsilon-net certificate")
+        p_net.add_argument("--spec", required=True)
+        p_net.add_argument("--epsilon", type=float, required=True)
+        p_net.add_argument("--variant", choices=["banach", "vanishing"], default="banach")
+        p_net.add_argument("--out", required=True)
+        p_net.set_defaults(func=cmd_net)
 
-    p_val = sub.add_parser("validate", help="re-check a certificate against its family")
-    p_val.add_argument("--spec", required=True)
-    p_val.add_argument("--certificate", required=True)
-    p_val.set_defaults(func=cmd_validate)
+    if "validate" in wanted:
+        p_val = sub.add_parser("validate", help="re-check a certificate against its family")
+        p_val.add_argument("--spec", required=True)
+        p_val.add_argument("--certificate", required=True)
+        p_val.set_defaults(func=cmd_validate)
 
-    p_w = sub.add_parser("weight", help="weight diagnostics (Muckenhoupt, dual mass)")
-    p_w.add_argument("--spec", required=True)
-    p_w.add_argument("--out", required=True)
-    p_w.set_defaults(func=cmd_weight)
+    if "weight" in wanted:
+        p_w = sub.add_parser("weight", help="weight diagnostics (Muckenhoupt, dual mass)")
+        p_w.add_argument("--spec", required=True)
+        p_w.add_argument("--out", required=True)
+        p_w.set_defaults(func=cmd_weight)
 
-    p_exp = sub.add_parser("experiments", help="blow-up and completeness studies")
-    p_exp.add_argument("study", choices=["blowup", "completeness"])
-    p_exp.add_argument("--spec", help="spec file (completeness study)")
-    p_exp.add_argument("--p", type=float, default=2.0)
-    p_exp.add_argument("--dim", type=int, default=1)
-    p_exp.add_argument("--box-level", type=int, default=0)
-    p_exp.add_argument("--cell-exp", type=int, default=-10)
-    p_exp.add_argument("--n-list", default="8,16,32,64,128,256,512")
-    p_exp.add_argument("--weight-exponent", type=float, default=None)
-    p_exp.add_argument("--steps", type=int, default=10)
-    p_exp.add_argument("--scale", type=float, default=1.0)
-    p_exp.add_argument("--out", required=True)
-    p_exp.set_defaults(func=cmd_experiments)
+    if "experiments" in wanted:
+        p_exp = sub.add_parser("experiments", help="blow-up and completeness studies")
+        p_exp.add_argument("study", choices=["blowup", "completeness"])
+        p_exp.add_argument("--spec", help="spec file (completeness study)")
+        p_exp.add_argument("--p", type=float, default=2.0)
+        p_exp.add_argument("--dim", type=int, default=1)
+        p_exp.add_argument("--box-level", type=int, default=0)
+        p_exp.add_argument("--cell-exp", type=int, default=-10)
+        p_exp.add_argument("--n-list", default="8,16,32,64,128,256,512")
+        p_exp.add_argument("--weight-exponent", type=float, default=None)
+        p_exp.add_argument("--steps", type=int, default=10)
+        p_exp.add_argument("--scale", type=float, default=1.0)
+        p_exp.add_argument("--out", required=True)
+        p_exp.set_defaults(func=cmd_experiments)
 
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the invoked command's subparser alone; help, no command and an
+    # unknown one take the whole parser
+    only = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = build_parser(only).parse_args(argv)
     try:
         return args.func(args)
     except SpecFileError as exc:

@@ -44,14 +44,20 @@ class Grid:
     cell_exp: int
 
     def __post_init__(self):
+        # a number of any count of digits is left out of a message
+        def short(*numbers) -> bool:
+            return all(isinstance(x, (int, float)) and abs(x) < 1e15 for x in numbers)
+
         if self.dim not in (1, 2):
-            raise ModelError(f"dim must be 1 or 2, got {self.dim}")
+            got = f", got {self.dim}" if short(self.dim) else ""
+            raise ModelError(f"dim must be 1 or 2{got}")
         if self.cell_exp > self.box_level:
             raise ModelError(
                 f"cell_exp={self.cell_exp} must not exceed box_level={self.box_level}"
+                if short(self.cell_exp, self.box_level)
+                else "cell_exp must not exceed box_level"
             )
-        # checked before any power of two is formed, and named without the
-        # levels, which may have any number of digits
+        # checked before any power of two is formed
         if (self.box_level - self.cell_exp + 1) * self.dim > 62:
             raise ModelError(
                 "grid has more cells than numpy can index: "
@@ -292,6 +298,11 @@ def shift_stencil(
     return _shift_ring(grid, -1.0 if include_zero else 0.0, radius, kind)
 
 
+def _shift_reach(grid: Grid, radius: float) -> int:
+    """The largest |k_i| in cells that a stencil or ring of this radius holds, at most."""
+    return math.floor(radius / grid.cell_side + 1e-12)
+
+
 def _shift_ring(grid: Grid, inner: float, radius: float, kind: str) -> list[tuple[int, ...]]:
     """The shifts k (in cells, as tuples of ints) with inner < |k*h| <=
     radius, in lexicographic order: the one source of stencils and rings.
@@ -307,7 +318,7 @@ def _shift_ring(grid: Grid, inner: float, radius: float, kind: str) -> list[tupl
     if not math.isfinite(radius):
         raise ModelError(f"shift radius {radius} is not finite")
     h = grid.cell_side
-    kmax = math.floor(radius / h + 1e-12)
+    kmax = _shift_reach(grid, radius)
     if kmax < 0:
         return []
     cube = np.indices((2 * kmax + 1,) * grid.dim).reshape(grid.dim, -1).T - kmax

@@ -10,6 +10,7 @@ checks that domination on matched shift stencils.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import sys
@@ -21,6 +22,7 @@ from .errors import ModelError
 from .grid import (
     Grid,
     GridFunction,
+    _shift_reach,
     _shift_ring,
     _shift_slices,
     ball_average_field,
@@ -197,43 +199,101 @@ def _translation_scan(
     mesh threshold over the box levels.
 
     Each radius adds the ring of shifts the smaller radii lacked
-    (``_shift_ring``), each shift with bounds on its exact norm from
-    ``_PowerScreen``, taken shift by shift as the walk goes.  Radii, then
-    members, then shifts go in stencil order.  A shift surely below the
-    threshold passes, one surely at or above it fails, and ``_shift_norm``
-    measures any other.  The first radius is gone through in full; past it
-    the first failing shift ends the walk before that radius is yielded, and
-    the screen forms no powers past that shift's pair of k and -k.
+    (``_shift_ring``).  Radii, then members, then shifts go in stencil order.
+    At a finite threshold on a 1-D grid at p >= 1, each member's ring bounds
+    (``_RingBound``) are taken first, up the reaches of the radii to the
+    first that reaches the threshold, and a ring passes whole where the
+    bounds at its reach or beyond, which cover every shift up to there, are
+    below the threshold.  Every other ring takes bounds on each shift's
+    exact norm from ``_PowerScreen``, shift by shift as the walk goes: a
+    shift surely below the threshold passes, one surely at or above it
+    fails, and ``_shift_norm`` measures any other.  The first radius is gone
+    through in full; past it the first failing shift ends the walk before
+    that radius is yielded, and the screen forms no powers past that shift's
+    pair of k and -k.
 
-    At the end of a radius each member keeps only the shifts whose upper
-    bound reaches its largest lower bound so far.  That bound only rises, so
-    the shift of the maximum stays, and the moduli are the largest exact
-    norms among the kept shifts.  Reading them measures the kept shifts not
-    measured yet and keeps the shifts of the maximum, with their norm as
-    both bounds, so no (member, shift) is measured twice.  The result is that
-    of the exact scan, bit for bit.
+    At the end of a radius each member keeps only the screened shifts whose
+    upper bound reaches its largest lower bound so far.  That bound only
+    rises, so the shift of the maximum stays, and the moduli are the largest
+    exact norms among the kept shifts.  Reading them first resolves the
+    shifts a member's ring bounds cover (``resolve``), then measures the kept
+    shifts not measured yet and keeps the shifts of the maximum, with their
+    norm as both bounds, so no (member, shift) is measured twice.  The result
+    is that of the exact scan, bit for bit.
     """
     _check_space(family, space)
     grid = family.grid
     errors = np.geterr()
-    diff = np.empty(grid.shape)
+    # the kernel's buffer, and a cell past it for the ring bound's powers
+    work = np.empty(grid.n_cells + 1)
+    diff = work[:-1].reshape(grid.shape)
+    radii = list(radii)
+    # per member, the ring bounds below the threshold as (reach, bounds) up
+    # the reaches of the radii, and the bounds one cell inside the last
+    passing, inside = [[] for _ in family.members], [(0, None)] * len(family)
+    bound = None
+    if threshold < math.inf and grid.dim == 1 and space.p >= 1.0:
+        bound = _RingBound(family, space, work)
+        reaches = sorted({_shift_reach(grid, r) for r in radii if math.isfinite(r)} - {0})
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j in range(len(family)):
+                passing[j], inside[j] = bound.passing(j, reaches, threshold)
+    screen = None
 
     def exact(j, k):
         return _shift_norm(family.members[j].values, k, space, diff, errors)
 
+    def screened(reach, offsets) -> list:
+        """Per member, the screen's enclosures over the ring ``offsets``."""
+        nonlocal screen
+        if screen is None or screen.room < reach:
+            screen = _PowerScreen(family, space, reach, diff)
+        return list(screen.enclosures(offsets))
+
+    def resolve(j):
+        """Fold the shifts member j's ring bounds cover, and which no reading
+        has met, into its kept shifts.  The outer shift of the direction with
+        the larger bound is measured, and the other direction's too unless
+        its bound is below the top so far; the shifts inside are dropped
+        where the bounds one cell in are below the top in both directions,
+        and screened otherwise."""
+        reach, bounds = covered[j]
+        for high, k in sorted(zip(bounds, [(reach,), (-reach,)]), reverse=True):
+            if high < top[j]:
+                break
+            norm = exact(j, k)
+            kept[j].append((k, norm, norm))
+            top[j] = max(top[j], norm)
+        cells, bounds = inside[j]
+        if reach - 1 > resolved[j] and not max(
+            bounds if cells == reach - 1 else bound.member(j)(reach - 1)
+        ) < top[j]:
+            h = grid.cell_side
+            offsets = _shift_ring(grid, resolved[j] * h, (reach - 1) * h, stencil)
+            enclosures = screened(reach - 1, offsets)[j]
+            ring = [(k, low, high) for k, (low, high) in zip(offsets, enclosures, strict=True)]
+            top[j] = max((top[j], *(low for _, low, _ in ring)))
+            kept[j] += ring
+        kept[j] = [s for s in kept[j] if s[2] >= top[j]]
+        resolved[j] = reach
+
     def confirm() -> tuple[float, ...]:
         with np.errstate(over="ignore", invalid="ignore"):
-            for j, member in enumerate(kept):
-                norms = [low if low == high else exact(j, k) for k, low, high in member]
+            for j in range(len(family)):
+                if covered[j][0] > resolved[j]:
+                    resolve(j)
+                norms = [low if low == high else exact(j, k) for k, low, high in kept[j]]
                 top[j] = max(norms)
-                kept[j] = [(s[0], norm, norm) for s, norm in zip(member, norms) if norm == top[j]]
+                kept[j] = [(s[0], norm, norm) for s, norm in zip(kept[j], norms) if norm == top[j]]
         return tuple(top)
 
     # per member, the largest lower bound so far and the kept shifts, each
     # as (shift, lower bound, upper bound); a measured shift carries its norm
-    # as both bounds
+    # as both bounds.  Then the reach in cells the ring bounds cover with
+    # their bounds there, and the reach up to which readings resolved them
     top, kept = [-math.inf] * len(family), [[] for _ in family.members]
-    screen, inner = None, 0.0
+    covered, resolved = [(0, None)] * len(family), [0] * len(family)
+    inner = 0.0
     for n, radius in enumerate(radii):
         offsets = _shift_ring(grid, inner, radius, stencil)
         if not offsets and not n:
@@ -242,38 +302,203 @@ def _translation_scan(
                 f"(cell side {grid.cell_side})"
             )
         reach = max(map(abs, itertools.chain.from_iterable(offsets)), default=0)
-        if screen is None or screen.room < reach:
-            # the screen measures its roundings in the kernel's buffer,
-            # which is free between the kernel's calls
-            screen = _PowerScreen(family, space, reach, diff)
-        rings, fails = [], False
+        rings, decided, fails = [[] for _ in family.members], {}, False
+        enclosures = None
         with np.errstate(over="ignore", invalid="ignore"):
             # a radius that adds no shift loads no member into the screen
-            for j, enclosures in enumerate(screen.enclosures(offsets) if offsets else ()):
-                ring = []
-                for k, (low, high) in zip(offsets, enclosures, strict=True):
+            for j in range(len(family)) if offsets else ():
+                cover = next((b for cells, b in passing[j] if cells >= reach), None)
+                if cover:
+                    decided[j] = reach, cover
+                    continue
+                enclosures = enclosures or screened(reach, offsets)
+                for k, (low, high) in zip(offsets, enclosures[j], strict=True):
                     if not high < threshold and not low >= threshold:
                         low = high = exact(j, k)
                     if not high < threshold:
                         if n:
                             return
                         fails = True
-                    ring.append((k, low, high))
-                rings.append(ring)
+                    rings[j].append((k, low, high))
         for j, ring in enumerate(rings):
             top[j] = max((top[j], *(low for _, low, _ in ring)))
             kept[j] = [s for s in (*kept[j], *ring) if s[2] >= top[j]]
+        for j, cover in decided.items():
+            covered[j] = cover
         yield fails, confirm
         if fails:
             return
         inner = radius
 
 
+class _RingBound:
+    """Upper bounds on the norm ``_shift_norm`` returns at every shift of a
+    1-D grid by 1 to K cells in one direction, one per member, direction and
+    K: the bounds the translation scan passes whole rings by.
+
+    Shifts fill with zeros, so for 1 <= k <= K the difference f(y - k) - f(y)
+    is the sum over 0 <= i < k of g(y - i), g(y) = f(y - 1) - f(y), with f =
+    0 off the grid, and by the power-mean inequality
+
+        N(f(. - k) - f)**p <= K**(p - 1) cell_volume sum_y |g(y)|**p W(y),
+
+    W(y) = sum_{0 <= i < K} w(y + i); the shift by -k takes |f(y + 1) -
+    f(y)|**p, the same differences moved by a cell, and W(y) = sum_{0 <= i <
+    K} w(y - i).  At p = 1 this is the triangle inequality, and the bound is
+    nondecreasing in K; past K = N cells, the grid's length, K is taken as N.
+    Both directions read one array of the member's |difference|**p over the
+    grid and a cell past it (``powers``), and every window is a difference of
+    one prefix sum C of the weight, which all members share (``prefix``,
+    padded by ``room`` cells of 0 before and of C's total after): sum_y P(y)
+    W(y) is sum_y P(y) C(y + K) - sum_y P(y) C(y), two dots of the grid's
+    length in rows of ``_DOT_BLOCK`` cells summed by ``math.fsum``.
+
+    The bound is on the value the kernel returns, not the real norm, with u
+    the unit roundoff:
+
+    - The bound's float64 steps: the difference and its power (within (1 +
+      u)**p and ``_POWER_SLACK``, plus ``_TINY`` per cell, which sum_y W(y)
+      <= K C(N) carries), the prefix sum (each C(y) within gamma_N C(N), so
+      each window within 2 gamma_N C(N), taken as 4 gamma_(N+1) times the
+      computed C(N), times sum_y P(y)), the dots (each
+      row within gamma of its length, plus 2**-1074 per underflowing
+      product) and their difference (within that gamma of their sum), and
+      K**(p - 1) (p - 1 rounded, and pow within an ulp, within 64 p u).
+    - The kernel: its subtraction, within (1 + u)**p, its np.power and
+      pairwise sum (``_PowerScreen``'s gamma), and the sum's underflows
+      (``_PowerScreen``'s lost).  Where its sum falls below
+      ``space._sum_floor``, ``_array_norm`` measures |d| / s again, with s =
+      max|d| <= 2 max|f| on the weight's support, and its underflows weigh s**p
+      times as much, so lost is taken max(1, (2 max|f|)**p) times; a member
+      with that past the float range gets the bound inf, as its differences
+      may not even be finite.  The kernel's root, s times the sum to the
+      rounded 1 / p, lies within 2**-43 / p of the real root of its power
+      sum, which the bound's sum covers with 2**-40 more.
+
+    ``_root_bounds`` then raises the bound to 1 / p, and gives inf for a sum
+    outside [``space._sum_floor``, max / 2], or an inf or NaN, which decides
+    nothing.  Used under ``np.errstate(over="ignore", invalid="ignore")``.
+    """
+
+    def __init__(self, family: Family, space: WeightedSpace, work: np.ndarray):
+        cells, p, u = family.grid.n_cells, space.p, _UNIT_ROUNDOFF
+        weight = space.weight.values
+        # the kernel's buffer and a cell past it, free between the kernel's
+        # calls, holds one member's powers from ``member`` to its last ``at``
+        self.family, self.space, self.powers = family, space, work
+        self.block = math.gcd(cells, _DOT_BLOCK)
+        self.prefix = None
+        self.total = float(self._padded(0)[0][-1])
+        self.window_error = 4.0 * _gamma(cells + 1, u) * self.total
+        self.dot_error = 2.0 * _gamma(self.block + 8, u)
+        self.relative = (
+            (1.0 + 2.0 * _POWER_SLACK + (64.0 * p + 64.0) * u)
+            * (1.0 + 2.0 * _POWER_SLACK + 8.0 * _gamma(cells + 4, u))
+            * (1.0 + 2.0**-40)
+        )
+        self.lost = math.ldexp(cells, -1019) * (float(np.max(weight)) + 1.0)
+
+    def _padded(self, reach: int):
+        """The prefix sum padded by ``room`` cells, at least ``reach`` and a
+        sixteenth of the grid as the screen's pad is, and that room."""
+        if self.prefix is None or self.room < reach:
+            cells = self.family.grid.n_cells
+            # the old buffer goes before the new one is formed
+            self.prefix, self.room = None, max(reach, cells // 16)
+            self.prefix = np.zeros(cells + 1 + 2 * self.room)
+            prefix = self.prefix[self.room + 1 : self.room + 1 + cells]
+            with np.errstate(over="ignore"):
+                np.cumsum(self.space.weight.values, out=prefix)
+            self.prefix[self.room + 1 + cells :] = prefix[-1]
+        return self.prefix, self.room
+
+    def _dot(self, a: np.ndarray, b: np.ndarray) -> float:
+        rows = (-1, self.block)
+        return math.fsum(np.vecdot(a.reshape(rows), b.reshape(rows)).tolist())
+
+    def member(self, j: int):
+        """Form member j's differences and return the function that gives,
+        per K, the bounds on the norms of its shifts by 1 to K and by -1 to
+        -K cells: it reads the shared buffers, so only until the next member
+        is formed."""
+        f = self.family.members[j].values
+        cells, p, powers = f.size, self.space.p, self.powers
+        try:
+            lost = self.lost * max(1.0, (2.0 * max(float(np.max(f)), -float(np.min(f)))) ** p)
+        except OverflowError:
+            lost = math.inf
+        if lost == math.inf:
+            return lambda reach: (math.inf, math.inf)
+        powers[0], powers[cells] = f[0], -f[-1]
+        np.subtract(f[1:], f[:-1], out=powers[1:cells])
+        if p == 2.0:
+            np.square(powers, out=powers)
+        else:
+            np.abs(powers, out=powers)
+            if p == 1.5:
+                # within a few ulps, as np.power is, in a third of the time
+                for start in range(0, cells + 1, _DOT_BLOCK):
+                    block = powers[start : start + _DOT_BLOCK]
+                    np.multiply(block, np.sqrt(block), out=block)
+            elif p != 1.0:
+                np.power(powers, p, out=powers)
+        prefix, room = self._padded(0)
+        spread = float(np.sum(powers)) * (1.0 + _gamma(cells + 1, _UNIT_ROUNDOFF))
+        spread *= self.window_error
+        ahead_here = self._dot(powers[:cells], prefix[room : room + cells])
+        behind_here = self._dot(powers[1:], prefix[room + 1 : room + 1 + cells])
+
+        def at(reach: int) -> tuple[float, float]:
+            k = min(reach, cells)
+            prefix, room = self._padded(k)
+            ahead = self._dot(powers[:cells], prefix[room + k : room + k + cells])
+            behind = self._dot(powers[1:], prefix[room + 1 - k : room + 1 - k + cells])
+            extra = spread + 2.0 * _TINY * k * self.total + math.ldexp(cells, -1072)
+            try:
+                scale = float(k) ** (p - 1.0) * self.relative
+            except OverflowError:
+                scale = math.inf
+            ahead = ahead - ahead_here + self.dot_error * (ahead + ahead_here)
+            behind = behind_here - behind + self.dot_error * (behind_here + behind)
+            return tuple(
+                _root_bounds(total, total, self.space)[1]
+                for total in ((ahead + extra) * scale + lost, (behind + extra) * scale + lost)
+            )
+
+        return at
+
+    def passing(self, j: int, reaches, threshold: float):
+        """Member j's ring bounds below ``threshold`` as (K, bounds), up the
+        increasing ``reaches`` to the first K that fails, and the bounds one
+        cell inside the last of them, for ``resolve``.  The bounds grow about
+        as K does, so past a pass the next K tried is the farthest at which
+        that growth stays below the threshold; where that fails, the reaches
+        are taken one at a time."""
+        at, passed, reaches, i = self.member(j), [], list(reaches), 0
+        while i < len(reaches):
+            guess = i
+            if passed:
+                cells, bounds = passed[-1]
+                far = cells * threshold / max(bounds) if max(bounds) > 0.0 else math.inf
+                guess = max(i, bisect.bisect_right(reaches, far) - 1)
+            bounds = at(reaches[guess])
+            if max(bounds) < threshold:
+                passed.append((reaches[guess], bounds))
+                i = guess + 1
+            elif guess > i:
+                del reaches[guess:]
+            else:
+                break
+        if passed and passed[-1][0] > 1:
+            return passed, (passed[-1][0] - 1, at(passed[-1][0] - 1))
+        return passed, (0, None)
+
+
 class _PowerScreen:
     """Enclosures of the norms the exact kernel computes, for a whole ring
     of shifts of one member at a time: the bounds the translation scan
-    decides from.  Each shift is screened in float32, the same way at every
-    p >= 1.
+    decides from where ring bounds do not.  Each shift is screened in
+    float32, the same way at every p >= 1.
 
     N(g) = (sum_x w(x) |g(x)|**p)**(1/p) is the weighted norm, a norm at
     p >= 1, and N_1 the unweighted one.  The weight is scaled by 2**-s (max w
@@ -325,21 +550,19 @@ class _PowerScreen:
     So N(d) lies in [n_lo, n_hi] (``_norm_bounds``), n_lo = ((S - underflow)
     (1 - spread))**(1/p) (1 - 3 u32) - rho_j and n_hi = ((S + underflow)
     (1 + 2 spread))**(1/p) (1 + 3 u32) + rho_j, and the kernel's sum within
-    gamma of [max(n_lo, 0)**p, n_hi**p], up to lost.  The screen vouches for
-    a shift when that enclosure lies in [``space._sum_floor``, max / 2]:
-    there the kernel takes its plain pass and ``_sum_root`` raises that sum
-    to the rounded 1 / p, and the bounds are the enclosure raised to that
-    same exponent by the same pow, each moved by ``_ROOT_SLACK``.  Where the
-    allowances are far below the sum, the bounds on the norm are within
-    2 rho_j (cell_volume 2**(p t + s))**(1/p) + (3 / p + 1) spread hi of
-    each other.
+    gamma of [max(n_lo, 0)**p, n_hi**p], up to lost; ``_root_bounds`` turns
+    that enclosure into bounds on the norm.  Where the allowances are far
+    below the sum, the bounds on the norm are within 2 rho_j (cell_volume
+    2**(p t + s))**(1/p) + (3 / p + 1) spread hi of each other.
 
     A member with max|f| above 2**(1021.5 / p - 1) (2**680 at p = 1.5) could
     take a power past 2**1021.5 (``_KERNEL_EXP``) in the kernel, so it gets
     the bounds -inf and inf at every shift.  So does every member at p < 1,
     where N is no norm, and wherever p (m - q) < -126 (at every p above 63),
     where a member's scaled powers may all fall below float32's range; and
-    so does any shift not vouched for.  Used under ``np.errstate(over="ignore",
+    so does any shift not vouched for.  A member is set up, t and rho_j, the
+    first time it is screened (``members``), with its rounding measured in
+    the kernel's buffer.  Used under ``np.errstate(over="ignore",
     invalid="ignore")``.
     """
 
@@ -347,14 +570,17 @@ class _PowerScreen:
         grid, p = family.grid, space.p
         cells = grid.n_cells
         self.family, self.space, self.room = family, space, max(reach, min(grid.shape) // 16)
-        # per member, t, whether its scaled values need flushing, the whole
-        # and the fractional part of p t + s, and rho_j; None for a member
-        # the screen does not serve
-        self.members = [None] * len(family)
-        numerator, denominator = p.as_integer_ratio()
-        step = denominator if denominator <= 8 else 1
-        m = math.floor(_TERM_EXP / p) - 1
-        if p < 1.0 or p * (m - step) < -126:
+        # the kernel's buffer, free between its calls: the set-up's scratch
+        self.scratch = diff
+        # per member set up, t, whether its scaled values need flushing, the
+        # whole and the fractional part of p t + s, and rho_j; None for a
+        # member the screen does not serve
+        self.members = {}
+        self.ratio = p.as_integer_ratio()
+        self.step = self.ratio[1] if self.ratio[1] <= 8 else 1
+        self.m = math.floor(_TERM_EXP / p) - 1
+        self.served = not (p < 1.0 or p * (self.m - self.step) < -126)
+        if not self.served:
             return
         padded = tuple(size + 2 * self.room for size in grid.shape)
         self.pad = np.zeros(padded, dtype=np.float32)
@@ -363,9 +589,9 @@ class _PowerScreen:
         self.terms, self.roots = np.empty((2, *padded), dtype=np.float32)
         # the weight times 2**-s, flushed and rounded
         heaviest = float(np.max(space.weight.values))
-        s = math.frexp(heaviest)[1] - 49
-        top = math.ldexp(heaviest, -s)
-        weight = np.ldexp(space.weight.values, -s, out=np.empty(grid.shape, np.float32))
+        self.s = math.frexp(heaviest)[1] - 49
+        top = math.ldexp(heaviest, -self.s)
+        weight = np.ldexp(space.weight.values, -self.s, out=np.empty(grid.shape, np.float32))
         weight[weight < _FLOAT32_TINY] = 0.0
         # the blocks split the last axis
         block = math.gcd(grid.shape[-1], _DOT_BLOCK)
@@ -384,26 +610,37 @@ class _PowerScreen:
         # (max w)**(1/p), the flush allowance 2**-126 (N max w)**(1/p), and
         # what lifts a sum of N np.power terms above their real sum
         root = 1.0 / p
-        lift = top**root * (1.0 + _NORM_SLACK)
-        flush = _FLOAT32_TINY * (cells * top) ** root * (1.0 + _NORM_SLACK)
-        above = 1.0 + 2.0 * _POWER_SLACK + _gamma(cells, _UNIT_ROUNDOFF)
-        cap = 2.0 ** (_KERNEL_EXP / p - 1.0)
-        for j, f in enumerate(family.members):
-            size = np.abs(f.values, out=diff)
-            big = float(np.max(size))
-            if big > cap:
-                continue
-            t = step * math.ceil((math.frexp(big)[1] - m) / step)
-            flushes = bool(np.any(f.values[size < math.ldexp(_FLOAT32_TINY, t)]))
-            # the rounding, against the scaled values in float64
-            rounded = self._load(f.values, t, flushes)
-            error = np.subtract(rounded, np.ldexp(f.values, -t, out=diff), out=diff)
-            np.abs(error, out=error)
-            np.power(error, p, out=error)
-            plain = ((float(np.sum(error)) + cells * _TINY) * above) ** root
-            rho = 2.0 * lift * plain * (1.0 + _NORM_SLACK) + flush
-            whole, part = divmod(numerator * t + s * denominator, denominator)
-            self.members[j] = (t, flushes, whole, part / denominator, rho * (1.0 + _NORM_SLACK))
+        self.lift = top**root * (1.0 + _NORM_SLACK)
+        self.flush = _FLOAT32_TINY * (cells * top) ** root * (1.0 + _NORM_SLACK)
+        self.above = 1.0 + 2.0 * _POWER_SLACK + _gamma(cells, _UNIT_ROUNDOFF)
+        self.cap = 2.0 ** (_KERNEL_EXP / p - 1.0)
+
+    def _member(self, j: int):
+        """Member j's set-up, made the first time it is asked for."""
+        if j not in self.members:
+            self.members[j] = self._set_up(self.family.members[j].values) if self.served else None
+        return self.members[j]
+
+    def _set_up(self, values: np.ndarray):
+        """t, the flush flag, p t + s split and rho_j of a member with these
+        ``values``, or None past the cap."""
+        p, cells, scratch = self.space.p, self.family.grid.n_cells, self.scratch
+        size = np.abs(values, out=scratch)
+        big = float(np.max(size))
+        if big > self.cap:
+            return None
+        t = self.step * math.ceil((math.frexp(big)[1] - self.m) / self.step)
+        flushes = bool(np.any(values[size < math.ldexp(_FLOAT32_TINY, t)]))
+        # the rounding, against the scaled values in float64
+        rounded = self._load(values, t, flushes)
+        error = np.subtract(rounded, np.ldexp(values, -t, out=scratch), out=scratch)
+        np.abs(error, out=error)
+        np.power(error, p, out=error)
+        plain = ((float(np.sum(error)) + cells * _TINY) * self.above) ** (1.0 / p)
+        rho = 2.0 * self.lift * plain * (1.0 + _NORM_SLACK) + self.flush
+        numerator, denominator = self.ratio
+        whole, part = divmod(numerator * t + self.s * denominator, denominator)
+        return t, flushes, whole, part / denominator, rho * (1.0 + _NORM_SLACK)
 
     def _load(self, values: np.ndarray, t: int, flushes: bool) -> np.ndarray:
         """Put ``values`` times 2**-t, rounded, into the padded buffer, with
@@ -480,36 +717,51 @@ class _PowerScreen:
         yield from reversed(negated)
 
     def enclosures(self, offsets):
-        """Per member, the lower and upper bounds on the kernel's norm at
-        each shift of the ring ``offsets`` as pairs, each computed as taken."""
-        windows = None
-        for j, member in enumerate(self.members):
-            if member is None:
-                yield itertools.repeat((-math.inf, math.inf), len(offsets))
-                continue
-            windows = windows or self.windows(offsets)
-            yield self._enclose(j, windows)
+        """Per member, a generator of the lower and upper bounds on the
+        kernel's norm at each shift of the ring ``offsets`` as pairs, each
+        computed as taken; a member is set up, loaded and screened only as
+        its generator runs."""
+        views = []
+        for j in range(len(self.family)):
+            yield self._enclose(j, offsets, views)
 
-    def _enclose(self, j: int, windows):
-        cell_volume, floor, p = self.family.grid.cell_volume, self.space._sum_floor, self.space.p
-        exponent = 1.0 / p
-        _, _, whole, part, _ = self.members[j]
+    def _enclose(self, j: int, offsets, views: list):
+        member = self._member(j)
+        if member is None:
+            yield from itertools.repeat((-math.inf, math.inf), len(offsets))
+            return
+        # the ring's windows, formed for the first member screened
+        if not views:
+            views.extend(self.windows(offsets))
+        p, (_, _, whole, part, _) = self.space.p, member
         # 2**part, as a float within 2**-51 of it
         fraction = 2.0**part
         slack = 4.0 * _ROOT_SLACK if part else _ROOT_SLACK
-        for n_lo, n_hi in self._norm_bounds(j, windows):
+        for n_lo, n_hi in self._norm_bounds(j, views):
             try:
                 e_lo = math.ldexp(max(n_lo, 0.0) ** p * (fraction * (1.0 - slack)), whole)
                 e_hi = math.ldexp(n_hi**p * (fraction * (1.0 + slack)), whole)
             except OverflowError:
                 e_lo, e_hi = 0.0, math.inf
-            lo = (e_lo - self.gamma * e_lo - self.lost) * cell_volume
-            top = e_hi + self.gamma * e_hi + self.lost
-            hi = top * cell_volume
-            if floor <= lo and max(top, hi) <= _HALF_MAX:
-                yield lo**exponent * (1.0 - _ROOT_SLACK), hi**exponent * (1.0 + _ROOT_SLACK)
-            else:
-                yield -math.inf, math.inf
+            low = e_lo - self.gamma * e_lo - self.lost
+            yield _root_bounds(low, e_hi + self.gamma * e_hi + self.lost, self.space)
+
+
+def _root_bounds(low: float, high: float, space: WeightedSpace) -> tuple[float, float]:
+    """Bounds on the norm ``_shift_norm`` returns, from bounds ``low`` <=
+    ``high`` on its power sum before the product with the cell volume, the
+    one sum-to-norm step of both the screen and the ring bound.  Where the
+    sum times the cell volume surely lies in [``space._sum_floor``, max / 2],
+    and so does the sum before it, the kernel takes its plain pass, and
+    ``_sum_root`` raises that sum to the rounded 1 / p; the bounds are the
+    enclosure raised to that same exponent by the same pow, each moved by
+    ``_ROOT_SLACK``.  Anywhere else, NaN included, -inf and inf."""
+    cell_volume = space.grid.cell_volume
+    lo, hi = low * cell_volume, high * cell_volume
+    if space._sum_floor <= lo and max(high, hi) <= _HALF_MAX:
+        exponent = 1.0 / space.p
+        return lo**exponent * (1.0 - _ROOT_SLACK), hi**exponent * (1.0 + _ROOT_SLACK)
+    return -math.inf, math.inf
 
 
 def _float32_power_slack(p: float) -> float:

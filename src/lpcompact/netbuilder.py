@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import struct
 import sys
 import zlib
 from dataclasses import asdict, dataclass
@@ -202,7 +203,7 @@ def select_mesh(
     _check_epsilon(epsilon)
     grid = family.grid
     hi = grid.box_level if max_exp is None else max_exp
-    threshold = 2.0 ** (-grid.dim) * epsilon / 3.0
+    threshold = _mesh_threshold(grid.dim, epsilon)
     levels = range(grid.cell_exp, hi + 1)
     walk = _translation_scan(family, space, [2.0**i for i in levels], "box", threshold)
     level, moduli = None, tuple
@@ -213,13 +214,50 @@ def select_mesh(
         level = i
     found = moduli()
     if level is None:
-        raise HypothesisError(
-            "equicontinuity",
-            f"select_mesh: translation modulus is {max(found, default=math.inf):.6g} "
-            f"already at one cell (shift {grid.cell_side}), needs < {threshold:.6g}; "
-            f"the family is not equicontinuous at this resolution",
-        )
+        raise _equicontinuity_refusal(grid, found, threshold)
     return level, found
+
+
+def _mesh_threshold(dim: int, epsilon: float) -> float:
+    """The mesh budget per box shift, 2**-dim epsilon / 3."""
+    return 2.0 ** (-dim) * epsilon / 3.0
+
+
+def _equicontinuity_refusal(grid, moduli, threshold: float, c_max: float = 1.0) -> HypothesisError:
+    """The refusal of a family whose one-cell box moduli ``moduli`` reach
+    ``threshold``.  It names the least epsilon that builds, rounded up to six
+    digits: the one-cell level, the only one that can refuse, passes just
+    when every modulus is below the threshold, so at every epsilon from
+    about 3 2**dim c_max max(moduli) on.  ``c_max`` scales the epsilon the
+    caller passed to the one the mesh is built at, epsilon / c_max, as the
+    power transfer does."""
+    top = max(moduli, default=math.inf)
+    message = (
+        f"select_mesh: translation modulus is {top:.6g} already at one cell (shift "
+        f"{grid.cell_side}), needs < {threshold:.6g}; the family is not equicontinuous "
+        f"at this resolution"
+    )
+
+    def builds(bits: int) -> bool:
+        epsilon = struct.unpack("<d", struct.pack("<q", bits))[0]
+        return top < _mesh_threshold(grid.dim, min(epsilon / c_max, sys.float_info.max))
+
+    # the least float epsilon that builds, by bisection over the positive
+    # floats, which their bit patterns order
+    low, high = 0, struct.unpack("<q", struct.pack("<d", sys.float_info.max))[0]
+    if builds(high):
+        while high - low > 1:
+            mid = (low + high) // 2
+            low, high = (low, mid) if builds(mid) else (mid, high)
+        least = struct.unpack("<d", struct.pack("<q", high))[0]
+        # six digits, rounded up: the nearest, or the next above it
+        text = f"{least:.5e}"
+        if float(text) < least:
+            mantissa, exponent = text.split("e")
+            text = f"{float(mantissa) + 1e-5:.5f}e{exponent}"
+        text = f"{float(text):.6g}" if float(text) < math.inf else repr(least)
+        message += f"; epsilon {text} or above builds"
+    return HypothesisError("equicontinuity", message)
 
 
 def null_cube_mask(part: DyadicPartition, space: WeightedSpace) -> np.ndarray:

@@ -164,6 +164,12 @@ def _sample_all(profiles, grid: Grid) -> tuple[GridFunction, ...]:
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             values = profile.evaluate(mesh)
         if not np.all(np.isfinite(values)):
-            raise ModelError(f"profile {profile!r} produced non-finite samples")
+            # a table's repr holds every entry: past a line's length, the
+            # message names the kind and the first non-finite cell instead
+            name = repr(profile)
+            if len(name) > 200:
+                cell = tuple(np.argwhere(~np.isfinite(values))[0].tolist())
+                name = f"{type(profile).__name__} (first non-finite at cell {cell})"
+            raise ModelError(f"profile {name} produced non-finite samples")
         out.append(GridFunction(grid, values))
     return tuple(out)

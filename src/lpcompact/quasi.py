@@ -22,14 +22,16 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ModelError
+from .errors import HypothesisError, ModelError
 from .grid import GridFunction
-from .moduli import Family, bound_modulus
+from .moduli import Family, _translation_scan, bound_modulus
 from .netbuilder import (
     NetCertificate,
     PowerTransferRecord,
     ValidationReport,
     _check_epsilon,
+    _equicontinuity_refusal,
+    _mesh_threshold,
     _net_distances,
     _remeasure,
     build_certificate,
@@ -165,7 +167,15 @@ def quasi_certificate(
     # the audits measure against epsilon itself, so a root budget may be clamped
     eps_prime = min(epsilon / c_max, sys.float_info.max) if c_max > 0 else epsilon
 
-    cert = build_certificate(roots, ys, eps_prime, variant=variant)
+    try:
+        cert = build_certificate(roots, ys, eps_prime, variant=variant)
+    except HypothesisError:
+        # the refusal names the epsilon that builds as the caller passes it:
+        # measure the roots' one-cell moduli again and scale by c_max
+        grid = roots.grid
+        _, moduli = next(_translation_scan(roots, ys, [grid.cell_side], "box"))
+        threshold = _mesh_threshold(grid.dim, eps_prime)
+        raise _equicontinuity_refusal(grid, moduli(), threshold, c_max or 1.0) from None
 
     # expansion only copies coefficients and 0.0**n == 0.0, so powering the
     # coefficients equals powering the expanded root net

@@ -741,6 +741,12 @@ def test_net_small_member_under_huge_weight_is_judged_on_its_merits(tmp_path):
     assert runs[0].stderr.startswith(
         "hypothesis failure (equicontinuity): select_mesh: translation modulus is 3.53553e-147"
     )
+    # the refusal names the least epsilon that builds, 6 * 3.53553e-147 rounded up
+    assert runs[0].stderr.endswith("; epsilon 2.12133e-146 or above builds\n")
+    runs = _runs_without_and_with_warnings_as_errors(
+        "net", "--spec", spec, "--epsilon", "2.12133e-146", "--out", tmp_path / "cert.json"
+    )
+    assert [r.returncode for r in runs] == [0, 0]
 
 
 @pytest.mark.parametrize("epsilon", ["1e308", "1.7976931348623157e308"])
@@ -923,6 +929,38 @@ def test_net_spec_boundary_ends_in_one_line(tmp_path, grid, member, rc, stderr):
     assert out.exists() == (rc == 0)
 
 
+def _wide_table_with_a_nan():
+    values = [[1.0] * 256 for _ in range(256)]
+    values[3][17] = math.nan
+    return {"kind": "table", "values": values}
+
+
+@pytest.mark.parametrize(
+    "grid, member, stderr",
+    [
+        ({"dim": 2, "box_level": 7, "cell_exp": 0}, _wide_table_with_a_nan(),
+         "model violation: profile Table (first non-finite at cell (3, 17)) produced "
+         "non-finite samples\n"),
+        ({"dim": 10 ** 400, "box_level": 1, "cell_exp": 0}, None,
+         "model violation: dim must be 1 or 2\n"),
+        ({"dim": 1, "box_level": 0, "cell_exp": 10 ** 400}, None,
+         "model violation: cell_exp must not exceed box_level\n"),
+    ],
+    ids=["table_256x256_nan", "dim_huge", "cell_exp_huge"],
+)
+def test_net_model_error_is_one_short_line(tmp_path, grid, member, stderr):
+    # a table's repr and a level's digits are left out of the message once
+    # they would make the line long: a 256 x 256 table with one NaN used to
+    # print 328,242 characters, and cell_exp 10**400 a 400-digit level
+    spec = write_spec(tmp_path / "spec.json", grid=grid, members=member and [member])
+    runs = _runs_without_and_with_warnings_as_errors(
+        "net", "--spec", spec, "--epsilon", 1.0, "--out", tmp_path / "cert.json"
+    )
+    assert [r.returncode for r in runs] == [3, 3]
+    assert [r.stderr for r in runs] == [stderr] * 2
+    assert len(stderr) < 300
+
+
 _NOT_INTEGERS = [1.5, True, "1"]
 
 
@@ -995,3 +1033,32 @@ def test_certificate_naming_an_out_of_range_grid_exit_3(
     rc, err = _tamper_and_validate(tmp_path, capsys, spec, doc)
     assert rc == 3
     assert err.startswith(message) and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["net", "--spec", "s.json", "--epsilon", "0.5", "--out", "c.json"],
+        ["net", "--spec", "s.json", "--epsilon", "0.5", "--out", "c.json", "--variant", "vanishing"],
+        ["moduli", "--spec", "s", "--r-list", "0.1", "--n-list", "1", "--out", "o", "--no-averaged"],
+        ["validate", "--spec", "s", "--certificate", "c"],
+        ["weight", "--spec", "s", "--out", "o"],
+        ["experiments", "blowup", "--out", "o", "--p", "1.5"],
+        ["net", "--spec", "s.json", "--bad"],
+        ["net", "--epsilon", "x"],
+        ["validate"],
+        ["experiments", "nothing", "--out", "o"],
+        ["net", "--help"],
+    ],
+)
+def test_one_command_parser_parses_and_reports_as_the_whole_one(argv, capsys):
+    # main builds the invoked command's subparser alone: the arguments it
+    # reads, its errors and its help are those of the whole parser
+    outcomes = []
+    for only in (None, argv[0]):
+        try:
+            outcome = vars(cli.build_parser(only).parse_args(argv))
+        except SystemExit as exc:
+            outcome = exc.code
+        outcomes.append((outcome, capsys.readouterr()))
+    assert outcomes[0] == outcomes[1]

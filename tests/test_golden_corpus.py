@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lpcompact import bound_modulus, cli, load_problem
+from lpcompact import bound_modulus, cli, load_problem, translation_modulus
 
 from test_benchmark_pins import PINS, WORKLOADS
 
@@ -124,6 +124,37 @@ def test_every_entry_is_pinned():
 def test_corpus_entry_matches_pin(tmp_path, name):
     assert run_entry(name, tmp_path) == _pins()[name]
 
+
+
+def _net(argv):
+    """``lpcompact net`` or ``validate`` in process; its exit code."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return cli.main(argv)
+
+
+@pytest.mark.parametrize("name", sorted(n for n, pin in _pins().items() if pin["exit"] == 4))
+def test_corpus_refusal_names_a_sharp_epsilon(tmp_path, name):
+    # a refusal at one cell fixes the least epsilon that builds: 3 2**dim
+    # times the largest one-cell box modulus.  Just above it the entry builds
+    # and validates, just below it refuses, and the six digits the refusal
+    # prints build
+    doc, _, variant = CORPUS[name]
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(doc))
+    problem = load_problem(spec)
+    grid = problem.grid
+    least = 3.0 * 2.0**grid.dim * translation_modulus(
+        problem.family, problem.space, grid.cell_side, stencil="box"
+    )
+    printed = _pins()[name]["stderr"].split("; epsilon ")[1].split(" or above builds")[0]
+    assert least < float(printed) <= least * (1.0 + 1e-5)
+    cert = tmp_path / "cert.json"
+    for epsilon, code in ((least * (1.0 - 1e-9), 4), (least * (1.0 + 1e-9), 0), (float(printed), 0)):
+        cert.unlink(missing_ok=True)
+        argv = ["net", "--spec", str(spec), "--epsilon", repr(epsilon), "--variant", variant]
+        assert _net(argv + ["--out", str(cert)]) == code, epsilon
+        if code == 0:
+            assert _net(["validate", "--spec", str(spec), "--certificate", str(cert)]) == 0
 
 if __name__ == "__main__":
     seeded = {f"{name}-seed{WORKLOADS.DEFAULT_SEED}" for name in PINS}

@@ -28,6 +28,7 @@ from lpcompact import (
     measure_moduli,
     outside_mask,
     sample,
+    select_mesh,
     tail_modulus,
     translation_modulus,
     verify_averaging_bound,
@@ -685,3 +686,220 @@ def test_float32_power_slack_covers_numpy_power():
         error = np.abs(got[finite] - exact)
         allowed = (moved + 0.5 * moduli._FLOAT32_LOOP_SLACK) * exact + moduli._FLOAT32_TINY
         assert np.all(error <= allowed * (1.0 + 2.0**-40)), p
+
+
+def _ring_bound_member(grid, rng, kind, scale):
+    """One member of ``grid``, ``scale`` times: a smooth bump, noise, a step
+    (a jump inside the box), or a constant (a jump at each end of the box)."""
+    x = grid.axis_centers()
+    values = {
+        "smooth": lambda: np.exp(-((x - rng.uniform(-0.5, 0.5)) ** 2) / 0.1),
+        "rough": lambda: rng.uniform(-1.0, 1.0, grid.shape),
+        "step": lambda: np.where(x < rng.uniform(-0.5, 0.5), 1.0, -0.5),
+        "flat": lambda: np.ones(grid.shape),
+    }[kind]()
+    return values * scale
+
+
+@settings(max_examples=250, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    p=st.sampled_from([1.0, 1.5, 2.0, 3.0, 1.2000000000000002, 7.0]),
+    kind=st.sampled_from(["smooth", "rough", "step", "flat"]),
+    scale_exp=st.integers(min_value=-1074, max_value=1023),
+    sum_exp=st.integers(min_value=-1100, max_value=1040),
+    zeros=st.sampled_from([0.0, 0.3, 1.0]),
+    reach=st.integers(min_value=1, max_value=70),
+)
+# sums near 1, near the floor and near max / 2; subnormal members and
+# weights; a weight that vanishes everywhere
+@example(seed=0, p=2.0, kind="smooth", scale_exp=0, sum_exp=0, zeros=0.0, reach=1)
+@example(seed=1, p=1.0, kind="rough", scale_exp=0, sum_exp=0, zeros=0.3, reach=5)
+@example(seed=2, p=1.5, kind="flat", scale_exp=-3, sum_exp=-1015, zeros=0.0, reach=8)
+@example(seed=3, p=2.0, kind="step", scale_exp=500, sum_exp=1020, zeros=0.0, reach=64)
+@example(seed=4, p=3.0, kind="smooth", scale_exp=-1060, sum_exp=-1000, zeros=0.3, reach=3)
+@example(seed=5, p=2.0, kind="rough", scale_exp=-540, sum_exp=-1020, zeros=0.0, reach=2)
+@example(seed=6, p=1.0, kind="smooth", scale_exp=1023, sum_exp=1030, zeros=0.0, reach=1)
+@example(seed=7, p=2.0, kind="smooth", scale_exp=0, sum_exp=0, zeros=1.0, reach=4)
+def test_scan_ring_bound_covers_the_kernel(seed, p, kind, scale_exp, sum_exp, zeros, reach):
+    # a member's ring bound at K cells lies at or above the value the exact
+    # kernel returns at every shift by 1 to K cells and by -1 to -K, on 64
+    # cells: smooth members, rough ones and jumps, scaled from subnormal to
+    # the top of the float range, under weights scaled so that the power
+    # sums land near 2**sum_exp, with zeros at random cells.  Where the
+    # kernel raises (a difference or a norm past the float range), the bound
+    # is inf and decides nothing
+    grid = Grid(dim=1, box_level=0, cell_exp=-5)
+    rng = np.random.default_rng(seed)
+    values = _ring_bound_member(grid, rng, kind, math.ldexp(1.0, scale_exp))
+    weight = rng.uniform(0.5, 2.0, grid.shape)
+    weight[rng.random(grid.shape) < zeros] = 0.0
+    weight = np.ldexp(weight, min(max(sum_exp - round(p * scale_exp), -1074), 1023))
+    sp = WeightedSpace(p, GridFunction(grid, weight))
+    fam = Family(grid, (GridFunction(grid, values),), ("f",))
+    diff = np.empty(grid.shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        bounds = moduli._RingBound(fam, sp, np.empty(grid.n_cells + 1)).member(0)(reach)
+        for bound, sign in zip(bounds, (1, -1)):
+            for k in range(1, reach + 1):
+                try:
+                    norm = moduli._shift_norm(values, (sign * k,), sp, diff, {})
+                except ModelError:
+                    assert bound == math.inf
+                    continue
+                assert norm <= bound, (sign * k, norm, bound)
+
+
+def _ring_bound_and_kernel(values, weight, p, reach):
+    """The ring bounds at ``reach`` of one member of a 64-cell grid, and the
+    kernel's values at every shift they cover, in the order of the bounds:
+    by 1 to K cells, then by -1 to -K; a ModelError is kept as raised."""
+    grid = Grid(dim=1, box_level=0, cell_exp=-5)
+    sp = WeightedSpace(p, GridFunction(grid, weight))
+    fam = Family(grid, (GridFunction(grid, values),), ("f",))
+    diff = np.empty(grid.shape)
+    norms = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        bounds = moduli._RingBound(fam, sp, np.empty(grid.n_cells + 1)).member(0)(reach)
+        for sign in (1, -1):
+            row = []
+            for k in range(1, reach + 1):
+                try:
+                    row.append(moduli._shift_norm(values, (sign * k,), sp, diff, {}))
+                except ModelError as exc:
+                    row.append(exc)
+            norms.append(row)
+    return bounds, norms
+
+
+def test_scan_ring_bound_covers_a_window_lost_to_rounding():
+    # a step at cell 30 under a weight of 1 everywhere but there, where it is
+    # 0.4 ulp of the prefix sum 30: the prefix sum rounds that weight away,
+    # so the window at the step reads 0 and both dots of the bound read
+    # 30 x (the step)**p.  The kernel's norm at one cell is the weight there,
+    # which only the windows' and the dots' allowances cover, each alone
+    weight = np.ones(64)
+    weight[30] = 0.4 * math.ulp(30.0)
+    values = np.where(np.arange(64) >= 30, 1.0, 0.0)
+    for p in (1.0, 2.0):
+        (up, down), norms = _ring_bound_and_kernel(values, weight, p, 1)
+        assert 0.0 < norms[0][0] <= up
+        assert norms[1][0] <= down
+
+
+def test_scan_ring_bound_is_inf_where_a_difference_overflows():
+    # +-1.5 * 2**1023 at the two ends of the grid: every one-cell difference
+    # is finite, but the shift by 63 cells sets them side by side, where
+    # their difference leaves the float range and the kernel raises.  Under
+    # weights near 2**-1000 the bound's own sums stay finite; the bound is
+    # inf only because 2 max|f| is past the float range
+    values = np.zeros(64)
+    values[0], values[-1] = 1.5 * 2.0**1023, -1.5 * 2.0**1023
+    (up, down), norms = _ring_bound_and_kernel(values, np.full(64, 2.0**-1000), 1.0, 63)
+    assert isinstance(norms[0][-1], ModelError) and isinstance(norms[1][-1], ModelError)
+    assert up == down == math.inf
+
+
+def test_scan_ring_bound_is_tight_on_bank1d(tmp_path):
+    # bank1d's members are smooth at the cell scale: at 32 cells, the level
+    # select_mesh chooses, each member's ring bound in each direction is
+    # within 10**-5 of the largest exact norm of its shifts
+    spec_path = tmp_path / "bank1d.json"
+    spec_path.write_text(json.dumps(WORKLOADS.WORKLOADS["bank1d"].spec(WORKLOADS.DEFAULT_SEED)))
+    problem = load_problem(spec_path)
+    fam, sp = problem.family, problem.space
+    diff = np.empty(fam.grid.shape)
+    ring = moduli._RingBound(fam, sp, np.empty(fam.grid.n_cells + 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in (0, 9, 19):
+            bounds = ring.member(j)(32)
+            for bound, sign in zip(bounds, (1, -1)):
+                norms = [
+                    moduli._shift_norm(fam.members[j].values, (sign * k,), sp, diff, {})
+                    for k in range(1, 33)
+                ]
+                assert max(norms) <= bound <= max(norms) * (1.0 + 1e-5)
+
+
+def _loose_ring_bounds(family, space, rng):
+    """A stand-in for ``_RingBound.member``: per reach K, random bounds at or
+    above the largest exact norm of the shifts by 1 to K cells and by -1 to
+    -K, which may meet a threshold or a modulus exactly; a third of them are
+    that norm itself."""
+    diff = np.empty(family.grid.shape)
+    norm = moduli._shift_norm
+
+    def member(ring, j):
+        values = family.members[j].values
+
+        def at(reach):
+            tops = np.array([
+                max(norm(values, (sign * k,), space, diff, {}) for k in range(1, reach + 1))
+                for sign in (1, -1)
+            ])
+            slack = rng.uniform(0.0, 0.5, 2) * (rng.random(2) < 2 / 3)
+            return tuple(float(v) for v in tops * (1.0 + slack))
+
+        return at
+
+    return member
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=9999),
+    p=st.sampled_from([1.0, 1.5, 2.0, 3.0]),
+    loose=st.booleans(),
+    data=st.data(),
+)
+def test_scan_trusts_ring_bounds_only_as_bounds(seed, p, loose, data):
+    # the twin of test_select_level_trusts_enclosures_only_as_bounds: with
+    # loose random ring bounds in place of the real ones, and loose random
+    # enclosures or the screen's, the 1-D walker still returns what the full
+    # scan selects
+    grid = Grid(dim=1, box_level=0, cell_exp=-4)
+    rng = np.random.default_rng(seed)
+    sp = WeightedSpace(p, _weights_with_zeros(grid, rng))
+    fam = random_family(grid, rng)
+    if rng.random() < 0.5:
+        # smooth members, whose ring bounds pass several rings
+        fam = Family(grid, tuple(GridFunction(grid, np.cumsum(f.values) / 8.0) for f in fam.members), fam.labels)
+    levels = range(grid.cell_exp, grid.box_level + 1)
+    threshold = _drawn_threshold(fam, sp, levels, data)
+    expected = _full_scan_selection(fam, sp, levels, threshold)
+    enclosures = (
+        mock.patch.object(moduli._PowerScreen, "enclosures", _loose_enclosures(fam, sp, rng))
+        if loose else contextlib.nullcontext()
+    )
+    with enclosures, mock.patch.object(moduli._RingBound, "member", _loose_ring_bounds(fam, sp, rng)):
+        assert _walked_selection(fam, sp, levels, threshold) == expected
+
+
+def test_scan_screens_only_the_failing_ring_on_bank1d(tmp_path):
+    # bank1d's mesh walk: the ring bounds pass every ring up to 32 cells
+    # whole and not the ring at 64, where the screen fails the first pair
+    # of shifts of the first member.  So the screen loads two members' worth
+    # (one set-up, one ring) and forms one pair's float32 powers, where with
+    # the screen alone it made 141 loads and 641 pairs
+    workload = WORKLOADS.WORKLOADS["bank1d"]
+    spec_path = tmp_path / "bank1d.json"
+    spec_path.write_text(json.dumps(workload.spec(WORKLOADS.DEFAULT_SEED)))
+    problem = load_problem(spec_path)
+    epsilon = workload.eps_share * bound_modulus(problem.family, problem.space)
+    calls = {"_powers": 0, "_load": 0}
+
+    def counted(name):
+        inner = getattr(moduli._PowerScreen, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+
+        return mock.patch.object(moduli._PowerScreen, name, wrapper)
+
+    with counted("_powers"), counted("_load"):
+        level, found = select_mesh(problem.family, problem.space, epsilon)
+    assert level == -8
+    assert calls == {"_powers": 1, "_load": 2}
+    walked = _walked_selection(problem.family, problem.space, [-8], math.inf)
+    assert found == walked[1]

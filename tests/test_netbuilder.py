@@ -1,10 +1,13 @@
+import decimal
 import json
 import math
 import sys
+import tempfile
 import tracemalloc
 import warnings
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -13,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lpcompact import (
+    Bump,
     Constant,
     DyadicPartition,
     Family,
@@ -194,10 +198,15 @@ def test_select_mesh_one_cell_failure_reports_full_modulus():
     assert full == pytest.approx(3.0 * first)
     with pytest.raises(HypothesisError) as err:
         select_mesh(fam, sp, eps)
+    least = _buildable_epsilon(full, 1)
     assert str(err.value) == (
         f"select_mesh: translation modulus is {full:.6g} already at one cell (shift "
-        f"{h}), needs < {0.5 * eps / 3.0:.6g}; the family is not equicontinuous at this resolution"
+        f"{h}), needs < {0.5 * eps / 3.0:.6g}; the family is not equicontinuous at this "
+        f"resolution; epsilon {least} or above builds"
     )
+    # the epsilon named builds, within six digits of the sharp 6 * full
+    assert select_mesh(fam, sp, float(least))[0] == grid.cell_exp
+    assert 6.0 * full < float(least) <= 6.0 * full * (1.0 + 1e-5)
 
 
 def test_select_mesh_respects_max_exp():
@@ -249,13 +258,39 @@ def _select_mesh_reference(family, space, epsilon, max_exp=None):
             break
         best = i, tuple(found)
     if best is None:
+        least = _buildable_epsilon(value, grid.dim)
         raise HypothesisError(
             "equicontinuity",
             f"select_mesh: translation modulus is {value:.6g} already at one cell "
             f"(shift {grid.cell_side}), needs < {threshold:.6g}; the family is not "
-            f"equicontinuous at this resolution",
+            f"equicontinuous at this resolution" + (f"; epsilon {least} or above builds" if least else ""),
         )
     return best
+
+
+def _buildable_epsilon(top, dim):
+    """The least float epsilon whose mesh threshold 2**-dim * epsilon / 3
+    lies above ``top``, found by float steps from 3 * 2**dim * top, as the
+    least six-digit decimal that reads as a float at or above it, or None
+    past the float range."""
+    def builds(epsilon):
+        return top < 2.0 ** (-dim) * epsilon / 3.0
+
+    epsilon = 3.0 * 2.0**dim * top
+    if top == math.inf:
+        return None
+    while not builds(epsilon):
+        epsilon = math.nextafter(epsilon, math.inf)
+    while builds(math.nextafter(epsilon, 0.0)):
+        epsilon = math.nextafter(epsilon, 0.0)
+    if epsilon == math.inf:
+        return None
+    least = decimal.Decimal(epsilon)
+    step = decimal.Decimal(1).scaleb(least.adjusted() - 5)
+    up = least.quantize(step, rounding=decimal.ROUND_CEILING)
+    # the decimal a step below may still read as that float
+    digits = up - step if float(up - step) >= epsilon else up
+    return f"{float(digits):.6g}"
 
 
 def _measured_outcome(select, family, space, epsilon, max_exp):
@@ -475,15 +510,21 @@ def test_screen_load_rounds_each_scaled_value_once(seed, t, flushes):
     np.testing.assert_array_equal(loaded.view(np.int32), expected.view(np.int32))
 
 
-def test_screen_keeps_no_handle_on_the_kernel_buffer():
-    # the walker's buffer serves the screen's construction only: the screen
-    # owns its float32 image
+def test_screen_sets_up_each_member_when_first_screened():
+    # the screen owns its float32 image and borrows the walker's buffer only
+    # as scratch for a member's set-up, its t and rho_j, which runs the first
+    # time that member's enclosures are taken
     diff = np.empty((16, 16))
     screen = _loaded_screen(diff)
-    assert any(member is not None for member in screen.members)
-    for name, value in vars(screen).items():
-        assert value is not diff, name
-        assert not (isinstance(value, np.ndarray) and np.shares_memory(value, diff)), name
+    assert screen.members == {}
+    for name in ("pad", "terms", "roots", "weight"):
+        assert not np.shares_memory(getattr(screen, name), diff), name
+    grid = screen.family.grid
+    offsets = _shift_ring(grid, 0.0, grid.cell_side, "box")
+    enclosures = list(screen.enclosures(offsets))
+    assert screen.members == {}
+    assert len(list(enclosures[1])) == len(offsets)
+    assert list(screen.members) == [1] and screen.members[1] is not None
 
 
 # box levels of 64-cell (1-D) and 16 x 16 (2-D) grids: box volume 2 or 4,
@@ -622,10 +663,10 @@ def test_screened_select_mesh_confirms_a_threshold_on_a_modulus():
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
 def test_select_mesh_screens_no_shift_past_the_first_failure(p):
     # the threshold lies between the box moduli of the second and third
-    # levels, so the walk fails in the third ring; the screen forms the
-    # float32 powers once for each pair of shifts k and -k, and just for the
-    # shifts the exact scan measures: whole rings up to the failing one, and
-    # that ring up to its first shift over the threshold
+    # levels, so the walk fails in the third ring.  The ring bounds pass the
+    # first two rings whole and not the third, so the screen forms the
+    # float32 powers of just one pair of shifts k and -k, the failing ring's
+    # first, which the exact scan measures too
     grid = Grid(dim=1, box_level=1, cell_exp=-6)
     sp = WeightedSpace(p, sample(PowerLaw(0.5), grid))
     fam = Family.from_profiles(grid, [Gaussian(center=c, sigma=0.3) for c in (-0.4, 0.0, 0.3)])
@@ -646,7 +687,8 @@ def test_select_mesh_screens_no_shift_past_the_first_failure(p):
 
     with mock.patch.object(moduli._PowerScreen, "_powers", counted):
         assert select_mesh(fam, sp, epsilon) == expected[1]
-    assert len(screened) == len(pairs)
+    assert len(screened) == 1
+    assert (0, frozenset({(-4,), (4,)})) in pairs
 
 
 def _null_cube_mask_loop(part, space):
@@ -1350,3 +1392,50 @@ def test_build_computes_the_null_cube_mask_once(gauss_problem, monkeypatch):
     cert = build_certificate(fam, space, 0.05 * bound_modulus(fam, space), variant="vanishing")
     assert cert.null_cubes and len(fam) == 20
     assert len(calls) == 1
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    dim=st.sampled_from([1, 2]),
+    p=st.sampled_from([1.0, 1.5, 2.0, 3.0]),
+    kinds=st.lists(st.sampled_from(["gaussian", "bump", "indicator"]), min_size=1, max_size=4),
+    power=st.sampled_from([None, 0.5, 1.0]),
+    factor=st.floats(min_value=1.0, max_value=4.0, exclude_min=True),
+    variant=st.sampled_from(["banach", "vanishing"]),
+)
+def test_random_problem_builds_above_its_least_epsilon(seed, dim, p, kinds, power, factor, variant):
+    # end to end over random small problems: smooth members pass whole rings
+    # on their ring bounds, rough ones fall back to the screen.  At epsilon
+    # above the least that builds, 3 2**dim times the largest one-cell box
+    # modulus, the build validates, keeps every stage below epsilon / 3 and
+    # rebuilds byte for byte; just below that least epsilon it refuses
+    rng = np.random.default_rng(seed)
+    cells = int(rng.integers(5, 9)) if dim == 1 else int(rng.integers(4, 7))
+    grid = Grid(dim=dim, box_level=0, cell_exp=1 - cells)
+    weight = Constant(1.0) if power is None else PowerLaw(power)
+    sp = WeightedSpace(p, sample(weight, grid))
+
+    def center():
+        c = rng.uniform(-0.6, 0.6, dim)
+        return float(c[0]) if dim == 1 else tuple(float(x) for x in c)
+
+    profiles = {
+        "gaussian": lambda: Gaussian(center=center(), sigma=float(rng.uniform(0.1, 0.6))),
+        "bump": lambda: Bump(center=center(), radius=float(rng.uniform(0.2, 0.8))),
+        "indicator": lambda: Indicator(center=center(), radius=float(rng.uniform(0.1, 0.5))),
+    }
+    fam = Family.from_profiles(grid, [profiles[k]() for k in kinds])
+    least = 3.0 * 2.0**dim * translation_modulus(fam, sp, grid.cell_side, stencil="box")
+    with pytest.raises(HypothesisError):
+        build_certificate(fam, sp, least * (1.0 - 1e-9), variant=variant)
+    epsilon = least * factor
+    cert = build_certificate(fam, sp, epsilon, variant=variant)
+    assert validate_certificate(fam, cert, sp).passed
+    budget = cert.plan.budget
+    assert max(budget.tail, budget.projection, budget.quantization) < epsilon / 3.0
+    with tempfile.TemporaryDirectory() as work:
+        paths = [Path(work) / "a.json", Path(work) / "b.json"]
+        save_certificate(cert, paths[0])
+        save_certificate(build_certificate(fam, sp, epsilon, variant=variant), paths[1])
+        assert paths[0].read_bytes() == paths[1].read_bytes()

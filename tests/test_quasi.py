@@ -9,6 +9,7 @@ from lpcompact import (
     Gaussian,
     Grid,
     GridFunction,
+    HypothesisError,
     Indicator,
     ModelError,
     WeightedSpace,
@@ -197,6 +198,24 @@ def test_quasi_certificate_end_to_end(quasi_problem):
     report = validate_quasi_certificate(fam, cert, sp)
     assert report.passed
     np.testing.assert_allclose(report.distances, rec.audit_distances, rtol=1e-9)
+
+
+def test_quasi_refusal_names_the_epsilon_the_caller_passes(quasi_problem):
+    # below p = 1 the mesh is built for the roots at epsilon / c_max: the
+    # refusal names the least epsilon in the caller's terms, 3 2**dim c_max
+    # times the roots' largest one-cell modulus, rounded up, and that builds
+    grid, fam, sp, bound = quasi_problem
+    n = select_power(sp.p)
+    c_max = n * bound ** ((n - 1) / n)
+    top = translation_modulus(root_family(fam, n), root_space(sp, n), grid.cell_side, stencil="box")
+    least = 3.0 * 2.0 * c_max * top
+    with pytest.raises(HypothesisError) as err:
+        quasi_certificate(fam, sp, least * (1.0 - 1e-9))
+    assert err.value.criterion == "equicontinuity"
+    printed = float(str(err.value).split("; epsilon ")[1].removesuffix(" or above builds"))
+    assert least < printed <= least * (1.0 + 1e-5)
+    for epsilon in (least * (1.0 + 1e-9), printed):
+        assert validate_quasi_certificate(fam, quasi_certificate(fam, sp, epsilon), sp).passed
 
 
 def test_quasi_certificate_rejections(quasi_problem, grid1d, rng):
