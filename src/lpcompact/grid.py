@@ -16,6 +16,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -92,54 +93,80 @@ class Grid:
 
     def axis_centers(self) -> np.ndarray:
         """Cell centers along one axis; they sit at odd multiples of h/2."""
-        half = self.cells_per_axis // 2
-        return (np.arange(self.cells_per_axis) - half + 0.5) * self.cell_side
+        # in place, with the bits of (k - half + 0.5) * h: k - half + 0.5 is
+        # exact in floats
+        centers = np.arange(self.cells_per_axis, dtype=np.float64)
+        centers -= self.cells_per_axis // 2 - 0.5
+        centers *= self.cell_side
+        return centers
 
     def center_mesh(self) -> tuple[np.ndarray, ...]:
-        """Per-axis center coordinates broadcast to the full cell shape,
-        read-only so that every profile sampled on one mesh sees the same."""
+        """Per-axis center coordinates, one read-only array per axis shaped to
+        broadcast to ``shape`` (``np.meshgrid(..., sparse=True)``): every
+        profile sampled on one mesh sees the same, and an axis's own work runs
+        on its ``cells_per_axis`` values."""
         axes = [self.axis_centers() for _ in range(self.dim)]
-        mesh = tuple(np.meshgrid(*axes, indexing="ij"))
+        mesh = tuple(np.meshgrid(*axes, indexing="ij", sparse=True, copy=False))
         for c in mesh:
             c.flags.writeable = False
         return mesh
 
     def center_radii(self) -> np.ndarray:
         """Euclidean norm of every cell center."""
-        mesh = self.center_mesh()
-        return np.sqrt(sum(c * c for c in mesh))
+        return np.sqrt(functools.reduce(np.add, [c * c for c in self.center_mesh()]))
 
     def center_maxnorm(self) -> np.ndarray:
         """Sup-norm of every cell center."""
-        mesh = self.center_mesh()
-        return np.maximum.reduce([np.abs(c) for c in mesh])
+        return functools.reduce(np.maximum, [np.abs(c) for c in self.center_mesh()])
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """``arr``, made read-only: a fresh array handed to a ``GridFunction`` or a
+    certificate, which then keeps it without a copy."""
+    arr.flags.writeable = False
+    return arr
+
+
+def _kept(values) -> np.ndarray:
+    """``values`` itself when it is a float64 array that is read-only and owns
+    its data, so that no writable view of another array can change it;
+    anything else as a read-only float64 copy."""
+    if (
+        isinstance(values, np.ndarray)
+        and values.dtype == np.float64
+        and values.flags.owndata
+        and not values.flags.writeable
+    ):
+        return values
+    return _frozen(np.array(values, dtype=np.float64))
 
 
 @dataclass(frozen=True)
 class GridFunction:
     """A finite value per cell of a fixed grid; zero outside the ambient box.
 
-    Values are stored as a read-only float64 array of shape ``grid.shape``.
-    Functions on different grids never combine; there is no interpolation.
+    Values are stored as a read-only float64 array of shape ``grid.shape``:
+    one that is read-only and owns its data is kept as it is, anything else
+    is copied (``_kept``).  Functions on different grids never combine; there
+    is no interpolation.
     """
 
     grid: Grid
     values: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.values, dtype=np.float64)
+        arr = _kept(self.values)
         if arr.shape != self.grid.shape:
             raise ModelError(
                 f"values shape {arr.shape} does not match grid shape {self.grid.shape}"
             )
         if not np.all(np.isfinite(arr)):
             raise ModelError("grid function values must be finite")
-        arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
 
     @classmethod
     def zeros(cls, grid: Grid) -> "GridFunction":
-        return cls(grid, np.zeros(grid.shape))
+        return cls(grid, _frozen(np.zeros(grid.shape)))
 
     def _require_same_grid(self, other: "GridFunction") -> None:
         if self.grid != other.grid:
@@ -147,22 +174,22 @@ class GridFunction:
 
     def __add__(self, other: "GridFunction") -> "GridFunction":
         self._require_same_grid(other)
-        return GridFunction(self.grid, self.values + other.values)
+        return GridFunction(self.grid, _frozen(self.values + other.values))
 
     def __sub__(self, other: "GridFunction") -> "GridFunction":
         self._require_same_grid(other)
-        return GridFunction(self.grid, self.values - other.values)
+        return GridFunction(self.grid, _frozen(self.values - other.values))
 
     def __mul__(self, scalar: float) -> "GridFunction":
-        return GridFunction(self.grid, self.values * float(scalar))
+        return GridFunction(self.grid, _frozen(self.values * float(scalar)))
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "GridFunction":
-        return GridFunction(self.grid, -self.values)
+        return GridFunction(self.grid, _frozen(-self.values))
 
     def __abs__(self) -> "GridFunction":
-        return GridFunction(self.grid, np.abs(self.values))
+        return GridFunction(self.grid, _frozen(np.abs(self.values)))
 
 
 def _shift_slices(shape: tuple[int, ...], offsets: tuple[int, ...]):
@@ -345,4 +372,5 @@ def ball_average_field(f: GridFunction, radius: float) -> GridFunction:
     for dst, src, _ in (_shift_slices(f.grid.shape, k) for k in stencil):
         # acc starts at +0.0 and is never -0.0, so the zero strips add nothing
         acc[dst] += f.values[src]
-    return GridFunction(f.grid, acc / len(stencil))
+    acc /= len(stencil)
+    return GridFunction(f.grid, _frozen(acc))

@@ -33,6 +33,8 @@ from .grid import (
     GridFunction,
     _block_view,
     _first_positive_cells,
+    _frozen,
+    _kept,
     all_cube_averages,
     inside_mask,
 )
@@ -135,9 +137,7 @@ class NetCertificate:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ModelError(f"unknown projector variant {self.variant!r}")
-        arr = np.array(self.net_elements, dtype=np.float64)
-        arr.flags.writeable = False
-        object.__setattr__(self, "net_elements", arr)
+        object.__setattr__(self, "net_elements", _kept(self.net_elements))
 
     @property
     def partition(self) -> DyadicPartition:
@@ -317,7 +317,8 @@ def _write_cubes(
 
 def expand_coefficients(coeffs: np.ndarray, part: DyadicPartition) -> GridFunction:
     """Piecewise-constant function with the given value on each cube, zero outside."""
-    return GridFunction(part.grid, _write_cubes(np.zeros(part.grid.shape), coeffs, part))
+    values = _write_cubes(np.zeros(part.grid.shape), coeffs, part)
+    return GridFunction(part.grid, _frozen(values))
 
 
 def projection_error(
@@ -327,6 +328,7 @@ def projection_error(
     space: WeightedSpace,
     modulus: float,
     check: bool = False,
+    buffers: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[float, float]:
     """Measured projection error and its translation-modulus guarantee.
 
@@ -340,11 +342,16 @@ def projection_error(
     ``c**dim`` cube cells, a ratio strictly below ``2**dim``.
     With ``check=True`` a violation beyond ``1e-10 * ||f||`` (possible only
     through arithmetic error for p >= 1) raises; ||f|| is measured only once
-    the error exceeds the guarantee.
+    the error exceeds the guarantee.  ``buffers`` are two float64 arrays of
+    the grid's shape, the first zero outside the partition box, as a call
+    leaves it: a caller that measures every member passes one pair to each
+    call, so no call allocates.
     """
+    if buffers is None:
+        buffers = (np.zeros(f.grid.shape), np.empty(f.grid.shape))
+    diff, scratch = buffers
     # zero outside the partition box, f minus its cube's coefficient inside
-    diff = _write_cubes(np.zeros(f.grid.shape), coeffs, part, f.values)
-    scratch = np.empty(f.grid.shape)
+    _write_cubes(diff, coeffs, part, f.values)
     measured = _array_norm(diff, space, scratch)
     guarantee = 2.0 ** f.grid.dim * modulus
     if check and measured > guarantee:
@@ -388,7 +395,8 @@ def quantize_net(
     [-coeff_bound, coeff_bound]; with coeff_bound a lattice multiple the
     rounded values stay inside the same interval.  Every stage goes one row
     at a time, through row buffers and one (members, cubes) array whose
-    leading rows become the net.
+    leading rows become the net, handed over read-only for a certificate to
+    keep.
     """
     coeffs = np.asarray(coeff_vectors, dtype=np.float64)
     if coeffs.ndim != 2 or coeffs.shape[1] != part.n_cubes:
@@ -432,7 +440,13 @@ def quantize_net(
         )
         for c, j in zip(coeffs, assignment)
     )
-    return QuantizedNet(net_elements=elements, assignment=tuple(assignment), distances=distances)
+    del buf, scratch  # not live beside a copy of the net
+    # the certificate keeps the net without a copy: the whole lattice when no
+    # row merged, else a copy of its leading rows, and the lattice is freed
+    net = lattice if n_net == len(lattice) else elements.copy()
+    return QuantizedNet(
+        net_elements=_frozen(net), assignment=tuple(assignment), distances=distances
+    )
 
 
 def _net_distances(
@@ -490,10 +504,12 @@ def build_certificate(
 
     zeroed = nulls if variant == "vanishing" else None
     coeffs = np.stack([cube_projection(f, part, zeroed) for f in family.members])
+    buffers = (np.zeros(grid.shape), np.empty(grid.shape))
     proj_errors = [
-        projection_error(f, coeffs[k], part, space, shift_moduli[k], check=enforce)[0]
+        projection_error(f, coeffs[k], part, space, shift_moduli[k], enforce, buffers)[0]
         for k, f in enumerate(family.members)
     ]
+    del buffers
 
     chi_norm = indicator_norm(space, inside_mask(grid, 2.0 ** m, region="box"))
     if chi_norm > 0:
@@ -512,7 +528,7 @@ def build_certificate(
         coeff_bound += step
 
     quant = quantize_net(coeffs, step, coeff_bound, part, space)
-    del coeffs  # not live while the certificate copies the net
+    del coeffs  # not live beside the distances' buffers
 
     distances = _net_distances(
         family, quant.net_elements, quant.assignment, part, space, epsilon

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import HypothesisError, ModelError
-from .grid import GridFunction
+from .grid import GridFunction, _frozen
 from .moduli import Family, _translation_scan, bound_modulus
 from .netbuilder import (
     NetCertificate,
@@ -67,7 +67,7 @@ def power_transfer(f: GridFunction, n_power: int) -> GridFunction:
         raise ModelError(
             "power transfer needs nonnegative values; split signed members first"
         )
-    return GridFunction(f.grid, f.values ** (1.0 / n_power))
+    return GridFunction(f.grid, _frozen(f.values ** (1.0 / n_power)))
 
 
 def root_space(space: WeightedSpace, n_power: int) -> WeightedSpace:
@@ -93,9 +93,9 @@ def split_nonnegative(family: Family) -> Family:
     members = []
     labels = []
     for f, lab in zip(family.members, family.labels):
-        members.append(GridFunction(f.grid, np.maximum(f.values, 0.0)))
+        members.append(GridFunction(f.grid, _frozen(np.maximum(f.values, 0.0))))
         labels.append(f"{lab}+")
-        members.append(GridFunction(f.grid, np.maximum(-f.values, 0.0)))
+        members.append(GridFunction(f.grid, _frozen(np.maximum(-f.values, 0.0))))
         labels.append(f"{lab}-")
     return Family(grid=family.grid, members=tuple(members), labels=tuple(labels))
 

@@ -15,7 +15,7 @@ from pathlib import Path
 from .errors import SpecFileError
 from .grid import Grid
 from .moduli import Family
-from .profiles import Bump, Constant, Gaussian, Indicator, PowerLaw, Table, sample
+from .profiles import Bump, Constant, Gaussian, Indicator, PowerLaw, Table, _sample_all
 from .spaces import WeightedSpace
 
 __all__ = ["Problem", "parse_problem", "load_problem"]
@@ -164,7 +164,7 @@ def parse_problem(doc: dict, base_dir: Path | str = ".") -> Problem:
     sdoc = doc["space"]
     _require_keys(sdoc, ["p", "weight"], where="spec.space")
     weight_profile = _parse_profile(sdoc["weight"], base_dir, "spec.space.weight")
-    space = WeightedSpace(p=_number(sdoc, "p", "spec.space"), weight=sample(weight_profile, grid))
+    p = _number(sdoc, "p", "spec.space")
 
     mdoc = doc["members"]
     if not isinstance(mdoc, list) or not mdoc:
@@ -198,7 +198,11 @@ def parse_problem(doc: dict, base_dir: Path | str = ".") -> Problem:
     if len(set(labels)) != len(labels):
         raise SpecFileError("member labels must be unique")
 
-    family = Family.from_profiles(grid, profiles, labels)
+    # every spec error is raised above: the weight and the members are
+    # sampled on one center mesh
+    weight, *members = _sample_all((weight_profile, *profiles), grid)
+    space = WeightedSpace(p=p, weight=weight)
+    family = Family(grid=grid, members=members, labels=labels)
     return Problem(grid=grid, space=space, family=family, weight_profile=weight_profile)
 
 

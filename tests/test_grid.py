@@ -114,6 +114,47 @@ def test_gridfunction_owns_one_copy_of_its_values(grid1d):
     assert peak < 1.5 * g.values.nbytes
 
 
+def test_gridfunction_keeps_only_an_array_nothing_else_can_write(grid1d):
+    # a read-only float64 array that owns its data is shared; a writable one,
+    # a read-only view of a writable base and another dtype are copied
+    owned = np.arange(8.0)
+    owned.flags.writeable = False
+    assert GridFunction(grid1d, owned).values is owned
+    for values, base in [
+        (np.arange(8.0), None),
+        (np.arange(16.0)[::2], None),
+        (np.arange(8, dtype=np.float32), None),
+    ]:
+        kept = GridFunction(grid1d, values).values
+        assert kept.flags.owndata and not kept.flags.writeable
+        assert not np.shares_memory(kept, values)
+    base = np.arange(8.0)
+    view = base[:]
+    view.flags.writeable = False
+    f = GridFunction(grid1d, view)
+    assert not np.shares_memory(f.values, base)
+    base[0] = 5.0
+    assert f.values[0] == 0.0
+    # the checks hold for a kept array too
+    bad = np.array([np.nan] * 8)
+    bad.flags.writeable = False
+    with pytest.raises(ModelError, match="finite"):
+        GridFunction(grid1d, bad)
+    short = np.zeros(7)
+    short.flags.writeable = False
+    with pytest.raises(ModelError, match="shape"):
+        GridFunction(grid1d, short)
+
+
+def test_gridfunction_results_own_their_values(grid1d):
+    # every result a library operation makes is handed over without a copy
+    f = GridFunction(grid1d, np.arange(8.0))
+    for g in (f + f, f - f, f * 2.0, -f, abs(f), GridFunction.zeros(grid1d),
+              ball_average_field(f, 0.5)):
+        assert g.values.flags.owndata and not g.values.flags.writeable
+        assert not np.shares_memory(g.values, f.values)
+
+
 def test_gridfunction_arithmetic(grid1d):
     f = GridFunction(grid1d, np.arange(8.0))
     g = GridFunction(grid1d, np.ones(8))
@@ -282,12 +323,15 @@ def test_partition_reassembly(seed):
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_center_mesh_is_read_only(dim):
-    # profiles sampled together share one mesh, which none of them can change
+    # profiles sampled together share one mesh, which none of them can
+    # change: one array per axis, which broadcasts to the cell shape
     g = Grid(dim=dim, box_level=0, cell_exp=-2)
     mesh = g.center_mesh()
-    fresh = np.meshgrid(*[g.axis_centers()] * dim, indexing="ij")
+    fresh = np.meshgrid(*[g.axis_centers()] * dim, indexing="ij", sparse=True)
+    assert np.broadcast_shapes(*(c.shape for c in mesh)) == g.shape
     for c, f in zip(mesh, fresh, strict=True):
         assert not c.flags.writeable
         with pytest.raises(ValueError):
             c[(0,) * dim] = 1.0
+        assert c.shape == f.shape
         np.testing.assert_array_equal(c, f)

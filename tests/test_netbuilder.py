@@ -12,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from lpcompact import (
@@ -1112,15 +1112,19 @@ def test_cube_kernel_equals_expanded_reference(dim):
     # every distance after the mesh scan, against the expression it replaced
     for fam, part, space, coeffs in _cube_kernel_cases(dim):
         radius = 2.0 ** part.box_level
+        # one buffer pair serves every member of a partition, as in a build
+        buffers = (np.zeros(part.grid.shape), np.empty(part.grid.shape))
         for f, c in zip(fam.members, coeffs):
             np.testing.assert_array_equal(
                 expand_coefficients(c, part).values, _expand_by_repeat(c, part).values
             )
-            assert projection_error(f, c, part, space, 0.0)[0] == weighted_norm(
+            expected = weighted_norm(
                 GridFunction(f.grid, f.values * inside_mask(f.grid, radius, "box"))
                 - expand_coefficients(c, part),
                 space,
             )
+            assert projection_error(f, c, part, space, 0.0)[0] == expected
+            assert projection_error(f, c, part, space, 0.0, buffers=buffers)[0] == expected
         qn = quantize_net(coeffs, 0.5, 0.5 * math.ceil(np.max(np.abs(coeffs)) / 0.5), part, space)
         assert qn.distances == tuple(
             weighted_norm(expand_coefficients(c - qn.net_elements[j], part), space)
@@ -1276,6 +1280,10 @@ def _peak_share(call, nbytes):
 def test_quantize_net_peaks_at_the_net_and_a_few_rows(wide_net):
     coeffs, part, space, _, _ = wide_net
     assert _peak_share(lambda: quantize_net(coeffs, 0.1, 1.0, part, space), coeffs.nbytes) <= 1.5
+    # every row twice: the lattice of 16 rows, the copy of its 8 leading rows
+    # the net keeps and a row buffer, not the distances' two grid buffers too
+    twice = np.vstack([coeffs, coeffs])
+    assert _peak_share(lambda: quantize_net(twice, 0.1, 1.0, part, space), twice.nbytes) <= 1.6
 
 
 def test_validate_certificate_peaks_below_the_net(wide_net):
@@ -1394,26 +1402,36 @@ def test_build_computes_the_null_cube_mask_once(gauss_problem, monkeypatch):
     assert len(calls) == 1
 
 
-@settings(max_examples=25, deadline=None)
-@given(
-    seed=st.integers(min_value=0, max_value=2**32 - 1),
-    dim=st.sampled_from([1, 2]),
-    p=st.sampled_from([1.0, 1.5, 2.0, 3.0]),
-    kinds=st.lists(st.sampled_from(["gaussian", "bump", "indicator"]), min_size=1, max_size=4),
-    power=st.sampled_from([None, 0.5, 1.0]),
-    factor=st.floats(min_value=1.0, max_value=4.0, exclude_min=True),
-    variant=st.sampled_from(["banach", "vanishing"]),
-)
-def test_random_problem_builds_above_its_least_epsilon(seed, dim, p, kinds, power, factor, variant):
-    # end to end over random small problems: smooth members pass whole rings
-    # on their ring bounds, rough ones fall back to the screen.  At epsilon
-    # above the least that builds, 3 2**dim times the largest one-cell box
-    # modulus, the build validates, keeps every stage below epsilon / 3 and
-    # rebuilds byte for byte; just below that least epsilon it refuses
+def test_certificate_keeps_the_quantized_net_without_a_copy(gauss_problem, monkeypatch):
+    # the net quantize_net hands over is the certificate's: the whole lattice
+    # when no row merged, else a copy of its leading rows alone
+    grid, fam, space, bound = gauss_problem
+    nets = []
+    quantize = netbuilder.quantize_net
+    monkeypatch.setattr(netbuilder, "quantize_net", lambda *a: nets.append(quantize(*a)) or nets[-1])
+    twice = Family(grid, fam.members * 2, [*fam.labels, *(f"{lab}'" for lab in fam.labels)])
+    for family in (fam, twice):
+        cert = build_certificate(family, space, 0.1 * bound)
+        net = nets[-1].net_elements
+        assert cert.net_elements is net
+        assert net.flags.owndata and not net.flags.writeable
+        assert replace(cert, labels=family.labels).net_elements is net
+    assert len(fam) == cert.n_net < len(twice)
+    writable = np.array(cert.net_elements)
+    assert not np.shares_memory(replace(cert, net_elements=writable).net_elements, writable)
+
+
+def _random_problem(seed, dim, p, kinds, power, support):
+    """A random small problem: 1-4 Gaussian, bump or indicator members on a
+    grid of at most 2**8 cells per axis, under a constant weight or |x|**power,
+    cut to the box of half-width ``support`` when that is given."""
     rng = np.random.default_rng(seed)
     cells = int(rng.integers(5, 9)) if dim == 1 else int(rng.integers(4, 7))
     grid = Grid(dim=dim, box_level=0, cell_exp=1 - cells)
-    weight = Constant(1.0) if power is None else PowerLaw(power)
+    if support is not None:
+        weight = PowerLaw(power or 0.0, support=support)
+    else:
+        weight = Constant(1.0) if power is None else PowerLaw(power)
     sp = WeightedSpace(p, sample(weight, grid))
 
     def center():
@@ -1425,17 +1443,95 @@ def test_random_problem_builds_above_its_least_epsilon(seed, dim, p, kinds, powe
         "bump": lambda: Bump(center=center(), radius=float(rng.uniform(0.2, 0.8))),
         "indicator": lambda: Indicator(center=center(), radius=float(rng.uniform(0.1, 0.5))),
     }
-    fam = Family.from_profiles(grid, [profiles[k]() for k in kinds])
+    return grid, Family.from_profiles(grid, [profiles[k]() for k in kinds]), sp
+
+
+def _assert_rebuilds_byte_for_byte(build):
+    with tempfile.TemporaryDirectory() as work:
+        paths = [Path(work) / "a.json", Path(work) / "b.json"]
+        for path in paths:
+            save_certificate(build(), path)
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+_RANDOM_PROBLEM = dict(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    dim=st.sampled_from([1, 2]),
+    kinds=st.lists(st.sampled_from(["gaussian", "bump", "indicator"]), min_size=1, max_size=4),
+    power=st.sampled_from([None, 0.5, 1.0]),
+    support=st.sampled_from([None, 0.3, 0.6]),
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    **_RANDOM_PROBLEM,
+    p=st.sampled_from([1.0, 1.5, 2.0, 3.0]),
+    factor=st.floats(min_value=1.0, max_value=4.0, exclude_min=True),
+    variant=st.sampled_from(["banach", "vanishing"]),
+)
+def test_random_problem_builds_above_its_least_epsilon(
+    seed, dim, p, kinds, power, support, factor, variant
+):
+    # end to end over random small problems: smooth members pass whole rings
+    # on their ring bounds, rough ones fall back to the screen.  At epsilon
+    # above the least that builds, 3 2**dim times the largest one-cell box
+    # modulus, the build validates, keeps every stage below epsilon / 3 and
+    # rebuilds byte for byte; just below that least epsilon it refuses.  A
+    # weight cut to a box inside the grid vanishes on a frame of null cubes,
+    # which the vanishing variant zeroes
+    if support is not None:
+        variant = "vanishing"
+    grid, fam, sp = _random_problem(seed, dim, p, kinds, power, support)
     least = 3.0 * 2.0**dim * translation_modulus(fam, sp, grid.cell_side, stencil="box")
+    # members that the weight does not see have nothing to refuse
+    assume(least > 0)
     with pytest.raises(HypothesisError):
         build_certificate(fam, sp, least * (1.0 - 1e-9), variant=variant)
     epsilon = least * factor
     cert = build_certificate(fam, sp, epsilon, variant=variant)
     assert validate_certificate(fam, cert, sp).passed
+    # the null cubes are those on which the weight vanishes
+    part = cert.partition
+    blocks = sp.weight.values[part.inside_slices()].reshape(
+        (part.cubes_per_axis, part.cells_per_cube_axis) * dim
+    )
+    null = np.flatnonzero(np.max(blocks, axis=(1, 3)[:dim]).ravel() == 0.0)
+    assert cert.null_cubes == (tuple(null.tolist()) if variant == "vanishing" else ())
     budget = cert.plan.budget
     assert max(budget.tail, budget.projection, budget.quantization) < epsilon / 3.0
-    with tempfile.TemporaryDirectory() as work:
-        paths = [Path(work) / "a.json", Path(work) / "b.json"]
-        save_certificate(cert, paths[0])
-        save_certificate(build_certificate(fam, sp, epsilon, variant=variant), paths[1])
-        assert paths[0].read_bytes() == paths[1].read_bytes()
+    _assert_rebuilds_byte_for_byte(lambda: build_certificate(fam, sp, epsilon, variant=variant))
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    **_RANDOM_PROBLEM,
+    p=st.sampled_from([0.5, 0.75]),
+    factor=st.floats(min_value=1.0 + 1e-9, max_value=4.0),
+    variant=st.sampled_from(["banach", "vanishing"]),
+)
+def test_random_quasi_problem_builds_above_its_least_epsilon(
+    seed, dim, p, kinds, power, support, factor, variant
+):
+    # below p = 1 through the power transfer: the roots' mesh is built at
+    # epsilon / c_max, so the least epsilon is c_max times the roots' least,
+    # up to the rounding of that quotient, which the 1e-9 margins cover
+    if support is not None:
+        variant = "vanishing"
+    grid, fam, sp = _random_problem(seed, dim, p, kinds, power, support)
+    n = math.floor(1.0 / p) + 1
+    roots = Family(grid, [GridFunction(grid, f.values ** (1.0 / n)) for f in fam.members],
+                   fam.labels)
+    modulus = translation_modulus(roots, WeightedSpace(p * n, sp.weight), grid.cell_side, "box")
+    c_max = n * bound_modulus(fam, sp) ** ((n - 1) / n)
+    least = 3.0 * 2.0**dim * c_max * modulus
+    assume(least > 0)
+    with pytest.raises(HypothesisError, match="or above builds"):
+        quasi_certificate(fam, sp, least * (1.0 - 1e-9), variant=variant)
+    epsilon = least * factor
+    cert = quasi_certificate(fam, sp, epsilon, variant=variant)
+    assert validate_quasi_certificate(fam, cert, sp).passed
+    assert max(cert.quasi.audit_distances) < epsilon
+    budget = cert.plan.budget
+    assert max(budget.tail, budget.projection, budget.quantization) < cert.plan.epsilon / 3.0
+    _assert_rebuilds_byte_for_byte(lambda: quasi_certificate(fam, sp, epsilon, variant=variant))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lpcompact import Bump, Constant, Gaussian, Grid, Indicator, ModelError, PowerLaw, Table, sample
+from lpcompact.profiles import _sample_all
 
 
 def test_constant(grid1d):
@@ -151,3 +152,99 @@ def test_gaussian_and_constant_match_closed_forms(grid):
     r2 = sum((x - 0.3) ** 2 for x in mesh)
     expected = 1.0 * np.exp(-r2 / (2.0 * 2 ** 2))
     assert sample(Gaussian(center=0.3, sigma=2), grid).values.tobytes() == expected.tobytes()
+
+
+def _dense_reference(profile, grid):
+    """The profile's closed form on the full (dense) center mesh, operation
+    for operation as every profile evaluated before the mesh broadcast."""
+    n = grid.cells_per_axis
+    axis = (np.arange(n) - n // 2 + 0.5) * grid.cell_side
+    mesh = np.meshgrid(*[axis] * grid.dim, indexing="ij")
+
+    def centre():
+        c = np.atleast_1d(np.asarray(profile.center, dtype=np.float64))
+        return np.repeat(c, grid.dim) if c.shape == (1,) else c
+
+    def distance():
+        return np.sqrt(sum((x - x0) ** 2 for x, x0 in zip(mesh, centre())))
+
+    with np.errstate(over="ignore"):
+        if isinstance(profile, Constant):
+            return np.full_like(mesh[0], float(profile.value))
+        if isinstance(profile, Gaussian):
+            r2 = sum((x - x0) ** 2 for x, x0 in zip(mesh, centre()))
+            return profile.amplitude * np.exp(-r2 / (2.0 * np.float64(profile.sigma) ** 2))
+        if isinstance(profile, Bump):
+            t2 = (distance() / profile.radius) ** 2
+            out = np.zeros_like(mesh[0])
+            inside = t2 < 1.0
+            out[inside] = profile.amplitude * np.exp(1.0 - 1.0 / (1.0 - t2[inside]))
+            return out
+        if isinstance(profile, Indicator):
+            return np.where(distance() < profile.radius, 1.0, 0.0)
+        if isinstance(profile, PowerLaw):
+            out = np.sqrt(sum(c * c for c in mesh)) ** profile.exponent
+            if profile.support is not None:
+                maxnorm = np.maximum.reduce([np.abs(c) for c in mesh])
+                out = np.where(maxnorm < profile.support, out, 0.0)
+            return out
+    return np.array(profile.values, dtype=np.float64)
+
+
+def _profiles_of_every_kind(grid, rng):
+    def centre():
+        c = rng.uniform(-1.0, 1.0, grid.dim)
+        return float(c[0]) if grid.dim == 1 else tuple(float(x) for x in c)
+
+    amplitude = float(rng.normal(0.0, 10.0))
+    return [
+        Constant(float(rng.normal())),
+        Gaussian(center=centre(), sigma=float(rng.uniform(0.05, 2.0))),
+        Gaussian(center=centre(), sigma=float(rng.uniform(0.05, 2.0)), amplitude=amplitude),
+        Gaussian(center=0.25, sigma=float(rng.uniform(0.05, 2.0)), amplitude=1.0),
+        # 2 sigma**2 overflows: the flat profile, at amplitude 1 and not
+        Gaussian(center=centre(), sigma=1e200),
+        Gaussian(center=centre(), sigma=1e200, amplitude=amplitude),
+        Bump(center=centre(), radius=float(rng.uniform(0.2, 2.0))),
+        Bump(center=centre(), radius=float(rng.uniform(0.2, 2.0)), amplitude=amplitude),
+        Indicator(center=centre(), radius=float(rng.uniform(0.2, 2.0))),
+        PowerLaw(float(rng.uniform(-1.5, 2.5))),
+        PowerLaw(float(rng.uniform(-1.5, 2.5)), support=float(rng.uniform(0.1, 1.5))),
+        Table(values=tuple(np.round(rng.normal(size=grid.shape), 3).tolist())),
+    ]
+
+
+@pytest.mark.parametrize(
+    "grid", [Grid(dim=1, box_level=1, cell_exp=-5), Grid(dim=2, box_level=1, cell_exp=-3)],
+    ids=["1d", "2d"],
+)
+def test_every_profile_samples_as_its_dense_closed_form(grid):
+    # the broadcast mesh, the sign folded into the Gaussian's divisor and the
+    # product by an amplitude of 1 skipped leave every bit as it was
+    rng = np.random.default_rng(grid.dim)
+    for _ in range(5):
+        for profile in _profiles_of_every_kind(grid, rng):
+            expected = _dense_reference(profile, grid)
+            got = sample(profile, grid).values
+            assert got.shape == grid.shape
+            np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
+
+
+def test_a_sample_is_kept_and_checked_for_finiteness_once(monkeypatch):
+    # a spec's weight and members are evaluated into fresh arrays, which their
+    # GridFunctions keep read-only, with one finiteness pass over each
+    grid = Grid(dim=2, box_level=1, cell_exp=-3)
+    profiles = _profiles_of_every_kind(grid, np.random.default_rng(5))
+    passes = []
+    isfinite = np.isfinite
+
+    def counted(x, *args, **kwargs):
+        if np.size(x) == grid.n_cells:
+            passes.append(1)
+        return isfinite(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "isfinite", counted)
+    sampled = _sample_all(profiles, grid)
+    assert len(passes) == len(profiles)
+    for f in sampled:
+        assert f.values.flags.owndata and not f.values.flags.writeable

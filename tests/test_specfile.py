@@ -53,9 +53,9 @@ def test_parse_full_document():
 
 
 
-def test_parse_samples_on_two_center_meshes(monkeypatch):
-    # the weight on one mesh, then all four members on another, where every
-    # profile used to build its own
+def test_parse_samples_on_one_center_mesh(monkeypatch):
+    # the weight and all four members on one mesh, where the weight and the
+    # members used to take one each, and every profile before that its own
     calls = []
     center_mesh = Grid.center_mesh
 
@@ -65,7 +65,16 @@ def test_parse_samples_on_two_center_meshes(monkeypatch):
 
     monkeypatch.setattr(Grid, "center_mesh", counted)
     prob = parse_problem(base_doc())
-    assert calls == [prob.grid, prob.grid]
+    assert calls == [prob.grid]
+    # a spec error in the last member or in the labels is raised before
+    # anything is sampled
+    for edit in (lambda d: d["members"][3].update(radius="wide"),
+                 lambda d: d.update(labels=["a", "a", "b", "c"])):
+        doc = base_doc()
+        edit(doc)
+        with pytest.raises(SpecFileError):
+            parse_problem(doc)
+    assert calls == [prob.grid]
 
 
 def test_top_level_labels_override():
