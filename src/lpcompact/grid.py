@@ -338,7 +338,7 @@ def _shift_ring(grid: Grid, inner: float, radius: float, kind: str) -> list[tupl
     Euclidean norm, a sum of (k_i h)**2, is compared with the squared radii.
     A ring with inner >= 0 is symmetric and omits zero, so its order lists a
     first half, then that half negated in reverse (entries i and n - 1 - i
-    are k and -k): the layout the mesh screen pairs shifts by.
+    are k and -k).
     """
     if kind not in ("ball", "box"):
         raise ModelError(f"unknown stencil kind {kind!r}")

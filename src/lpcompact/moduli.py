@@ -153,39 +153,21 @@ def translation_modulus(
     return max(moduli())
 
 
-# a shift's float32 dot goes in blocks of at most this many cells of the
-# last axis, one ``vecdot`` row each, summed by ``math.fsum``: each block
-# then rounds within Higham's gamma of its length, and no dot is long enough
-# for OpenBLAS to hand it to its threads, which can stall for milliseconds
+# the ring bound's dots go in rows of at most this many cells, one
+# ``vecdot`` row each, summed by ``math.fsum``: each row then rounds within
+# Higham's gamma of its length, and no dot is long enough for OpenBLAS to
+# hand it to its threads, which can stall for milliseconds
 _DOT_BLOCK = 2048
 _UNIT_ROUNDOFF = 2.0**-53
 # pow(total, 1 / p) in ``_sum_root`` is within an ulp of the real root, and
 # pow of a bound within an ulp; 8 ulps cover both
 _ROOT_SLACK = 2.0**-50
 _HALF_MAX = sys.float_info.max / 2.0
-# the per-term error ``_PowerScreen`` allows the kernel's np.power(x, p):
-# relative to x**p, plus _TINY absolute (a flushed or inexact subnormal).
-# libm's pow is within an ulp and numpy's SIMD loops within a few; 2**-40 is
-# some 4,000 ulps
+# the per-term error ``_RingBound`` allows np.power(x, p), its own and the
+# kernel's: relative to x**p, plus _TINY absolute (a flushed or inexact
+# subnormal).  libm's pow is within an ulp and numpy's SIMD loops within a
+# few; 2**-40 is some 4,000 ulps
 _POWER_SLACK = 2.0**-40
-# the screen's float32 unit roundoff and smallest normal float32
-_FLOAT32_ROUNDOFF = 2.0**-24
-_FLOAT32_TINY = 2.0**-126
-# the per-term error the screen allows float32 np.power(x, p) once p is
-# rounded to float32: relative to x**p32, plus 2**-126 absolute.  numpy's
-# float32 loops are within 2 u32
-_FLOAT32_LOOP_SLACK = 8.0 * _FLOAT32_ROUNDOFF
-# x ** (1 / p), with the exponent rounded (by at most 2**-54 at p >= 1), is
-# within |ln x| * 2**-54 and an ulp of x**(1/p): under 2**-44 over the float
-# range
-_NORM_SLACK = 2.0**-44
-# the screen scales members so that a difference's power is at most
-# 2**_TERM_EXP; with weights below 2**49 a block of 2**11 terms sums below
-# 2**112.5, inside float32
-_TERM_EXP = 52.5
-# a member the screen serves takes no power past 2**_KERNEL_EXP in the
-# kernel, inside the range np.power's slack is pinned on
-_KERNEL_EXP = 1021.5
 
 
 def _translation_scan(
@@ -200,81 +182,57 @@ def _translation_scan(
 
     Each radius adds the ring of shifts the smaller radii lacked
     (``_shift_ring``).  Radii, then members, then shifts go in stencil order.
-    At a finite threshold on a 1-D grid at p >= 1, each member's ring bounds
-    (``_RingBound``) are taken first, up the reaches of the radii to the
-    first that reaches the threshold, and a ring passes whole where the
-    bounds at its reach or beyond, which cover every shift up to there, are
-    below the threshold.  Every other ring takes bounds on each shift's
-    exact norm from ``_PowerScreen``, shift by shift as the walk goes: a
-    shift surely below the threshold passes, one surely at or above it
-    fails, and ``_shift_norm`` measures any other.  The first radius is gone
-    through in full; past it the first failing shift ends the walk before
-    that radius is yielded, and the screen forms no powers past that shift's
-    pair of k and -k.
+    On a 1-D grid at p >= 1, each member's ring bounds (``_RingBound``) are
+    taken first, up the reaches of the radii to the first that reaches the
+    threshold, and a ring passes whole where the bounds at its reach or
+    beyond, which cover every shift up to there, are below the threshold.
+    ``_shift_norm`` measures every shift of every other ring.  The first
+    radius is gone through in full; past it the first failing shift ends the
+    walk before that radius is yielded.
 
-    At the end of a radius each member keeps only the screened shifts whose
-    upper bound reaches its largest lower bound so far.  That bound only
-    rises, so the shift of the maximum stays, and the moduli are the largest
-    exact norms among the kept shifts.  Reading them first resolves the
-    shifts a member's ring bounds cover (``resolve``), then measures the kept
-    shifts not measured yet and keeps the shifts of the maximum, with their
-    norm as both bounds, so no (member, shift) is measured twice.  The result
-    is that of the exact scan, bit for bit.
+    Each member keeps the largest exact norm so far, its top.  Reading the
+    moduli first resolves the shifts a member's ring bounds cover and no
+    reading has met (``resolve``), so no (member, shift) is measured twice,
+    and the result is that of the exact scan, bit for bit.
     """
     _check_space(family, space)
     grid = family.grid
     errors = np.geterr()
-    # the kernel's buffer, and a cell past it for the ring bound's powers
-    work = np.empty(grid.n_cells + 1)
-    diff = work[:-1].reshape(grid.shape)
+    diff = np.empty(grid.shape)
     radii = list(radii)
     # per member, the ring bounds below the threshold as (reach, bounds) up
     # the reaches of the radii, and the bounds one cell inside the last
     passing, inside = [[] for _ in family.members], [(0, None)] * len(family)
+    reaches = sorted({_shift_reach(grid, r) for r in radii if math.isfinite(r)} - {0})
     bound = None
-    if threshold < math.inf and grid.dim == 1 and space.p >= 1.0:
-        bound = _RingBound(family, space, work)
-        reaches = sorted({_shift_reach(grid, r) for r in radii if math.isfinite(r)} - {0})
+    if grid.dim == 1 and space.p >= 1.0 and reaches:
+        bound = _RingBound(family, space)
         with np.errstate(over="ignore", invalid="ignore"):
             for j in range(len(family)):
                 passing[j], inside[j] = bound.passing(j, reaches, threshold)
-    screen = None
 
     def exact(j, k):
         return _shift_norm(family.members[j].values, k, space, diff, errors)
 
-    def screened(reach, offsets) -> list:
-        """Per member, the screen's enclosures over the ring ``offsets``."""
-        nonlocal screen
-        if screen is None or screen.room < reach:
-            screen = _PowerScreen(family, space, reach, diff)
-        return list(screen.enclosures(offsets))
-
     def resolve(j):
-        """Fold the shifts member j's ring bounds cover, and which no reading
-        has met, into its kept shifts.  The outer shift of the direction with
-        the larger bound is measured, and the other direction's too unless
-        its bound is below the top so far; the shifts inside are dropped
-        where the bounds one cell in are below the top in both directions,
-        and screened otherwise."""
-        reach, bounds = covered[j]
-        for high, k in sorted(zip(bounds, [(reach,), (-reach,)]), reverse=True):
-            if high < top[j]:
+        """Fold into member j's top the shifts its ring bounds cover and no
+        reading has met, walking in from the outer shifts: at each r, the
+        shift by r or -r is measured where its bound at r (at the outer
+        shifts, the bound that passed their ring) reaches the top, the larger
+        bound first, and the walk stops at the first r whose bounds are both
+        below the top, as every shift inside is."""
+        (reach, bounds), at = covered[j], None
+        for r in range(reach, resolved[j], -1):
+            if r < reach:
+                cells, bounds = inside[j]
+                if r != cells:
+                    at = at or bound.member(j)
+                    bounds = at(r)
+            if max(bounds) < top[j]:
                 break
-            norm = exact(j, k)
-            kept[j].append((k, norm, norm))
-            top[j] = max(top[j], norm)
-        cells, bounds = inside[j]
-        if reach - 1 > resolved[j] and not max(
-            bounds if cells == reach - 1 else bound.member(j)(reach - 1)
-        ) < top[j]:
-            h = grid.cell_side
-            offsets = _shift_ring(grid, resolved[j] * h, (reach - 1) * h, stencil)
-            enclosures = screened(reach - 1, offsets)[j]
-            ring = [(k, low, high) for k, (low, high) in zip(offsets, enclosures, strict=True)]
-            top[j] = max((top[j], *(low for _, low, _ in ring)))
-            kept[j] += ring
-        kept[j] = [s for s in kept[j] if s[2] >= top[j]]
+            for high, k in sorted(zip(bounds, [(r,), (-r,)]), reverse=True):
+                if not high < top[j]:
+                    top[j] = max(top[j], exact(j, k))
         resolved[j] = reach
 
     def confirm() -> tuple[float, ...]:
@@ -282,16 +240,11 @@ def _translation_scan(
             for j in range(len(family)):
                 if covered[j][0] > resolved[j]:
                     resolve(j)
-                norms = [low if low == high else exact(j, k) for k, low, high in kept[j]]
-                top[j] = max(norms)
-                kept[j] = [(s[0], norm, norm) for s, norm in zip(kept[j], norms) if norm == top[j]]
         return tuple(top)
 
-    # per member, the largest lower bound so far and the kept shifts, each
-    # as (shift, lower bound, upper bound); a measured shift carries its norm
-    # as both bounds.  Then the reach in cells the ring bounds cover with
-    # their bounds there, and the reach up to which readings resolved them
-    top, kept = [-math.inf] * len(family), [[] for _ in family.members]
+    # per member, the top; the reach in cells its ring bounds cover, with
+    # their bounds there; and the reach up to which readings resolved them
+    top = [-math.inf] * len(family)
     covered, resolved = [(0, None)] * len(family), [0] * len(family)
     inner = 0.0
     for n, radius in enumerate(radii):
@@ -302,27 +255,25 @@ def _translation_scan(
                 f"(cell side {grid.cell_side})"
             )
         reach = max(map(abs, itertools.chain.from_iterable(offsets)), default=0)
-        rings, decided, fails = [[] for _ in family.members], {}, False
-        enclosures = None
+        # the ring's largest norm per member measured, and the members its
+        # bounds cover, folded in only once the ring is through: a walk that
+        # stops in a ring leaves the last radius yielded as it was
+        ring, decided, fails = {}, {}, False
         with np.errstate(over="ignore", invalid="ignore"):
-            # a radius that adds no shift loads no member into the screen
             for j in range(len(family)) if offsets else ():
                 cover = next((b for cells, b in passing[j] if cells >= reach), None)
                 if cover:
                     decided[j] = reach, cover
                     continue
-                enclosures = enclosures or screened(reach, offsets)
-                for k, (low, high) in zip(offsets, enclosures[j], strict=True):
-                    if not high < threshold and not low >= threshold:
-                        low = high = exact(j, k)
-                    if not high < threshold:
+                for k in offsets:
+                    norm = exact(j, k)
+                    if not norm < threshold:
                         if n:
                             return
                         fails = True
-                    rings[j].append((k, low, high))
-        for j, ring in enumerate(rings):
-            top[j] = max((top[j], *(low for _, low, _ in ring)))
-            kept[j] = [s for s in (*kept[j], *ring) if s[2] >= top[j]]
+                    ring[j] = max(ring.get(j, -math.inf), norm)
+        for j, norm in ring.items():
+            top[j] = max(top[j], norm)
         for j, cover in decided.items():
             covered[j] = cover
         yield fails, confirm
@@ -364,28 +315,32 @@ class _RingBound:
       row within gamma of its length, plus 2**-1074 per underflowing
       product) and their difference (within that gamma of their sum), and
       K**(p - 1) (p - 1 rounded, and pow within an ulp, within 64 p u).
-    - The kernel: its subtraction, within (1 + u)**p, its np.power and
-      pairwise sum (``_PowerScreen``'s gamma), and the sum's underflows
-      (``_PowerScreen``'s lost).  Where its sum falls below
-      ``space._sum_floor``, ``_array_norm`` measures |d| / s again, with s =
-      max|d| <= 2 max|f| on the weight's support, and its underflows weigh s**p
-      times as much, so lost is taken max(1, (2 max|f|)**p) times; a member
-      with that past the float range gets the bound inf, as its differences
-      may not even be finite.  The kernel's root, s times the sum to the
-      rounded 1 / p, lies within 2**-43 / p of the real root of its power
-      sum, which the bound's sum covers with 2**-40 more.
+    - The kernel: its subtraction, within (1 + u)**p; its np.power, within
+      ``_POWER_SLACK`` of |d|**p plus ``_TINY`` per term, and its pairwise
+      sum of each power times w, rounded once, within 2 ``_POWER_SLACK`` + 8
+      gamma_(N+4) of the real sum; and the sum's underflows, ``lost``, four
+      times the underflow of N cells under the heaviest weight.  Where its
+      sum falls below ``space._sum_floor``, ``_array_norm`` measures |d| / s
+      again, with s = max|d| <= 2 max|f| on the weight's support, and its
+      underflows weigh s**p times as much, so lost is taken max(1, (2
+      max|f|)**p) times; a member with that past the float range gets the
+      bound inf, as its differences may not even be finite.  The kernel's
+      root, s times the sum to the rounded 1 / p, lies within 2**-43 / p of
+      the real root of its power sum, which the bound's sum covers with
+      2**-40 more.
 
-    ``_root_bounds`` then raises the bound to 1 / p, and gives inf for a sum
+    ``_root_bound`` then raises the bound to 1 / p, and gives inf for a sum
     outside [``space._sum_floor``, max / 2], or an inf or NaN, which decides
     nothing.  Used under ``np.errstate(over="ignore", invalid="ignore")``.
     """
 
-    def __init__(self, family: Family, space: WeightedSpace, work: np.ndarray):
+    def __init__(self, family: Family, space: WeightedSpace):
         cells, p, u = family.grid.n_cells, space.p, _UNIT_ROUNDOFF
         weight = space.weight.values
-        # the kernel's buffer and a cell past it, free between the kernel's
-        # calls, holds one member's powers from ``member`` to its last ``at``
-        self.family, self.space, self.powers = family, space, work
+        self.family, self.space = family, space
+        # one member's powers, in the bound's own buffer, so that exact norms
+        # may run between its reads
+        self.powers = np.empty(cells + 1)
         self.block = math.gcd(cells, _DOT_BLOCK)
         self.prefix = None
         self.total = float(self._padded(0)[0][-1])
@@ -400,7 +355,8 @@ class _RingBound:
 
     def _padded(self, reach: int):
         """The prefix sum padded by ``room`` cells, at least ``reach`` and a
-        sixteenth of the grid as the screen's pad is, and that room."""
+        sixteenth of the grid, so that short reaches never grow it, and that
+        room."""
         if self.prefix is None or self.room < reach:
             cells = self.family.grid.n_cells
             # the old buffer goes before the new one is formed
@@ -419,7 +375,7 @@ class _RingBound:
     def member(self, j: int):
         """Form member j's differences and return the function that gives,
         per K, the bounds on the norms of its shifts by 1 to K and by -1 to
-        -K cells: it reads the shared buffers, so only until the next member
+        -K cells: it reads the bound's buffer, so only until the next member
         is formed."""
         f = self.family.members[j].values
         cells, p, powers = f.size, self.space.p, self.powers
@@ -461,7 +417,7 @@ class _RingBound:
             ahead = ahead - ahead_here + self.dot_error * (ahead + ahead_here)
             behind = behind_here - behind + self.dot_error * (behind_here + behind)
             return tuple(
-                _root_bounds(total, total, self.space)[1]
+                _root_bound(total, self.space)
                 for total in ((ahead + extra) * scale + lost, (behind + extra) * scale + lost)
             )
 
@@ -494,282 +450,18 @@ class _RingBound:
         return passed, (0, None)
 
 
-class _PowerScreen:
-    """Enclosures of the norms the exact kernel computes, for a whole ring
-    of shifts of one member at a time: the bounds the translation scan
-    decides from where ring bounds do not.  Each shift is screened in
-    float32, the same way at every p >= 1.
-
-    N(g) = (sum_x w(x) |g(x)|**p)**(1/p) is the weighted norm, a norm at
-    p >= 1, and N_1 the unweighted one.  The weight is scaled by 2**-s (max w
-    2**-s in [2**48, 2**49)), and member j by 2**-t: t is the least multiple
-    of q that puts max|f| 2**-t below 2**m, m = floor(52.5 / p) - 1, where q
-    is the denominator of p if that is at most 8 (p t is then an integer) and
-    1 otherwise.  So a scaled difference's power is at most 2**52.5
-    (``_TERM_EXP``).  A scaled value or weight below 2**-126 is flushed to 0,
-    so that float32 never runs on a subnormal input (a member is checked for
-    such values once), and the rest are rounded to float32 once.  All that
-    follows is in these scaled units; a sum goes back by the factor 2**(p t
-    + s), exactly where p t + s is an integer and otherwise as a power of two
-    times a float within 2**-51 of 2**frac(p t + s).  The window at room - k
-    of the zero-padded member holds f(x - k).  Each pair of shifts k and -k
-    takes the difference d' of the windows at k and 0 over the grid and the
-    grid moved by k, and its power (|d'| at p = 1, d' d' at 2, |d'| sqrt|d'|
-    at 1.5, d' d' |d'| at 3, float32 np.power at any other p); since
-    d'_-k(x) = -d'_k(x + k) in float32 too, k reads its terms over the grid
-    and -k over the grid moved by k (``windows``).  Each shift's sum is a dot
-    with the weight in blocks of the last axis (one ``vecdot``), whose sums
-    ``math.fsum`` adds with one rounding.
-
-    - Minkowski.  The member's rounding e_j = fl32(f) - f (flushes included)
-      is exact in float64, and d' - d, against the kernel's float64
-      difference d, is e_j(x - k) - e_j(x), plus the roundings of the two
-      subtractions (u32 = 2**-24 of |d'|, u of |d|) and, should a
-      flush-to-zero mode take a subnormal d' to 0, 2**-126.  N(e_j) and
-      N(e_j(. - k)) are at most (max w)**(1/p) N_1(e_j), so |N(d') - N(d)|
-      <= N(d' - d) <= 2 u32 N(d') + rho_j, with one number per member rho_j
-      = 2 (max w)**(1/p) N_1(e_j) + 2**-126 (N max w)**(1/p) over the N
-      cells, with N_1(e_j) bounded from above as np.power's slack allows.
-      Cancellation in d costs nothing: rho_j does not depend on the shift.
-    - The float32 sum S.  The roundings of the weight, the power (at most
-      two IEEE operations, or np.power within ``_FLOAT32_LOOP_SLACK`` of
-      x**p32 for p rounded to float32, p32, and x**p32 within 2**(150 |p32 -
-      p|) - 1 of x**p over the float32 range) and a block's dot (any order),
-      and the rounding of the sum of the blocks (within Higham's bound for a
-      float64 sum of them), put the real sum of w |d'|**p within
-      ``spread`` S of S (Higham, Accuracy and Stability, 3.1), up to
-      ``underflow``: a float32 result that underflows, even to 0, is off by
-      at most 2**-126, and a weight flushed to 0 drops a term below 2**-126
-      |d'|**p <= 2**-73.5.
-    - The kernel.  np.power is taken to be within ``_POWER_SLACK`` (eta) of
-      |d|**p plus ``_TINY`` per term, and the kernel rounds each power times
-      w once and sums pairwise: within ``gamma`` = 2 eta + 8 (N + 4) u / (1 -
-      (N + 4) u) of the real sum N(d)**p, which also covers the roundings of
-      the bound itself, up to ``lost``, four times the underflow of N cells.
-
-    So N(d) lies in [n_lo, n_hi] (``_norm_bounds``), n_lo = ((S - underflow)
-    (1 - spread))**(1/p) (1 - 3 u32) - rho_j and n_hi = ((S + underflow)
-    (1 + 2 spread))**(1/p) (1 + 3 u32) + rho_j, and the kernel's sum within
-    gamma of [max(n_lo, 0)**p, n_hi**p], up to lost; ``_root_bounds`` turns
-    that enclosure into bounds on the norm.  Where the allowances are far
-    below the sum, the bounds on the norm are within 2 rho_j (cell_volume
-    2**(p t + s))**(1/p) + (3 / p + 1) spread hi of each other.
-
-    A member with max|f| above 2**(1021.5 / p - 1) (2**680 at p = 1.5) could
-    take a power past 2**1021.5 (``_KERNEL_EXP``) in the kernel, so it gets
-    the bounds -inf and inf at every shift.  So does every member at p < 1,
-    where N is no norm, and wherever p (m - q) < -126 (at every p above 63),
-    where a member's scaled powers may all fall below float32's range; and
-    so does any shift not vouched for.  A member is set up, t and rho_j, the
-    first time it is screened (``members``), with its rounding measured in
-    the kernel's buffer.  Used under ``np.errstate(over="ignore",
-    invalid="ignore")``.
-    """
-
-    def __init__(self, family: Family, space: WeightedSpace, reach: int, diff: np.ndarray):
-        grid, p = family.grid, space.p
-        cells = grid.n_cells
-        self.family, self.space, self.room = family, space, max(reach, min(grid.shape) // 16)
-        # the kernel's buffer, free between its calls: the set-up's scratch
-        self.scratch = diff
-        # per member set up, t, whether its scaled values need flushing, the
-        # whole and the fractional part of p t + s, and rho_j; None for a
-        # member the screen does not serve
-        self.members = {}
-        self.ratio = p.as_integer_ratio()
-        self.step = self.ratio[1] if self.ratio[1] <= 8 else 1
-        self.m = math.floor(_TERM_EXP / p) - 1
-        self.served = not (p < 1.0 or p * (self.m - self.step) < -126)
-        if not self.served:
-            return
-        padded = tuple(size + 2 * self.room for size in grid.shape)
-        self.pad = np.zeros(padded, dtype=np.float32)
-        self.interior = tuple(slice(self.room, self.room + size) for size in grid.shape)
-        # the powers |d'|**p and the roots, laid out as the padded member
-        self.terms, self.roots = np.empty((2, *padded), dtype=np.float32)
-        # the weight times 2**-s, flushed and rounded
-        heaviest = float(np.max(space.weight.values))
-        self.s = math.frexp(heaviest)[1] - 49
-        top = math.ldexp(heaviest, -self.s)
-        weight = np.ldexp(space.weight.values, -self.s, out=np.empty(grid.shape, np.float32))
-        weight[weight < _FLOAT32_TINY] = 0.0
-        # the blocks split the last axis
-        block = math.gcd(grid.shape[-1], _DOT_BLOCK)
-        self.weight = weight.reshape(*grid.shape[:-1], -1, block)
-        # np.power's error at p outside the four IEEE forms, p32 - p included
-        power32 = 0.0
-        if p not in (1.0, 1.5, 2.0, 3.0):
-            power32 = _float32_power_slack(p)
-        self.spread = (
-            _gamma(block + 4, _FLOAT32_ROUNDOFF) + 2.0 * power32
-            + 2.0 * _gamma(cells // block + 4, _UNIT_ROUNDOFF)
-        )
-        self.underflow = math.ldexp(cells, -72)
-        self.gamma = 2.0 * _POWER_SLACK + 8.0 * _gamma(cells + 4, _UNIT_ROUNDOFF)
-        self.lost = math.ldexp(cells, -1019) * (heaviest + 1.0)
-        # (max w)**(1/p), the flush allowance 2**-126 (N max w)**(1/p), and
-        # what lifts a sum of N np.power terms above their real sum
-        root = 1.0 / p
-        self.lift = top**root * (1.0 + _NORM_SLACK)
-        self.flush = _FLOAT32_TINY * (cells * top) ** root * (1.0 + _NORM_SLACK)
-        self.above = 1.0 + 2.0 * _POWER_SLACK + _gamma(cells, _UNIT_ROUNDOFF)
-        self.cap = 2.0 ** (_KERNEL_EXP / p - 1.0)
-
-    def _member(self, j: int):
-        """Member j's set-up, made the first time it is asked for."""
-        if j not in self.members:
-            self.members[j] = self._set_up(self.family.members[j].values) if self.served else None
-        return self.members[j]
-
-    def _set_up(self, values: np.ndarray):
-        """t, the flush flag, p t + s split and rho_j of a member with these
-        ``values``, or None past the cap."""
-        p, cells, scratch = self.space.p, self.family.grid.n_cells, self.scratch
-        size = np.abs(values, out=scratch)
-        big = float(np.max(size))
-        if big > self.cap:
-            return None
-        t = self.step * math.ceil((math.frexp(big)[1] - self.m) / self.step)
-        flushes = bool(np.any(values[size < math.ldexp(_FLOAT32_TINY, t)]))
-        # the rounding, against the scaled values in float64
-        rounded = self._load(values, t, flushes)
-        error = np.subtract(rounded, np.ldexp(values, -t, out=scratch), out=scratch)
-        np.abs(error, out=error)
-        np.power(error, p, out=error)
-        plain = ((float(np.sum(error)) + cells * _TINY) * self.above) ** (1.0 / p)
-        rho = 2.0 * self.lift * plain * (1.0 + _NORM_SLACK) + self.flush
-        numerator, denominator = self.ratio
-        whole, part = divmod(numerator * t + self.s * denominator, denominator)
-        return t, flushes, whole, part / denominator, rho * (1.0 + _NORM_SLACK)
-
-    def _load(self, values: np.ndarray, t: int, flushes: bool) -> np.ndarray:
-        """Put ``values`` times 2**-t, rounded, into the padded buffer, with
-        the values below 2**-126 flushed to 0 where ``flushes``; return its
-        interior.  np.ldexp scales in float64 and casts into the float32 pad,
-        rounding each scaled value once."""
-        rounded = np.ldexp(values, -t, out=self.pad[self.interior], casting="same_kind")
-        if flushes:
-            scratch = self.terms[self.interior]
-            np.copyto(rounded, 0.0, where=np.abs(rounded, out=scratch) < _FLOAT32_TINY)
-        return rounded
-
-    def _powers(self, terms: np.ndarray, roots: np.ndarray) -> None:
-        """Replace the float32 differences ``terms`` by |terms|**p, with
-        ``roots`` (of their shape) as scratch."""
-        p = self.space.p
-        if p == 2.0:
-            np.multiply(terms, terms, out=terms)
-            return
-        np.abs(terms, out=terms)
-        if p == 1.5:
-            np.sqrt(terms, out=roots)
-            np.multiply(terms, roots, out=terms)
-        elif p == 3.0:
-            np.multiply(terms, terms, out=roots)
-            np.multiply(terms, roots, out=terms)
-        elif p != 1.0:
-            np.power(terms, p, out=terms)
-
-    def windows(self, offsets) -> list:
-        """Per shift k of the first half of ``offsets``, a ring in the layout
-        of ``_shift_ring``, the views that form |d'_k|**p once for k and -k:
-        the padded member at x - k and at x, and the powers and roots, over
-        the union of the grid and the grid moved by k; and the powers over
-        each of the two, in the weight's blocks."""
-        room, shape = self.room, self.family.grid.shape
-
-        def blocks(k):
-            window = self.terms[tuple(slice(room + a, room + a + n) for a, n in zip(k, shape))]
-            return window.reshape(self.weight.shape, copy=False)
-
-        here = blocks((0,) * len(shape))
-        views = []
-        for k in offsets[: len(offsets) // 2]:
-            union = tuple(slice(room + min(a, 0), room + n + max(a, 0)) for a, n in zip(k, shape))
-            moved = tuple(slice(u.start - a, u.stop - a) for u, a in zip(union, k))
-            views.append((
-                self.pad[moved], self.pad[union], self.terms[union], self.roots[union],
-                here, blocks(k),
-            ))
-        return views
-
-    def _norm_bounds(self, j: int, windows):
-        """Bounds on N(d), in scaled units, for member j at each shift of the
-        ring whose first half gave ``windows``: the first half's shifts in
-        order, then their negations in reverse, as ``_shift_ring`` lays out."""
-        t, flushes, _, _, rho = self.members[j]
-        self._load(self.family.members[j].values, t, flushes)
-        root, underflow, spread = 1.0 / self.space.p, self.underflow, self.spread
-
-        def bounds(terms):
-            screened = math.fsum(np.vecdot(self.weight, terms).ravel().tolist())
-            low = (screened - underflow) * (1.0 - spread)
-            high = (screened + underflow) * (1.0 + 2.0 * spread)
-            low = low**root * (1.0 - 3.0 * _FLOAT32_ROUNDOFF) if low > 0.0 else 0.0
-            return low - rho, high**root * (1.0 + 3.0 * _FLOAT32_ROUNDOFF) + rho
-
-        negated = []
-        for moved, values, terms, roots, here, there in windows:
-            np.subtract(moved, values, out=terms)
-            self._powers(terms, roots)
-            negated.append(bounds(there))
-            yield bounds(here)
-        yield from reversed(negated)
-
-    def enclosures(self, offsets):
-        """Per member, a generator of the lower and upper bounds on the
-        kernel's norm at each shift of the ring ``offsets`` as pairs, each
-        computed as taken; a member is set up, loaded and screened only as
-        its generator runs."""
-        views = []
-        for j in range(len(self.family)):
-            yield self._enclose(j, offsets, views)
-
-    def _enclose(self, j: int, offsets, views: list):
-        member = self._member(j)
-        if member is None:
-            yield from itertools.repeat((-math.inf, math.inf), len(offsets))
-            return
-        # the ring's windows, formed for the first member screened
-        if not views:
-            views.extend(self.windows(offsets))
-        p, (_, _, whole, part, _) = self.space.p, member
-        # 2**part, as a float within 2**-51 of it
-        fraction = 2.0**part
-        slack = 4.0 * _ROOT_SLACK if part else _ROOT_SLACK
-        for n_lo, n_hi in self._norm_bounds(j, views):
-            try:
-                e_lo = math.ldexp(max(n_lo, 0.0) ** p * (fraction * (1.0 - slack)), whole)
-                e_hi = math.ldexp(n_hi**p * (fraction * (1.0 + slack)), whole)
-            except OverflowError:
-                e_lo, e_hi = 0.0, math.inf
-            low = e_lo - self.gamma * e_lo - self.lost
-            yield _root_bounds(low, e_hi + self.gamma * e_hi + self.lost, self.space)
-
-
-def _root_bounds(low: float, high: float, space: WeightedSpace) -> tuple[float, float]:
-    """Bounds on the norm ``_shift_norm`` returns, from bounds ``low`` <=
-    ``high`` on its power sum before the product with the cell volume, the
-    one sum-to-norm step of both the screen and the ring bound.  Where the
-    sum times the cell volume surely lies in [``space._sum_floor``, max / 2],
-    and so does the sum before it, the kernel takes its plain pass, and
-    ``_sum_root`` raises that sum to the rounded 1 / p; the bounds are the
-    enclosure raised to that same exponent by the same pow, each moved by
-    ``_ROOT_SLACK``.  Anywhere else, NaN included, -inf and inf."""
-    cell_volume = space.grid.cell_volume
-    lo, hi = low * cell_volume, high * cell_volume
-    if space._sum_floor <= lo and max(high, hi) <= _HALF_MAX:
-        exponent = 1.0 / space.p
-        return lo**exponent * (1.0 - _ROOT_SLACK), hi**exponent * (1.0 + _ROOT_SLACK)
-    return -math.inf, math.inf
-
-
-def _float32_power_slack(p: float) -> float:
-    """The relative error the screen allows float32 np.power(x, p) over the
-    float32 range, |log2 x| <= 150: numpy rounds p to float32, p32, which
-    moves x**p by at most 2**(150 |p32 - p|) - 1, and its loop is within
-    ``_FLOAT32_LOOP_SLACK`` of x**p32."""
-    return math.expm1(150.0 * math.log(2.0) * abs(float(np.float32(p)) - p)) + _FLOAT32_LOOP_SLACK
+def _root_bound(total: float, space: WeightedSpace) -> float:
+    """A bound on the norm ``_shift_norm`` returns, from a bound ``total`` on
+    its power sum before the product with the cell volume: the ring bound's
+    sum-to-norm step.  Where the sum times the cell volume lies in
+    [``space._sum_floor``, max / 2], and so does the sum before it, the
+    kernel takes its plain pass, and ``_sum_root`` raises that sum to the
+    rounded 1 / p; the bound is ``total`` raised to that same exponent by the
+    same pow, moved by ``_ROOT_SLACK``.  Anywhere else, NaN included, inf."""
+    scaled = total * space.grid.cell_volume
+    if space._sum_floor <= scaled and max(total, scaled) <= _HALF_MAX:
+        return scaled ** (1.0 / space.p) * (1.0 + _ROOT_SLACK)
+    return math.inf
 
 
 def _gamma(n: int, unit: float) -> float:

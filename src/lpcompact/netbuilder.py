@@ -195,14 +195,16 @@ def select_mesh(
     the translation scan (``moduli._translation_scan``) goes up from the cell
     scale and stops at the first failure; past the first level it stops at
     the first shift that reaches the threshold, and only the last level that
-    passed has its moduli confirmed.  At every p >= 1 a float32 enclosure of
-    each shifted norm decides most shifts, and exact norms are taken only
-    where it cannot; below p = 1 every shift is measured.  Either way the
-    result is that of the exact scan, bit for bit.
+    passed has its moduli confirmed.  On a 1-D grid at p >= 1 the ring bounds
+    pass whole rings; every other shift is measured exactly.  The result is
+    that of the exact scan, bit for bit.  A ``max_exp`` below the cell level
+    leaves no level to scan and is a model error.
     """
     _check_epsilon(epsilon)
     grid = family.grid
     hi = grid.box_level if max_exp is None else max_exp
+    if hi < grid.cell_exp:
+        raise ModelError(f"select_mesh: max_exp {max_exp} is below the cell level {grid.cell_exp}")
     threshold = _mesh_threshold(grid.dim, epsilon)
     levels = range(grid.cell_exp, hi + 1)
     walk = _translation_scan(family, space, [2.0**i for i in levels], "box", threshold)

@@ -334,22 +334,6 @@ def _drawn_threshold(family, space, levels, data):
     return float(np.nextafter(threshold, toward))
 
 
-def _loose_enclosures(family, space, rng):
-    """A stand-in for ``_PowerScreen.enclosures``: per member, random bounds
-    on each shift's exact norm, which overlap and misorder the shifts or
-    meet a threshold exactly; a third of them are the exact norm itself."""
-    diff = np.empty(family.grid.shape)
-    norm = moduli._shift_norm
-
-    def loose(screen, offsets):
-        for f in family.members:
-            norms = np.array([norm(f.values, k, space, diff, {}) for k in offsets])
-            slack = rng.uniform(0.0, 0.5, (2, len(offsets))) * (rng.random((2, len(offsets))) < 2 / 3)
-            yield zip(norms * (1.0 - slack[0]), norms * (1.0 + slack[1]))
-
-    return loose
-
-
 def _walked_selection(family, space, levels, threshold):
     """The mesh walk as ``select_mesh`` takes it: the last of the box
     ``levels`` that passes, with its confirmed moduli, or None with the first
@@ -389,41 +373,18 @@ def test_early_stopping_scan_matches_full_scan(seed, dim, p, data):
 @given(
     seed=st.integers(min_value=0, max_value=9999),
     dim=st.sampled_from([1, 2]),
-    p=st.sampled_from([1.0, 1.5, 2.0, 3.0]),
-    data=st.data(),
-)
-def test_select_level_trusts_enclosures_only_as_bounds(seed, dim, p, data):
-    # with loose random enclosures in place of the screen's, which overlap
-    # and misorder the shifts or meet the threshold exactly, the walker
-    # still returns what the full scan selects: the shifts it drops can
-    # never hold a member's maximum
-    grid = Grid(dim=dim, box_level=0, cell_exp=-4 if dim == 1 else -2)
-    rng = np.random.default_rng(seed)
-    sp = WeightedSpace(p, _weights_with_zeros(grid, rng))
-    fam = random_family(grid, rng)
-    levels = range(grid.cell_exp, grid.box_level + 1)
-    threshold = _drawn_threshold(fam, sp, levels, data)
-    expected = _full_scan_selection(fam, sp, levels, threshold)
-    with mock.patch.object(moduli._PowerScreen, "enclosures", _loose_enclosures(fam, sp, rng)):
-        assert _walked_selection(fam, sp, levels, threshold) == expected
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    seed=st.integers(min_value=0, max_value=9999),
-    dim=st.sampled_from([1, 2]),
     p=st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0]),
     stencil=st.sampled_from(["box", "ball"]),
     cells=st.lists(
         st.sampled_from([1.0, 1.5, 2.0, 2.3, 3.7, 4.0, 6.1, 8.0]), min_size=1, max_size=6
     ),
-    screened=st.booleans(),
+    loose=st.booleans(),
 )
-def test_scan_confirms_each_radius_measuring_each_shift_once(seed, dim, p, stencil, cells, screened):
+def test_scan_confirms_each_radius_measuring_each_shift_once(seed, dim, p, stencil, cells, loose):
     # at threshold inf, the moduli read after each of nondecreasing radii,
     # repeats and non-dyadic multiples of the cell side included, are the
-    # reference scan's, bit for bit, from the screen's enclosures or from
-    # loose random ones; and the exact kernel meets no (member, shift) twice
+    # reference scan's, bit for bit, from the 1-D ring bounds or from loose
+    # random ones; and the exact kernel meets no (member, shift) twice
     grid = Grid(dim=dim, box_level=0, cell_exp=-4 if dim == 1 else -2)
     rng = np.random.default_rng(seed)
     sp = WeightedSpace(p, _weights_with_zeros(grid, rng))
@@ -438,36 +399,37 @@ def test_scan_confirms_each_radius_measuring_each_shift_once(seed, dim, p, stenc
         measured.append((names[id(values)], offsets))
         return norm(values, offsets, *args)
 
-    enclosures = (
-        contextlib.nullcontext() if screened
-        else mock.patch.object(moduli._PowerScreen, "enclosures", _loose_enclosures(fam, sp, rng))
+    bounds = (
+        mock.patch.object(moduli._RingBound, "member", _loose_ring_bounds(fam, sp, rng))
+        if loose else contextlib.nullcontext()
     )
-    with enclosures, mock.patch.object(moduli, "_shift_norm", counted):
+    with bounds, mock.patch.object(moduli, "_shift_norm", counted):
         found = [confirm() for _, confirm in _translation_scan(fam, sp, radii, stencil)]
     assert found == expected
     assert len(measured) == len(set(measured))
 
 
 def test_scan_screens_nothing_at_a_radius_that_adds_no_shift():
-    # 1.2 and 1.6 cells add no box shift to one cell: the screen loads no
-    # member for them, and their moduli are those of one cell
+    # 1.2 and 1.6 cells add no box shift to one cell: the scan measures no
+    # shift for them, and their moduli are those of one cell, whose two
+    # shifts it measures at most once per member
     grid = Grid(dim=1, box_level=0, cell_exp=-6)
     rng = np.random.default_rng(5)
     sp = WeightedSpace(2.0, _weights_with_zeros(grid, rng))
     fam = random_family(grid, rng)
     radii = [grid.cell_side * c for c in (1.0, 1.2, 1.6)]
-    loads = []
-    load = moduli._PowerScreen._load
+    measured, found = [], []
+    norm = moduli._shift_norm
 
-    def counted(screen, *args):
-        loads.append(1)
-        return load(screen, *args)
+    def counted(*args):
+        measured.append(1)
+        return norm(*args)
 
-    with mock.patch.object(moduli._PowerScreen, "_load", counted):
-        found = [confirm() for _, confirm in _translation_scan(fam, sp, radii, "box")]
-    # each member is loaded once to measure its rounding, once for the ring
-    assert len(loads) == 2 * len(fam)
-    assert found == translation_reference(fam, sp, radii, "box")
+    with mock.patch.object(moduli, "_shift_norm", counted):
+        for _, confirm in _translation_scan(fam, sp, radii, "box"):
+            found.append((confirm(), len(measured)))
+    assert found == [(level, found[0][1]) for level in translation_reference(fam, sp, radii, "box")]
+    assert 0 < found[0][1] <= 2 * len(fam)
 
 
 def test_measure_moduli_measures_each_shift_once(tmp_path, monkeypatch):
@@ -579,59 +541,54 @@ def test_scan_value_is_array_norm_of_the_shifted_difference(p, dim, scale, seed,
 
 
 @pytest.mark.parametrize("p", [0.5, 1.5])
-def test_scan_rejects_an_unpaired_ring(p):
-    # the screen pairs a ring's shifts as k and -k; a ring it cannot pair
-    # raises rather than leave a shift without a value, while below p = 1,
-    # where the screen serves no member, every shift is measured
+def test_scan_measures_every_shift_of_an_unpaired_ring(p):
+    # a ring that is not laid out as k and -k, and reaches past the one cell
+    # its radius holds, still has every shift measured: at p = 1.5 the ring
+    # bound at one cell does not cover the shift by 2
     grid = Grid(dim=1, box_level=0, cell_exp=-3)
     rng = np.random.default_rng(3)
     sp = WeightedSpace(p, _weights_with_zeros(grid, rng))
     fam = random_family(grid, rng)
     unpaired = [(-1,), (2,), (1,)]
+    expected = max(
+        _array_norm(_shift_cells(f.values, k) - f.values, sp)
+        for f in fam.members for k in unpaired
+    )
     with mock.patch("lpcompact.moduli._shift_ring", lambda grid, inner, radius, kind: unpaired):
-        if p < 1.0:
-            expected = max(
-                _array_norm(_shift_cells(f.values, k) - f.values, sp)
-                for f in fam.members for k in unpaired
-            )
-            assert translation_modulus(fam, sp, grid.cell_side, "box") == expected
-        else:
-            with pytest.raises(ValueError, match="zip"):
-                translation_modulus(fam, sp, grid.cell_side, "box")
+        assert translation_modulus(fam, sp, grid.cell_side, "box") == expected
 
 
 @pytest.mark.parametrize("p", [0.5, 1.5, 2.0])
 def test_scan_allocates_one_grid_sized_buffer(p):
     # 64 shifts on 65,536 cells: every difference and its power sum share one
-    # buffer of 512 KiB; at p >= 1 the screen adds its float32 arrays, the
-    # padded member, its powers and their roots (4 bytes each per padded
-    # cell) and the weight (4 bytes per cell)
+    # buffer of 512 KiB; at p >= 1 the ring bound adds its own two, a
+    # member's difference powers over a cell more than the grid and the
+    # weight's prefix sum padded by a sixteenth of the grid each side
     grid = Grid(dim=1, box_level=2, cell_exp=-13)
     sp = WeightedSpace(p, sample(PowerLaw(0.5), grid))
     fam = Family.from_profiles(grid, [Gaussian(center=0.25, sigma=0.5)])
     radius = 32 * grid.cell_side
     assert len(shift_stencil(grid, radius, kind="box")) == 64
     grid_bytes = grid.n_cells * 8
-    screen_bytes = 0
+    ring_bytes = 0
     if p >= 1.0:
-        room = moduli._PowerScreen(fam, sp, 32, np.empty(grid.shape)).room
-        screen_bytes = 3 * 4 * (grid.n_cells + 2 * room) + 4 * grid.n_cells
+        ring_bytes = 8 * (grid.n_cells + 1) + 8 * (grid.n_cells + 1 + 2 * (grid.n_cells // 16))
     tracemalloc.start()
     try:
         translation_modulus(fam, sp, radius, "box")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert grid_bytes <= peak < grid_bytes + screen_bytes + 0.25 * grid_bytes
+    assert grid_bytes <= peak < grid_bytes + ring_bytes + 0.25 * grid_bytes
 
 
 def test_power_slack_covers_numpy_power():
-    # the screen allows the kernel's np.power(x, p) an error of _POWER_SLACK
-    # times x**p plus _TINY per term; pin that on x log-uniform over the
-    # whole float range, subnormals included, through the kernel's own
-    # in-place call, at p = 1.5 and at the other exponents the screen and
-    # the power transfer's companion exponents (0.4 -> 1.2000000000000002,
-    # 0.7 -> 1.4) meet.  Half the slack is asserted, so that the rounding
+    # the ring bound allows np.power(x, p), its own and the kernel's, an
+    # error of _POWER_SLACK times x**p plus _TINY per term; pin that on x
+    # log-uniform over the whole float range, subnormals included, through
+    # the kernel's own in-place call, at p = 1.5 and at the other exponents
+    # the scan and the power transfer's companion exponents (0.4 ->
+    # 1.2000000000000002, 0.7 -> 1.4) meet.  Half the slack is asserted, so that the rounding
     # of the reference cannot hide a loop that uses all of it: x * sqrt(x)
     # at p = 1.5, and an 80-bit long double pow at the others
     rng = np.random.default_rng(15)
@@ -652,40 +609,10 @@ def test_power_slack_covers_numpy_power():
         assert finite.sum() > 100_000, p
         error = np.abs(got[finite] - reference[finite])
         assert np.all(error <= 0.5 * moduli._POWER_SLACK * reference[finite] + moduli._TINY), p
-    # a power past the range overflows: the screen gives no bounds to a
-    # member past 2**680, whose differences could reach it
+    # a power past the range overflows to inf: the ring bound is inf for a
+    # member whose (2 max|f|)**p leaves the range, as its differences' may
     with np.errstate(over="ignore"):
         assert np.all(np.isinf(np.power(x[x >= 2.0**683], 1.5)))
-
-
-def test_float32_power_slack_covers_numpy_power():
-    # the screen's float32 np.power(x, p), at a p outside its four IEEE
-    # forms, rounds p to float32 (p32) and so is off x**p by up to a factor
-    # 2**(|p32 - p| |log2 x|), within the 2**(150 |p32 - p|) of
-    # _float32_power_slack over the float32 range; past that factor the loop
-    # must stay within half of _FLOAT32_LOOP_SLACK, plus 2**-126 absolute
-    # (an underflowed result).  x is log-uniform over the float32 values the
-    # screen's scaled differences take, subnormals included.  Measured: 58
-    # u32 in all at p = 1.2000000000000002 and 26 at 1.4, 2 u32 at the
-    # float32 exponents
-    rng = np.random.default_rng(16)
-    x = np.ldexp(rng.uniform(0.5, 1.0, 200_000), rng.integers(-148, 54, 200_000)).astype(np.float32)
-    x = np.concatenate([x, np.float32([2.0**-149, 2.0**-126, 1.0, 2.0**52])])
-    for p in (1.2000000000000002, 1.4, 1.5, 2.5, 3.0, 4.0, 7.0, 40.0):
-        drift = float(np.float32(p)) - p
-        with np.errstate(over="ignore", under="ignore"):
-            got = np.power(x, p)
-            exact = np.power(x.astype(np.longdouble), np.longdouble(p))
-        assert got.dtype == np.float32
-        finite = exact <= 2.0**127
-        assert finite.sum() > 5_000, p
-        exact = exact[finite]
-        # x**p32 against x**p, at most the screen's allowance
-        moved = np.abs(np.exp2(drift * np.log2(x[finite].astype(np.longdouble))) - 1.0)
-        assert np.all(moved <= moduli._float32_power_slack(p) - moduli._FLOAT32_LOOP_SLACK), p
-        error = np.abs(got[finite] - exact)
-        allowed = (moved + 0.5 * moduli._FLOAT32_LOOP_SLACK) * exact + moduli._FLOAT32_TINY
-        assert np.all(error <= allowed * (1.0 + 2.0**-40)), p
 
 
 def _ring_bound_member(grid, rng, kind, scale):
@@ -739,7 +666,7 @@ def test_scan_ring_bound_covers_the_kernel(seed, p, kind, scale_exp, sum_exp, ze
     fam = Family(grid, (GridFunction(grid, values),), ("f",))
     diff = np.empty(grid.shape)
     with np.errstate(over="ignore", invalid="ignore"):
-        bounds = moduli._RingBound(fam, sp, np.empty(grid.n_cells + 1)).member(0)(reach)
+        bounds = moduli._RingBound(fam, sp).member(0)(reach)
         for bound, sign in zip(bounds, (1, -1)):
             for k in range(1, reach + 1):
                 try:
@@ -760,7 +687,7 @@ def _ring_bound_and_kernel(values, weight, p, reach):
     diff = np.empty(grid.shape)
     norms = []
     with np.errstate(over="ignore", invalid="ignore"):
-        bounds = moduli._RingBound(fam, sp, np.empty(grid.n_cells + 1)).member(0)(reach)
+        bounds = moduli._RingBound(fam, sp).member(0)(reach)
         for sign in (1, -1):
             row = []
             for k in range(1, reach + 1):
@@ -809,7 +736,7 @@ def test_scan_ring_bound_is_tight_on_bank1d(tmp_path):
     problem = load_problem(spec_path)
     fam, sp = problem.family, problem.space
     diff = np.empty(fam.grid.shape)
-    ring = moduli._RingBound(fam, sp, np.empty(fam.grid.n_cells + 1))
+    ring = moduli._RingBound(fam, sp)
     with np.errstate(over="ignore", invalid="ignore"):
         for j in (0, 9, 19):
             bounds = ring.member(j)(32)
@@ -849,14 +776,13 @@ def _loose_ring_bounds(family, space, rng):
 @given(
     seed=st.integers(min_value=0, max_value=9999),
     p=st.sampled_from([1.0, 1.5, 2.0, 3.0]),
-    loose=st.booleans(),
     data=st.data(),
 )
-def test_scan_trusts_ring_bounds_only_as_bounds(seed, p, loose, data):
-    # the twin of test_select_level_trusts_enclosures_only_as_bounds: with
-    # loose random ring bounds in place of the real ones, and loose random
-    # enclosures or the screen's, the 1-D walker still returns what the full
-    # scan selects
+def test_scan_trusts_ring_bounds_only_as_bounds(seed, p, data):
+    # with loose random ring bounds in place of the real ones, which may
+    # meet the threshold or a modulus exactly, the 1-D walker still returns
+    # what the full scan selects: the shifts it leaves unmeasured can never
+    # hold a member's maximum
     grid = Grid(dim=1, box_level=0, cell_exp=-4)
     rng = np.random.default_rng(seed)
     sp = WeightedSpace(p, _weights_with_zeros(grid, rng))
@@ -867,39 +793,74 @@ def test_scan_trusts_ring_bounds_only_as_bounds(seed, p, loose, data):
     levels = range(grid.cell_exp, grid.box_level + 1)
     threshold = _drawn_threshold(fam, sp, levels, data)
     expected = _full_scan_selection(fam, sp, levels, threshold)
-    enclosures = (
-        mock.patch.object(moduli._PowerScreen, "enclosures", _loose_enclosures(fam, sp, rng))
-        if loose else contextlib.nullcontext()
-    )
-    with enclosures, mock.patch.object(moduli._RingBound, "member", _loose_ring_bounds(fam, sp, rng)):
+    with mock.patch.object(moduli._RingBound, "member", _loose_ring_bounds(fam, sp, rng)):
         assert _walked_selection(fam, sp, levels, threshold) == expected
 
 
 def test_scan_screens_only_the_failing_ring_on_bank1d(tmp_path):
     # bank1d's mesh walk: the ring bounds pass every ring up to 32 cells
-    # whole and not the ring at 64, where the screen fails the first pair
-    # of shifts of the first member.  So the screen loads two members' worth
-    # (one set-up, one ring) and forms one pair's float32 powers, where with
-    # the screen alone it made 141 loads and 641 pairs
+    # whole and not the ring at 64, whose first shift, the first member's
+    # by -64 cells, is measured and fails; nothing past it is measured.  At
+    # 32 cells each member then takes one exact norm, at 32 or -32 cells,
+    # where with exact norms alone the walk took 1,281
     workload = WORKLOADS.WORKLOADS["bank1d"]
     spec_path = tmp_path / "bank1d.json"
     spec_path.write_text(json.dumps(workload.spec(WORKLOADS.DEFAULT_SEED)))
     problem = load_problem(spec_path)
     epsilon = workload.eps_share * bound_modulus(problem.family, problem.space)
-    calls = {"_powers": 0, "_load": 0}
+    names = {id(f.values): j for j, f in enumerate(problem.family.members)}
+    measured = []
+    norm = moduli._shift_norm
 
-    def counted(name):
-        inner = getattr(moduli._PowerScreen, name)
+    def counted(values, offsets, *args):
+        measured.append((names[id(values)], offsets))
+        return norm(values, offsets, *args)
 
-        def wrapper(*args):
-            calls[name] += 1
-            return inner(*args)
-
-        return mock.patch.object(moduli._PowerScreen, name, wrapper)
-
-    with counted("_powers"), counted("_load"):
+    with mock.patch.object(moduli, "_shift_norm", counted):
         level, found = select_mesh(problem.family, problem.space, epsilon)
     assert level == -8
-    assert calls == {"_powers": 1, "_load": 2}
+    assert measured[0] == (0, (-64,))
+    assert sorted(j for j, _ in measured[1:]) == list(range(len(problem.family)))
+    assert {abs(k[0]) for _, k in measured[1:]} == {32}
     walked = _walked_selection(problem.family, problem.space, [-8], math.inf)
     assert found == walked[1]
+
+
+def _inner_modulus_member(grid):
+    """A sine of period 8 cells under a bump: its box modulus at 8 cells is
+    its norm at 4 cells, four cells inside the outer shift, where the shift
+    by 8 cells almost cancels."""
+    x = grid.axis_centers()
+    return np.sin(2.0 * math.pi * x / (8 * grid.cell_side)) * np.exp(-(x**2) / 0.1)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_scan_ring_bounds_survive_the_exact_norms_between_their_reads(p):
+    # the walk in from the outer shifts forms the member once and reads its
+    # ring bounds at 6 cells and below with exact norms between the reads:
+    # every bound it reads is what a fresh ring bound gives, so the exact
+    # norms cannot write over the bound's powers, and the modulus, held 4
+    # cells inside, is the exact one
+    grid = Grid(dim=1, box_level=0, cell_exp=-5)
+    sp = WeightedSpace(p, sample(Constant(1.0), grid))
+    fam = Family(grid, (GridFunction(grid, _inner_modulus_member(grid)),), ("sine",))
+    radius = 8 * grid.cell_side
+    reads = []
+    member = moduli._RingBound.member
+
+    def recorded(ring, j):
+        at = member(ring, j)
+
+        def read(reach):
+            reads.append((reach, at(reach)))
+            return reads[-1][1]
+
+        return read
+
+    with mock.patch.object(moduli._RingBound, "member", recorded):
+        found = translation_modulus(fam, sp, radius, "box")
+    reference = [_translation_reference(fam.members[0], sp, c * grid.cell_side) for c in (3, 4, 8)]
+    assert found == reference[2] == reference[1] > reference[0]
+    assert min(reach for reach, _ in reads) <= 4
+    fresh = moduli._RingBound(fam, sp).member(0)
+    assert reads == [(reach, fresh(reach)) for reach, _ in reads]

@@ -6,7 +6,6 @@ import tempfile
 import tracemalloc
 import warnings
 from dataclasses import replace
-from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -238,6 +237,8 @@ def _select_mesh_reference(family, space, epsilon, max_exp=None):
     shift whose norm reaches the threshold."""
     grid = family.grid
     hi = grid.box_level if max_exp is None else max_exp
+    if hi < grid.cell_exp:
+        raise ModelError(f"select_mesh: max_exp {max_exp} is below the cell level {grid.cell_exp}")
     threshold = 2.0 ** (-grid.dim) * epsilon / 3.0
     diff = np.empty(grid.shape)
     errors = np.geterr()
@@ -324,7 +325,7 @@ def _epsilon_at(threshold, dim):
     return epsilon
 
 
-def _screen_space(grid, rng, weight_scale, frame, p=2.0):
+def _framed_space(grid, rng, weight_scale, frame, p=2.0):
     """A space with random zero weights, inside a zero frame of ``frame``
     cells; every second draw is mirror-symmetric."""
     w = rng.uniform(0.05, 2.0, grid.shape) * weight_scale
@@ -338,10 +339,10 @@ def _screen_space(grid, rng, weight_scale, frame, p=2.0):
     return WeightedSpace(p, GridFunction(grid, w))
 
 
-def _screen_family(grid, rng, scale, smooth):
+def _noise_family(grid, rng, scale, smooth):
     """Three members in [-2, 2] * scale: noise, or its running sum when
-    ``smooth`` (small moduli, so the screened sums cancel deeply); the last
-    is mirror-symmetric, so the shifts k and -k tie up to rounding."""
+    ``smooth`` (small moduli, which the ring bounds hold close); the last is
+    mirror-symmetric, so the shifts k and -k tie up to rounding."""
     members = []
     for _ in range(3):
         v = rng.standard_normal(grid.shape)
@@ -370,8 +371,7 @@ _RING_RADII = [
     ],
 )
 def test_screen_ring_layout_pairs_each_shift_with_its_negation(kind, inner, reach, dim):
-    # the screen forms k and -k from one window and reads -k's bounds back
-    # in reverse, so each ring must be its first half, then that half
+    # a ring in lexicographic order is its first half, then that half
     # negated in reverse; radii in cells, dyadic or not
     grid = Grid(dim=dim, box_level=0, cell_exp=-6)
     h = grid.cell_side
@@ -379,229 +379,6 @@ def test_screen_ring_layout_pairs_each_shift_with_its_negation(kind, inner, reac
     half = len(ring) // 2
     assert len(ring) == 2 * half > 0
     np.testing.assert_array_equal(ring[half:], -ring[:half][::-1])
-
-
-def _check_screen(fam, sp, reaches=(1, 2, 4)):
-    """Check the screen's enclosures over the box rings up to each of
-    ``reaches`` (cells); return how many shifts it vouched for.
-
-    The kernel's N(d) lies in the screen's bounds in norm space, within
-    rho_j of the float32 N(d') up to the float32 sum's roundings, at every
-    shift; wherever the screen vouches for a shift the kernel takes its plain
-    pass and its norm lies inside the screened bounds, no further apart than
-    the docstring's width; where the kernel's sum is well inside [floor,
-    max / 2] and the norm well above the allowances, the screen vouches.
-    Members past 2**(1021.5 / p - 1) get (-inf, inf) throughout."""
-    p, grid = sp.p, fam.grid
-    cell_volume, top = grid.cell_volume, sys.float_info.max
-    diff, scratch = np.empty((2, *grid.shape))
-    inner, screen, vouched = 0, None, 0
-    for reach in reaches:
-        if screen is None or screen.room < reach:
-            screen = moduli._PowerScreen(fam, sp, reach, scratch)
-        offsets = _shift_ring(grid, inner * grid.cell_side, reach * grid.cell_side, "box")
-        enclosures = screen.enclosures(offsets)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for j, (f, pairs) in enumerate(zip(fam.members, enclosures)):
-                pairs = list(pairs)
-                assert len(pairs) == len(offsets)
-                member = screen.members[j]
-                assert (member is None) == (np.max(np.abs(f.values)) > 2.0 ** (1021.5 / p - 1.0))
-                if member is None:
-                    assert pairs == [(-math.inf, math.inf)] * len(offsets)
-                    continue
-                # the sums' power of two p t + s is whole + part; a member
-                # is flushed just when a scaled nonzero value is subnormal
-                t, flushes, whole, part, rho = member
-                magnitudes = np.abs(np.ldexp(f.values, -t))
-                assert flushes == bool(np.any((f.values != 0.0) & (magnitudes < 2.0**-126)))
-                loaded = screen._load(f.values, t, flushes)
-                assert np.all((loaded == 0.0) | (np.abs(loaded) >= 2.0**-126))
-                s = round(whole + part - p * t)
-                assert Fraction(p) * t + s == whole + Fraction(part)
-                bounds = screen._norm_bounds(j, screen.windows(offsets))
-                for k, (lo, hi), (n_lo, n_hi) in zip(offsets, pairs, bounds):
-                    moduli._shifted_difference(f.values, k, diff)
-                    scaled = _scaled_norm(diff, t, sp.weight.values, s, p)
-                    assert n_lo <= scaled * (1.0 + 1e-12) and scaled * (1.0 - 1e-12) <= n_hi
-                    total = _weighted_power_sum(diff, sp, diff)
-                    sure = math.isfinite(lo)
-                    assert sure == math.isfinite(hi)
-                    if not sure:
-                        # past 8 (rho + underflow**(1/p)), n_lo >= 5/8 N(d)
-                        # and n_hi <= 11/8 N(d): with the plain pass well
-                        # inside the range, the screen must vouch
-                        assert not (
-                            8.0 * sp._sum_floor <= total * 0.625**p
-                            and max(total, total / cell_volume) * 1.375**p <= top / 2.5
-                            and scaled >= 8.0 * (rho + screen.underflow ** (1.0 / p))
-                        )
-                        continue
-                    vouched += 1
-                    assert sp._sum_floor <= total <= top / 2.0
-                    norm = moduli._shift_norm(f.values, k, sp, diff, {})
-                    assert lo <= norm <= hi
-                    # the width the docstring gives, where the allowances are
-                    # far below the sum
-                    if screen.lost * cell_volume <= 1e-12 * total and screen.underflow <= 1e-9 * scaled**p:
-                        # rho_j is in scaled units: 2 rho_j (cell_volume 2**(p t + s))**(1/p)
-                        unit = (math.log2(cell_volume) + whole + part) / p
-                        width = math.ldexp(2.0 * rho * 2.0 ** float(unit % 1), math.floor(unit))
-                        assert hi - lo <= width + (3.0 / p + 1.0) * screen.spread * hi
-        inner = reach
-    return vouched
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    seed=st.integers(min_value=0, max_value=99999),
-    dim=st.sampled_from([1, 2]),
-    scale=st.sampled_from([1.0, 1e-160, 2e-154, 1e154]),
-    smooth=st.booleans(),
-    frame=st.integers(min_value=0, max_value=2),
-)
-def test_shift_screen_encloses_the_kernel(seed, dim, scale, smooth, frame):
-    # the screen's enclosure property (``_check_screen``) at p = 2, on
-    # members from 2e-160 to 2e154 under weights near 1: their squares
-    # reach from the subnormal range to past the float range
-    grid = Grid(dim=dim, box_level=0, cell_exp=-5 if dim == 1 else -3)
-    rng = np.random.default_rng(seed)
-    sp = _screen_space(grid, rng, 1.0, frame)
-    fam = _screen_family(grid, rng, scale, smooth)
-    _check_screen(fam, sp)
-
-
-def test_shift_screen_vouches_at_huge_weights():
-    # members of about 1e-3 on 64 cells under a constant weight of 1e306, at
-    # p = 2: every power sum is near 1e300, well inside the range, so the
-    # screen vouches for all 4 ring shifts
-    grid = Grid(dim=1, box_level=0, cell_exp=-5)
-    rng = np.random.default_rng(0)
-    members = tuple(GridFunction(grid, 1e-3 * rng.uniform(-1.0, 1.0, grid.shape)) for _ in range(2))
-    fam = Family(grid, members, ("a", "b"))
-    sp = WeightedSpace(2.0, GridFunction(grid, np.full(grid.shape, 1e306)))
-    assert _check_screen(fam, sp, reaches=(1,)) == 4
-
-
-def _loaded_screen(diff):
-    """A p = 2 screen of three random members on a 16 x 16 grid."""
-    grid = Grid(dim=2, box_level=0, cell_exp=-3)
-    rng = np.random.default_rng(0)
-    fam = _screen_family(grid, rng, 1.0, smooth=False)
-    return moduli._PowerScreen(fam, _screen_space(grid, rng, 1.0, frame=0), 1, diff)
-
-
-@settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 99999), t=st.integers(-1100, 1100), flushes=st.booleans())
-def test_screen_load_rounds_each_scaled_value_once(seed, t, flushes):
-    # the float32 image in the pad is np.ldexp's float64 scaling rounded to
-    # float32, bit for bit, with the images below 2**-126 made +0 where
-    # ``flushes``: values from subnormal to 1.7e308, and both zeros
-    screen = _loaded_screen(np.empty((16, 16)))
-    rng = np.random.default_rng(seed)
-    mantissas = rng.choice([-1.0, 1.0], (16, 16)) * rng.uniform(1.0, 2.0, (16, 16))
-    values = np.ldexp(mantissas, rng.integers(-1075, 1024, (16, 16)))
-    values.flat[:5] = [0.0, -0.0, 5e-324, -2.5e-310, 1.7e308]
-    with np.errstate(over="ignore"):
-        expected = np.float32(np.ldexp(values, -t))
-        loaded = screen._load(values, t, flushes)
-    if flushes:
-        expected[np.abs(expected) < 2.0**-126] = 0.0
-    np.testing.assert_array_equal(loaded.view(np.int32), expected.view(np.int32))
-
-
-def test_screen_sets_up_each_member_when_first_screened():
-    # the screen owns its float32 image and borrows the walker's buffer only
-    # as scratch for a member's set-up, its t and rho_j, which runs the first
-    # time that member's enclosures are taken
-    diff = np.empty((16, 16))
-    screen = _loaded_screen(diff)
-    assert screen.members == {}
-    for name in ("pad", "terms", "roots", "weight"):
-        assert not np.shares_memory(getattr(screen, name), diff), name
-    grid = screen.family.grid
-    offsets = _shift_ring(grid, 0.0, grid.cell_side, "box")
-    enclosures = list(screen.enclosures(offsets))
-    assert screen.members == {}
-    assert len(list(enclosures[1])) == len(offsets)
-    assert list(screen.members) == [1] and screen.members[1] is not None
-
-
-# box levels of 64-cell (1-D) and 16 x 16 (2-D) grids: box volume 2 or 4,
-# 1/16 (the floor is then the smallest normal float, above the screen's
-# underflow allowance), or cells of volume 2 (a power sum past max / 2 is
-# then finite before and after the cell volume)
-_SCREEN_BOXES = {1: {"unit": 0, "small": -5, "large": 6}, 2: {"unit": 0, "small": -3, "large": 4}}
-
-
-def _scaled_norm(diff, t, weight, s, p):
-    """(sum weight 2**-s |diff 2**-t|**p)**(1/p) in 80-bit long double, clear
-    of float64's underflow and overflow."""
-    values = np.ldexp(diff.astype(np.longdouble), -t)
-    scaled = np.ldexp(weight.astype(np.longdouble), -s)
-    return float(np.sum(np.abs(values) ** p * scaled) ** (1.0 / np.longdouble(p)))
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    seed=st.integers(min_value=0, max_value=99999),
-    dim=st.sampled_from([1, 2]),
-    box=st.sampled_from(["unit", "small", "large"]),
-    scale_exp=st.integers(min_value=-1080, max_value=690),
-    sum_exp=st.integers(min_value=-1100, max_value=1040),
-    smooth=st.booleans(),
-    frame=st.integers(min_value=0, max_value=2),
-    kind=st.sampled_from(["plain", "cancel", "wide"]),
-    p=st.sampled_from([1.0, 1.5, 2.0, 3.0, 1.2000000000000002, 40.0]),
-)
-@example(seed=0, dim=1, box="unit", scale_exp=0, sum_exp=0, smooth=False, frame=0, kind="plain", p=1.5)
-@example(seed=1, dim=2, box="unit", scale_exp=-700, sum_exp=-1060, smooth=True, frame=1, kind="plain", p=1.5)
-@example(seed=3, dim=1, box="unit", scale_exp=680, sum_exp=1010, smooth=False, frame=2, kind="plain", p=1.5)
-@example(seed=2, dim=1, box="small", scale_exp=-36, sum_exp=-1018, smooth=False, frame=2, kind="plain", p=1.5)
-@example(seed=88, dim=2, box="small", scale_exp=-127, sum_exp=-1013, smooth=True, frame=2, kind="plain", p=1.5)
-@example(seed=84, dim=1, box="large", scale_exp=102, sum_exp=1027, smooth=True, frame=0, kind="plain", p=1.5)
-@example(seed=68, dim=2, box="large", scale_exp=615, sum_exp=1016, smooth=True, frame=1, kind="plain", p=1.5)
-# float32 rounds f = 1 + 2**-30 g to a constant: only rho_j holds d
-@example(seed=5, dim=1, box="unit", scale_exp=0, sum_exp=-40, smooth=True, frame=2, kind="cancel", p=1.5)
-@example(seed=6, dim=2, box="unit", scale_exp=-300, sum_exp=-500, smooth=False, frame=2, kind="cancel", p=1.5)
-@example(seed=12, dim=1, box="unit", scale_exp=0, sum_exp=0, smooth=True, frame=0, kind="cancel", p=1.0)
-@example(seed=13, dim=2, box="unit", scale_exp=40, sum_exp=100, smooth=True, frame=1, kind="cancel", p=3.0)
-# values and weights spread over 2**300 each, past float32's range
-@example(seed=7, dim=1, box="unit", scale_exp=0, sum_exp=0, smooth=False, frame=0, kind="wide", p=1.5)
-@example(seed=8, dim=2, box="large", scale_exp=200, sum_exp=700, smooth=True, frame=1, kind="wide", p=1.5)
-@example(seed=14, dim=1, box="unit", scale_exp=0, sum_exp=0, smooth=False, frame=0, kind="wide", p=1.2000000000000002)
-@example(seed=15, dim=2, box="unit", scale_exp=-20, sum_exp=-200, smooth=False, frame=0, kind="wide", p=2.0)
-# members of max|f| just below, at and above the cap 2**(1021.5 / p - 1)
-@example(seed=9, dim=1, box="unit", scale_exp=678, sum_exp=1015, smooth=False, frame=0, kind="plain", p=1.5)
-@example(seed=10, dim=1, box="unit", scale_exp=679, sum_exp=1017, smooth=False, frame=1, kind="plain", p=1.5)
-@example(seed=11, dim=2, box="unit", scale_exp=680, sum_exp=1018, smooth=False, frame=0, kind="wide", p=1.5)
-@example(seed=16, dim=1, box="unit", scale_exp=508, sum_exp=1015, smooth=False, frame=0, kind="plain", p=2.0)
-@example(seed=17, dim=1, box="unit", scale_exp=509, sum_exp=1017, smooth=False, frame=1, kind="plain", p=2.0)
-@example(seed=18, dim=1, box="unit", scale_exp=23, sum_exp=900, smooth=False, frame=0, kind="plain", p=40.0)
-@example(seed=19, dim=1, box="unit", scale_exp=0, sum_exp=0, smooth=True, frame=0, kind="plain", p=40.0)
-def test_power_screen_encloses_the_kernel(seed, dim, box, scale_exp, sum_exp, smooth, frame, kind, p):
-    # the screen's enclosure property (``_check_screen``) at each p it
-    # meets: 1, 1.5, 2 and 3 take IEEE forms of the float32 power, and
-    # 1.2000000000000002 (p = 0.4's companion exponent) and 40 take float32
-    # np.power.  The weight is scaled so that the sums land near 2**sum_exp,
-    # from subnormal to past the float range.  "cancel" lifts the members to
-    # scale (1 + 2**-30 g), which float32 rounds to a constant; "wide"
-    # spreads values and weights over 2**300 each
-    box_level = _SCREEN_BOXES[dim][box]
-    grid = Grid(dim=dim, box_level=box_level, cell_exp=box_level - (5 if dim == 1 else 3))
-    rng = np.random.default_rng(seed)
-    weight_exp = min(max(sum_exp - round(p * scale_exp), -1074), 1022)
-    sp = _screen_space(grid, rng, math.ldexp(1.0, weight_exp), frame, p)
-    fam = _screen_family(grid, rng, math.ldexp(1.0, scale_exp), smooth)
-    if kind != "plain":
-        if kind == "cancel":
-            lifted = [math.ldexp(1.0, scale_exp) + np.ldexp(f.values, -30) for f in fam.members]
-        else:
-            lifted = [np.ldexp(f.values, rng.integers(-300, 1, grid.shape)) for f in fam.members]
-            weight = np.ldexp(sp.weight.values, rng.integers(-300, 1, grid.shape))
-            sp = WeightedSpace(p, GridFunction(grid, weight))
-        fam = Family(grid, tuple(GridFunction(grid, v) for v in lifted), fam.labels)
-    _check_screen(fam, sp)
 
 
 @settings(max_examples=150, deadline=None)
@@ -618,13 +395,15 @@ def test_power_screen_encloses_the_kernel(seed, dim, box, scale_exp, sum_exp, sm
 def test_screened_select_mesh_is_the_exact_scan(
     seed, dim, scale, weight_scale, smooth, frame, p, data
 ):
-    # select_mesh screens its shifts at every p >= 1; whatever the
-    # threshold, it returns or raises exactly what the exact scan does, and
-    # the exact kernel only meets shifts that scan measures
+    # select_mesh passes 1-D rings whole on their ring bounds at every
+    # p >= 1 and measures every other shift; whatever the threshold and
+    # max_exp, below the cell level included, it returns or raises exactly
+    # what the exact scan does, and the exact kernel only meets shifts that
+    # scan measures
     grid = Grid(dim=dim, box_level=0, cell_exp=-5 if dim == 1 else -3)
     rng = np.random.default_rng(seed)
-    sp = _screen_space(grid, rng, weight_scale, frame, p)
-    fam = _screen_family(grid, rng, scale, smooth)
+    sp = _framed_space(grid, rng, weight_scale, frame, p)
+    fam = _noise_family(grid, rng, scale, smooth)
     max_exp = data.draw(st.sampled_from([None, grid.cell_exp - 1, grid.cell_exp, -1]))
     # thresholds at the exact moduli, an ulp either side, and anywhere
     radii = [2.0**i for i in range(grid.cell_exp, grid.box_level + 1)]
@@ -640,13 +419,13 @@ def test_screened_select_mesh_is_the_exact_scan(
     if not epsilon > 0:
         return
     expected, measured = _measured_outcome(_select_mesh_reference, fam, sp, epsilon, max_exp)
-    got, screened = _measured_outcome(select_mesh, fam, sp, epsilon, max_exp)
+    got, met = _measured_outcome(select_mesh, fam, sp, epsilon, max_exp)
     assert got == expected
-    assert screened <= measured
+    assert met <= measured
 
 
 def test_screened_select_mesh_confirms_a_threshold_on_a_modulus():
-    # the threshold is a shift's exact norm: the screen cannot tell that shift
+    # the threshold is a shift's exact norm: no bound can tell that shift
     # from the threshold, so the exact kernel decides, and the level fails
     grid = Grid(dim=1, box_level=1, cell_exp=-6)
     sp = WeightedSpace(2.0, sample(PowerLaw(0.5), grid))
@@ -664,9 +443,9 @@ def test_screened_select_mesh_confirms_a_threshold_on_a_modulus():
 def test_select_mesh_screens_no_shift_past_the_first_failure(p):
     # the threshold lies between the box moduli of the second and third
     # levels, so the walk fails in the third ring.  The ring bounds pass the
-    # first two rings whole and not the third, so the screen forms the
-    # float32 powers of just one pair of shifts k and -k, the failing ring's
-    # first, which the exact scan measures too
+    # first two rings whole and not the third, whose first shift, the first
+    # member's by -4 cells, is measured and fails: the walk measures no
+    # shift past it, and that shift is one the exact scan measures too
     grid = Grid(dim=1, box_level=1, cell_exp=-6)
     sp = WeightedSpace(p, sample(PowerLaw(0.5), grid))
     fam = Family.from_profiles(grid, [Gaussian(center=c, sigma=0.3) for c in (-0.4, 0.0, 0.3)])
@@ -675,20 +454,24 @@ def test_select_mesh_screens_no_shift_past_the_first_failure(p):
     epsilon = 3.0 * 2.0**grid.dim * 0.5 * (levels[1] + levels[2])
     expected, measured = _measured_outcome(_select_mesh_reference, fam, sp, epsilon, None)
     assert expected == ("ok", (grid.cell_exp + 1, expected[1][1]))
-    # the exact scan leaves the third ring (12 shifts per member) early
-    assert len(measured) < 3 * (4 + 8 + 12)
-    pairs = {(j, frozenset({k, tuple(-a for a in k)})) for j, k in measured}
-    screened = []
-    powers = moduli._PowerScreen._powers
+    # the exact scan leaves the third ring (4 shifts per member) early
+    assert len(measured) < 3 * (2 + 2 + 4)
+    got, met = _measured_outcome(select_mesh, fam, sp, epsilon, None)
+    assert got == expected
+    assert {(j, k) for j, k in met if abs(k[0]) > 2} == {(0, (-4,))}
+    assert (0, (-4,)) in measured
 
-    def counted(screen, terms, roots):
-        screened.append(1)
-        powers(screen, terms, roots)
 
-    with mock.patch.object(moduli._PowerScreen, "_powers", counted):
-        assert select_mesh(fam, sp, epsilon) == expected[1]
-    assert len(screened) == 1
-    assert (0, frozenset({(-4,), (4,)})) in pairs
+def test_select_mesh_rejects_max_exp_below_the_cell_level():
+    # no level lies between the cell level and a max_exp below it: a model
+    # error naming both, not a verdict on the family
+    grid = Grid(dim=1, box_level=0, cell_exp=-4)
+    sp = WeightedSpace(2.0, sample(Constant(1.0), grid))
+    fam = Family.from_profiles(grid, [Gaussian(center=0.0, sigma=0.3)])
+    with pytest.raises(ModelError) as err:
+        select_mesh(fam, sp, 1.0, max_exp=-5)
+    assert str(err.value) == "select_mesh: max_exp -5 is below the cell level -4"
+    assert select_mesh(fam, sp, 1.0, max_exp=-4)[0] == -4
 
 
 def _null_cube_mask_loop(part, space):
@@ -1474,7 +1257,7 @@ def test_random_problem_builds_above_its_least_epsilon(
     seed, dim, p, kinds, power, support, factor, variant
 ):
     # end to end over random small problems: smooth members pass whole rings
-    # on their ring bounds, rough ones fall back to the screen.  At epsilon
+    # on their ring bounds, rough ones fall back to exact norms.  At epsilon
     # above the least that builds, 3 2**dim times the largest one-cell box
     # modulus, the build validates, keeps every stage below epsilon / 3 and
     # rebuilds byte for byte; just below that least epsilon it refuses.  A
