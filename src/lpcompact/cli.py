@@ -13,6 +13,7 @@ import json
 import math
 import sys
 from contextlib import contextmanager
+from dataclasses import asdict
 from pathlib import Path
 
 from .errors import HypothesisError, ModelError, SpecFileError
@@ -92,7 +93,7 @@ def cmd_moduli(args) -> int:
     rows += [["translation", repr(r), repr(v)] for r, v in report.translation]
     rows += [["averaged", repr(r), repr(v)] for r, v in report.averaged]
     _write_csv(prefix.with_suffix(".csv"), ["modulus", "radius", "value"], rows)
-    _write_json(prefix.with_suffix(".json"), report.as_dict())
+    _write_json(prefix.with_suffix(".json"), asdict(report))
     print(f"moduli written to {prefix.with_suffix('.csv')} and {prefix.with_suffix('.json')}")
     return 0
 
@@ -199,7 +200,7 @@ def cmd_experiments(args) -> int:
             [n, repr(r), repr(math.log(n)), repr(math.log(r))] for n, r in report.rows
         ]
         _write_csv(prefix.with_suffix(".csv"), ["N", "ratio", "log_N", "log_ratio"], rows)
-        _write_json(prefix.with_suffix(".json"), report.as_dict())
+        _write_json(prefix.with_suffix(".json"), asdict(report))
         print(f"blow-up slope {report.slope:.6g} (target 1/p = {1.0 / args.p:.6g})")
         return 0
     if args.spec is None:
@@ -210,7 +211,7 @@ def cmd_experiments(args) -> int:
     )
     rows = [[k, repr(b), repr(m)] for k, b, m in report.tail_rows]
     _write_csv(prefix.with_suffix(".csv"), ["k", "tail_bound", "measured_norm"], rows)
-    _write_json(prefix.with_suffix(".json"), report.as_dict())
+    _write_json(prefix.with_suffix(".json"), {**asdict(report), "passed": report.passed})
     print(f"completeness run over {report.steps} steps: passed={report.passed}")
     return 0
 

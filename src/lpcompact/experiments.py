@@ -78,15 +78,6 @@ class BlowupReport:
     rows: tuple[tuple[int, float], ...]  # (N, ratio)
     slope: float
 
-    def as_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "dim": self.dim,
-            "weight_exponent": self.weight_exponent,
-            "rows": [[n, r] for n, r in self.rows],
-            "slope": self.slope,
-        }
-
 
 def blowup_fit(p: float, grid: Grid, n_values, weight_exponent: float | None = None) -> BlowupReport:
     """Least-squares slope of log ratio against log N; needs >= 4 sizes."""
@@ -120,16 +111,6 @@ class CompletenessReport:
         ok_tails = all(measured <= bound + 1e-12 for _, bound, measured in self.tail_rows)
         ok_dom = all(norm <= bound + 1e-12 for _, bound, norm in self.dominator_rows)
         return ok_tails and ok_dom and self.dominator_finite
-
-    def as_dict(self) -> dict:
-        return {
-            "steps": self.steps,
-            "scale": self.scale,
-            "tail_rows": [list(r) for r in self.tail_rows],
-            "dominator_rows": [list(r) for r in self.dominator_rows],
-            "dominator_finite": self.dominator_finite,
-            "passed": self.passed,
-        }
 
 
 def completeness_run(

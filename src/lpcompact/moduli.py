@@ -194,12 +194,18 @@ def _translation_scan(
     moduli first resolves the shifts a member's ring bounds cover and no
     reading has met (``resolve``), so no (member, shift) is measured twice,
     and the result is that of the exact scan, bit for bit.
+
+    A finite radius is capped at n h, n cells per axis, times sqrt(dim) for
+    the ball stencil: that stencil holds every shift with all |k_i| < n and
+    one by n cells along an axis, and a shift by n cells or more along any
+    axis leaves only -f, so the moduli past the cap equal those at it.
     """
     _check_space(family, space)
     grid = family.grid
     errors = np.geterr()
     diff = np.empty(grid.shape)
-    radii = list(radii)
+    cap = grid.cells_per_axis * grid.cell_side * (math.sqrt(grid.dim) if stencil == "ball" else 1.0)
+    radii = [min(r, cap) if math.isfinite(r) else r for r in radii]
     # per member, the ring bounds below the threshold as (reach, bounds) up
     # the reaches of the radii, and the bounds one cell inside the last
     passing, inside = [[] for _ in family.members], [(0, None)] * len(family)
@@ -523,14 +529,6 @@ class ModuliReport:
     tail: tuple[tuple[float, float], ...]
     translation: tuple[tuple[float, float], ...]
     averaged: tuple[tuple[float, float], ...]
-
-    def as_dict(self) -> dict:
-        return {
-            "bound": self.bound,
-            "tail": [list(row) for row in self.tail],
-            "translation": [list(row) for row in self.translation],
-            "averaged": [list(row) for row in self.averaged],
-        }
 
 
 def measure_moduli(

@@ -22,7 +22,7 @@ import math
 import struct
 import sys
 import zlib
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -40,7 +40,7 @@ from .grid import (
 )
 from .moduli import Family, _translation_scan, tail_modulus
 from .spaces import WeightedSpace, _array_norm, indicator_norm
-from .specfile import _number, _record
+from .specfile import _number, _record, _require_keys
 
 __all__ = [
     "EpsilonBudget",
@@ -63,6 +63,8 @@ __all__ = [
 ]
 
 VARIANTS = ("banach", "vanishing")
+# the order of every per-cube list, as the certificate document states it
+_CUBE_ORDER = "row-major by cube corner"
 
 
 @dataclass(frozen=True)
@@ -92,6 +94,8 @@ class NetPlan:
         )
         if not all(math.isfinite(v) for v in numbers):
             raise ModelError(f"plan numbers must be finite, got {numbers}")
+        if min(b.tail, b.projection, b.quantization) < 0:
+            raise ModelError(f"budgets must be nonnegative, got {b}")
         if self.quant_step <= 0:
             raise ModelError(f"quantization step must be positive, got {self.quant_step!r}")
         third = self.epsilon / 3.0
@@ -232,7 +236,8 @@ def _equicontinuity_refusal(grid, moduli, threshold: float, c_max: float = 1.0) 
     when every modulus is below the threshold, so at every epsilon from
     about 3 2**dim c_max max(moduli) on.  ``c_max`` scales the epsilon the
     caller passed to the one the mesh is built at, epsilon / c_max, as the
-    power transfer does."""
+    power transfer does; it words a refusal again from the ``moduli`` and
+    ``threshold`` the refusal keeps."""
     top = max(moduli, default=math.inf)
     message = (
         f"select_mesh: translation modulus is {top:.6g} already at one cell (shift "
@@ -259,7 +264,9 @@ def _equicontinuity_refusal(grid, moduli, threshold: float, c_max: float = 1.0) 
             text = f"{float(mantissa) + 1e-5:.5f}e{exponent}"
         text = f"{float(text):.6g}" if float(text) < math.inf else repr(least)
         message += f"; epsilon {text} or above builds"
-    return HypothesisError("equicontinuity", message)
+    refusal = HypothesisError("equicontinuity", message)
+    refusal.moduli, refusal.threshold = moduli, threshold
+    return refusal
 
 
 def null_cube_mask(part: DyadicPartition, space: WeightedSpace) -> np.ndarray:
@@ -370,6 +377,7 @@ class QuantizedNet:
     net_elements: np.ndarray  # (n_net, n_cubes)
     assignment: tuple[int, ...]
     distances: tuple[float, ...]
+    coeff_bound: float
 
 
 def _row_key(point: np.ndarray) -> int:
@@ -381,7 +389,6 @@ def _row_key(point: np.ndarray) -> int:
 def quantize_net(
     coeff_vectors: np.ndarray,
     quant_step: float,
-    coeff_bound: float,
     part: DyadicPartition,
     space: WeightedSpace,
 ) -> QuantizedNet:
@@ -393,12 +400,11 @@ def quantize_net(
     norm, for every exponent p > 0.  Deduplication happens on the exact float
     lattice rows rint(c / step), with -0.0 made 0.0, not on integer
     coordinates, so equality of net elements is exact and no cast can
-    overflow however small the step.  Inputs must already lie in
-    [-coeff_bound, coeff_bound]; with coeff_bound a lattice multiple the
-    rounded values stay inside the same interval.  Every stage goes one row
-    at a time, through row buffers and one (members, cubes) array whose
-    leading rows become the net, handed over read-only for a certificate to
-    keep.
+    overflow however small the step.  The returned ``coeff_bound`` is the
+    least lattice multiple at least max|c|, so the rounded values stay in
+    [-coeff_bound, coeff_bound] too.  Every stage goes one row at a time,
+    through row buffers and one (members, cubes) array whose leading rows
+    become the net, handed over read-only for a certificate to keep.
     """
     coeffs = np.asarray(coeff_vectors, dtype=np.float64)
     if coeffs.ndim != 2 or coeffs.shape[1] != part.n_cubes:
@@ -406,8 +412,11 @@ def quantize_net(
     if not quant_step > 0:
         raise ModelError("quantization step must be positive")
     row = np.empty(part.n_cubes)
-    if any(np.any(np.abs(c, out=row) > coeff_bound) for c in coeffs):
-        raise ModelError("coefficient outside the declared bound")
+    top = max(float(np.max(np.abs(c, out=row))) for c in coeffs)
+    # ceil alone can land one ulp short of top, so the loop finishes the job
+    coeff_bound = quant_step * math.ceil(top / quant_step)
+    while coeff_bound < top:
+        coeff_bound += quant_step
     # float rounding may overshoot step/2 by an ulp, never more
     half = 0.5 * quant_step * (1 + 1e-12)
     lattice = np.empty(coeffs.shape)
@@ -447,7 +456,8 @@ def quantize_net(
     # row merged, else a copy of its leading rows, and the lattice is freed
     net = lattice if n_net == len(lattice) else elements.copy()
     return QuantizedNet(
-        net_elements=_frozen(net), assignment=tuple(assignment), distances=distances
+        net_elements=_frozen(net), assignment=tuple(assignment), distances=distances,
+        coeff_bound=coeff_bound,
     )
 
 
@@ -522,14 +532,8 @@ def build_certificate(
         step = min(epsilon / (1.5 * chi_norm) * (1.0 - 1e-9), sys.float_info.max)
     else:
         step = 1.0
-    max_coeff = float(np.max(np.abs(coeffs)))
-    # a lattice multiple at least max_coeff: rounding then never leaves the
-    # bound; ceil alone can land one ulp short, so the loop finishes the job
-    coeff_bound = step * math.ceil(max_coeff / step)
-    while coeff_bound < max_coeff:
-        coeff_bound += step
 
-    quant = quantize_net(coeffs, step, coeff_bound, part, space)
+    quant = quantize_net(coeffs, step, part, space)
     del coeffs  # not live beside the distances' buffers
 
     distances = _net_distances(
@@ -541,7 +545,7 @@ def build_certificate(
         box_level=m,
         cube_exp=i_eps,
         quant_step=step,
-        coeff_bound=coeff_bound,
+        coeff_bound=quant.coeff_bound,
         budget=EpsilonBudget(
             tail=tail_value,
             projection=max(proj_errors),
@@ -620,17 +624,6 @@ def _remeasure(
     return tuple(distances), failures
 
 
-def _cube_ids(part: DyadicPartition) -> np.ndarray:
-    """Flat cube index of every cell in flat grid order, -1 outside the partition box."""
-    b = part.cubes_per_axis
-    q = (np.arange(part.grid.cells_per_axis) - part.cell_start) // part.cells_per_cube_axis
-    inside = (q >= 0) & (q < b)
-    if part.grid.dim == 1:
-        return np.where(inside, q, -1)
-    both = inside[:, None] & inside[None, :]
-    return np.where(both, q[:, None] * b + q[None, :], -1).reshape(-1)
-
-
 def _check_cube_claims(
     cert: NetCertificate, part: DyadicPartition, space: WeightedSpace
 ) -> list[str]:
@@ -660,7 +653,9 @@ def _check_cube_claims(
         return ["the null cube list repeats a cube"]
     is_null = times_listed == 1
     weight = space.weight.values.reshape(-1)
-    ids = _cube_ids(part)
+    # each cell's cube, -1 outside the partition box: the cubes distances are
+    # measured on
+    ids = _write_cubes(np.full(part.grid.shape, -1), np.arange(n), part).reshape(-1)
     weighted = np.bincount(ids[(weight > 0) & (ids >= 0)], minlength=n) > 0
     failures = []
     bad = np.flatnonzero(is_null & weighted)
@@ -751,7 +746,7 @@ def _short_fields(cert: NetCertificate) -> dict:
         "grid": asdict(cert.grid),
         "space_p": cert.space_p,
         "variant": cert.variant,
-        "cube_order": "row-major by cube corner",
+        "cube_order": _CUBE_ORDER,
         "assignment": list(cert.assignment),
         "distances": list(cert.distances),
         "labels": list(cert.labels),
@@ -785,9 +780,14 @@ def certificate_from_dict(doc: dict) -> NetCertificate:
     """Rebuild a certificate from its JSON document.  Its plan, budget, grid
     and quasi records are read field by field from their dataclasses, as a
     spec's are: an integer field takes only a JSON integer and a float field
-    only a JSON number.  Any other entry, and a ragged net, raises
+    only a JSON number.  Every key the writer writes must be there, with
+    its cube order, and no other; any other entry, and a ragged net, raises
     ``ModelError``."""
     try:
+        keys = [f.name for f in fields(NetCertificate) if f.name != "quasi"]
+        _require_keys(doc, [*keys, "cube_order"], ["quasi"], "certificate")
+        if doc["cube_order"] != _CUBE_ORDER:
+            raise TypeError(f"cube_order must be {_CUBE_ORDER!r}, got {doc['cube_order']!r}")
         plan = _record(NetPlan, doc["plan"], "plan", read={
             "budget": lambda d, key, where: _record(EpsilonBudget, d[key], f"{where}.{key}"),
         })
@@ -814,8 +814,8 @@ def certificate_from_dict(doc: dict) -> NetCertificate:
             assignment=tuple(_entries(doc["assignment"], (int,), "assignment")),
             distances=tuple(map(float, distances)),
             labels=tuple(_entries(doc["labels"], (str,), "labels")),
-            null_cubes=tuple(_entries(doc.get("null_cubes", ()), (int,), "null_cubes")),
-            witness_cells=tuple(_entries(doc.get("witness_cells", ()), (int,), "witness_cells")),
+            null_cubes=tuple(_entries(doc["null_cubes"], (int,), "null_cubes")),
+            witness_cells=tuple(_entries(doc["witness_cells"], (int,), "witness_cells")),
             quasi=quasi,
         )
     except (KeyError, TypeError, OverflowError, SpecFileError) as exc:
@@ -903,15 +903,15 @@ def save_certificate(cert: NetCertificate, path) -> None:
     sort_keys=True)`` and a newline, without building that text or the net
     as Python floats.  The short fields go through ``json.dumps``, the
     per-cube lists go out in chunks and the net is streamed by row."""
-    fields = _short_fields(cert)
+    short = _short_fields(cert)
     with open(path, "w") as fh:
-        keys = sorted([*fields, "net_elements", "null_cubes", "witness_cells"])
+        keys = sorted([*short, "net_elements", "null_cubes", "witness_cells"])
         for i, key in enumerate(keys):
             fh.write((",\n  " if i else "{\n  ") + json.dumps(key) + ": ")
             if key == "net_elements":
                 _write_net(fh, cert.net_elements, cert.plan.quant_step)
-            elif key in fields:
-                fh.write(json.dumps(fields[key], indent=2, sort_keys=True).replace("\n", "\n  "))
+            elif key in short:
+                fh.write(json.dumps(short[key], indent=2, sort_keys=True).replace("\n", "\n  "))
             else:
                 _write_flat_list(fh, getattr(cert, key), 1)
         fh.write("\n}\n")

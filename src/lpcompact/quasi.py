@@ -24,14 +24,13 @@ import numpy as np
 
 from .errors import HypothesisError, ModelError
 from .grid import GridFunction, _frozen
-from .moduli import Family, _translation_scan, bound_modulus
+from .moduli import Family, bound_modulus
 from .netbuilder import (
     NetCertificate,
     PowerTransferRecord,
     ValidationReport,
     _check_epsilon,
     _equicontinuity_refusal,
-    _mesh_threshold,
     _net_distances,
     _remeasure,
     build_certificate,
@@ -169,13 +168,12 @@ def quasi_certificate(
 
     try:
         cert = build_certificate(roots, ys, eps_prime, variant=variant)
-    except HypothesisError:
+    except HypothesisError as refusal:
         # the refusal names the epsilon that builds as the caller passes it:
-        # measure the roots' one-cell moduli again and scale by c_max
-        grid = roots.grid
-        _, moduli = next(_translation_scan(roots, ys, [grid.cell_side], "box"))
-        threshold = _mesh_threshold(grid.dim, eps_prime)
-        raise _equicontinuity_refusal(grid, moduli(), threshold, c_max or 1.0) from None
+        # select_mesh's one-cell moduli, scaled by c_max
+        raise _equicontinuity_refusal(
+            roots.grid, refusal.moduli, refusal.threshold, c_max or 1.0
+        ) from None
 
     # expansion only copies coefficients and 0.0**n == 0.0, so powering the
     # coefficients equals powering the expanded root net
@@ -210,8 +208,15 @@ def validate_quasi_certificate(
             f"space exponent {space.p!r} does not match the transfer record {rec.p!r}"
         )
         return ValidationReport(False, tuple(failures), ())
+    eps_prime = min(rec.epsilon / rec.c_max, sys.float_info.max) if rec.c_max > 0 else rec.epsilon
     if rec.n_power != select_power(rec.p):
         failures.append(f"the transfer record's power is not select_power({rec.p!r})")
+    elif not rec.eps_prime == eps_prime == certificate.plan.epsilon:
+        failures.append(
+            f"the transfer record's eps_prime {rec.eps_prime!r} must equal both min(epsilon "
+            f"/ c_max, max float), {eps_prime!r}, and the plan's epsilon {certificate.plan.epsilon!r}"
+        )
+    if failures:
         return ValidationReport(False, tuple(failures), ())
     ys = root_space(space, rec.n_power)
     roots = root_family(family, rec.n_power)

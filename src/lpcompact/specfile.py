@@ -87,10 +87,13 @@ def _record(cls, doc: dict, where: str, read=None):
     a time in field order: a name in ``read`` through its own function, a
     field annotated ``int`` through ``_integer`` and any other through
     ``_number``, each called as ``(doc, name, where)``.  A field with a
-    default may be absent."""
+    default may be absent; a missing field or a key that names no field
+    raises ``SpecFileError``."""
+    required = [f.name for f in fields(cls) if f.default is MISSING]
+    _require_keys(doc, required, [f.name for f in fields(cls)], where)
     values = {}
     for f in fields(cls):
-        if f.name in doc or f.default is MISSING:
+        if f.name in doc:
             reader = (read or {}).get(f.name, _integer if f.type == "int" else _number)
             values[f.name] = reader(doc, f.name, where)
     return cls(**values)
@@ -121,7 +124,9 @@ def _parse_profile(doc: dict, base_dir: Path, where: str):
         raise SpecFileError(f"{where}: unknown profile kind {kind!r}")
     if cls is Table:
         return Table(values=_freeze(_table_values(doc, base_dir, where), where))
-    return _record(cls, doc, where, read={"center": _vector})
+    # the kind picks the class and is none of its fields
+    fields_doc = {k: v for k, v in doc.items() if k != "kind"}
+    return _record(cls, fields_doc, where, read={"center": _vector})
 
 
 def _vector(doc: dict, key: str, where: str):
@@ -158,7 +163,6 @@ def parse_problem(doc: dict, base_dir: Path | str = ".") -> Problem:
     base_dir = Path(base_dir)
     _require_keys(doc, ["grid", "space", "members"], optional=["labels"], where="spec")
 
-    _require_keys(doc["grid"], ["dim", "box_level", "cell_exp"], where="spec.grid")
     grid = _record(Grid, doc["grid"], "spec.grid")
 
     sdoc = doc["space"]

@@ -413,6 +413,45 @@ def test_validate_bad_plan_variant_or_labels_exit_3(tmp_path, capsys, p, field, 
     assert reason in err
 
 
+MALFORMED = "model violation: malformed certificate document: "
+EPS_PRIME = "validation failure: the transfer record's eps_prime "
+
+
+@pytest.mark.parametrize(
+    "p, edit, reason",
+    [
+        (2.0, lambda d: d.update(cube_order="column-major"), MALFORMED + "cube_order must be"),
+        (2.0, lambda d: d.pop("cube_order"), MALFORMED + "certificate is missing keys ['cube_order']"),
+        (2.0, lambda d: d.update(note=0), MALFORMED + "certificate has unknown keys ['note']"),
+        (2.0, lambda d: d["plan"].update(note=0), MALFORMED + "plan has unknown keys ['note']"),
+        (0.5, lambda d: d["quasi"].update(note=0), MALFORMED + "quasi has unknown keys ['note']"),
+        (2.0, lambda d: d["plan"]["budget"].update(tail=-64), "model violation: budgets must be"),
+        (0.5, lambda d: d["quasi"].update(c_max=1024), EPS_PRIME),
+        (0.5, lambda d: d["quasi"].update(eps_prime=5e-324), EPS_PRIME),
+        (0.5, lambda d: d["plan"].update(epsilon=1.5 * d["plan"]["epsilon"]), EPS_PRIME),
+    ],
+    ids=[
+        "cube_order_other", "cube_order_dropped", "top_level_key", "plan_key", "quasi_key",
+        "negative_budget", "quasi_c_max", "quasi_eps_prime", "quasi_plan_epsilon",
+    ],
+)
+def test_validate_tampered_record_exit_3_in_one_line(tmp_path, capsys, p, edit, reason):
+    # each of these certificates used to validate: the reader took any cube
+    # order and any extra key, no budget had to be nonnegative, and no one
+    # checked eps_prime against the record's epsilon, c_max and the plan
+    weight = {"kind": "constant", "value": 1.0} if p < 1 else None
+    spec = write_spec(tmp_path / "spec.json", p=p, weight=weight)
+    prob = load_problem(spec)
+    cert_path = tmp_path / "cert.json"
+    eps = 0.4 * bound_modulus(prob.family, prob.space)
+    assert cli.main(["net", "--spec", str(spec), "--epsilon", str(eps), "--out", str(cert_path)]) == 0
+    doc = json.loads(cert_path.read_text())
+    edit(doc)
+    rc, err = _tamper_and_validate(tmp_path, capsys, spec, doc)
+    assert rc == 3
+    assert err.startswith(reason) and err.count("\n") == 1
+
+
 def test_validate_quasi_reports_missing_element_once(tmp_path, capsys):
     spec = write_spec(tmp_path / "spec.json", p=0.5, weight={"kind": "constant", "value": 1.0})
     prob = load_problem(spec)

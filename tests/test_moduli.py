@@ -4,6 +4,7 @@ import json
 import math
 import tracemalloc
 import warnings
+from dataclasses import asdict
 from unittest import mock
 
 import numpy as np
@@ -171,7 +172,7 @@ def test_measure_moduli_report(grid1d, flat_space, rng):
     assert [r for r, _ in rep.tail] == [0.25, 0.5]
     assert [r for r, _ in rep.translation] == [h, 2 * h]
     assert len(rep.averaged) == 2
-    d = rep.as_dict()
+    d = asdict(rep)
     assert set(d) == {"bound", "tail", "translation", "averaged"}
     # tail curve nonincreasing in the radius
     assert rep.tail[0][1] >= rep.tail[1][1]
@@ -430,6 +431,37 @@ def test_scan_screens_nothing_at_a_radius_that_adds_no_shift():
             found.append((confirm(), len(measured)))
     assert found == [(level, found[0][1]) for level in translation_reference(fam, sp, radii, "box")]
     assert 0 < found[0][1] <= 2 * len(fam)
+
+
+@pytest.mark.parametrize(
+    "grid, p, stencil",
+    [
+        (Grid(dim=1, box_level=0, cell_exp=-5), 2.0, "box"),
+        (Grid(dim=2, box_level=0, cell_exp=-2), 1.0, "ball"),
+    ],
+    ids=["1d-box", "2d-ball"],
+)
+def test_scan_past_the_grid_measures_no_more_than_at_its_cap(grid, p, stencil, rng, monkeypatch):
+    # a shift by a whole axis or more leaves only -f, so eight grid widths
+    # give the modulus at the cap, n h (times sqrt(dim) for the ball), and
+    # take no more shifted differences than it
+    fam = random_family(grid, rng)
+    sp = WeightedSpace(p, sample(Constant(1.0), grid))
+    width = grid.cells_per_axis * grid.cell_side
+    calls = []
+
+    def counted(values, offsets, out):
+        calls.append(offsets)
+        _shifted_difference(values, offsets, out)
+
+    monkeypatch.setattr("lpcompact.moduli._shifted_difference", counted)
+    found = []
+    for radius in (width * math.sqrt(grid.dim) if stencil == "ball" else width, 8 * width):
+        calls.clear()
+        found.append((translation_modulus(fam, sp, radius, stencil), len(calls)))
+    (at_cap, cap_calls), (far, far_calls) = found
+    assert far == at_cap
+    assert far_calls <= cap_calls
 
 
 def test_measure_moduli_measures_each_shift_once(tmp_path, monkeypatch):

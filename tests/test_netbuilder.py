@@ -608,7 +608,7 @@ def test_quantize_net_lattice_and_dedup(grid1d, flat_space):
             [0.80, 0.10, 0.40, -0.30],
         ]
     )
-    qn = quantize_net(coeffs, 0.25, 1.0, part, flat_space)
+    qn = quantize_net(coeffs, 0.25, part, flat_space)
     assert qn.net_elements.shape[0] == 2  # first two rows collide after rounding
     assert np.all(np.abs(qn.net_elements) <= 1.0)
     lattice = qn.net_elements / 0.25
@@ -621,7 +621,18 @@ def test_quantize_net_lattice_and_dedup(grid1d, flat_space):
     assert qn.assignment[2] == 1
     for step in (0.0, math.nan):
         with pytest.raises(ModelError, match="quantization step must be positive"):
-            quantize_net(coeffs, step, 1.0, part, flat_space)
+            quantize_net(coeffs, step, part, flat_space)
+
+
+def test_quantize_net_bound_is_a_lattice_multiple_past_an_ulp_short_ceil(grid1d, flat_space):
+    # step * ceil(top / step) lands one ulp below top here; the bound is the
+    # next lattice multiple, so it still covers every coefficient
+    part = DyadicPartition(grid1d, 0, -1)
+    top, step = 3.890947545710138, 0.007555237952835219
+    assert step * math.ceil(top / step) < top
+    qn = quantize_net(np.array([[0.5, -top, 0.0, 1.0]]), step, part, flat_space)
+    assert qn.coeff_bound == step * math.ceil(top / step) + step
+    assert np.all(np.abs(qn.net_elements) <= qn.coeff_bound)
 
 
 def test_build_certificate_end_to_end(gauss_problem):
@@ -908,7 +919,7 @@ def test_cube_kernel_equals_expanded_reference(dim):
             )
             assert projection_error(f, c, part, space, 0.0)[0] == expected
             assert projection_error(f, c, part, space, 0.0, buffers=buffers)[0] == expected
-        qn = quantize_net(coeffs, 0.5, 0.5 * math.ceil(np.max(np.abs(coeffs)) / 0.5), part, space)
+        qn = quantize_net(coeffs, 0.5, part, space)
         assert qn.distances == tuple(
             weighted_norm(expand_coefficients(c - qn.net_elements[j], part), space)
             for c, j in zip(coeffs, qn.assignment)
@@ -986,9 +997,9 @@ def test_quantize_net_matches_tuple_key_reference(case):
     moved = np.abs(coeffs - np.rint(coeffs / step) * step)
     if np.any(moved > 0.5 * step * (1 + 1e-12)):
         with pytest.raises(ModelError, match="beyond half a step"):
-            quantize_net(coeffs, step, 1.0, part, space)
+            quantize_net(coeffs, step, part, space)
         return
-    qn = quantize_net(coeffs, step, 1.0, part, space)
+    qn = quantize_net(coeffs, step, part, space)
     elements, assignment = _quantize_by_tuple_keys(coeffs, step)
     assert qn.assignment == assignment
     assert qn.net_elements.tobytes() == elements.tobytes()
@@ -1005,7 +1016,7 @@ def test_quantize_net_keeps_points_past_the_int64_range(grid1d, flat_space):
     coeffs = np.array([[0.5, 0.5, 0.5, 0.5], [0.5, 0.5, 0.5, 0.75]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        qn = quantize_net(coeffs, 1e-20, 1.0, part, flat_space)
+        qn = quantize_net(coeffs, 1e-20, part, flat_space)
     np.testing.assert_array_equal(qn.net_elements, coeffs)
     assert qn.assignment == (0, 1)
     assert qn.distances == (0.0, 0.0)
@@ -1016,9 +1027,9 @@ def test_quantize_net_tells_apart_rows_that_share_a_bucket(grid1d, flat_space, m
     rng = np.random.default_rng(5)
     pool = rng.uniform(-1.0, 1.0, (3, part.n_cubes))
     coeffs = pool[[0, 1, 0, 2, 1, 2, 0]]
-    expected = quantize_net(coeffs, 0.125, 1.0, part, flat_space)
+    expected = quantize_net(coeffs, 0.125, part, flat_space)
     monkeypatch.setattr(netbuilder, "_row_key", lambda point: 0)
-    qn = quantize_net(coeffs, 0.125, 1.0, part, flat_space)
+    qn = quantize_net(coeffs, 0.125, part, flat_space)
     assert qn.assignment == expected.assignment == (0, 1, 0, 2, 1, 2, 0)
     np.testing.assert_array_equal(qn.net_elements, expected.net_elements)
     assert qn.distances == expected.distances
@@ -1037,7 +1048,7 @@ def wide_net():
         tuple(GridFunction(grid, c.reshape(grid.shape)) for c in coeffs),
         tuple(f"m{i}" for i in range(8)),
     )
-    qn = quantize_net(coeffs, 0.1, 1.0, part, space)
+    qn = quantize_net(coeffs, 0.1, part, space)
     plan = netbuilder.NetPlan(
         epsilon=10.0, box_level=1, cube_exp=-6, quant_step=0.1, coeff_bound=1.0,
         budget=netbuilder.EpsilonBudget(0.0, 0.0, max(qn.distances)),
@@ -1062,11 +1073,11 @@ def _peak_share(call, nbytes):
 
 def test_quantize_net_peaks_at_the_net_and_a_few_rows(wide_net):
     coeffs, part, space, _, _ = wide_net
-    assert _peak_share(lambda: quantize_net(coeffs, 0.1, 1.0, part, space), coeffs.nbytes) <= 1.5
+    assert _peak_share(lambda: quantize_net(coeffs, 0.1, part, space), coeffs.nbytes) <= 1.5
     # every row twice: the lattice of 16 rows, the copy of its 8 leading rows
     # the net keeps and a row buffer, not the distances' two grid buffers too
     twice = np.vstack([coeffs, coeffs])
-    assert _peak_share(lambda: quantize_net(twice, 0.1, 1.0, part, space), twice.nbytes) <= 1.6
+    assert _peak_share(lambda: quantize_net(twice, 0.1, part, space), twice.nbytes) <= 1.6
 
 
 def test_validate_certificate_peaks_below_the_net(wide_net):

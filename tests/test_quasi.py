@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -198,6 +200,17 @@ def test_quasi_certificate_end_to_end(quasi_problem):
     report = validate_quasi_certificate(fam, cert, sp)
     assert report.passed
     np.testing.assert_allclose(report.distances, rec.audit_distances, rtol=1e-9)
+
+
+def test_quasi_validation_reports_a_net_element_past_float_range_at_the_power(quasi_problem):
+    # 1e200 is a finite root, and its cube is not: the audit cannot measure it
+    grid, fam, sp, bound = quasi_problem
+    cert = quasi_certificate(fam, sp, 0.2 * bound)
+    net = cert.net_elements.copy()
+    net[0, 0] = 1e200
+    report = validate_quasi_certificate(fam, replace(cert, net_elements=net), sp)
+    assert not report.passed
+    assert "net element 0 overflows at the power 3" in report.failures
 
 
 def test_quasi_refusal_names_the_epsilon_the_caller_passes(quasi_problem):
