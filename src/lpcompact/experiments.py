@@ -11,7 +11,6 @@ limit is approached at rate 2**(1-k).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,12 +35,17 @@ def _resolvable_radius(grid: Grid, n_value: int) -> float:
         raise ModelError("N must be a positive integer")
     radius = 1.0 / n_value
     cells = radius / grid.cell_side
-    if cells != math.floor(cells) or cells < 1:
+    if not cells.is_integer() or cells < 1:
         raise ModelError(
             f"1/N = {radius!r} is not a positive multiple of the cell side "
             f"{grid.cell_side!r}; pick N a power of two within resolution"
         )
     return radius
+
+
+def _weight_exponent(p: float, grid: Grid, weight_exponent: float | None) -> float:
+    """The exponent given, or the critical one, dim*(p-1)+1, by default."""
+    return grid.dim * (p - 1.0) + 1.0 if weight_exponent is None else weight_exponent
 
 
 def indicator_mass_ratio(space: WeightedSpace, radius: float) -> float:
@@ -65,7 +69,7 @@ def blowup_ratio(p: float, grid: Grid, n_value: int, weight_exponent: float | No
     if not p > 0:
         raise ModelError("p must be positive")
     radius = _resolvable_radius(grid, n_value)
-    a = grid.dim * (p - 1.0) + 1.0 if weight_exponent is None else weight_exponent
+    a = _weight_exponent(p, grid, weight_exponent)
     space = WeightedSpace(p, sample(PowerLaw(exponent=a), grid))
     return indicator_mass_ratio(space, radius)
 
@@ -84,11 +88,11 @@ def blowup_fit(p: float, grid: Grid, n_values, weight_exponent: float | None = N
     n_values = [int(n) for n in n_values]
     if len(n_values) < 4:
         raise ModelError("a meaningful fit needs at least 4 values of N")
-    rows = tuple((n, blowup_ratio(p, grid, n, weight_exponent)) for n in n_values)
+    a = _weight_exponent(p, grid, weight_exponent)
+    rows = tuple((n, blowup_ratio(p, grid, n, a)) for n in n_values)
     logs_n = np.log([n for n, _ in rows])
     logs_r = np.log([r for _, r in rows])
     slope = float(np.polyfit(logs_n, logs_r, 1)[0])
-    a = grid.dim * (p - 1.0) + 1.0 if weight_exponent is None else weight_exponent
     return BlowupReport(p=p, dim=grid.dim, weight_exponent=a, rows=rows, slope=slope)
 
 

@@ -149,8 +149,7 @@ def translation_modulus(
     box stencil at radius 2**i realises the whole dyadic shift box of level i.
     Radii below one cell admit no shift at all and are rejected.
     """
-    _, moduli = next(_translation_scan(family, space, [radius], stencil))
-    return max(moduli())
+    return max(next(_translation_scan(family, space, [radius], stencil))())
 
 
 # the ring bound's dots go in rows of at most this many cells, one
@@ -173,12 +172,13 @@ _POWER_SLACK = 2.0**-40
 def _translation_scan(
     family: Family, space: WeightedSpace, radii, stencil: str, threshold: float = math.inf
 ):
-    """Walk up the nondecreasing ``radii`` and yield, after each, whether its
-    translation modulus reaches ``threshold``, and a function that returns
-    each member's modulus there, exactly, until the walk goes on: the one
-    translation scan.  ``translation_modulus`` and ``measure_moduli`` walk it
-    at threshold inf, where it never stops early, and ``select_mesh`` at its
-    mesh threshold over the box levels.
+    """Walk up the nondecreasing ``radii`` and yield, after each radius whose
+    every shift is below ``threshold``, a function that returns each member's
+    modulus there, exactly, until the walk goes on: the one translation scan.
+    The first shift that reaches the threshold ends the walk, at any radius.
+    ``translation_modulus`` and ``measure_moduli`` walk it at threshold inf,
+    where it never stops early, and ``select_mesh`` at its mesh threshold
+    over the box levels.
 
     Each radius adds the ring of shifts the smaller radii lacked
     (``_shift_ring``).  Radii, then members, then shifts go in stencil order.
@@ -186,9 +186,7 @@ def _translation_scan(
     taken first, up the reaches of the radii to the first that reaches the
     threshold, and a ring passes whole where the bounds at its reach or
     beyond, which cover every shift up to there, are below the threshold.
-    ``_shift_norm`` measures every shift of every other ring.  The first
-    radius is gone through in full; past it the first failing shift ends the
-    walk before that radius is yielded.
+    ``_shift_norm`` measures every shift of every other ring.
 
     Each member keeps the largest exact norm so far, its top.  Reading the
     moduli first resolves the shifts a member's ring bounds cover and no
@@ -253,9 +251,9 @@ def _translation_scan(
     top = [-math.inf] * len(family)
     covered, resolved = [(0, None)] * len(family), [0] * len(family)
     inner = 0.0
-    for n, radius in enumerate(radii):
+    for radius in radii:
         offsets = _shift_ring(grid, inner, radius, stencil)
-        if not offsets and not n:
+        if not offsets and not inner:
             raise ModelError(
                 f"translation radius {radius} admits no nonzero grid shift "
                 f"(cell side {grid.cell_side})"
@@ -264,7 +262,7 @@ def _translation_scan(
         # the ring's largest norm per member measured, and the members its
         # bounds cover, folded in only once the ring is through: a walk that
         # stops in a ring leaves the last radius yielded as it was
-        ring, decided, fails = {}, {}, False
+        ring, decided = {}, {}
         with np.errstate(over="ignore", invalid="ignore"):
             for j in range(len(family)) if offsets else ():
                 cover = next((b for cells, b in passing[j] if cells >= reach), None)
@@ -274,17 +272,13 @@ def _translation_scan(
                 for k in offsets:
                     norm = exact(j, k)
                     if not norm < threshold:
-                        if n:
-                            return
-                        fails = True
+                        return
                     ring[j] = max(ring.get(j, -math.inf), norm)
         for j, norm in ring.items():
             top[j] = max(top[j], norm)
         for j, cover in decided.items():
             covered[j] = cover
-        yield fails, confirm
-        if fails:
-            return
+        yield confirm
         inner = radius
 
 
@@ -546,7 +540,7 @@ def measure_moduli(
     radii = [float(r) for r in shift_radii]
     distinct = sorted(set(radii))
     walk = _translation_scan(family, space, distinct, stencil)
-    scan = {r: max(moduli()) for r, (_, moduli) in zip(distinct, walk)}
+    scan = {r: max(moduli()) for r, moduli in zip(distinct, walk)}
     trans = tuple((r, scan[r]) for r in radii)
     averaged = {r: averaged_modulus(family, space, r) for r in distinct if with_averaged}
     avg = tuple((r, averaged[r]) for r in radii) if with_averaged else ()

@@ -38,7 +38,7 @@ from .grid import (
     all_cube_averages,
     inside_mask,
 )
-from .moduli import Family, _translation_scan, tail_modulus
+from .moduli import Family, _translation_scan, tail_modulus, translation_modulus
 from .spaces import WeightedSpace, _array_norm, indicator_norm
 from .specfile import _number, _record, _require_keys
 
@@ -197,12 +197,13 @@ def select_mesh(
 
     The translation modulus is nondecreasing in the radius (stencils nest), so
     the translation scan (``moduli._translation_scan``) goes up from the cell
-    scale and stops at the first failure; past the first level it stops at
-    the first shift that reaches the threshold, and only the last level that
-    passed has its moduli confirmed.  On a 1-D grid at p >= 1 the ring bounds
-    pass whole rings; every other shift is measured exactly.  The result is
-    that of the exact scan, bit for bit.  A ``max_exp`` below the cell level
-    leaves no level to scan and is a model error.
+    scale and stops at the first shift that reaches the threshold, and only
+    the last level that passed has its moduli confirmed.  On a 1-D grid at
+    p >= 1 the ring bounds pass whole rings; every other shift is measured
+    exactly.  The result is that of the exact scan, bit for bit.  Where the
+    one-cell level fails, ``translation_modulus`` measures it for the refusal.
+    A ``max_exp`` below the cell level leaves no level to scan and is a model
+    error.
     """
     _check_epsilon(epsilon)
     grid = family.grid
@@ -212,16 +213,13 @@ def select_mesh(
     threshold = _mesh_threshold(grid.dim, epsilon)
     levels = range(grid.cell_exp, hi + 1)
     walk = _translation_scan(family, space, [2.0**i for i in levels], "box", threshold)
-    level, moduli = None, tuple
-    for i, (fails, confirm) in zip(levels, walk):
-        moduli = confirm
-        if fails:
-            break
-        level = i
-    found = moduli()
+    level = None
+    for level, moduli in zip(levels, walk):
+        pass
     if level is None:
-        raise _equicontinuity_refusal(grid, found, threshold)
-    return level, found
+        one_cell = translation_modulus(family, space, grid.cell_side, stencil="box")
+        raise _equicontinuity_refusal(grid, one_cell, threshold)
+    return level, moduli()
 
 
 def _mesh_threshold(dim: int, epsilon: float) -> float:
@@ -229,25 +227,24 @@ def _mesh_threshold(dim: int, epsilon: float) -> float:
     return 2.0 ** (-dim) * epsilon / 3.0
 
 
-def _equicontinuity_refusal(grid, moduli, threshold: float, c_max: float = 1.0) -> HypothesisError:
-    """The refusal of a family whose one-cell box moduli ``moduli`` reach
+def _equicontinuity_refusal(grid, modulus, threshold: float, c_max: float = 1.0) -> HypothesisError:
+    """The refusal of a family whose one-cell box modulus ``modulus`` reaches
     ``threshold``.  It names the least epsilon that builds, rounded up to six
     digits: the one-cell level, the only one that can refuse, passes just
-    when every modulus is below the threshold, so at every epsilon from
-    about 3 2**dim c_max max(moduli) on.  ``c_max`` scales the epsilon the
-    caller passed to the one the mesh is built at, epsilon / c_max, as the
-    power transfer does; it words a refusal again from the ``moduli`` and
+    when the modulus is below the threshold, so at every epsilon from about
+    3 2**dim c_max modulus on.  ``c_max`` scales the epsilon the caller
+    passed to the one the mesh is built at, epsilon / c_max, as the power
+    transfer does; it words a refusal again from the ``modulus`` and
     ``threshold`` the refusal keeps."""
-    top = max(moduli, default=math.inf)
     message = (
-        f"select_mesh: translation modulus is {top:.6g} already at one cell (shift "
+        f"select_mesh: translation modulus is {modulus:.6g} already at one cell (shift "
         f"{grid.cell_side}), needs < {threshold:.6g}; the family is not equicontinuous "
         f"at this resolution"
     )
 
     def builds(bits: int) -> bool:
         epsilon = struct.unpack("<d", struct.pack("<q", bits))[0]
-        return top < _mesh_threshold(grid.dim, min(epsilon / c_max, sys.float_info.max))
+        return modulus < _mesh_threshold(grid.dim, min(epsilon / c_max, sys.float_info.max))
 
     # the least float epsilon that builds, by bisection over the positive
     # floats, which their bit patterns order
@@ -265,7 +262,7 @@ def _equicontinuity_refusal(grid, moduli, threshold: float, c_max: float = 1.0) 
         text = f"{float(text):.6g}" if float(text) < math.inf else repr(least)
         message += f"; epsilon {text} or above builds"
     refusal = HypothesisError("equicontinuity", message)
-    refusal.moduli, refusal.threshold = moduli, threshold
+    refusal.modulus, refusal.threshold = modulus, threshold
     return refusal
 
 
@@ -400,11 +397,12 @@ def quantize_net(
     norm, for every exponent p > 0.  Deduplication happens on the exact float
     lattice rows rint(c / step), with -0.0 made 0.0, not on integer
     coordinates, so equality of net elements is exact and no cast can
-    overflow however small the step.  The returned ``coeff_bound`` is the
-    least lattice multiple at least max|c|, so the rounded values stay in
-    [-coeff_bound, coeff_bound] too.  Every stage goes one row at a time,
-    through row buffers and one (members, cubes) array whose leading rows
-    become the net, handed over read-only for a certificate to keep.
+    overflow; a step so small that max|c| / step overflows is a model error.
+    The returned ``coeff_bound``, the least lattice multiple at least max|c|
+    (one ulp past one where the step is below half an ulp of it), bounds the
+    rounded values' sizes too.  Every stage goes one row at a time, through
+    row buffers and one (members, cubes) array whose leading rows become the
+    net, handed over read-only for a certificate to keep.
     """
     coeffs = np.asarray(coeff_vectors, dtype=np.float64)
     if coeffs.ndim != 2 or coeffs.shape[1] != part.n_cubes:
@@ -413,10 +411,13 @@ def quantize_net(
         raise ModelError("quantization step must be positive")
     row = np.empty(part.n_cubes)
     top = max(float(np.max(np.abs(c, out=row))) for c in coeffs)
-    # ceil alone can land one ulp short of top, so the loop finishes the job
-    coeff_bound = quant_step * math.ceil(top / quant_step)
+    steps = top / quant_step
+    if not math.isfinite(steps):
+        raise ModelError(f"coefficient {top!r} over the quantization step {quant_step!r} overflows")
+    # ceil alone can land an ulp short of top; the loop adds a step, or an ulp
+    coeff_bound = quant_step * math.ceil(steps)
     while coeff_bound < top:
-        coeff_bound += quant_step
+        coeff_bound = max(coeff_bound + quant_step, math.nextafter(coeff_bound, math.inf))
     # float rounding may overshoot step/2 by an ulp, never more
     half = 0.5 * quant_step * (1 + 1e-12)
     lattice = np.empty(coeffs.shape)

@@ -170,9 +170,9 @@ def quasi_certificate(
         cert = build_certificate(roots, ys, eps_prime, variant=variant)
     except HypothesisError as refusal:
         # the refusal names the epsilon that builds as the caller passes it:
-        # select_mesh's one-cell moduli, scaled by c_max
+        # select_mesh's one-cell modulus, scaled by c_max
         raise _equicontinuity_refusal(
-            roots.grid, refusal.moduli, refusal.threshold, c_max or 1.0
+            roots.grid, refusal.modulus, refusal.threshold, c_max or 1.0
         ) from None
 
     # expansion only copies coefficients and 0.0**n == 0.0, so powering the

@@ -290,6 +290,58 @@ def test_exit_code_hypothesis_failure(tmp_path, spec_path, capsys):
     assert "select_mesh" in err
 
 
+def _constant_on_an_indicator(tmp_path, value):
+    """A spec of one constant member under the indicator of [-0.5, 0.5]."""
+    return write_spec(
+        tmp_path / "constant.json",
+        grid={"dim": 1, "box_level": 1, "cell_exp": -4},
+        weight={"kind": "indicator", "center": 0.0, "radius": 0.5},
+        members=[{"kind": "constant", "value": value}],
+    )
+
+
+def test_net_step_below_half_an_ulp_of_the_bound_ends_exit_3(tmp_path):
+    # epsilon 1.002e-25 takes a step of 6.68e-26, and step * ceil(1 / step)
+    # lands an ulp below the member's 1.0, where adding a step moves no bit;
+    # the bound goes up an ulp instead, and the rounding check refuses the
+    # step.  The build runs in a child with a timeout, so a loop that cannot
+    # end fails the test instead of hanging the suite
+    spec = _constant_on_an_indicator(tmp_path, 1.0)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run(
+        [sys.executable, "-m", "lpcompact.cli", "net", "--spec", str(spec),
+         "--epsilon", "1.002e-25", "--out", str(tmp_path / "c.json")],
+        capture_output=True, text=True, env=env, check=False, timeout=60,
+    )
+    assert run.returncode == 3
+    assert run.stderr == "model violation: lattice rounding moved a coefficient beyond half a step\n"
+
+
+def test_net_coefficient_over_the_step_past_float_range_exit_3(tmp_path, capsys):
+    # 1e10 over a step of 6.7e-301 is inf, whose ceil used to raise an
+    # OverflowError: one stderr line names the coefficient and the step
+    spec = _constant_on_an_indicator(tmp_path, 1e10)
+    rc = cli.main(["net", "--spec", str(spec), "--epsilon", "1e-300", "--out", str(tmp_path / "c")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("model violation: coefficient 10000000000.0 over the quantization step ")
+    assert err.endswith(" overflows\n")
+
+
+def test_experiments_blowup_past_float_range_in_cells_exit_3(tmp_path, capsys):
+    # on 2**-1040 cells, 1/N is an infinite number of cells: not a multiple
+    # of the cell side, where floor(inf) used to raise an OverflowError
+    rc = cli.main(
+        ["experiments", "blowup", "--box-level", "-1000", "--cell-exp", "-1040",
+         "--n-list", "1,2,4,8", "--out", str(tmp_path / "b")]
+    )
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "is not a positive multiple of the cell side" in err
+
+
 def test_exit_code_model_violation(tmp_path, spec_path, capsys):
     rc = cli.main(
         ["net", "--spec", str(spec_path), "--epsilon", "-0.5", "--out", str(tmp_path / "c.json")]

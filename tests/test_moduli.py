@@ -274,7 +274,7 @@ def test_ring_scan_equals_translation_modulus(grid, p):
     h = grid.cell_side
     dyadic = [2.0**i for i in range(grid.cell_exp, grid.box_level + 1)]
     for stencil, radii in (("box", dyadic), ("ball", [h, 1.5 * h, 2.3 * h, 2.3 * h, 5.0 * h])):
-        levels = [moduli() for _, moduli in _translation_scan(fam, sp, radii, stencil)]
+        levels = [moduli() for moduli in _translation_scan(fam, sp, radii, stencil)]
         assert levels == translation_reference(fam, sp, radii, stencil)
         assert len(levels) == len(radii)
         for radius, moduli in zip(radii, levels):
@@ -338,15 +338,15 @@ def _drawn_threshold(family, space, levels, data):
 def _walked_selection(family, space, levels, threshold):
     """The mesh walk as ``select_mesh`` takes it: the last of the box
     ``levels`` that passes, with its confirmed moduli, or None with the first
-    level's moduli (``()`` for no levels)."""
-    walk = _translation_scan(family, space, [2.0**i for i in levels], "box", threshold)
-    level, moduli = None, tuple
-    for i, (fails, confirm) in zip(levels, walk):
-        moduli = confirm
-        if fails:
-            break
-        level = i
-    return level, moduli()
+    level's moduli as ``translation_modulus`` measures them, at threshold inf
+    (``()`` for no levels)."""
+    radii = [2.0**i for i in levels]
+    level = None
+    for level, moduli in zip(levels, _translation_scan(family, space, radii, "box", threshold)):
+        pass
+    if level is not None:
+        return level, moduli()
+    return None, next(_translation_scan(family, space, radii[:1], "box"))() if radii else ()
 
 
 @settings(max_examples=80, deadline=None)
@@ -368,6 +368,25 @@ def test_early_stopping_scan_matches_full_scan(seed, dim, p, data):
     threshold = _drawn_threshold(fam, sp, levels, data)
     expected = _full_scan_selection(fam, sp, levels, threshold)
     assert _walked_selection(fam, sp, levels, threshold) == expected
+
+
+@pytest.mark.parametrize(
+    "grid", [Grid(dim=1, box_level=0, cell_exp=-4), Grid(dim=2, box_level=0, cell_exp=-2)]
+)
+def test_scan_yields_nothing_where_the_first_radius_reaches_the_threshold(grid):
+    # the first shift that reaches the threshold ends the walk at any radius,
+    # the first included: at the one-cell modulus, or below it, no radius
+    # passes, and an ulp above it the one-cell radius does
+    rng = np.random.default_rng(grid.dim)
+    sp = WeightedSpace(2.0, _weights_with_zeros(grid, rng))
+    fam = random_family(grid, rng)
+    radii = [2.0**i for i in range(grid.cell_exp, grid.box_level + 1)]
+    one_cell = translation_reference(fam, sp, radii[:1], "box")[0]
+    for threshold in (0.0, min(one_cell), max(one_cell)):
+        assert list(_translation_scan(fam, sp, radii, "box", threshold)) == []
+    above = float(np.nextafter(max(one_cell), np.inf))
+    walk = _translation_scan(fam, sp, radii, "box", above)
+    assert next(walk)() == one_cell
 
 
 @settings(max_examples=60, deadline=None)
@@ -405,7 +424,7 @@ def test_scan_confirms_each_radius_measuring_each_shift_once(seed, dim, p, stenc
         if loose else contextlib.nullcontext()
     )
     with bounds, mock.patch.object(moduli, "_shift_norm", counted):
-        found = [confirm() for _, confirm in _translation_scan(fam, sp, radii, stencil)]
+        found = [confirm() for confirm in _translation_scan(fam, sp, radii, stencil)]
     assert found == expected
     assert len(measured) == len(set(measured))
 
@@ -427,7 +446,7 @@ def test_scan_screens_nothing_at_a_radius_that_adds_no_shift():
         return norm(*args)
 
     with mock.patch.object(moduli, "_shift_norm", counted):
-        for _, confirm in _translation_scan(fam, sp, radii, "box"):
+        for confirm in _translation_scan(fam, sp, radii, "box"):
             found.append((confirm(), len(measured)))
     assert found == [(level, found[0][1]) for level in translation_reference(fam, sp, radii, "box")]
     assert 0 < found[0][1] <= 2 * len(fam)
