@@ -33,6 +33,7 @@ from .spaces import (
     _TINY,
     WeightedSpace,
     _array_norm,
+    _exponent_norm,
     _sum_root,
     _weighted_power_sum,
     weighted_norm,
@@ -125,10 +126,11 @@ def _shift_norm(
     """The exact kernel: ``_array_norm`` of the shifted difference, bit for bit.
 
     The difference is written into ``diff`` and its terms |d|^p * weight are
-    formed over it in place; only a power sum outside [``space._sum_floor``,
-    inf) writes the difference again and hands it to ``_array_norm``, which
-    rescales it or raises under the caller's own floating-point settings
-    ``errors``.  Called under ``np.errstate(over="ignore", invalid="ignore")``.
+    formed over it in place: ``_array_norm``'s plain pass.  Only a power sum
+    outside [``space._sum_floor``, inf) writes the difference again and hands
+    it to ``_exponent_norm``, which measures it or raises under the caller's
+    own floating-point settings ``errors``.  Called under
+    ``np.errstate(over="ignore", invalid="ignore")``.
     """
     _shifted_difference(values, offsets, diff)
     total = _weighted_power_sum(diff, space, diff)
@@ -136,7 +138,7 @@ def _shift_norm(
         return _sum_root(total, space)
     _shifted_difference(values, offsets, diff)
     with np.errstate(**errors):
-        return _array_norm(diff, space)
+        return _exponent_norm(diff, space)
 
 
 def translation_modulus(
@@ -159,7 +161,8 @@ def translation_modulus(
 _DOT_BLOCK = 2048
 _UNIT_ROUNDOFF = 2.0**-53
 # pow(total, 1 / p) in ``_sum_root`` is within an ulp of the real root, and
-# pow of a bound within an ulp; 8 ulps cover both
+# ``_exponent_norm``'s split root, two pows and a product, within four; pow
+# of a bound is within an ulp, and 8 ulps cover both
 _ROOT_SLACK = 2.0**-50
 _HALF_MAX = sys.float_info.max / 2.0
 # the per-term error ``_RingBound`` allows np.power(x, p), its own and the
@@ -182,10 +185,11 @@ def _translation_scan(
 
     Each radius adds the ring of shifts the smaller radii lacked
     (``_shift_ring``).  Radii, then members, then shifts go in stencil order.
-    On a 1-D grid at p >= 1, each member's ring bounds (``_RingBound``) are
-    taken first, up the reaches of the radii to the first that reaches the
-    threshold, and a ring passes whole where the bounds at its reach or
-    beyond, which cover every shift up to there, are below the threshold.
+    On a 1-D grid at p >= 1 where a radius reaches past one cell, each
+    member's ring bounds (``_RingBound``) are taken first, up the reaches of
+    the radii to the first that reaches the threshold, and a ring passes
+    whole where the bounds at its reach or beyond, which cover every shift
+    up to there, are below the threshold.
     ``_shift_norm`` measures every shift of every other ring.
 
     Each member keeps the largest exact norm so far, its top.  Reading the
@@ -209,7 +213,8 @@ def _translation_scan(
     passing, inside = [[] for _ in family.members], [(0, None)] * len(family)
     reaches = sorted({_shift_reach(grid, r) for r in radii if math.isfinite(r)} - {0})
     bound = None
-    if grid.dim == 1 and space.p >= 1.0 and reaches:
+    # at a reach of one cell the confirm step measures the same two shifts
+    if grid.dim == 1 and space.p >= 1.0 and max(reaches, default=0) > 1:
         bound = _RingBound(family, space)
         with np.errstate(over="ignore", invalid="ignore"):
             for j in range(len(family)):
@@ -319,15 +324,22 @@ class _RingBound:
       ``_POWER_SLACK`` of |d|**p plus ``_TINY`` per term, and its pairwise
       sum of each power times w, rounded once, within 2 ``_POWER_SLACK`` + 8
       gamma_(N+4) of the real sum; and the sum's underflows, ``lost``, four
-      times the underflow of N cells under the heaviest weight.  Where its
-      sum falls below ``space._sum_floor``, ``_array_norm`` measures |d| / s
-      again, with s = max|d| <= 2 max|f| on the weight's support, and its
-      underflows weigh s**p times as much, so lost is taken max(1, (2
-      max|f|)**p) times; a member with that past the float range gets the
-      bound inf, as its differences may not even be finite.  The kernel's
-      root, s times the sum to the rounded 1 / p, lies within 2**-43 / p of
+      times the underflow of N cells under the heaviest weight.  The
+      kernel's root, the sum to the rounded 1 / p, lies within 2**-43 / p of
       the real root of its power sum, which the bound's sum covers with
       2**-40 more.
+    - Where the kernel's sum falls below ``space._sum_floor``,
+      ``_exponent_norm`` measures the difference again.  Its errors are all
+      relative: a few ulps per term and the pairwise sum's gamma, inside the
+      kernel's slack above, and the terms it drops, some 2**-1074 of its
+      largest.  Its root takes the same rounded 1 / p, and its split
+      exponent's power of two adds at most four ulps, inside ``_ROOT_SLACK``.
+    - A difference f(y - k) - f(y) beyond float range, which the kernel
+      rejects, overflows the bound too: the zero-filled member climbs from 0
+      to f(y - k), on to f(y) and back to 0, so sum_y |g(y)| is at least
+      twice |f(y - k) - f(y)|, past twice max, and for p >= 1 the float sum
+      of |g|**p over the N + 1 differences overflows.  ``spread`` carries
+      that inf (a NaN where the weight sums to 0), and the bound is inf.
 
     ``_root_bound`` then raises the bound to 1 / p, and gives inf for a sum
     outside [``space._sum_floor``, max / 2], or an inf or NaN, which decides
@@ -378,13 +390,7 @@ class _RingBound:
         -K cells: it reads the bound's buffer, so only until the next member
         is formed."""
         f = self.family.members[j].values
-        cells, p, powers = f.size, self.space.p, self.powers
-        try:
-            lost = self.lost * max(1.0, (2.0 * max(float(np.max(f)), -float(np.min(f)))) ** p)
-        except OverflowError:
-            lost = math.inf
-        if lost == math.inf:
-            return lambda reach: (math.inf, math.inf)
+        cells, p, powers, lost = f.size, self.space.p, self.powers, self.lost
         powers[0], powers[cells] = f[0], -f[-1]
         np.subtract(f[1:], f[:-1], out=powers[1:cells])
         if p == 2.0:

@@ -170,10 +170,11 @@ def select_tail_level(
     nonincreasing in the level, in floats too while the power sums stay in
     the normal range: a smaller box only zeroes more of the nonnegative terms
     |f|^p * weight, which ``np.sum`` adds in the same fixed order, and
-    rounding, ``max`` and the p-th root are monotone.  Where the norm
-    rescales a sum that underflows or overflows, the scale moves with the
-    level and the tail can rise by an ulp as the box grows; the scan then
-    keeps the larger box.
+    rounding, ``max`` and the p-th root are monotone.  Where a sum underflows
+    or overflows, the norm takes its exponent pass, which adds only the
+    nonzero terms and roots differently, and across the two passes the tail
+    can still rise by an ulp as the box grows.  The scan does not rely on
+    the order there: it stops at the first failure and keeps the larger box.
     """
     _check_epsilon(epsilon)
     threshold = epsilon / 3.0

@@ -83,37 +83,22 @@ class WeightedSpace:
 def _array_norm(
     values: np.ndarray, space: WeightedSpace, scratch: np.ndarray | None = None
 ) -> float:
-    """The weighted norm of a raw array of the grid's shape.
+    """The weighted norm of a raw array of the grid's shape, in two passes.
 
-    The terms |v|^p * weight are formed in place, in ``scratch`` when given
-    (``values`` is left untouched, so it must not be ``scratch``) or in one
-    fresh array otherwise; either way every float equals that of
-    ``np.abs(v) ** p * weight``.  A sum below ``space._sum_floor``, one that
-    overflows or one that comes out zero is measured again on |v| / max|v|
-    over the positive-weight cells and scaled back, so large exponents
-    neither lose small functions nor saturate large ones.  Where that sum
-    still leaves the range, ``_exponent_norm`` carries each term's binary
-    exponent apart.  A non-finite entry raises the ``ModelError`` a
-    ``GridFunction`` raises, and so does a norm beyond float range.
+    The plain pass forms the terms |v|^p * weight in place, in ``scratch``
+    when given (``values`` is left untouched, so it must not be ``scratch``)
+    or in one fresh array otherwise; either way every float equals that of
+    ``np.abs(v) ** p * weight``.  Its sum is rooted where it lies in
+    [``space._sum_floor``, inf).  A sum below the floor, zero included, one
+    that overflows and a NaN go to ``_exponent_norm``, which carries each
+    term's binary exponent apart and raises ``ModelError`` on a non-finite
+    entry, as a ``GridFunction`` does; so does a norm beyond float range.
     """
-    # this pass may overflow, or meet inf * 0: both are rescaled below
+    # this pass may overflow, or meet inf * 0: the exponent pass takes both
     with np.errstate(over="ignore", invalid="ignore"):
         total = _weighted_power_sum(values, space, scratch)
     if space._sum_floor <= total < math.inf:
         return _sum_root(total, space)
-    terms = np.abs(values, out=scratch)
-    if not np.all(np.isfinite(terms)):
-        raise ModelError("grid function values must be finite")
-    np.multiply(terms, space.weight.values > 0, out=terms)
-    scale = np.max(terms)
-    if scale == 0.0:
-        return 0.0
-    np.divide(terms, scale, out=terms)
-    # the terms are at most the weights, whose sum may still overflow
-    with np.errstate(over="ignore"):
-        total = _weighted_power_sum(terms, space, terms)
-    if space._sum_floor <= total < math.inf:
-        return _sum_root(total, space, scale)
     return _exponent_norm(values, space)
 
 
@@ -133,17 +118,14 @@ def _weighted_power_sum(
     return np.sum(terms) * space.grid.cell_volume
 
 
-def _sum_root(total: float, space: WeightedSpace, scale: float = 1.0) -> float:
-    """``scale * total ** (1/p)``: the norm whose power sum over the rescaled
-    terms is ``total``; a norm beyond float range raises ``ModelError``."""
+def _sum_root(total: float, space: WeightedSpace) -> float:
+    """``total ** (1/p)``: the norm whose power sum is ``total``; a norm
+    beyond float range raises ``ModelError``."""
     # in Python floats: pow is libm's, as in numpy, but raises on overflow
     try:
-        norm = float(scale) * float(total) ** (1.0 / space.p)
+        return float(total) ** (1.0 / space.p)
     except OverflowError:
-        norm = math.inf
-    if norm == math.inf:
-        raise ModelError(f"a norm at p = {space.p} exceeds the float range")
-    return norm
+        raise ModelError(f"a norm at p = {space.p} exceeds the float range") from None
 
 
 def _mantissa_power(m: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray | int]:
@@ -165,11 +147,17 @@ def _exponent_norm(values: np.ndarray, space: WeightedSpace) -> float:
     """The norm with each term |v|^p * weight held as a mantissa in about
     [2**-256, 2] times an exact power of two, so no term over- or underflows
     before the largest is scaled to one; the root splits its exponent the
-    same way.  A few ulps from the exact norm at any p.
+    same way.  A few ulps from the exact norm at any p.  A non-finite entry,
+    of any weight, raises ``ModelError``; with no nonzero entry of positive
+    weight the norm is 0.0.
     """
+    if not np.all(np.isfinite(values)):
+        raise ModelError("grid function values must be finite")
     p = space.p
     weight = space.weight.values
     keep = (weight > 0) & (values != 0)
+    if not np.any(keep):
+        return 0.0
     mv, ev = np.frexp(np.abs(values[keep]))
     mw, ew = np.frexp(weight[keep])
     # p * ev as k + f with integer k: p_hi has 40 bits, so p_hi * ev is exact
@@ -210,7 +198,7 @@ def indicator_norm(space: WeightedSpace, mask: np.ndarray) -> float:
         total = np.sum(space.weight.values[mask]) * space.grid.cell_volume
     if total == 0.0 or _TINY <= total < math.inf:
         return _sum_root(total, space)
-    return _array_norm(mask.astype(np.float64), space)
+    return _exponent_norm(mask.astype(np.float64), space)
 
 
 @dataclass(frozen=True)

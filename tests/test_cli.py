@@ -749,9 +749,9 @@ def _tampered_net_certificate(tmp_path, p):
 
 
 def test_validate_first_pass_overflow_under_warnings_as_errors(tmp_path, capsys):
-    # a net entry of 1e300 overflows the first power sum of its distance,
-    # which the norm rescales; under -W error that must still be the same
-    # three validation failures, not a RuntimeWarning traceback
+    # a net entry of 1e300 overflows the plain power sum of its distance,
+    # which the exponent pass then measures; under -W error that must still
+    # be the same three validation failures, not a RuntimeWarning traceback
     spec, cert_path = _tampered_net_certificate(tmp_path, 2.0)
     runs = _runs_without_and_with_warnings_as_errors(
         "validate", "--spec", spec, "--certificate", cert_path
@@ -816,9 +816,10 @@ def test_net_indicator_norm_past_the_weight_sum_range(tmp_path):
 
 
 def test_net_small_member_under_huge_weight_is_judged_on_its_merits(tmp_path):
-    # the constant 1e-300 under weight 1e308: every norm needs the rescale
-    # of both factors.  The one-cell shift leaves 1e-300 on one cell, a
-    # modulus of 3.5e-147, which misses the 1.7e-147 the mesh budget allows
+    # the constant 1e-300 under weight 1e308: its square flushes to 0, so
+    # every norm takes the exponent pass, which splits both factors.  The
+    # one-cell shift leaves 1e-300 on one cell, a modulus of 3.5e-147, which
+    # misses the 1.7e-147 the mesh budget allows
     spec = write_spec(
         tmp_path / "spec.json", weight={"kind": "constant", "value": 1e308},
         members=[{"kind": "constant", "value": 1e-300}],

@@ -565,7 +565,8 @@ def _norm_or_error(measure):
     seed=st.integers(0, 2**32 - 1),
     offsets=st.tuples(st.integers(-10, 10), st.integers(-10, 10)),
 )
-# the two rescale paths: |d|**40 underflows to 0 and d**2 overflows to inf
+# the two ways into the exponent pass: |d|**40 underflows to 0 and d**2
+# overflows to inf
 @example(p=40.0, dim=1, scale=1e-200, seed=0, offsets=(3, 0))
 @example(p=2.0, dim=2, scale=1e200, seed=1, offsets=(-2, 5))
 def test_scan_value_is_array_norm_of_the_shifted_difference(p, dim, scale, seed, offsets):
@@ -594,8 +595,9 @@ def test_scan_value_is_array_norm_of_the_shifted_difference(p, dim, scale, seed,
 @pytest.mark.parametrize("p", [0.5, 1.5])
 def test_scan_measures_every_shift_of_an_unpaired_ring(p):
     # a ring that is not laid out as k and -k, and reaches past the one cell
-    # its radius holds, still has every shift measured: at p = 1.5 the ring
-    # bound at one cell does not cover the shift by 2
+    # its radius holds, still has every shift measured: a one-cell radius
+    # takes no ring bound at p = 1.5, and one at one cell would not cover the
+    # shift by 2
     grid = Grid(dim=1, box_level=0, cell_exp=-3)
     rng = np.random.default_rng(3)
     sp = WeightedSpace(p, _weights_with_zeros(grid, rng))
@@ -660,8 +662,8 @@ def test_power_slack_covers_numpy_power():
         assert finite.sum() > 100_000, p
         error = np.abs(got[finite] - reference[finite])
         assert np.all(error <= 0.5 * moduli._POWER_SLACK * reference[finite] + moduli._TINY), p
-    # a power past the range overflows to inf: the ring bound is inf for a
-    # member whose (2 max|f|)**p leaves the range, as its differences' may
+    # a power past the range overflows to inf: the ring bound's sum of a
+    # member's difference powers carries it, and the bound is inf
     with np.errstate(over="ignore"):
         assert np.all(np.isinf(np.power(x[x >= 2.0**683], 1.5)))
 
@@ -769,8 +771,8 @@ def test_scan_ring_bound_is_inf_where_a_difference_overflows():
     # +-1.5 * 2**1023 at the two ends of the grid: every one-cell difference
     # is finite, but the shift by 63 cells sets them side by side, where
     # their difference leaves the float range and the kernel raises.  Under
-    # weights near 2**-1000 the bound's own sums stay finite; the bound is
-    # inf only because 2 max|f| is past the float range
+    # weights near 2**-1000 the bound's dots stay finite; the bound is inf
+    # because the sum of its |difference|**p, 6 * 2**1023, overflows
     values = np.zeros(64)
     values[0], values[-1] = 1.5 * 2.0**1023, -1.5 * 2.0**1023
     (up, down), norms = _ring_bound_and_kernel(values, np.full(64, 2.0**-1000), 1.0, 63)
@@ -915,3 +917,37 @@ def test_scan_ring_bounds_survive_the_exact_norms_between_their_reads(p):
     assert min(reach for reach, _ in reads) <= 4
     fresh = moduli._RingBound(fam, sp).member(0)
     assert reads == [(reach, fresh(reach)) for reach, _ in reads]
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+def test_one_cell_scan_takes_no_ring_bound(p):
+    # at one cell the confirm step measures the same two shifts a ring
+    # bound would cover, so the scan builds none; the moduli have the bits
+    # of a scan that reaches two cells and passes the one-cell ring by its
+    # bounds, and of the exact shifted differences
+    grid = Grid(dim=1, box_level=0, cell_exp=-5)
+    rng = np.random.default_rng(28)
+    sp = WeightedSpace(p, _weights_with_zeros(grid, rng))
+    fam = Family.from_profiles(
+        grid, [Gaussian(center=c, sigma=0.3) for c in (-0.4, 0.0, 0.5)]
+    )
+    h = grid.cell_side
+    built = []
+    ring_bound = moduli._RingBound
+
+    def counted(*args):
+        built.append(args)
+        return ring_bound(*args)
+
+    with mock.patch.object(moduli, "_RingBound", counted):
+        alone = next(_translation_scan(fam, sp, [h], "box"))()
+        assert built == []
+        assert translation_modulus(fam, sp, h, "box") == max(alone)
+        assert built == []
+        bounded = next(_translation_scan(fam, sp, [h, 2 * h], "box"))()
+        assert len(built) == 1
+    exact = tuple(
+        max(_array_norm(_shift_cells(f.values, k) - f.values, sp) for k in ((1,), (-1,)))
+        for f in fam.members
+    )
+    assert [v.hex() for v in alone] == [v.hex() for v in bounded] == [v.hex() for v in exact]

@@ -122,7 +122,8 @@ def _tail_scan_case(name):
         r = grid.center_maxnorm()
         gap = np.where(r < 0.5, 1.0, 0.0) + np.where(r >= 2.0, 0.5, 0.0)
         return WeightedSpace(1.5, GridFunction(grid, gap)), gauss
-    # |f|^p is at most 1e-320: every tail sum underflows and is rescaled
+    # |f|^p is at most 1e-320: every tail sum underflows and takes the
+    # exponent pass
     if name == "underflow-p2":
         return WeightedSpace(2.0, one), tiny
     return WeightedSpace(3.0, sample(PowerLaw(0.5), grid)), tiny
@@ -150,20 +151,26 @@ def test_select_tail_level_down_scan_matches_upward_scan(name):
             assert select_tail_level(fam, space, eps) == _tail_level_upward(fam, space, eps)
 
 
-def test_select_tail_level_keeps_the_larger_box_at_an_ulp_rise():
-    # both tail sums underflow, and the rescaling scale is the largest value
-    # in the tail, which the level -2 tail gains in cell 2: there the tail
-    # comes out one ulp below the level -1 tail.  At that threshold the upward
-    # scan stops at level -2 although level -1 fails; the scan down keeps
-    # level 0, below which every tail reaches the threshold
+def test_select_tail_level_keeps_the_larger_box_at_an_ulp_rise(monkeypatch):
+    # the tail is nonincreasing in the level while its sums stay in the plain
+    # pass, but a sum below the floor takes the exponent pass, and across the
+    # two passes a tail may rise by an ulp.  No small family is known to show
+    # it, so the curve is stood in: the level -2 tail one ulp below the level
+    # -1 tail, which meets the threshold 0.5 exactly.  The upward scan stops
+    # at level -2 although level -1 fails; the scan down keeps level 0
     grid = Grid(dim=1, box_level=0, cell_exp=-2)
-    values, weight = np.zeros(grid.shape), np.zeros(grid.shape)
-    values[0], weight[0] = 1e-160, 0.5
-    values[2], weight[2] = 1e-160 * (1 + 1e-9), 1e-100
-    fam = Family(grid, (GridFunction(grid, values),), ("a",))
-    sp = WeightedSpace(2.0, GridFunction(grid, weight))
-    low, mid = (tail_modulus(fam, sp, 2.0**m, region="box") for m in (-2, -1))
-    assert low == np.nextafter(mid, 0.0)
+    fam = Family.from_profiles(grid, [Constant(1.0)])
+    sp = WeightedSpace(2.0, sample(Constant(1.0), grid))
+    mid = 0.5
+    low = float(np.nextafter(mid, 0.0))
+    curve = {0.25: low, 0.5: mid}
+
+    def stand_in(family, space, radius, region="ball"):
+        assert (family, space, region) == (fam, sp, "box")
+        return curve[radius]
+
+    monkeypatch.setattr(netbuilder, "tail_modulus", stand_in)
+    monkeypatch.setitem(globals(), "tail_modulus", stand_in)
     assert _tail_level_upward(fam, sp, 3 * mid) == (-2, low)
     assert select_tail_level(fam, sp, 3 * mid) == (0, 0.0)
 
@@ -652,6 +659,35 @@ def test_build_certificate_end_to_end(gauss_problem):
     assert report.passed
     assert report.failures == ()
     np.testing.assert_allclose(report.distances, cert.distances, rtol=1e-12)
+
+
+@pytest.mark.parametrize("p, k", [(2.0, 600), (1.5, 800), (3.0, 400)])
+def test_build_certificate_through_the_exponent_pass(p, k):
+    # six Gaussians, and the same times 2**-k at epsilon times 2**-k: every
+    # power |f|**p of the scaled family is below 2**-1100 and flushes to 0,
+    # so each of its norms, in the scans, the projection, the quantization
+    # and the validator, takes the exponent pass.  The build must not move:
+    # the same levels and assignment, the net times 2**-k bit for bit, and
+    # distances within a few ulps of the unscaled ones
+    grid = Grid(dim=1, box_level=2, cell_exp=-8)
+    space = WeightedSpace(p, sample(PowerLaw(0.5), grid))
+    fam = Family.from_profiles(
+        grid, [Gaussian(center=float(c), sigma=0.5) for c in np.linspace(-1.5, 1.5, 6)]
+    )
+    tiny = Family(
+        grid, tuple(GridFunction(grid, np.ldexp(f.values, -k)) for f in fam.members), fam.labels
+    )
+    assert all(_weighted_power_sum(f.values, space) == 0.0 for f in tiny.members)
+    eps = 0.2 * bound_modulus(fam, space)
+    cert = build_certificate(fam, space, eps)
+    scaled = build_certificate(tiny, space, math.ldexp(eps, -k))
+    assert (scaled.plan.box_level, scaled.plan.cube_exp) == (cert.plan.box_level, cert.plan.cube_exp)
+    assert scaled.assignment == cert.assignment
+    assert scaled.net_elements.tobytes() == np.ldexp(cert.net_elements, -k).tobytes()
+    assert validate_certificate(tiny, scaled, space).passed
+    np.testing.assert_allclose(
+        np.ldexp(scaled.distances, k), cert.distances, rtol=6e-16, atol=0.0
+    )
 
 
 def test_certificate_roundtrip(tmp_path, gauss_problem):

@@ -82,15 +82,15 @@ def test_large_exponent_norm_of_a_constant(value):
 
 def test_large_exponent_rescaling_ignores_zero_weight_cells():
     # the norm cannot see a zero-weight cell, so its value must not set the
-    # scale that the visible cells are measured against
+    # top exponent that the visible cells are measured against
     g = Grid(dim=1, box_level=0, cell_exp=-6)
     w = np.ones(g.shape)
     w[0] = 0.0
     values = np.full(g.shape, 0.5)
     values[0] = 1e300
     sp = WeightedSpace(400.0, GridFunction(g, w))
-    # the first pass overflows, and meets inf * 0 at the zero-weight cell:
-    # the rescaled pass handles both, so neither may warn
+    # the plain pass overflows, and meets inf * 0 at the zero-weight cell:
+    # the exponent pass handles both, so neither may warn
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         measured = weighted_norm(GridFunction(g, values), sp)
@@ -108,8 +108,8 @@ def test_square_is_power_two_bitwise():
 @pytest.mark.parametrize("p", [0.6, 2.0])
 def test_norm_beyond_float_range_is_model_error(p):
     # 1.7e308 on [-1, 1): at p = 0.6 the power sum is finite and its root is
-    # not; at p = 2 the sum overflows, and so does the rescaled norm
-    # 1.7e308 * 2**(1/2).  At 1e308 the rescaled norm 1.41e308 still fits.
+    # not; at p = 2 the sum overflows, and so does the exponent pass's norm
+    # 1.7e308 * 2**(1/2).  At 1e308 its norm 1.41e308 still fits.
     g = Grid(dim=1, box_level=0, cell_exp=-4)
     sp = WeightedSpace(p, sample(Constant(1.0), g))
     with warnings.catch_warnings():
@@ -164,36 +164,29 @@ def _reference_log_sum(values, weight, p, cell_volume) -> Decimal | None:
         return total.ln() if total else None
 
 
-def _rooted_log_bound(log_sum, log_scale, log_peak, space) -> Decimal:
+def _rooted_log_bound(log_sum, log_peak, space) -> Decimal:
     """A bound on |ln T| for the sum T that ``_array_norm`` raises to 1 / p.
 
-    Walks the passes in order: the plain sum, which any |v|^p past float
-    range spoils (``log_peak`` is ln max |v| over all cells, zero weights
-    too), then the sum over |v| / exp(``log_scale``).  A pass is accepted
-    when its sum is at least the floor and its sum before the cell volume
-    is finite.  Every pass within a factor of two of that test is counted,
-    and the walk stops at one that passes it with room; past both,
-    ``_exponent_norm`` roots a sum of at least 2**-(min(p, 256) + 1) and at
-    most twice the cell count."""
+    Models its two passes: the plain sum, which any |v|^p past float range
+    spoils (``log_peak`` is ln max |v| over all cells, zero weights too), is
+    taken when it is at least the floor and its sum before the cell volume
+    is finite.  Within a factor of two of that test either pass may be
+    taken, so both count; with room past it, ``_exponent_norm`` roots a sum
+    of at least 2**-(min(p, 256) + 1) and at most twice the cell count."""
     p = Decimal(space.p)
     with localcontext() as ctx:
         ctx.prec = 60
         slack = Decimal(2).ln()
         low = Decimal(space._sum_floor).ln()
         high = Decimal(sys.float_info.max).ln()
-        log_volume = Decimal(space.grid.cell_volume).ln()
-        passes = (
-            (log_sum, max(p * log_peak, log_sum - log_volume)),
-            (log_sum - p * log_scale, log_sum - p * log_scale - log_volume),
-        )
-        bound = Decimal(0)
-        for log_t, log_top in passes:
-            if log_t >= low - slack and log_top <= high + slack:
-                bound = max(bound, abs(log_t))
-                if log_t >= low + slack and log_top <= high - slack:
-                    return bound
-        split = (min(p, Decimal(256)) + 1) * slack
-        return max(bound, split, Decimal(2 * space.grid.n_cells).ln())
+        log_top = max(p * log_peak, log_sum - Decimal(space.grid.cell_volume).ln())
+        plain = abs(log_sum)
+        if log_sum >= low + slack and log_top <= high - slack:
+            return plain
+        split = max((min(p, Decimal(256)) + 1) * slack, Decimal(2 * space.grid.n_cells).ln())
+        if log_sum >= low - slack and log_top <= high + slack:
+            return max(plain, split)
+        return split
 
 
 def _binary(min_exp, max_exp):
@@ -223,8 +216,8 @@ def _extreme_norms(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(_extreme_norms())
-# the constant 1e-300 under weight 1e308: the first power sum underflows and
-# the rescaled one overflows; the norm is 2**(1/2) * 1e-146
+# the constant 1e-300 under weight 1e308: the plain power sum underflows, and
+# the exponent pass splits both factors; the norm is 2**(1/2) * 1e-146
 @example((_GRIDS[0], 2.0, [1e-300] * 8, [1e308] * 8))
 # 1e-160 squares to a subnormal that the weight 1e308 lifts back into range:
 # the plain sum is in range but off in its fifth digit
@@ -232,7 +225,8 @@ def _extreme_norms(draw):
 # one cell dominates through its weight, the other through its value
 @example((_GRIDS[0], 2.0, [1.0, 1e-160] + [0.0] * 6, [1e-300, 1e308] + [0.0] * 6))
 @example((_GRIDS[1], 40.0, [1e-300] * 16, [1e-300] * 16))
-# 1/2 ** 2000 underflows: both passes overflow, then both fall below the floor
+# 1/2 ** 2000 underflows, so the power goes in chunks: the plain sum
+# overflows, then falls below the floor
 @example((_GRIDS[0], 2000.0, [1.0] * 8, [1e308] * 8))
 @example((_GRIDS[0], 2000.0, [1.0] * 8, [1e-310] * 8))
 def test_norm_matches_exact_reference_at_extreme_scales(case):
@@ -245,18 +239,17 @@ def test_norm_matches_exact_reference_at_extreme_scales(case):
             warnings.simplefilter("error")
             assert weighted_norm(f, space) == 0.0
         return
-    scale = max(abs(v) for v, w in zip(values, weights) if w > 0)
     peak = max(abs(v) for v in values)
     with localcontext() as ctx:
         ctx.prec = 60
         reference = (log_sum / Decimal(p)).exp()
-        log_scale, log_peak = Decimal(scale).ln(), Decimal(peak).ln()
+        log_peak = Decimal(peak).ln()
     # a few ulps, more at p < 1 where the root raises the sum's error to 1/p.
     # The root also raises a float sum T to the rounded 1 / p, which moves
     # the norm by |ln T| times that rounding: up to 2.8e-14 at p = 1.5 for
     # sums near either end of the float range, a few ulps for sums near one
     exponent_error = abs(Fraction(1) / Fraction(p) - Fraction(1.0 / p))
-    rooted = float(_rooted_log_bound(log_sum, log_scale, log_peak, space))
+    rooted = float(_rooted_log_bound(log_sum, log_peak, space))
     tol = 16 * _ULP * max(1.0, 1.0 / p) + rooted * float(exponent_error)
     largest = Decimal(sys.float_info.max)
     with warnings.catch_warnings():
