@@ -29,15 +29,7 @@ from .grid import (
     outside_mask,
 )
 from .profiles import _sample_all
-from .spaces import (
-    _TINY,
-    WeightedSpace,
-    _array_norm,
-    _exponent_norm,
-    _sum_root,
-    _weighted_power_sum,
-    weighted_norm,
-)
+from .spaces import _TINY, WeightedSpace, _array_norm, weighted_norm
 
 __all__ = [
     "Family",
@@ -100,11 +92,10 @@ def tail_modulus(family: Family, space: WeightedSpace, radius: float, region: st
     _check_space(family, space)
     outside = outside_mask(family.grid, radius, region)
     kept = np.empty(family.grid.shape)
-    scratch = np.empty(family.grid.shape)
     # multiplying by the mask zeroes the region: members are finite, and the
     # sign a zero picks up is lost to the absolute value
     return max(
-        _array_norm(np.multiply(f.values, outside, out=kept), space, scratch)
+        _array_norm(kept, space, lambda: np.multiply(f.values, outside, out=kept))
         for f in family.members
     )
 
@@ -112,33 +103,13 @@ def tail_modulus(family: Family, space: WeightedSpace, radius: float, region: st
 def _shifted_difference(values: np.ndarray, offsets: tuple[int, ...], out: np.ndarray) -> None:
     """Write the zero-fill shift of ``values`` by ``offsets``, minus ``values``,
     into ``out`` without allocating; the strips take ``0.0 - values``.  A
-    difference beyond float range comes out inf, for the norm to reject; the
-    scan calls this under ``np.errstate(over="ignore")``."""
+    difference beyond float range comes out inf, without a warning, for the
+    norm to reject."""
     dst, src, strips = _shift_slices(values.shape, offsets)
-    np.subtract(values[src], values[dst], out=out[dst])
+    with np.errstate(over="ignore"):
+        np.subtract(values[src], values[dst], out=out[dst])
     for strip in strips:
         np.subtract(0.0, values[strip], out=out[strip])
-
-
-def _shift_norm(
-    values: np.ndarray, offsets, space: WeightedSpace, diff: np.ndarray, errors: dict
-) -> float:
-    """The exact kernel: ``_array_norm`` of the shifted difference, bit for bit.
-
-    The difference is written into ``diff`` and its terms |d|^p * weight are
-    formed over it in place: ``_array_norm``'s plain pass.  Only a power sum
-    outside [``space._sum_floor``, inf) writes the difference again and hands
-    it to ``_exponent_norm``, which measures it or raises under the caller's
-    own floating-point settings ``errors``.  Called under
-    ``np.errstate(over="ignore", invalid="ignore")``.
-    """
-    _shifted_difference(values, offsets, diff)
-    total = _weighted_power_sum(diff, space, diff)
-    if space._sum_floor <= total < math.inf:
-        return _sum_root(total, space)
-    _shifted_difference(values, offsets, diff)
-    with np.errstate(**errors):
-        return _exponent_norm(diff, space)
 
 
 def translation_modulus(
@@ -189,8 +160,9 @@ def _translation_scan(
     member's ring bounds (``_RingBound``) are taken first, up the reaches of
     the radii to the first that reaches the threshold, and a ring passes
     whole where the bounds at its reach or beyond, which cover every shift
-    up to there, are below the threshold.
-    ``_shift_norm`` measures every shift of every other ring.
+    up to there, are below the threshold.  Every shift of every other ring
+    is measured exactly: ``_shifted_difference`` writes it into the scan's
+    one grid-sized buffer, where ``_array_norm`` forms its terms in place.
 
     Each member keeps the largest exact norm so far, its top.  Reading the
     moduli first resolves the shifts a member's ring bounds cover and no
@@ -204,7 +176,6 @@ def _translation_scan(
     """
     _check_space(family, space)
     grid = family.grid
-    errors = np.geterr()
     diff = np.empty(grid.shape)
     cap = grid.cells_per_axis * grid.cell_side * (math.sqrt(grid.dim) if stencil == "ball" else 1.0)
     radii = [min(r, cap) if math.isfinite(r) else r for r in radii]
@@ -216,12 +187,12 @@ def _translation_scan(
     # at a reach of one cell the confirm step measures the same two shifts
     if grid.dim == 1 and space.p >= 1.0 and max(reaches, default=0) > 1:
         bound = _RingBound(family, space)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for j in range(len(family)):
-                passing[j], inside[j] = bound.passing(j, reaches, threshold)
+        for j in range(len(family)):
+            passing[j], inside[j] = bound.passing(j, reaches, threshold)
 
     def exact(j, k):
-        return _shift_norm(family.members[j].values, k, space, diff, errors)
+        values = family.members[j].values
+        return _array_norm(diff, space, lambda: _shifted_difference(values, k, diff))
 
     def resolve(j):
         """Fold into member j's top the shifts its ring bounds cover and no
@@ -245,10 +216,9 @@ def _translation_scan(
         resolved[j] = reach
 
     def confirm() -> tuple[float, ...]:
-        with np.errstate(over="ignore", invalid="ignore"):
-            for j in range(len(family)):
-                if covered[j][0] > resolved[j]:
-                    resolve(j)
+        for j in range(len(family)):
+            if covered[j][0] > resolved[j]:
+                resolve(j)
         return tuple(top)
 
     # per member, the top; the reach in cells its ring bounds cover, with
@@ -268,17 +238,16 @@ def _translation_scan(
         # bounds cover, folded in only once the ring is through: a walk that
         # stops in a ring leaves the last radius yielded as it was
         ring, decided = {}, {}
-        with np.errstate(over="ignore", invalid="ignore"):
-            for j in range(len(family)) if offsets else ():
-                cover = next((b for cells, b in passing[j] if cells >= reach), None)
-                if cover:
-                    decided[j] = reach, cover
-                    continue
-                for k in offsets:
-                    norm = exact(j, k)
-                    if not norm < threshold:
-                        return
-                    ring[j] = max(ring.get(j, -math.inf), norm)
+        for j in range(len(family)) if offsets else ():
+            cover = next((b for cells, b in passing[j] if cells >= reach), None)
+            if cover:
+                decided[j] = reach, cover
+                continue
+            for k in offsets:
+                norm = exact(j, k)
+                if not norm < threshold:
+                    return
+                ring[j] = max(ring.get(j, -math.inf), norm)
         for j, norm in ring.items():
             top[j] = max(top[j], norm)
         for j, cover in decided.items():
@@ -288,9 +257,9 @@ def _translation_scan(
 
 
 class _RingBound:
-    """Upper bounds on the norm ``_shift_norm`` returns at every shift of a
-    1-D grid by 1 to K cells in one direction, one per member, direction and
-    K: the bounds the translation scan passes whole rings by.
+    """Upper bounds on the norm the kernel, ``_array_norm``, returns at every
+    shift of a 1-D grid by 1 to K cells in one direction, one per member,
+    direction and K: the bounds the translation scan passes whole rings by.
 
     Shifts fill with zeros, so for 1 <= k <= K the difference f(y - k) - f(y)
     is the sum over 0 <= i < k of g(y - i), g(y) = f(y - 1) - f(y), with f =
@@ -343,7 +312,8 @@ class _RingBound:
 
     ``_root_bound`` then raises the bound to 1 / p, and gives inf for a sum
     outside [``space._sum_floor``, max / 2], or an inf or NaN, which decides
-    nothing.  Used under ``np.errstate(over="ignore", invalid="ignore")``.
+    nothing.  ``member`` and ``_dot`` ignore the overflows and the inf * 0
+    that carry such a sum, whatever the caller's floating-point settings.
     """
 
     def __init__(self, family: Family, space: WeightedSpace):
@@ -382,7 +352,9 @@ class _RingBound:
 
     def _dot(self, a: np.ndarray, b: np.ndarray) -> float:
         rows = (-1, self.block)
-        return math.fsum(np.vecdot(a.reshape(rows), b.reshape(rows)).tolist())
+        with np.errstate(over="ignore", invalid="ignore"):
+            dots = np.vecdot(a.reshape(rows), b.reshape(rows))
+        return math.fsum(dots.tolist())
 
     def member(self, j: int):
         """Form member j's differences and return the function that gives,
@@ -392,20 +364,21 @@ class _RingBound:
         f = self.family.members[j].values
         cells, p, powers, lost = f.size, self.space.p, self.powers, self.lost
         powers[0], powers[cells] = f[0], -f[-1]
-        np.subtract(f[1:], f[:-1], out=powers[1:cells])
-        if p == 2.0:
-            np.square(powers, out=powers)
-        else:
-            np.abs(powers, out=powers)
-            if p == 1.5:
-                # within a few ulps, as np.power is, in a third of the time
-                for start in range(0, cells + 1, _DOT_BLOCK):
-                    block = powers[start : start + _DOT_BLOCK]
-                    np.multiply(block, np.sqrt(block), out=block)
-            elif p != 1.0:
-                np.power(powers, p, out=powers)
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.subtract(f[1:], f[:-1], out=powers[1:cells])
+            if p == 2.0:
+                np.square(powers, out=powers)
+            else:
+                np.abs(powers, out=powers)
+                if p == 1.5:
+                    # within a few ulps, as np.power is, in a third of the time
+                    for start in range(0, cells + 1, _DOT_BLOCK):
+                        block = powers[start : start + _DOT_BLOCK]
+                        np.multiply(block, np.sqrt(block), out=block)
+                elif p != 1.0:
+                    np.power(powers, p, out=powers)
+            spread = float(np.sum(powers)) * (1.0 + _gamma(cells + 1, _UNIT_ROUNDOFF))
         prefix, room = self._padded(0)
-        spread = float(np.sum(powers)) * (1.0 + _gamma(cells + 1, _UNIT_ROUNDOFF))
         spread *= self.window_error
         ahead_here = self._dot(powers[:cells], prefix[room : room + cells])
         behind_here = self._dot(powers[1:], prefix[room + 1 : room + 1 + cells])
@@ -457,7 +430,7 @@ class _RingBound:
 
 
 def _root_bound(total: float, space: WeightedSpace) -> float:
-    """A bound on the norm ``_shift_norm`` returns, from a bound ``total`` on
+    """A bound on the norm ``_array_norm`` returns, from a bound ``total`` on
     its power sum before the product with the cell volume: the ring bound's
     sum-to-norm step.  Where the sum times the cell volume lies in
     [``space._sum_floor``, max / 2], and so does the sum before it, the

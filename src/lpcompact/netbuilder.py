@@ -335,7 +335,7 @@ def projection_error(
     space: WeightedSpace,
     modulus: float,
     check: bool = False,
-    buffers: tuple[np.ndarray, np.ndarray] | None = None,
+    buffer: np.ndarray | None = None,
 ) -> tuple[float, float]:
     """Measured projection error and its translation-modulus guarantee.
 
@@ -349,20 +349,19 @@ def projection_error(
     ``c**dim`` cube cells, a ratio strictly below ``2**dim``.
     With ``check=True`` a violation beyond ``1e-10 * ||f||`` (possible only
     through arithmetic error for p >= 1) raises; ||f|| is measured only once
-    the error exceeds the guarantee.  ``buffers`` are two float64 arrays of
-    the grid's shape, the first zero outside the partition box, as a call
-    leaves it: a caller that measures every member passes one pair to each
-    call, so no call allocates.
+    the error exceeds the guarantee.  ``buffer`` is a float64 array of the
+    grid's shape, zero outside the partition box, as a call leaves it: the
+    error is written and measured there, and a caller that measures every
+    member passes one buffer to each call, so no call allocates.
     """
-    if buffers is None:
-        buffers = (np.zeros(f.grid.shape), np.empty(f.grid.shape))
-    diff, scratch = buffers
-    # zero outside the partition box, f minus its cube's coefficient inside
-    _write_cubes(diff, coeffs, part, f.values)
-    measured = _array_norm(diff, space, scratch)
+    if buffer is None:
+        buffer = np.zeros(f.grid.shape)
+    # f minus its cube's coefficient inside the partition box, and 0 outside,
+    # where the norm's terms leave 0 again
+    measured = _array_norm(buffer, space, lambda: _write_cubes(buffer, coeffs, part, f.values))
     guarantee = 2.0 ** f.grid.dim * modulus
     if check and measured > guarantee:
-        slack = 1e-10 * _array_norm(f.values, space, scratch)
+        slack = 1e-10 * _array_norm(f.values, space)
         if measured > guarantee + slack:
             raise ModelError(
                 f"projection error {measured!r} exceeds its guarantee {guarantee!r}"
@@ -446,14 +445,13 @@ def quantize_net(
     elements = lattice[:n_net]
     elements *= quant_step
     buf = np.zeros(part.grid.shape)
-    scratch = np.empty(part.grid.shape)
     distances = tuple(
         _array_norm(
-            _write_cubes(buf, np.subtract(c, elements[j], out=row), part), space, scratch
+            buf, space, lambda: _write_cubes(buf, np.subtract(c, elements[j], out=row), part)
         )
         for c, j in zip(coeffs, assignment)
     )
-    del buf, scratch  # not live beside a copy of the net
+    del buf  # not live beside a copy of the net
     # the certificate keeps the net without a copy: the whole lattice when no
     # row merged, else a copy of its leading rows, and the lattice is freed
     net = lattice if n_net == len(lattice) else elements.copy()
@@ -475,11 +473,14 @@ def _net_distances(
     element expanded over the partition; a distance not below epsilon means
     the budget accounting is broken and raises."""
     diff = np.empty(part.grid.shape)
-    scratch = np.empty(part.grid.shape)
     distances = []
     for f, label, j in zip(family.members, family.labels, assignment):
-        np.copyto(diff, f.values)
-        d = _array_norm(_write_cubes(diff, elements[j], part, f.values), space, scratch)
+
+        def write():
+            np.copyto(diff, f.values)
+            _write_cubes(diff, elements[j], part, f.values)
+
+        d = _array_norm(diff, space, write)
         if not d < epsilon:
             raise ModelError(
                 f"member {label!r} is at distance {d!r} from its net element, not "
@@ -518,12 +519,12 @@ def build_certificate(
 
     zeroed = nulls if variant == "vanishing" else None
     coeffs = np.stack([cube_projection(f, part, zeroed) for f in family.members])
-    buffers = (np.zeros(grid.shape), np.empty(grid.shape))
+    buffer = np.zeros(grid.shape)
     proj_errors = [
-        projection_error(f, coeffs[k], part, space, shift_moduli[k], enforce, buffers)[0]
+        projection_error(f, coeffs[k], part, space, shift_moduli[k], enforce, buffer)[0]
         for k, f in enumerate(family.members)
     ]
-    del buffers
+    del buffer
 
     chi_norm = indicator_norm(space, inside_mask(grid, 2.0 ** m, region="box"))
     if chi_norm > 0:
@@ -607,15 +608,18 @@ def _remeasure(
     if failures:
         return (), failures
     diff = np.empty(part.grid.shape)
-    scratch = np.empty(part.grid.shape)
     distances = []
     for f, label, idx, rec in zip(family.members, family.labels, assignment, recorded):
         if not 0 <= idx < len(elements):
             failures.append(f"member {label!r} is assigned to a missing net element {idx}")
             distances.append(math.inf)
             continue
-        np.copyto(diff, f.values)
-        d = _array_norm(_write_cubes(diff, elements[idx], part, f.values), space, scratch)
+
+        def write():
+            np.copyto(diff, f.values)
+            _write_cubes(diff, elements[idx], part, f.values)
+
+        d = _array_norm(diff, space, write)
         distances.append(d)
         if not d < epsilon:
             failures.append(f"member {label!r} has {what} {d!r}, not below epsilon {epsilon!r}")

@@ -63,9 +63,7 @@ def power_transfer(f: GridFunction, n_power: int) -> GridFunction:
     if n_power < 1:
         raise ModelError("power must be a positive integer")
     if np.any(f.values < 0):
-        raise ModelError(
-            "power transfer needs nonnegative values; split signed members first"
-        )
+        raise ModelError("power transfer needs nonnegative values; apply split_nonnegative first")
     return GridFunction(f.grid, _frozen(f.values ** (1.0 / n_power)))
 
 
@@ -75,11 +73,15 @@ def root_space(space: WeightedSpace, n_power: int) -> WeightedSpace:
 
 
 def root_family(family: Family, n_power: int) -> Family:
-    return Family(
-        grid=family.grid,
-        members=tuple(power_transfer(f, n_power) for f in family.members),
-        labels=family.labels,
-    )
+    """The members' cellwise N-th roots; a member ``power_transfer`` rejects
+    raises its ``ModelError`` under the member's label."""
+    members = []
+    for f, label in zip(family.members, family.labels):
+        try:
+            members.append(power_transfer(f, n_power))
+        except ModelError as exc:
+            raise ModelError(f"member {label!r}: {exc}") from None
+    return Family(grid=family.grid, members=tuple(members), labels=family.labels)
 
 
 def split_nonnegative(family: Family) -> Family:
@@ -153,11 +155,6 @@ def quasi_certificate(
     if not 0 < space.p < 1:
         raise ModelError("quasi_certificate applies to exponents 0 < p < 1")
     _check_epsilon(epsilon)
-    for f, lab in zip(family.members, family.labels):
-        if np.any(f.values < 0):
-            raise ModelError(
-                f"member {lab!r} takes negative values; apply split_nonnegative first"
-            )
     n = select_power(space.p)
     ys = root_space(space, n)
     roots = root_family(family, n)

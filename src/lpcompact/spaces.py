@@ -80,25 +80,30 @@ class WeightedSpace:
         return max(_TINY, per_cell * grid.n_cells * grid.cell_volume)
 
 
-def _array_norm(
-    values: np.ndarray, space: WeightedSpace, scratch: np.ndarray | None = None
-) -> float:
-    """The weighted norm of a raw array of the grid's shape, in two passes.
+def _array_norm(values: np.ndarray, space: WeightedSpace, write=None) -> float:
+    """The weighted norm of a raw array of the grid's shape, in two passes:
+    the one norm kernel.
 
-    The plain pass forms the terms |v|^p * weight in place, in ``scratch``
-    when given (``values`` is left untouched, so it must not be ``scratch``)
-    or in one fresh array otherwise; either way every float equals that of
-    ``np.abs(v) ** p * weight``.  Its sum is rooted where it lies in
-    [``space._sum_floor``, inf).  A sum below the floor, zero included, one
-    that overflows and a NaN go to ``_exponent_norm``, which carries each
-    term's binary exponent apart and raises ``ModelError`` on a non-finite
-    entry, as a ``GridFunction`` does; so does a norm beyond float range.
+    The plain pass forms the terms |v|^p * weight, every float that of
+    ``np.abs(v) ** p * weight``: in one fresh array, leaving ``values``
+    untouched, or, given ``write``, a function of no arguments that fills
+    ``values``, a buffer the caller owns, over that buffer in place after
+    ``write()``.  The sum is rooted where it lies in [``space._sum_floor``,
+    inf).  A sum below the floor, zero included, one that overflows and a
+    NaN go to ``_exponent_norm``, after ``write()`` again where the terms
+    took the buffer; it carries each term's binary exponent apart and raises
+    ``ModelError`` on a non-finite entry, as a ``GridFunction`` does; so does
+    a norm beyond float range.
     """
+    if write is not None:
+        write()
     # this pass may overflow, or meet inf * 0: the exponent pass takes both
     with np.errstate(over="ignore", invalid="ignore"):
-        total = _weighted_power_sum(values, space, scratch)
+        total = _weighted_power_sum(values, space, None if write is None else values)
     if space._sum_floor <= total < math.inf:
         return _sum_root(total, space)
+    if write is not None:
+        write()
     return _exponent_norm(values, space)
 
 
@@ -106,8 +111,8 @@ def _weighted_power_sum(
     values: np.ndarray, space: WeightedSpace, out: np.ndarray | None = None
 ) -> float:
     """sum |v|^p * weight * cell_volume, with the terms formed in ``out``
-    (which may be ``values``) or in one fresh array.  At p = 2 the signed
-    values are squared: the same bits as squaring |v|, one pass fewer."""
+    (``_array_norm`` passes ``values``) or in one fresh array.  At p = 2 the
+    signed values are squared: the same bits as squaring |v|, one pass fewer."""
     if space.p == 2.0:
         # the same bits as np.power(np.abs(values), 2.0), in a third of the time
         terms = np.square(values, out=out)

@@ -36,7 +36,7 @@ from lpcompact import (
     weighted_norm,
 )
 
-from conftest import random_family, translation_reference
+from conftest import random_family, shift_norm, translation_reference
 from lpcompact import moduli
 from lpcompact.grid import shift_stencil
 from lpcompact.moduli import _shifted_difference, _translation_scan
@@ -413,17 +413,16 @@ def test_scan_confirms_each_radius_measuring_each_shift_once(seed, dim, p, stenc
     expected = translation_reference(fam, sp, radii, stencil)
     names = {id(f.values): j for j, f in enumerate(fam.members)}
     measured = []
-    norm = moduli._shift_norm
 
-    def counted(values, offsets, *args):
+    def counted(values, offsets, out):
         measured.append((names[id(values)], offsets))
-        return norm(values, offsets, *args)
+        _shifted_difference(values, offsets, out)
 
     bounds = (
         mock.patch.object(moduli._RingBound, "member", _loose_ring_bounds(fam, sp, rng))
         if loose else contextlib.nullcontext()
     )
-    with bounds, mock.patch.object(moduli, "_shift_norm", counted):
+    with bounds, mock.patch.object(moduli, "_shifted_difference", counted):
         found = [confirm() for confirm in _translation_scan(fam, sp, radii, stencil)]
     assert found == expected
     assert len(measured) == len(set(measured))
@@ -439,13 +438,12 @@ def test_scan_screens_nothing_at_a_radius_that_adds_no_shift():
     fam = random_family(grid, rng)
     radii = [grid.cell_side * c for c in (1.0, 1.2, 1.6)]
     measured, found = [], []
-    norm = moduli._shift_norm
 
     def counted(*args):
         measured.append(1)
-        return norm(*args)
+        _shifted_difference(*args)
 
-    with mock.patch.object(moduli, "_shift_norm", counted):
+    with mock.patch.object(moduli, "_shifted_difference", counted):
         for confirm in _translation_scan(fam, sp, radii, "box"):
             found.append((confirm(), len(measured)))
     assert found == [(level, found[0][1]) for level in translation_reference(fam, sp, radii, "box")]
@@ -717,17 +715,15 @@ def test_scan_ring_bound_covers_the_kernel(seed, p, kind, scale_exp, sum_exp, ze
     weight = np.ldexp(weight, min(max(sum_exp - round(p * scale_exp), -1074), 1023))
     sp = WeightedSpace(p, GridFunction(grid, weight))
     fam = Family(grid, (GridFunction(grid, values),), ("f",))
-    diff = np.empty(grid.shape)
-    with np.errstate(over="ignore", invalid="ignore"):
-        bounds = moduli._RingBound(fam, sp).member(0)(reach)
-        for bound, sign in zip(bounds, (1, -1)):
-            for k in range(1, reach + 1):
-                try:
-                    norm = moduli._shift_norm(values, (sign * k,), sp, diff, {})
-                except ModelError:
-                    assert bound == math.inf
-                    continue
-                assert norm <= bound, (sign * k, norm, bound)
+    bounds = moduli._RingBound(fam, sp).member(0)(reach)
+    for bound, sign in zip(bounds, (1, -1)):
+        for k in range(1, reach + 1):
+            try:
+                norm = shift_norm(values, (sign * k,), sp)
+            except ModelError:
+                assert bound == math.inf
+                continue
+            assert norm <= bound, (sign * k, norm, bound)
 
 
 def _ring_bound_and_kernel(values, weight, p, reach):
@@ -737,18 +733,16 @@ def _ring_bound_and_kernel(values, weight, p, reach):
     grid = Grid(dim=1, box_level=0, cell_exp=-5)
     sp = WeightedSpace(p, GridFunction(grid, weight))
     fam = Family(grid, (GridFunction(grid, values),), ("f",))
-    diff = np.empty(grid.shape)
     norms = []
-    with np.errstate(over="ignore", invalid="ignore"):
-        bounds = moduli._RingBound(fam, sp).member(0)(reach)
-        for sign in (1, -1):
-            row = []
-            for k in range(1, reach + 1):
-                try:
-                    row.append(moduli._shift_norm(values, (sign * k,), sp, diff, {}))
-                except ModelError as exc:
-                    row.append(exc)
-            norms.append(row)
+    bounds = moduli._RingBound(fam, sp).member(0)(reach)
+    for sign in (1, -1):
+        row = []
+        for k in range(1, reach + 1):
+            try:
+                row.append(shift_norm(values, (sign * k,), sp))
+            except ModelError as exc:
+                row.append(exc)
+        norms.append(row)
     return bounds, norms
 
 
@@ -788,34 +782,30 @@ def test_scan_ring_bound_is_tight_on_bank1d(tmp_path):
     spec_path.write_text(json.dumps(WORKLOADS.WORKLOADS["bank1d"].spec(WORKLOADS.DEFAULT_SEED)))
     problem = load_problem(spec_path)
     fam, sp = problem.family, problem.space
-    diff = np.empty(fam.grid.shape)
     ring = moduli._RingBound(fam, sp)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for j in (0, 9, 19):
-            bounds = ring.member(j)(32)
-            for bound, sign in zip(bounds, (1, -1)):
-                norms = [
-                    moduli._shift_norm(fam.members[j].values, (sign * k,), sp, diff, {})
-                    for k in range(1, 33)
-                ]
-                assert max(norms) <= bound <= max(norms) * (1.0 + 1e-5)
+    for j in (0, 9, 19):
+        bounds = ring.member(j)(32)
+        for bound, sign in zip(bounds, (1, -1)):
+            norms = [shift_norm(fam.members[j].values, (sign * k,), sp) for k in range(1, 33)]
+            assert max(norms) <= bound <= max(norms) * (1.0 + 1e-5)
 
 
 def _loose_ring_bounds(family, space, rng):
     """A stand-in for ``_RingBound.member``: per reach K, random bounds at or
     above the largest exact norm of the shifts by 1 to K cells and by -1 to
     -K, which may meet a threshold or a modulus exactly; a third of them are
-    that norm itself."""
-    diff = np.empty(family.grid.shape)
-    norm = moduli._shift_norm
+    that norm itself.  It measures through ``_shift_cells``, out of sight of
+    a patch that counts the scan's ``_shifted_difference``."""
 
     def member(ring, j):
         values = family.members[j].values
 
+        def norm(k):
+            return _array_norm(_shift_cells(values, k) - values, space)
+
         def at(reach):
             tops = np.array([
-                max(norm(values, (sign * k,), space, diff, {}) for k in range(1, reach + 1))
-                for sign in (1, -1)
+                max(norm((sign * k,)) for k in range(1, reach + 1)) for sign in (1, -1)
             ])
             slack = rng.uniform(0.0, 0.5, 2) * (rng.random(2) < 2 / 3)
             return tuple(float(v) for v in tops * (1.0 + slack))
@@ -863,13 +853,12 @@ def test_scan_screens_only_the_failing_ring_on_bank1d(tmp_path):
     epsilon = workload.eps_share * bound_modulus(problem.family, problem.space)
     names = {id(f.values): j for j, f in enumerate(problem.family.members)}
     measured = []
-    norm = moduli._shift_norm
 
-    def counted(values, offsets, *args):
+    def counted(values, offsets, out):
         measured.append((names[id(values)], offsets))
-        return norm(values, offsets, *args)
+        _shifted_difference(values, offsets, out)
 
-    with mock.patch.object(moduli, "_shift_norm", counted):
+    with mock.patch.object(moduli, "_shifted_difference", counted):
         level, found = select_mesh(problem.family, problem.space, epsilon)
     assert level == -8
     assert measured[0] == (0, (-64,))

@@ -51,7 +51,7 @@ from lpcompact import (
     weighted_norm,
 )
 
-from conftest import random_family, translation_reference
+from conftest import random_family, shift_norm, translation_reference
 from lpcompact import moduli, netbuilder
 from lpcompact.grid import _shift_ring
 from lpcompact.netbuilder import _net_distances, _remeasure, cube_witnesses, null_cube_mask
@@ -247,20 +247,17 @@ def _select_mesh_reference(family, space, epsilon, max_exp=None):
     if hi < grid.cell_exp:
         raise ModelError(f"select_mesh: max_exp {max_exp} is below the cell level {grid.cell_exp}")
     threshold = 2.0 ** (-grid.dim) * epsilon / 3.0
-    diff = np.empty(grid.shape)
-    errors = np.geterr()
     best, value = None, math.inf
     found, seen = [0.0] * len(family), set()
     for n, i in enumerate(range(grid.cell_exp, hi + 1)):
         ring = [k for k in shift_stencil(grid, 2.0**i, "box") if k not in seen]
         seen.update(ring)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for j, f in enumerate(family.members):
-                for k in ring:
-                    norm = moduli._shift_norm(f.values, k, space, diff, errors)
-                    found[j] = max(found[j], norm)
-                    if n and not norm < threshold:
-                        return best
+        for j, f in enumerate(family.members):
+            for k in ring:
+                norm = shift_norm(f.values, k, space)
+                found[j] = max(found[j], norm)
+                if n and not norm < threshold:
+                    return best
         value = max(found)
         if not value < threshold:
             break
@@ -690,6 +687,26 @@ def test_build_certificate_through_the_exponent_pass(p, k):
     )
 
 
+def test_build_certificate_in_a_box_of_zero_weight():
+    # weight 0 on |x| <= 1 and 1 outside: the tail outside the box of level
+    # -4 is the Gaussians' far tails, far below epsilon / 3, so that box is
+    # chosen, and its indicator norm is 0.  The build then takes the step
+    # 1.0, every coefficient rounds to the lattice within it, and nothing
+    # the box holds is seen by the norm
+    grid = Grid(dim=1, box_level=1, cell_exp=-4)
+    weight = np.where(np.abs(grid.axis_centers()) <= 1.0, 0.0, 1.0)
+    space = WeightedSpace(2.0, GridFunction(grid, weight))
+    fam = Family.from_profiles(grid, [Gaussian(center=c, sigma=0.1) for c in (0.0, 0.1)])
+    cert = build_certificate(fam, space, 0.5)
+    plan = cert.plan
+    assert (plan.box_level, plan.cube_exp) == (-4, -4)
+    assert (plan.quant_step, plan.coeff_bound) == (1.0, 1.0)
+    assert plan.budget.tail == pytest.approx(3.68e-20, rel=1e-3)
+    assert (plan.budget.projection, plan.budget.quantization) == (0.0, 0.0)
+    assert len(cert.net_elements) == 2
+    assert validate_certificate(fam, cert, space).passed
+
+
 def test_certificate_roundtrip(tmp_path, gauss_problem):
     grid, fam, space, bound = gauss_problem
     cert = build_certificate(fam, space, 0.1 * bound)
@@ -942,8 +959,8 @@ def test_cube_kernel_equals_expanded_reference(dim):
     # every distance after the mesh scan, against the expression it replaced
     for fam, part, space, coeffs in _cube_kernel_cases(dim):
         radius = 2.0 ** part.box_level
-        # one buffer pair serves every member of a partition, as in a build
-        buffers = (np.zeros(part.grid.shape), np.empty(part.grid.shape))
+        # one buffer serves every member of a partition, as in a build
+        buffer = np.zeros(part.grid.shape)
         for f, c in zip(fam.members, coeffs):
             np.testing.assert_array_equal(
                 expand_coefficients(c, part).values, _expand_by_repeat(c, part).values
@@ -954,7 +971,7 @@ def test_cube_kernel_equals_expanded_reference(dim):
                 space,
             )
             assert projection_error(f, c, part, space, 0.0)[0] == expected
-            assert projection_error(f, c, part, space, 0.0, buffers=buffers)[0] == expected
+            assert projection_error(f, c, part, space, 0.0, buffer=buffer)[0] == expected
         qn = quantize_net(coeffs, 0.5, part, space)
         assert qn.distances == tuple(
             weighted_norm(expand_coefficients(c - qn.net_elements[j], part), space)
@@ -1111,7 +1128,7 @@ def test_quantize_net_peaks_at_the_net_and_a_few_rows(wide_net):
     coeffs, part, space, _, _ = wide_net
     assert _peak_share(lambda: quantize_net(coeffs, 0.1, part, space), coeffs.nbytes) <= 1.5
     # every row twice: the lattice of 16 rows, the copy of its 8 leading rows
-    # the net keeps and a row buffer, not the distances' two grid buffers too
+    # the net keeps and a row buffer, not the distances' grid buffer too
     twice = np.vstack([coeffs, coeffs])
     assert _peak_share(lambda: quantize_net(twice, 0.1, part, space), twice.nbytes) <= 1.6
 

@@ -248,6 +248,20 @@ def test_quasi_certificate_rejections(quasi_problem, grid1d, rng):
     assert "wavy" in str(err.value)
 
 
+def test_validate_quasi_certificate_names_a_signed_member(grid1d):
+    # a certificate built for |wavy| holds nothing for the signed wavy: its
+    # validation stops at the member's power transfer, and names the member
+    # and split_nonnegative
+    small = WeightedSpace(0.5, sample(Constant(1.0), grid1d))
+    wavy = np.linspace(-1, 1, 8)
+    unsigned = Family(grid1d, (GridFunction(grid1d, np.abs(wavy)),), ("wavy",))
+    cert = quasi_certificate(unsigned, small, 20.0)
+    signed = Family(grid1d, (GridFunction(grid1d, wavy),), ("wavy",))
+    with pytest.raises(ModelError, match="split_nonnegative") as err:
+        validate_quasi_certificate(signed, cert, small)
+    assert "wavy" in str(err.value)
+
+
 def test_validate_quasi_tampering(quasi_problem):
     grid, fam, sp, bound = quasi_problem
     cert = quasi_certificate(fam, sp, 0.2 * bound)

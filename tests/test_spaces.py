@@ -1,4 +1,6 @@
+import importlib
 import math
+import pkgutil
 import sys
 import warnings
 from decimal import Decimal, localcontext
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import lpcompact
 from lpcompact import (
     Constant,
     Grid,
@@ -29,6 +32,7 @@ from lpcompact import (
 )
 
 from conftest import random_family
+from lpcompact.spaces import _array_norm
 
 
 def test_weighted_norm_hand_value():
@@ -103,6 +107,49 @@ def test_square_is_power_two_bitwise():
     x = np.concatenate([np.geomspace(1e-150, 1e150, 65536), [0.0, -0.0, 5e-324, 1.7e308]])
     with np.errstate(over="ignore"):
         assert np.square(x).tobytes() == np.power(x, 2.0).tobytes()
+
+
+@pytest.mark.parametrize(
+    "scale, writes", [(1.0, 1), (1e-200, 2), (0.0, 2), (1e200, 2)],
+    ids=["in-range", "below-floor", "zeros", "overflow"],
+)
+def test_array_norm_measures_in_the_buffer_write_fills(scale, writes):
+    # with ``write``, _array_norm fills the caller's buffer and forms the
+    # terms there, and fills it again only for the exponent pass: a power
+    # sum in range takes one write, and one below the floor (1e-200 at p =
+    # 2), zero or one that overflows (1e200) takes two.  The norm has the
+    # bits of the one without ``write``, which leaves its values untouched,
+    # and a non-finite entry raises on both paths
+    g = Grid(dim=1, box_level=0, cell_exp=-3)
+    rng = np.random.default_rng(7)
+    sp = WeightedSpace(2.0, GridFunction(g, rng.uniform(0.5, 2.0, g.shape)))
+    source = scale * rng.standard_normal(g.shape)
+    untouched = source.copy()
+    buf, writes_seen = np.empty(g.shape), []
+
+    def write():
+        writes_seen.append(1)
+        np.copyto(buf, source)
+
+    expected = _array_norm(source, sp)
+    assert source.tobytes() == untouched.tobytes()
+    assert _array_norm(buf, sp, write).hex() == expected.hex()
+    assert len(writes_seen) == writes
+    source[5] = math.inf
+    with pytest.raises(ModelError, match="grid function values must be finite"):
+        _array_norm(source, sp)
+    with pytest.raises(ModelError, match="grid function values must be finite"):
+        _array_norm(buf, sp, write)
+
+
+def test_only_spaces_binds_the_norm_passes():
+    # one norm kernel: every other module measures through _array_norm, so
+    # an outward bound on the norm, or a count of norms, acts in one place
+    passes = {"_exponent_norm", "_sum_root", "_weighted_power_sum"}
+    for info in pkgutil.iter_modules(lpcompact.__path__):
+        module = importlib.import_module(f"lpcompact.{info.name}")
+        if info.name != "spaces":
+            assert not passes & set(vars(module)), info.name
 
 
 @pytest.mark.parametrize("p", [0.6, 2.0])
