@@ -87,17 +87,33 @@ def bound_modulus(family: Family, space: WeightedSpace) -> float:
     return max(weighted_norm(f, space) for f in family.members)
 
 
-def tail_modulus(family: Family, space: WeightedSpace, radius: float, region: str = "ball") -> float:
-    """Largest member norm outside the region of the given radius."""
+def tail_modulus(
+    family: Family,
+    space: WeightedSpace,
+    radius: float,
+    region: str = "ball",
+    threshold: float = math.inf,
+) -> float:
+    """Largest member norm outside the region of the given radius.
+
+    Members are measured in order, and the first tail that is not below
+    ``threshold`` ends the walk and is returned: a partial value, which
+    shows only that the modulus reaches the threshold.  Where every tail is
+    below it, the largest is returned, the modulus bit for bit; at the
+    default inf that is always so.
+    """
     _check_space(family, space)
     outside = outside_mask(family.grid, radius, region)
     kept = np.empty(family.grid.shape)
-    # multiplying by the mask zeroes the region: members are finite, and the
-    # sign a zero picks up is lost to the absolute value
-    return max(
-        _array_norm(kept, space, lambda: np.multiply(f.values, outside, out=kept))
-        for f in family.members
-    )
+    worst = 0.0
+    for f in family.members:
+        # multiplying by the mask zeroes the region: members are finite, and
+        # the sign a zero picks up is lost to the absolute value
+        tail = _array_norm(kept, space, lambda: np.multiply(f.values, outside, out=kept))
+        if not tail < threshold:
+            return tail
+        worst = max(worst, tail)
+    return worst
 
 
 def _shifted_difference(values: np.ndarray, offsets: tuple[int, ...], out: np.ndarray) -> None:

@@ -175,6 +175,8 @@ def select_tail_level(
     nonzero terms and roots differently, and across the two passes the tail
     can still rise by an ulp as the box grows.  The scan does not rely on
     the order there: it stops at the first failure and keeps the larger box.
+    At the failing level ``tail_modulus`` stops at its first member whose
+    tail is not below epsilon/3; that partial value is never returned.
     """
     _check_epsilon(epsilon)
     threshold = epsilon / 3.0
@@ -183,7 +185,7 @@ def select_tail_level(
     grid = family.grid
     best = grid.box_level, 0.0
     for m in range(grid.box_level - 1, grid.cell_exp - 1, -1):
-        tail = tail_modulus(family, space, 2.0**m, region="box")
+        tail = tail_modulus(family, space, 2.0**m, region="box", threshold=threshold)
         if not tail < threshold:
             break
         best = m, tail

@@ -40,7 +40,9 @@ __all__ = [
     "a1_constant",
 ]
 
-_TINY = np.finfo(np.float64).tiny
+# a Python float, so that a bound formed from it overflows to inf quietly,
+# where a numpy scalar's product would raise an overflow warning
+_TINY = float(np.finfo(np.float64).tiny)
 
 
 @dataclass(frozen=True)

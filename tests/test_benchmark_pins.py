@@ -65,37 +65,48 @@ def test_reference_certificate_matches_pin(tmp_path, name):
     assert hashlib.sha256(cert_path.read_bytes()).hexdigest() == PINS[name]
 
 
-# tail moduli and exact shifted differences one reference build measures:
-# both level scans stop at their first threshold crossing, where a full scan
-# measured 16 / 2,560, 8 / 192 and 15 / 2,560.  On the 1-D workloads the ring
-# bounds pass every ring up to the chosen level whole, and the next ring's
-# first shift, measured, fails (-64 cells); at the chosen level (32 cells)
-# each member takes one exact norm, and on quasi_half, whose bounds are
-# within 5% of the moduli (bank1d's within 4e-6), 4 of the 20 take a second
-# at -32 or 32 cells and 2 a second at 31 or -31.  sheet2d_null is 2-D, where
-# every shift is measured: the 8 one-cell shifts of its 8 members, then the
-# two-cell ring's first shift, which fails
-WORK = {"bank1d": (1, 21), "sheet2d_null": (1, 65), "quasi_half": (1, 27)}
+# tail moduli, exact shifted differences and member tails one reference
+# build measures: both level scans stop at their first threshold crossing,
+# where a full scan measured 16 / 2,560, 8 / 192 and 15 / 2,560.  On the 1-D
+# workloads the ring bounds pass every ring up to the chosen level whole, and
+# the next ring's first shift, measured, fails (-64 cells); at the chosen
+# level (32 cells) each member takes one exact norm, and on quasi_half, whose
+# bounds are within 5% of the moduli (bank1d's within 4e-6), 4 of the 20 take
+# a second at -32 or 32 cells and 2 a second at 31 or -31.  sheet2d_null is
+# 2-D, where every shift is measured: the 8 one-cell shifts of its 8 members,
+# then the two-cell ring's first shift, which fails.  The tail scan fails at
+# the first box below the ambient one, where member 0 is already over budget,
+# so it takes one member norm, where measuring every member took 20, 8 and 20
+WORK = {"bank1d": (1, 21, 1), "sheet2d_null": (1, 65, 1), "quasi_half": (1, 27, 1)}
 
 
 @pytest.mark.parametrize("name", sorted(WORK))
 def test_reference_build_work(tmp_path, monkeypatch, name):
-    calls = {"tail_modulus": 0, "_shifted_difference": 0}
+    calls = {"tail_modulus": 0, "_shifted_difference": 0, "_array_norm": 0}
+    # one entry per wrapped call in progress, True for tail_modulus
+    stack = []
 
-    def counted(module, attr):
+    def counted(module, attr, when=lambda: True):
         inner = getattr(importlib.import_module(module), attr)
 
         def wrapper(*args, **kwargs):
-            calls[attr] += 1
-            return inner(*args, **kwargs)
+            calls[attr] += when()
+            stack.append(attr == "tail_modulus")
+            try:
+                return inner(*args, **kwargs)
+            finally:
+                stack.pop()
 
         monkeypatch.setattr(f"{module}.{attr}", wrapper)
 
-    # the tail scan calls tail_modulus through netbuilder's import of it
+    # the tail scan calls tail_modulus through netbuilder's import of it, and
+    # tail_modulus the norm kernel through moduli's; a member tail is a
+    # kernel call made inside tail_modulus
     counted("lpcompact.netbuilder", "tail_modulus")
     counted("lpcompact.moduli", "_shifted_difference")
+    counted("lpcompact.moduli", "_array_norm", when=lambda: any(stack))
     _reference_build(tmp_path, name)
-    assert (calls["tail_modulus"], calls["_shifted_difference"]) == WORK[name]
+    assert tuple(calls.values()) == WORK[name]
 
 
 def test_tracing_targets_resolve():

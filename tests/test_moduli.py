@@ -108,6 +108,22 @@ def test_tail_modulus_is_max_over_members(grid1d, flat_space):
     assert tail_modulus(fam, flat_space, 0.5) == pytest.approx(5.0, rel=1e-15)
 
 
+def test_tail_modulus_threshold_returns_the_first_member_over_it(grid1d, flat_space, rng):
+    # each member's own tail, from a one-member family; at a threshold t the
+    # walk returns the first of them in member order that is not below t,
+    # and the largest where every one is below t
+    fam = random_family(grid1d, rng, n=5)
+    alone = [
+        tail_modulus(Family(grid1d, (f,), ("a",)), flat_space, 0.5) for f in fam.members
+    ]
+    assert len(set(alone)) == len(alone)
+    full = tail_modulus(fam, flat_space, 0.5)
+    assert full == max(alone)
+    for t in sorted(alone) + [0.0, np.nextafter(max(alone), np.inf), math.inf]:
+        first = next((tail for tail in alone if tail >= t), full)
+        assert tail_modulus(fam, flat_space, 0.5, threshold=t) == first
+
+
 def test_translation_modulus_indicator_oracle():
     # half-box indicator: shifting by k cells moves 2k cells of unit mass
     g = Grid(dim=1, box_level=1, cell_exp=-6)
@@ -699,6 +715,7 @@ def _ring_bound_member(grid, rng, kind, scale):
 @example(seed=5, p=2.0, kind="rough", scale_exp=-540, sum_exp=-1020, zeros=0.0, reach=2)
 @example(seed=6, p=1.0, kind="smooth", scale_exp=1023, sum_exp=1030, zeros=0.0, reach=1)
 @example(seed=7, p=2.0, kind="smooth", scale_exp=0, sum_exp=0, zeros=1.0, reach=4)
+@example(seed=0, p=7.0, kind="smooth", scale_exp=0, sum_exp=1010, zeros=0.0, reach=34)
 def test_scan_ring_bound_covers_the_kernel(seed, p, kind, scale_exp, sum_exp, zeros, reach):
     # a member's ring bound at K cells lies at or above the value the exact
     # kernel returns at every shift by 1 to K cells and by -1 to -K, on 64

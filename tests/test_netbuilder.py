@@ -165,7 +165,7 @@ def test_select_tail_level_keeps_the_larger_box_at_an_ulp_rise(monkeypatch):
     low = float(np.nextafter(mid, 0.0))
     curve = {0.25: low, 0.5: mid}
 
-    def stand_in(family, space, radius, region="ball"):
+    def stand_in(family, space, radius, region="ball", threshold=math.inf):
         assert (family, space, region) == (fam, sp, "box")
         return curve[radius]
 
@@ -173,6 +173,97 @@ def test_select_tail_level_keeps_the_larger_box_at_an_ulp_rise(monkeypatch):
     monkeypatch.setitem(globals(), "tail_modulus", stand_in)
     assert _tail_level_upward(fam, sp, 3 * mid) == (-2, low)
     assert select_tail_level(fam, sp, 3 * mid) == (0, 0.0)
+
+
+def _support_family(grid, centers):
+    # indicators of radius 0.3: a member centred at 0 has no tail down to the
+    # level -1 box, one at 1.0 fails at level 0, one at 3.0 at level 1
+    members = [sample(Indicator(center=c, radius=0.3), grid) for c in centers]
+    return Family(grid, tuple(members), tuple(f"s{i}" for i in range(len(members))))
+
+
+@pytest.mark.parametrize(
+    "centers, norms",
+    [
+        # member 0 fails at the first level below the ambient box: one norm
+        ((3.0, 0.0, 0.0), 1),
+        # the only failing member comes last: every member is measured
+        ((0.0, 0.0, 3.0), 3),
+        # level 1 passes on all three, level 0 fails at member 1
+        ((0.0, 1.0, 0.0), 3 + 2),
+    ],
+)
+def test_select_tail_level_stops_at_the_first_member_over_budget(centers, norms):
+    # member norms counted as calls of the kernel through moduli, which the
+    # tail scan reaches only through tail_modulus
+    grid = Grid(dim=1, box_level=2, cell_exp=-5)
+    sp = WeightedSpace(2.0, sample(Constant(1.0), grid))
+    fam = _support_family(grid, centers)
+    expected = _tail_level_full_scan(fam, sp, 1e-6)
+    assert expected == ((2, 0.0) if 3.0 in centers else (1, 0.0))
+    with mock.patch.object(moduli, "_array_norm", wraps=moduli._array_norm) as kernel:
+        assert select_tail_level(fam, sp, 1e-6) == expected
+    assert kernel.call_count == norms
+
+
+def _tail_level_full_scan(family, space, epsilon):
+    """Reference: the scan down from the ambient box with every member
+    measured at every level, the tail scan before it stopped early."""
+    threshold = epsilon / 3.0
+    best = family.grid.box_level, 0.0
+    for m in range(family.grid.box_level - 1, family.grid.cell_exp - 1, -1):
+        tail = tail_modulus(family, space, 2.0**m, region="box")
+        if not tail < threshold:
+            break
+        best = m, tail
+    return best
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    dim=st.sampled_from([1, 2]),
+    n=st.integers(min_value=1, max_value=4),
+    p=st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0]),
+    scale=st.sampled_from([1.0, 2.0**-540, 2.0**500]),
+    widest_last=st.booleans(),
+    pick=st.integers(min_value=0, max_value=2**16),
+    ulps=st.sampled_from([-1, 0, 1]),
+)
+def test_tail_scan_property_matches_full_scan(seed, dim, n, p, scale, widest_last, pick, ulps):
+    # random members, each zero outside its own box, on a weight with zeros;
+    # with widest_last the member whose support reaches furthest comes last,
+    # and at the largest box that fails it is often the only one with mass
+    # outside.  At epsilon three times a tail of the full scan's curve, or an
+    # ulp either side, the early stop returns the full scan's level and tail
+    # bits; and at a threshold above every member's tail, tail_modulus
+    # returns the inf result's bits
+    grid = Grid(dim=dim, box_level=1, cell_exp=-3 if dim == 1 else -2)
+    rng = np.random.default_rng(seed)
+    weight = rng.uniform(0.0, 2.0, grid.shape) * (rng.uniform(size=grid.shape) < 0.8)
+    sp = WeightedSpace(p, GridFunction(grid, weight))
+    reach = rng.uniform(0.0, 2.0, n)
+    if widest_last:
+        reach.sort()
+    r = grid.center_maxnorm()
+    members = tuple(
+        GridFunction(grid, scale * rng.standard_normal(grid.shape) * (r < reach[j]))
+        for j in range(n)
+    )
+    fam = Family(grid, members, tuple(f"q{j}" for j in range(n)))
+    levels = range(grid.cell_exp, grid.box_level)
+    curve = [tail_modulus(fam, sp, 2.0**m, region="box") for m in levels]
+    for m, value in zip(levels, curve):
+        above = float(np.nextafter(value, np.inf))
+        assert tail_modulus(fam, sp, 2.0**m, region="box", threshold=above).hex() == value.hex()
+    positive = [value for value in curve if value > 0] or [1.0]
+    epsilon = 3.0 * positive[pick % len(positive)]
+    if ulps:
+        epsilon = float(np.nextafter(epsilon, ulps * np.inf))
+    assume(epsilon / 3.0 > 0 and math.isfinite(epsilon))
+    level, tail = select_tail_level(fam, sp, epsilon)
+    ref_level, ref_tail = _tail_level_full_scan(fam, sp, epsilon)
+    assert (level, tail.hex()) == (ref_level, ref_tail.hex())
 
 
 def test_select_mesh_halfbox_oracle():
