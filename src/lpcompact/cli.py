@@ -21,13 +21,14 @@ from .experiments import blowup_fit, completeness_run
 from .grid import Grid, inside_mask
 from .moduli import measure_moduli
 from .netbuilder import (
+    _check_epsilon,
     build_certificate,
     load_certificate,
     save_certificate,
     validate_certificate,
 )
 from .profiles import Table
-from .quasi import quasi_certificate, validate_quasi_certificate
+from .quasi import quasi_certificate, root_family, select_power, validate_quasi_certificate
 from .spaces import (
     a1_constant,
     ap_constant,
@@ -113,10 +114,14 @@ def cmd_net(args) -> int:
         )
         report = validate_certificate(problem.family, cert, problem.space)
     else:
+        # the build and its self-check share one root family, formed after
+        # epsilon is checked, as quasi_certificate checks it first
+        _check_epsilon(args.epsilon)
+        roots = root_family(problem.family, select_power(problem.space.p))
         cert = quasi_certificate(
-            problem.family, problem.space, args.epsilon, variant=args.variant
+            problem.family, problem.space, args.epsilon, variant=args.variant, roots=roots
         )
-        report = validate_quasi_certificate(problem.family, cert, problem.space)
+        report = validate_quasi_certificate(problem.family, cert, problem.space, roots=roots)
     if not report.passed:
         for line in report.failures:
             print(f"validation failure: {line}", file=sys.stderr)

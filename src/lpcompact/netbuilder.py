@@ -599,7 +599,8 @@ def _remeasure(
     Returns the distances and the failures found: an assignment or recorded
     list whose length is not the family's (then nothing is measured), an
     index outside the net, a distance not below epsilon, or a distance that
-    disagrees with the recorded one.
+    disagrees with the recorded one by more than a relative 1e-9, at every
+    scale.
     """
     n = len(family)
     failures = []
@@ -625,7 +626,7 @@ def _remeasure(
         distances.append(d)
         if not d < epsilon:
             failures.append(f"member {label!r} has {what} {d!r}, not below epsilon {epsilon!r}")
-        if not math.isclose(d, rec, rel_tol=1e-9, abs_tol=1e-12):
+        if not math.isclose(d, rec, rel_tol=1e-9):
             failures.append(
                 f"member {label!r}: recomputed {what} {d!r} disagrees with the recorded {rec!r}"
             )

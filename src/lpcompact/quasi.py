@@ -142,7 +142,12 @@ def factorization_gap(
 
 
 def quasi_certificate(
-    family: Family, space: WeightedSpace, epsilon: float, variant: str = "banach"
+    family: Family,
+    space: WeightedSpace,
+    epsilon: float,
+    variant: str = "banach",
+    *,
+    roots: Family | None = None,
 ) -> NetCertificate:
     """Build a net for a nonnegative family in a quasi-normed weighted space.
 
@@ -151,13 +156,21 @@ def quasi_certificate(
     over the family; the N-th powers of the net elements are then measured
     against every member in the original quasi-norm, and those audited
     distances ship with the certificate.
+
+    ``roots`` is ``root_family(family, select_power(space.p))`` when the
+    caller already holds it, as ``lpcompact net`` does; by default it is
+    formed here, after the exponent and epsilon are checked.  Roots on
+    another grid or under other labels are a ``ModelError``.
     """
     if not 0 < space.p < 1:
         raise ModelError("quasi_certificate applies to exponents 0 < p < 1")
     _check_epsilon(epsilon)
     n = select_power(space.p)
     ys = root_space(space, n)
-    roots = root_family(family, n)
+    if roots is None:
+        roots = root_family(family, n)
+    elif roots.grid != family.grid or roots.labels != family.labels:
+        raise ModelError("the roots passed are not on the family's grid under its labels")
     bound = bound_modulus(family, space)
     c_max = n * bound ** ((n - 1) / n)
     # the audits measure against epsilon itself, so a root budget may be clamped
@@ -189,12 +202,22 @@ def quasi_certificate(
 
 
 def validate_quasi_certificate(
-    family: Family, certificate: NetCertificate, space: WeightedSpace
+    family: Family,
+    certificate: NetCertificate,
+    space: WeightedSpace,
+    *,
+    roots: Family | None = None,
 ) -> ValidationReport:
     """Independent re-check of a power-transfer certificate.
 
     Validates the root-side certificate in the companion space and re-measures
     the quasi-norm distance from every member to its assigned net power.
+
+    ``roots`` feeds only the root-side check: ``lpcompact net`` passes the
+    roots it built with, and every other caller, ``lpcompact validate``
+    among them, leaves it ``None`` and the roots are formed here.  The
+    audits read the members, never the roots.  Roots on another grid or
+    under other labels fail the root-side check.
     """
     if certificate.quasi is None:
         raise ModelError("certificate carries no power-transfer record")
@@ -216,7 +239,8 @@ def validate_quasi_certificate(
     if failures:
         return ValidationReport(False, tuple(failures), ())
     ys = root_space(space, rec.n_power)
-    roots = root_family(family, rec.n_power)
+    if roots is None:
+        roots = root_family(family, rec.n_power)
     root_report = validate_certificate(roots, certificate, ys)
     failures.extend(root_report.failures)
     if not root_report.distances:

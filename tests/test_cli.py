@@ -107,6 +107,58 @@ def test_net_quasi_routing(tmp_path, capsys):
     assert rc == 0
 
 
+def _counting_root_family(monkeypatch):
+    """Count ``root_family`` calls at every lpcompact module that binds it."""
+    calls = []
+    original = lpcompact.quasi.root_family
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("lpcompact") and getattr(module, "root_family", None) is original:
+            monkeypatch.setattr(module, "root_family", counted)
+    return calls
+
+
+def test_net_quasi_forms_the_roots_once_and_validate_forms_its_own(tmp_path, capsys, monkeypatch):
+    # net builds and self-checks on one root family; validate forms its own
+    spec = write_spec(tmp_path / "quasi.json", p=0.5, weight={"kind": "constant", "value": 1.0})
+    prob = load_problem(spec)
+    cert_path = tmp_path / "qcert.json"
+    eps = str(0.4 * bound_modulus(prob.family, prob.space))
+    calls = _counting_root_family(monkeypatch)
+    assert cli.main(["net", "--spec", str(spec), "--epsilon", eps, "--out", str(cert_path)]) == 0
+    assert len(calls) == 1
+    calls.clear()
+    assert cli.main(["validate", "--spec", str(spec), "--certificate", str(cert_path)]) == 0
+    assert len(calls) == 1
+
+
+def test_net_quasi_checks_epsilon_before_the_members_signs(tmp_path, capsys):
+    # a p = 1/2 member with a negative cell: a bad epsilon is reported first,
+    # as quasi_certificate checks it before forming any root; at a valid
+    # epsilon the root's sign check names the member and split_nonnegative
+    spec = write_spec(
+        tmp_path / "signed.json",
+        p=0.5,
+        weight={"kind": "constant", "value": 1.0},
+        grid={"dim": 1, "box_level": 1, "cell_exp": 0},
+        members=[{"kind": "table", "values": [1.0, -2.0, 3.0, 4.0]}],
+    )
+    out = str(tmp_path / "c.json")
+    capsys.readouterr()
+    assert cli.main(["net", "--spec", str(spec), "--epsilon=-1", "--out", out]) == 3
+    assert capsys.readouterr().err == "model violation: epsilon must be positive\n"
+    assert cli.main(["net", "--spec", str(spec), "--epsilon", "1", "--out", out]) == 3
+    assert capsys.readouterr().err == (
+        "model violation: member 'm00': power transfer needs nonnegative values; "
+        "apply split_nonnegative first\n"
+    )
+    assert not Path(out).exists()
+
+
 @pytest.mark.parametrize(
     "p, field, edit",
     [

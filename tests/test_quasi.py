@@ -304,3 +304,57 @@ def test_quasi_certificate_json_roundtrip(quasi_problem):
     clone = certificate_from_dict(doc)
     assert clone.quasi == cert.quasi
     assert validate_quasi_certificate(fam, clone, sp).passed
+
+
+def test_passed_roots_give_the_same_certificate_and_report(quasi_problem):
+    # roots passed in are the ones the functions form: the same certificate
+    # and the same verdict, distance for distance
+    grid, fam, sp, bound = quasi_problem
+    roots = root_family(fam, select_power(sp.p))
+    cert = quasi_certificate(fam, sp, 0.2 * bound)
+    shared = quasi_certificate(fam, sp, 0.2 * bound, roots=roots)
+    assert certificate_to_dict(shared) == certificate_to_dict(cert)
+    assert validate_quasi_certificate(fam, cert, sp, roots=roots) == validate_quasi_certificate(
+        fam, cert, sp
+    )
+
+
+def test_validate_with_roots_other_than_the_members_roots_fails(quasi_problem):
+    # one root member scaled by 1 + 2**-20 moves its root-side distance far
+    # past the relative tolerance: the root-side check fails, though the
+    # audits, which read the members, still pass
+    grid, fam, sp, bound = quasi_problem
+    cert = quasi_certificate(fam, sp, 0.2 * bound)
+    roots = root_family(fam, select_power(sp.p))
+    members = list(roots.members)
+    members[2] = GridFunction(grid, members[2].values * (1 + 2.0**-20))
+    report = validate_quasi_certificate(fam, cert, sp, roots=replace(roots, members=tuple(members)))
+    assert not report.passed
+    assert len(report.failures) == 1
+    assert report.failures[0].startswith("member 'm02': recomputed distance ")
+
+
+@pytest.mark.parametrize("wrong", ["short", "grid"])
+def test_roots_of_another_family_are_refused(quasi_problem, wrong):
+    # roots missing a member, or on another grid under the same labels: the
+    # build raises a ModelError, and the root-side check reports a failure
+    # and measures nothing
+    grid, fam, sp, bound = quasi_problem
+    n = select_power(sp.p)
+    if wrong == "short":
+        roots = root_family(Family(grid, fam.members[:-1], fam.labels[:-1]), n)
+    else:
+        coarse = Grid(dim=1, box_level=1, cell_exp=-7)
+        roots = root_family(
+            Family.from_profiles(coarse, [Constant(1.0)] * len(fam), labels=fam.labels), n
+        )
+    with pytest.raises(ModelError, match="the roots passed are not on the family's grid"):
+        quasi_certificate(fam, sp, 0.2 * bound, roots=roots)
+    report = validate_quasi_certificate(fam, quasi_certificate(fam, sp, 0.2 * bound), sp, roots=roots)
+    assert not report.passed
+    assert report.distances == ()
+    expected = {
+        "short": "certificate labels do not match the family's labels",
+        "grid": "family grid does not match the certificate grid",
+    }
+    assert expected[wrong] in report.failures

@@ -13,6 +13,7 @@ every member within the declared epsilon of its net element.
 
 import json
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -21,14 +22,20 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from lpcompact import (
+    Family,
+    Gaussian,
+    Grid,
     GridFunction,
     ModelError,
+    PowerLaw,
+    WeightedSpace,
     bound_modulus,
     build_certificate,
     certificate_to_dict,
     load_certificate,
     parse_problem,
     quasi_certificate,
+    sample,
     validate_certificate,
     validate_quasi_certificate,
     weighted_norm,
@@ -131,3 +138,47 @@ def test_tampered_certificate_fails_or_is_model_error(name, data):
             return
     if report.passed:
         assert _covers(problem, cert)
+
+
+def _tiny_problem(p):
+    """Three Gaussians at amplitude 2**-600 under weight |x|**0.5, at epsilon
+    0.3 times the bound: every distance lies near 1e-183."""
+    grid = Grid(dim=1, box_level=2, cell_exp=-8)
+    family = Family.from_profiles(
+        grid, [Gaussian(center=c, sigma=0.3, amplitude=2.0**-600) for c in (-0.5, 0.0, 0.5)]
+    )
+    space = WeightedSpace(p, sample(PowerLaw(0.5), grid))
+    return family, space, 0.3 * bound_modulus(family, space)
+
+
+@pytest.mark.parametrize("recorded", [0.0, 1e-13])
+def test_recorded_distances_far_below_one_are_checked_relatively(recorded):
+    # no absolute tolerance: a recorded 0.0 or 1e-13 disagrees with a
+    # distance near 5e-183, while a relative change of 1e-12 still agrees
+    family, space, epsilon = _tiny_problem(2.0)
+    cert = build_certificate(family, space, epsilon)
+    assert max(cert.distances) < 1e-182
+    nudged = tuple(d * (1 + 1e-12) for d in cert.distances)
+    assert validate_certificate(family, replace(cert, distances=nudged), space).passed
+    report = validate_certificate(family, replace(cert, distances=(recorded,) * 3), space)
+    assert not report.passed
+    assert len(report.failures) == 3
+    assert all(f"disagrees with the recorded {recorded!r}" in line for line in report.failures)
+
+
+@pytest.mark.parametrize("recorded", [0.0, 1e-13])
+def test_recorded_quasi_audits_far_below_one_are_checked_relatively(recorded):
+    family, space, epsilon = _tiny_problem(0.5)
+    cert = quasi_certificate(family, space, epsilon)
+    audits = cert.quasi.audit_distances
+    assert max(audits) < 1e-182
+    nudged = replace(cert.quasi, audit_distances=tuple(d * (1 + 1e-12) for d in audits))
+    assert validate_quasi_certificate(family, replace(cert, quasi=nudged), space).passed
+    zeroed = replace(cert.quasi, audit_distances=(recorded,) * 3)
+    report = validate_quasi_certificate(family, replace(cert, quasi=zeroed), space)
+    assert not report.passed
+    assert len(report.failures) == 3
+    assert all(
+        "audit distance" in line and f"disagrees with the recorded {recorded!r}" in line
+        for line in report.failures
+    )
